@@ -25,7 +25,7 @@ from .geometry import (
     WaferPoint,
     actual_overlap_area,
 )
-from .synth import MeasurementRecord, dolan_geometry
+from .synth import MeasurementRecord
 
 
 class Regressor(str, Enum):
@@ -318,11 +318,9 @@ def effective_conductivity(records: Sequence[MeasurementRecord],
         else:
             if geom is None:
                 raise DataError("actual areas need a geometry or an area table")
-            if rec.design.variant is Variant.DOLAN:
-                a = actual_overlap_area(dolan_geometry(geom), rec.design,
-                                        rec.position, Fidelity.BASIC)
-            else:
-                a = actual_overlap_area(geom, rec.design, rec.position, fidelity)
+            a = actual_overlap_area(
+                geom, rec.design, rec.position,
+                Fidelity.BASIC if rec.design.variant is Variant.DOLAN else fidelity)
         total = a * rec.junction_count
         if total <= 0.0:
             raise DataError(f"zero junction area for {rec.structure_id}")

@@ -109,7 +109,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     layout = jio.read_layout_csv(args.layout)
     records = synthesize_wafer(layout, cfg.geometry(), cfg.process(args.seed),
-                               cfg.parasitics(), dolan_geom=cfg.dolan_geometry())
+                               cfg.parasitics())
     jio.write_measurements_csv(records, args.out)
     if args.truth_out:
         jio.write_truth_csv(records, args.truth_out)

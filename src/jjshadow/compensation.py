@@ -22,8 +22,7 @@ from .geometry import (
     WaferPoint,
     actual_overlap_area,
 )
-from .layout import TestStructureSpec, WaferLayout
-from .synth import dolan_geometry
+from .layout import WaferLayout
 
 MAX_WIDTH_NM = 2000.0
 AREA_RTOL = 1.0e-6
@@ -101,13 +100,6 @@ def precompensate_fixed_top(geom: EvaporatorGeometry, target_area_um2: float,
     return JunctionDesign(Variant.MANHATTAN, w_bottom_nm=w_bottom, w_top_nm=w_top_nm)
 
 
-def _structure_geom(geom: EvaporatorGeometry, s: TestStructureSpec,
-                    ) -> tuple[EvaporatorGeometry, Fidelity | None]:
-    if s.design.variant is Variant.DOLAN:
-        return dolan_geometry(geom), Fidelity.BASIC
-    return geom, None
-
-
 def compensated_layout(layout: WaferLayout, geom: EvaporatorGeometry,
                        fidelity: Fidelity, w_max_nm: float = MAX_WIDTH_NM,
                        fixed_top_nm: float | None = None) -> WaferLayout:
@@ -117,32 +109,33 @@ def compensated_layout(layout: WaferLayout, geom: EvaporatorGeometry,
     wafer centre.  Each structure keeps its designed aspect ratio (or its
     fixed top width, if fixed_top_nm is given); structures whose target is
     unattainable are marked excluded with a reason.  Excluded structures
-    pass through unchanged.
+    pass through unchanged.  Bridge-style structures are solved at basic
+    fidelity, the only level the model defines for them.
     """
     viable = layout.viable()
     if not viable:
         raise TargetError("layout has no viable structures to compensate")
     centre = min(viable, key=lambda s: (s.position.radius_mm(), s.structure_id))
-    c_geom, c_fid = _structure_geom(geom, centre)
-    target = actual_overlap_area(c_geom, centre.design, centre.position,
-                                 c_fid or fidelity)
+    target = actual_overlap_area(
+        geom, centre.design, centre.position,
+        Fidelity.BASIC if centre.design.variant is Variant.DOLAN else fidelity)
 
     out = []
     for s in layout.structures:
         if s.excluded:
             out.append(s)
             continue
-        s_geom, s_fid = _structure_geom(geom, s)
         try:
             if fixed_top_nm is not None and s.design.variant is Variant.MANHATTAN:
                 design = precompensate_fixed_top(
-                    s_geom, target, s.position, s_fid or fidelity,
+                    geom, target, s.position, fidelity,
                     w_top_nm=fixed_top_nm, w_max_nm=w_max_nm)
             else:
                 aspect = (s.design.w_bottom_nm / s.design.w_top_nm
                           if s.design.w_top_nm > 0 else 1.0)
                 design = precompensate(
-                    s_geom, target, s.position, s_fid or fidelity,
+                    geom, target, s.position,
+                    Fidelity.BASIC if s.design.variant is Variant.DOLAN else fidelity,
                     aspect=aspect, w_max_nm=w_max_nm, variant=s.design.variant)
         except TargetError as exc:
             out.append(replace(s, excluded=True, exclusion_reason=f"unattainable: {exc}"))

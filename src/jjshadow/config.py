@@ -62,13 +62,11 @@ class RunConfig:
             d_prime_mm=self.geometry_d_prime_mm,
             r_pivot_mm=self.geometry_r_pivot_mm,
             alpha_deg=self.geometry_alpha_deg,
+            alpha_dolan_deg=self.geometry_alpha_dolan_deg,
             h_resist_nm=self.geometry_h_resist_nm,
             t_bottom_nm=self.geometry_t_bottom_nm,
             dw_offset_nm=self.geometry_dw_offset_nm,
         )
-
-    def dolan_geometry(self) -> EvaporatorGeometry:
-        return replace(self.geometry(), alpha_deg=self.geometry_alpha_dolan_deg)
 
     def process(self, seed: int | None = None) -> ProcessModel:
         return ProcessModel(

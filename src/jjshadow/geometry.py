@@ -59,13 +59,15 @@ class EvaporatorGeometry:
     """E-beam evaporator constants driving the shadow model.
 
     Distances d_prime/r_pivot in mm, resist and film thicknesses in nm,
-    tilt in degrees.  dw_offset is the constant widening of developed
-    lines from over-exposure.
+    tilts in degrees: crossed junctions are evaporated at alpha, bridge
+    junctions at alpha_dolan.  dw_offset is the constant widening of
+    developed lines from over-exposure.
     """
 
     d_prime_mm: float = 650.0
     r_pivot_mm: float = 62.5
     alpha_deg: float = 35.0
+    alpha_dolan_deg: float = 15.0
     h_resist_nm: float = 600.0
     t_bottom_nm: float = 35.0
     dw_offset_nm: float = 25.0
@@ -75,22 +77,30 @@ class EvaporatorGeometry:
             raise GeometryError(
                 f"need d_prime > r_pivot > 0, got {self.d_prime_mm}, {self.r_pivot_mm}"
             )
-        if not 0.0 <= self.alpha_deg < 90.0:
-            raise GeometryError(f"tilt must be in [0, 90) deg, got {self.alpha_deg}")
+        for name in ("alpha_deg", "alpha_dolan_deg"):
+            if not 0.0 <= getattr(self, name) < 90.0:
+                raise GeometryError(
+                    f"{name} must be in [0, 90) deg, got {getattr(self, name)}")
         if self.h_resist_nm <= 0.0:
             raise GeometryError("resist thickness must be > 0")
         if self.t_bottom_nm <= 0.0:
             raise GeometryError("calibrated bottom thickness must be > 0")
         if self.dw_offset_nm < 0.0:
             raise GeometryError("width offset must be >= 0")
-        if self.source_distance_nm() <= 0.0:
+        if self.source_distance_nm() <= 0.0 or self.bridge_distance_nm() <= 0.0:
             raise GeometryError(
                 "source-plane distance D = d_prime*cos(alpha) - r_pivot must be > 0"
+                " at both alpha and alpha_dolan"
             )
 
     def source_distance_nm(self) -> float:
         """D = D'*cos(alpha) - R in nm."""
         alpha = math.radians(self.alpha_deg)
+        return (self.d_prime_mm * math.cos(alpha) - self.r_pivot_mm) * NM_PER_MM
+
+    def bridge_distance_nm(self) -> float:
+        """D at the bridge-junction tilt, D'*cos(alpha_dolan) - R, in nm."""
+        alpha = math.radians(self.alpha_dolan_deg)
         return (self.d_prime_mm * math.cos(alpha) - self.r_pivot_mm) * NM_PER_MM
 
     def crucible_y_nm(self) -> float:
@@ -128,9 +138,9 @@ class JunctionDesign:
         if self.w_bottom_nm < 0.0 or self.w_top_nm < 0.0:
             raise GeometryError("designed widths must be >= 0")
 
-    def designed_area_um2(self, dolan_overlap_nm: float = DOLAN_OVERLAP_LENGTH_NM) -> float:
+    def designed_area_um2(self) -> float:
         if self.variant is Variant.DOLAN:
-            return self.w_top_nm * dolan_overlap_nm / NM_PER_MM
+            return self.w_top_nm * DOLAN_OVERLAP_LENGTH_NM / NM_PER_MM
         return self.w_bottom_nm * self.w_top_nm / NM_PER_MM
 
 
@@ -155,8 +165,13 @@ def actual_width_vertical(geom: EvaporatorGeometry, w_designed_nm: float,
     (top) electrode of a crossed junction with coord = y, since the second
     evaporation is the same geometry rotated 90 degrees in azimuth.
     """
+    return _narrowed_width(geom, w_designed_nm, coord_mm, geom.source_distance_nm())
+
+
+def _narrowed_width(geom: EvaporatorGeometry, w_designed_nm: float,
+                    coord_mm: float, d_nm: float) -> float:
     w = (w_designed_nm + geom.dw_offset_nm
-         - abs(coord_mm) * NM_PER_MM * geom.h_resist_nm / geom.source_distance_nm())
+         - abs(coord_mm) * NM_PER_MM * geom.h_resist_nm / d_nm)
     if w <= 0.0:
         raise ShadowedError(
             f"electrode fully shadowed: W'={w:.2f} nm at |coord|={abs(coord_mm)} mm"
@@ -219,21 +234,21 @@ def actual_top_width(geom: EvaporatorGeometry, w_top_nm: float, p: WaferPoint) -
 
 
 def actual_overlap_area(geom: EvaporatorGeometry, design: JunctionDesign,
-                        p: WaferPoint, fidelity: Fidelity,
-                        dolan_overlap_nm: float = DOLAN_OVERLAP_LENGTH_NM) -> float:
+                        p: WaferPoint, fidelity: Fidelity) -> float:
     """Actual junction overlap area in um^2 at the requested fidelity.
 
-    Bridge-style junctions (both electrodes vertical) are supported at
-    BASIC fidelity only: the narrower top electrode width W'_t(x) times a
-    fixed designed overlap length.  Crossed junctions use W'_b(x) * W'_t(y)
-    at BASIC, add the 2*T'_b sidewall term at SIDEWALL, and additionally
-    replace W'_t with the lip-shaded width at FULL.
+    Bridge-style junctions (both electrodes vertical) are evaporated at the
+    bridge tilt alpha_dolan and supported at BASIC fidelity only: the
+    narrower top electrode width W'_t(x) times a fixed designed overlap
+    length.  Crossed junctions use W'_b(x) * W'_t(y) at BASIC, add the
+    2*T'_b sidewall term at SIDEWALL, and additionally replace W'_t with
+    the lip-shaded width at FULL.
     """
     if design.variant is Variant.DOLAN:
         if fidelity is not Fidelity.BASIC:
             raise GeometryError("bridge-style junctions are modeled at basic fidelity only")
-        w_t = actual_width_vertical(geom, design.w_top_nm, p.x_mm)
-        return w_t * dolan_overlap_nm / NM_PER_MM
+        w_t = _narrowed_width(geom, design.w_top_nm, p.x_mm, geom.bridge_distance_nm())
+        return w_t * DOLAN_OVERLAP_LENGTH_NM / NM_PER_MM
 
     w_b = actual_width_vertical(geom, design.w_bottom_nm, p.x_mm)
     if fidelity is Fidelity.BASIC:

@@ -5,8 +5,9 @@ vertical bottom-electrode band, a brighter horizontal top-electrode band,
 the overlap brightest, plus Gaussian pixel noise.  The extractor is the
 inverse: it sweeps a range of thresholds proportional to the image mean,
 binarizes, locates each electrode band from row/column occupancy, and
-averages the band widths over the thresholds that detected them.  Render
-and extraction together form a round-trip oracle for width metrology.
+averages the band widths and overlap boxes over the thresholds that
+detected them.  Render and extraction together form a round-trip oracle
+for width metrology.
 
 Images are 8-bit grayscale with a physical scale in nm per pixel; file
 interchange is binary PGM (P5).
@@ -114,25 +115,26 @@ def read_pgm(path: str | Path, scale_nm_per_px: float | None = None) -> GrayImag
     return GrayImage(scale_nm_per_px=scale, pixels=pixels.copy())
 
 
-def band_pixel_count(width_nm: float, scale_nm_per_px: float, canvas_px: int) -> int:
-    """Number of pixel rows/columns a centred band of width_nm covers.
+def _band_slice(width_nm: float, scale_nm_per_px: float, canvas_px: int) -> slice:
+    """Pixel rows/columns a band of width_nm centred on the canvas covers.
 
-    Pixel centres at j + 0.5; the band is centred on the canvas.  This is
-    the rendered ground truth the extractor is checked against.
+    A pixel is covered when its centre, at j + 0.5, lies inside the band;
+    the slice is clipped to the canvas.
     """
     half = width_nm / scale_nm_per_px / 2.0
-    centre = canvas_px / 2.0
-    lo = math.ceil(centre - half - 0.5)
-    hi = math.ceil(centre + half - 0.5)        # exclusive
-    return max(0, min(hi, canvas_px) - max(lo, 0))
-
-
-def _band_slice(width_nm: float, scale: float, canvas_px: int) -> slice:
-    half = width_nm / scale / 2.0
     centre = canvas_px / 2.0
     lo = max(0, math.ceil(centre - half - 0.5))
     hi = min(canvas_px, math.ceil(centre + half - 0.5))
     return slice(lo, hi)
+
+
+def band_pixel_count(width_nm: float, scale_nm_per_px: float, canvas_px: int) -> int:
+    """Number of pixel rows/columns a centred band of width_nm covers.
+
+    This is the rendered ground truth the extractor is checked against.
+    """
+    band = _band_slice(width_nm, scale_nm_per_px, canvas_px)
+    return max(0, band.stop - band.start)
 
 
 def render_junction(geom: EvaporatorGeometry, design: JunctionDesign, p: WaferPoint,
@@ -176,7 +178,6 @@ class ExtractionResult:
     a_overlap_um2: float
     thresholds_used: tuple[float, ...]                     # multipliers of the mean
     per_threshold_widths_px: dict[float, tuple[int, int]]  # (w_top, w_bottom); 0 = missed
-    per_threshold_edges: dict[float, tuple[int, int, int, int]]  # r0, r1, c0, c1
 
 
 def _find_band(occupancy: np.ndarray, line_length: int) -> tuple[int, int] | None:
@@ -193,44 +194,17 @@ def _find_band(occupancy: np.ndarray, line_length: int) -> tuple[int, int] | Non
     return int(above[0]), int(above[-1])
 
 
-def _shift_or(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[1:] |= a[:-1]
-    out[:-1] |= a[1:]
-    return out
-
-
-def _shift_and(a: np.ndarray) -> np.ndarray:
-    out = a.copy()
-    out[1:] &= a[:-1]
-    out[:-1] &= a[1:]
-    return out
-
-
-def _close_within_rows(binary: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """3x3 morphological closing applied to the detected top-band rows only.
-
-    Separable shift-based dilation then erosion; edges behave as replicated.
-    """
-    lo, hi = max(0, r0 - 1), min(binary.shape[0], r1 + 2)
-    band = binary[lo:hi]
-    dilated = _shift_or(_shift_or(band).T).T
-    closed = _shift_and(_shift_and(dilated).T).T
-    out = binary.copy()
-    out[lo:hi] = closed
-    return out
-
-
 def extract_widths(img: GrayImage,
                    threshold_count: int = DEFAULT_THRESHOLD_COUNT) -> ExtractionResult:
     """Recover electrode widths by sweeping mean-proportional thresholds.
 
     For each threshold between 1.0 and 2.0 times the mean pixel value the
     image is binarized; the horizontal top band is located from row
-    occupancy and filled (closed) to suppress noise, then the vertical
-    bottom band is located from column occupancy with the top-band rows
-    blanked out.  Reported widths are the mean of the non-zero extents
-    over the threshold sweep, converted via the image scale.
+    occupancy, then the vertical bottom band from column occupancy with
+    the top-band rows blanked out.  Reported widths are the mean of the
+    non-zero extents over the threshold sweep, and the overlap area the
+    mean of the top-by-bottom boxes over the thresholds that found both
+    bands, converted via the image scale.
     """
     if threshold_count < 1:
         raise DataError("threshold_count must be >= 1")
@@ -239,28 +213,23 @@ def extract_widths(img: GrayImage,
     multipliers = tuple(float(m) for m in np.linspace(1.0, 2.0, threshold_count))
 
     per_widths: dict[float, tuple[int, int]] = {}
-    per_edges: dict[float, tuple[int, int, int, int]] = {}
     tops_px, bottoms_px, areas_px2 = [], [], []
     for mult in multipliers:
         binary = pixels >= mult * mean
         wt = wb = 0
-        r0 = r1 = c0 = c1 = -1
         band = _find_band(binary.sum(axis=1), img.width_px)
         if band is not None:
             r0, r1 = band
-            binary = _close_within_rows(binary, r0, r1)
             wt = r1 - r0 + 1
             tops_px.append(wt)
-            remainder = binary.copy()
-            remainder[r0:r1 + 1] = False
-            cols = _find_band(remainder.sum(axis=0), img.height_px)
+            binary[r0:r1 + 1] = False
+            cols = _find_band(binary.sum(axis=0), img.height_px)
             if cols is not None:
                 c0, c1 = cols
                 wb = c1 - c0 + 1
                 bottoms_px.append(wb)
                 areas_px2.append(wt * wb)
         per_widths[mult] = (wt, wb)
-        per_edges[mult] = (r0, r1, c0, c1)
 
     if not tops_px or not bottoms_px:
         raise ExtractionError("no electrode edges found at any threshold")
@@ -271,25 +240,9 @@ def extract_widths(img: GrayImage,
         a_overlap_um2=float(np.mean(areas_px2)) * scale * scale / 1.0e6,
         thresholds_used=multipliers,
         per_threshold_widths_px=per_widths,
-        per_threshold_edges=per_edges,
     )
 
 
 def extract_overlap_area(img: GrayImage, result: ExtractionResult) -> float:
-    """Overlap area in um^2 from the already-located electrode edges.
-
-    Per threshold where both bands were found, the box bounded by the top
-    band's outer row edges and the bottom band's column edges is counted;
-    the mean box over the sweep is converted via the image scale.
-    """
-    boxes = []
-    for mult in result.thresholds_used:
-        r0, r1, c0, c1 = result.per_threshold_edges[mult]
-        if r0 < 0 or c0 < 0:
-            continue
-        if r1 < r0 or c1 < c0:
-            raise ExtractionError(f"inconsistent edges at threshold {mult:g}")
-        boxes.append((r1 - r0 + 1) * (c1 - c0 + 1))
-    if not boxes:
-        raise ExtractionError("no threshold located both electrodes")
-    return float(np.mean(boxes)) * img.scale_nm_per_px ** 2 / 1.0e6
+    """Overlap area in um^2 of an extraction result (its a_overlap_um2)."""
+    return result.a_overlap_um2

@@ -35,7 +35,8 @@ def _bool(text: str, where: str) -> bool:
     raise DataError(f"{where}: expected true/false, got {text!r}")
 
 
-def _common_fields(s: TestStructureSpec) -> list[str]:
+def _common_fields(s: TestStructureSpec | MeasurementRecord) -> list[str]:
+    """The first ten columns, shared by layout and measurement rows."""
     return [
         s.structure_id,
         str(s.die_index[0]), str(s.die_index[1]),
@@ -44,7 +45,6 @@ def _common_fields(s: TestStructureSpec) -> list[str]:
         repr(s.design.w_bottom_nm), repr(s.design.w_top_nm),
         repr(s.a_overlap_designed_um2),
         str(s.junction_count),
-        "true" if s.excluded else "false",
     ]
 
 
@@ -53,7 +53,7 @@ def write_layout_csv(layout: WaferLayout, path: str | Path) -> None:
         fh.write(LAYOUT_HEADER + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         for s in layout.structures:
-            writer.writerow(_common_fields(s))
+            writer.writerow(_common_fields(s) + ["true" if s.excluded else "false"])
 
 
 def read_layout_csv(path: str | Path) -> WaferLayout:
@@ -99,17 +99,7 @@ def write_measurements_csv(records: Sequence[MeasurementRecord],
         fh.write(MEASUREMENT_HEADER + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         for r in records:
-            writer.writerow([
-                r.structure_id,
-                str(r.die_index[0]), str(r.die_index[1]),
-                repr(r.position.x_mm), repr(r.position.y_mm),
-                r.design.variant.value,
-                repr(r.design.w_bottom_nm), repr(r.design.w_top_nm),
-                repr(r.a_overlap_designed_um2),
-                str(r.junction_count),
-                "false",
-                repr(r.g_uS),
-            ])
+            writer.writerow(_common_fields(r) + ["false", repr(r.g_uS)])
 
 
 def read_measurements_csv(path: str | Path) -> list[MeasurementRecord]:

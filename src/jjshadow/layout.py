@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 
 from .errors import DataError
 from .geometry import (
-    DOLAN_OVERLAP_LENGTH_NM,
     SQUARE_HALF_MM,
     WAFER_RADIUS_MM,
     JunctionDesign,

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from .analysis import (
     ConstantFit,
     CvStats,
@@ -21,6 +19,7 @@ from .analysis import (
     FrequencyModel,
     HeatmapGrid,
     RegressionFit,
+    _ols,
     absolute_filter,
     conductance_cv,
     effective_conductivity,
@@ -103,15 +102,15 @@ def _group(records, key):
     return groups
 
 
-def _single_pass_fit(records, cfg) -> RegressionFit:
-    """One OLS without rejection, for unfiltered (nf) RSD figures."""
-    xs = [regressor_value(r, cfg) for r in records]
-    ys = [r.g_uS for r in records]
-    if len(set(xs)) < 2:
-        raise FitError("unfiltered fit is underdetermined")
-    slope, intercept = np.polyfit(np.asarray(xs, float), np.asarray(ys, float), 1)
-    return RegressionFit(records[0].die_index, float(slope), float(intercept), (),
-                         frozenset(r.structure_id for r in records), frozenset())
+def _fit_without_rejection(records, die, uniform: bool, cfg, who: str,
+                           ) -> RegressionFit | ConstantFit:
+    """The pipeline's model (mean or line) fitted once to all of records."""
+    ids = frozenset(r.structure_id for r in records)
+    if uniform:
+        return ConstantFit(die, _exact_mean([r.g_uS for r in records]), ids, frozenset())
+    slope, intercept = _ols([regressor_value(r, cfg) for r in records],
+                            [r.g_uS for r in records], who)
+    return RegressionFit(die, slope, intercept, (), ids, frozenset())
 
 
 def build_report(records: Sequence[MeasurementRecord], cfg: FilterConfig,
@@ -170,32 +169,21 @@ def build_report(records: Sequence[MeasurementRecord], cfg: FilterConfig,
         rsd_die[key] = frequency_rsd(die_kept, fits[key], cfg, fmodel)
 
     rsd_wafer = {}
-    wafer_fits: dict[str, RegressionFit | ConstantFit] = {}
-    for variant in sorted(by_variant_kept):
-        recs = by_variant_kept[variant]
-        if uniform:
-            wfit: RegressionFit | ConstantFit = ConstantFit(
-                (0, 0), _exact_mean([r.g_uS for r in recs]),
-                frozenset(r.structure_id for r in recs), frozenset())
-        else:
-            wfit = _single_pass_fit(recs, cfg)
-        wafer_fits[variant] = wfit
+    for variant, recs in sorted(by_variant_kept.items()):
+        wfit = _fit_without_rejection(recs, (0, 0), uniform, cfg, f"{variant} wafer")
         rsd_wafer[variant] = frequency_rsd(recs, wfit, cfg, fmodel)
 
     rsd_die_nf = rsd_wafer_nf = None
     if dual_rsd:
         rsd_die_nf, rsd_wafer_nf = {}, {}
         for key in sorted(by_die):
-            recs = by_die[key]
-            nfit = (ConstantFit(key[1], _exact_mean([r.g_uS for r in recs]),
-                                frozenset(r.structure_id for r in recs), frozenset())
-                    if uniform else _single_pass_fit(recs, cfg))
-            rsd_die_nf[key] = frequency_rsd(recs, nfit, cfg, fmodel)
+            nfit = _fit_without_rejection(by_die[key], key[1], uniform, cfg,
+                                          f"{key[0]} die {key[1]} unfiltered")
+            rsd_die_nf[key] = frequency_rsd(by_die[key], nfit, cfg, fmodel)
         for variant, recs in sorted(_group(abs_kept,
                                            lambda r: r.design.variant.value).items()):
-            nfit = (ConstantFit((0, 0), _exact_mean([r.g_uS for r in recs]),
-                                frozenset(r.structure_id for r in recs), frozenset())
-                    if uniform else _single_pass_fit(recs, cfg))
+            nfit = _fit_without_rejection(recs, (0, 0), uniform, cfg,
+                                          f"{variant} wafer unfiltered")
             rsd_wafer_nf[variant] = frequency_rsd(recs, nfit, cfg, fmodel)
 
     heatmaps = {

@@ -13,7 +13,7 @@ parallel substrate conductance then distort the 2-point reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -29,7 +29,6 @@ from .geometry import (
 )
 from .layout import WaferLayout
 
-DOLAN_TILT_DEG = 15.0
 SHORT_PAIR_G_US = 2000.0
 WAFER_EDGE_MM = 50.0
 
@@ -127,11 +126,6 @@ class MeasurementRecord:
         return self.position.radius_mm()
 
 
-def dolan_geometry(geom: EvaporatorGeometry) -> EvaporatorGeometry:
-    """The same evaporator configured at the bridge-junction tilt."""
-    return replace(geom, alpha_deg=DOLAN_TILT_DEG)
-
-
 def _measured_g(g_pair_uS: float, series_ohm: float, substrate_uS: float) -> float:
     if g_pair_uS <= 0.0:
         return substrate_uS
@@ -141,20 +135,15 @@ def _measured_g(g_pair_uS: float, series_ohm: float, substrate_uS: float) -> flo
 def synthesize_wafer(layout: WaferLayout, geom: EvaporatorGeometry,
                      process: ProcessModel,
                      parasitics: ParasiticsModel = ParasiticsModel(),
-                     dolan_geom: EvaporatorGeometry | None = None,
                      ) -> list[MeasurementRecord]:
     """Generate one record per viable structure, deterministically per seed.
 
-    Bridge-style structures are evaluated with the Dolan-tilt geometry at
-    basic fidelity (the only level the model defines for them); crossed
-    junctions use the supplied geometry at the process fidelity.  Disorder
-    and defect draws come from independent child streams of the seed, so
+    Bridge-style structures are evaluated at basic fidelity (the only level
+    the model defines for them), which geom evaluates at its bridge tilt
+    alpha_dolan; crossed junctions use the process fidelity.  Disorder and
+    defect draws come from independent child streams of the seed, so
     changing defect probabilities alters only the flagged structures.
     """
-    if dolan_geom is None and any(
-            s.design.variant is Variant.DOLAN for s in layout.structures):
-        dolan_geom = dolan_geometry(geom)
-
     disorder, defects = np.random.SeedSequence(process.seed).spawn(2)
     rng_disorder = np.random.default_rng(disorder)
     rng_defects = np.random.default_rng(defects)
@@ -164,10 +153,9 @@ def synthesize_wafer(layout: WaferLayout, geom: EvaporatorGeometry,
         draws = rng_disorder.standard_normal(2)
         u_short, u_open0, u_open1 = rng_defects.random(3)
 
-        if s.design.variant is Variant.DOLAN:
-            area = actual_overlap_area(dolan_geom, s.design, s.position, Fidelity.BASIC)
-        else:
-            area = actual_overlap_area(geom, s.design, s.position, process.fidelity)
+        fidelity = (Fidelity.BASIC if s.design.variant is Variant.DOLAN
+                    else process.fidelity)
+        area = actual_overlap_area(geom, s.design, s.position, fidelity)
 
         flags: set[str] = set()
         if u_short < process.p_short:

@@ -5,21 +5,44 @@ import math
 import numpy as np
 import pytest
 
+from jjshadow.analysis import effective_conductivity
+from jjshadow.cli import main
 from jjshadow.compensation import (
     compensated_layout,
     precompensate,
     precompensate_fixed_top,
 )
+from jjshadow.config import parse_config
 from jjshadow.errors import TargetError
 from jjshadow.geometry import (
+    EvaporatorGeometry,
     Fidelity,
     JunctionDesign,
     Variant,
     WaferPoint,
     actual_overlap_area,
 )
-from jjshadow.layout import build_35x35, build_planar_17q
-from jjshadow.synth import NO_PARASITICS, ProcessModel, dolan_geometry, synthesize_wafer
+from jjshadow.io import write_layout_csv
+from jjshadow.layout import build_35x35, build_planar_17q, build_tsv_17q
+from jjshadow.synth import NO_PARASITICS, ProcessModel, synthesize_wafer
+
+BRIDGE_TILT_25_CFG = """
+geometry.alpha_dolan_deg = 25
+parasitics.pad_centre_ohm = 0
+parasitics.pad_edge_ohm = 0
+parasitics.substrate_uS = 0
+parasitics.cabling_ohm = 0
+"""
+
+
+@pytest.fixture(scope="module")
+def tsv_dolan():
+    return build_tsv_17q(Variant.DOLAN)
+
+
+def spread(values):
+    values = np.asarray(values, float)
+    return float((values.max() - values.min()) / values.min())
 
 
 class TestPrecompensate:
@@ -127,18 +150,53 @@ class TestCompensatedLayout:
         result = compensated_layout(layout, geom, Fidelity.BASIC)
         centre = min(layout.viable(),
                      key=lambda s: (s.position.radius_mm(), s.structure_id))
-        c_geom = (dolan_geometry(geom) if centre.design.variant is Variant.DOLAN
-                  else geom)
-        target = actual_overlap_area(c_geom, centre.design, centre.position,
+        target = actual_overlap_area(geom, centre.design, centre.position,
                                      Fidelity.BASIC)
         for s in result.structures[::211]:
-            s_geom = (dolan_geometry(geom) if s.design.variant is Variant.DOLAN
-                      else geom)
-            area = actual_overlap_area(s_geom, s.design, s.position, Fidelity.BASIC)
+            area = actual_overlap_area(geom, s.design, s.position, Fidelity.BASIC)
             assert area == pytest.approx(target, rel=2e-6)
             if s.design.variant is Variant.DOLAN:
                 assert s.design.w_bottom_nm == pytest.approx(3 * s.design.w_top_nm,
                                                              rel=1e-9)
+
+    def test_bridge_tilt_from_config(self, tsv_dolan):
+        # geometry.alpha_dolan_deg reaches synthesis, the actual-area
+        # conductivity and compensation through the one geometry object.
+        geom = parse_config(BRIDGE_TILT_25_CFG).geometry()
+        records = synthesize_wafer(tsv_dolan, geom, ProcessModel(), NO_PARASITICS)
+        rec = max(records, key=lambda r: abs(r.position.x_mm))
+        d25 = EvaporatorGeometry(alpha_deg=25.0).source_distance_nm()
+        w_t = rec.design.w_top_nm + 25.0 - abs(rec.position.x_mm) * 1e6 * 600.0 / d25
+        assert rec.g_uS == pytest.approx(
+            rec.junction_count * 1000.0 * w_t * 200.0 / 1e6, rel=1e-12)
+        sigma = [s for _, s in effective_conductivity(records, "actual", geom=geom)]
+        assert spread(sigma) <= 1e-12
+
+        layout = compensated_layout(tsv_dolan, geom, Fidelity.FULL)
+        records = synthesize_wafer(layout, geom, ProcessModel(), NO_PARASITICS)
+        assert spread([r.g_uS for r in records]) <= 1e-6
+
+    def test_bridge_tilt_from_config_file(self, tsv_dolan, tmp_path):
+        layout, comp, meas = (tmp_path / f"{n}.csv" for n in ("layout", "comp", "meas"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BRIDGE_TILT_25_CFG)
+        write_layout_csv(tsv_dolan, layout)
+        assert main(["compensate", "--layout", str(layout), "--fidelity", "full",
+                     "--config", str(cfg), "--out", str(comp)]) == 0
+        assert main(["simulate", "--layout", str(comp), "--config", str(cfg),
+                     "--out", str(meas)]) == 0
+        gs = [float(line.rsplit(",", 1)[1])
+              for line in meas.read_text().splitlines()[1:]]
+        assert spread(gs) <= 1e-6
+
+        assert main(["analyze", "--measurements", str(meas), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        report = (tmp_path / "out" / "report.txt").read_text()
+        fit = next(line for line in report.splitlines()
+                   if line.startswith("dolan actual "))
+        a, b, c = (float(v) for v in fit.split()[2:])
+        # flat actual-area conductivity: no radial trend across the wafer
+        assert abs(b) * 50.0 + abs(c) * 2500.0 <= 1e-9 * a
 
     def test_fixed_top_layout_mode(self, geom):
         layout = build_35x35("tin")

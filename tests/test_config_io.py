@@ -26,7 +26,7 @@ class TestConfig:
         geom = cfg.geometry()
         assert (geom.d_prime_mm, geom.r_pivot_mm, geom.alpha_deg) == (650.0, 62.5, 35.0)
         assert (geom.h_resist_nm, geom.t_bottom_nm, geom.dw_offset_nm) == (600.0, 35.0, 25.0)
-        assert cfg.dolan_geometry().alpha_deg == 15.0
+        assert cfg.geometry().alpha_dolan_deg == 15.0
         par = cfg.parasitics()
         assert (par.pad_centre_ohm, par.pad_edge_ohm) == (200.0, 330.0)
         assert (par.substrate_uS, par.cabling_ohm) == (5.0, 5.0)

@@ -60,10 +60,14 @@ class TestSourceDistance:
     def test_non_positive_distance_rejected(self):
         with pytest.raises(GeometryError):
             EvaporatorGeometry(d_prime_mm=100.0, r_pivot_mm=100.0, alpha_deg=0.0)
+        with pytest.raises(GeometryError):        # D < 0 at the bridge tilt only
+            EvaporatorGeometry(alpha_dolan_deg=85.0)
 
     def test_invariants(self):
         with pytest.raises(GeometryError):
             EvaporatorGeometry(alpha_deg=-1.0)
+        with pytest.raises(GeometryError):
+            EvaporatorGeometry(alpha_dolan_deg=90.0)
         with pytest.raises(GeometryError):
             EvaporatorGeometry(h_resist_nm=0.0)
         with pytest.raises(GeometryError):
