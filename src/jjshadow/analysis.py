@@ -318,9 +318,8 @@ def effective_conductivity(records: Sequence[MeasurementRecord],
         else:
             if geom is None:
                 raise DataError("actual areas need a geometry or an area table")
-            a = actual_overlap_area(
-                geom, rec.design, rec.position,
-                Fidelity.BASIC if rec.design.variant is Variant.DOLAN else fidelity)
+            a = actual_overlap_area(geom, rec.design, rec.position,
+                                    fidelity.for_variant(rec.design.variant))
         total = a * rec.junction_count
         if total <= 0.0:
             raise DataError(f"zero junction area for {rec.structure_id}")

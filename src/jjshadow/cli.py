@@ -27,6 +27,7 @@ from .errors import (
 )
 from .geometry import (
     FIELD_QUANTITIES,
+    WAFER_RADIUS_MM,
     Fidelity,
     JunctionDesign,
     Variant,
@@ -34,8 +35,16 @@ from .geometry import (
     actual_width_vertical,
     evaluate_field,
 )
-from .imaging import band_pixel_count, read_pgm, render_junction, write_pgm
+from .imaging import (
+    DEFAULT_THRESHOLD_COUNT,
+    band_pixel_count,
+    read_pgm,
+    render_junction,
+    write_pgm,
+)
 from .layout import (
+    MANHATTAN_FIXED_TOP_NM,
+    UNIFORM_WIDTH_NM,
     LayoutKind,
     build_35x35,
     build_planar_17q,
@@ -120,7 +129,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     records = jio.read_measurements_csv(args.measurements)
-    if cfg.analysis_deembed:
+    if cfg.analysis().deembed:
         records = deembed_records(records, cfg.parasitics())
     grid_positions = None
     if args.layout:
@@ -129,7 +138,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for s in layout.structures:
             grid_positions.setdefault(s.design.variant.value, []).append(s.position)
     report = build_report(records, cfg.filter(), cfg.frequency(),
-                          dual_rsd=cfg.analysis_dual_rsd, geom=cfg.geometry(),
+                          dual_rsd=cfg.analysis().dual_rsd, geom=cfg.geometry(),
                           fidelity=cfg.fidelity(), grid_positions=grid_positions)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -149,13 +158,13 @@ def cmd_fieldmap(args: argparse.Namespace) -> int:
     step = args.step
     if step <= 0:
         raise DataError("grid step must be > 0")
-    n = int(math.floor(50.0 / step))
+    n = int(math.floor(WAFER_RADIUS_MM / step))
     with open(args.out, "w", newline="") as fh:
         fh.write("x_mm,y_mm,value\n")
         for iy in range(n, -n - 1, -1):
             for ix in range(-n, n + 1):
                 x, y = ix * step, iy * step
-                if math.hypot(x, y) > 50.0:
+                if math.hypot(x, y) > WAFER_RADIUS_MM:
                     continue
                 try:
                     value = repr(evaluate_field(geom, args.quantity,
@@ -307,8 +316,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", required=True, choices=FIELD_QUANTITIES)
     p.add_argument("--step", type=float, required=True, help="grid step in mm")
     p.add_argument("--out", required=True)
-    p.add_argument("--wb", type=float, default=200.0, help="designed bottom width nm")
-    p.add_argument("--wt", type=float, default=200.0, help="designed top width nm")
+    p.add_argument("--wb", type=float, default=UNIFORM_WIDTH_NM,
+                   help="designed bottom width nm")
+    p.add_argument("--wt", type=float, default=UNIFORM_WIDTH_NM,
+                   help="designed top width nm")
     p.add_argument("--fidelity", type=_fidelity_arg, default=Fidelity.FULL)
     _add_config_arg(p)
     p.set_defaults(func=cmd_fieldmap)
@@ -322,8 +333,8 @@ def make_parser() -> argparse.ArgumentParser:
                        help="render an NxN grid across the wafer instead")
     p.add_argument("--stride", type=int, default=1,
                    help="render every k-th layout structure")
-    p.add_argument("--wb", type=float, default=200.0)
-    p.add_argument("--wt", type=float, default=200.0)
+    p.add_argument("--wb", type=float, default=UNIFORM_WIDTH_NM)
+    p.add_argument("--wt", type=float, default=UNIFORM_WIDTH_NM)
     p.add_argument("--scale", type=float, default=2.0, help="nm per pixel")
     p.add_argument("--canvas", type=int, default=512,
                    help="square canvas size px; keep bands well under half "
@@ -339,7 +350,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", nargs="+", required=True)
     p.add_argument("--scale", type=float, default=None,
                    help="nm per pixel (required for instrument files)")
-    p.add_argument("--thresholds", type=int, default=11)
+    p.add_argument("--thresholds", type=int, default=DEFAULT_THRESHOLD_COUNT)
     p.add_argument("--manifest", default=None,
                    help="render manifest CSV for ids and positions")
     p.set_defaults(func=cmd_extract)
@@ -349,7 +360,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--fidelity", type=_fidelity_arg, default=None)
     p.add_argument("--mode", choices=["aspect", "fixed-top"], default="aspect")
-    p.add_argument("--fixed-top-nm", type=float, default=160.0)
+    p.add_argument("--fixed-top-nm", type=float, default=MANHATTAN_FIXED_TOP_NM)
     p.add_argument("--max-width-nm", type=float, default=MAX_WIDTH_NM)
     _add_config_arg(p)
     p.set_defaults(func=cmd_compensate)

@@ -116,9 +116,8 @@ def compensated_layout(layout: WaferLayout, geom: EvaporatorGeometry,
     if not viable:
         raise TargetError("layout has no viable structures to compensate")
     centre = min(viable, key=lambda s: (s.position.radius_mm(), s.structure_id))
-    target = actual_overlap_area(
-        geom, centre.design, centre.position,
-        Fidelity.BASIC if centre.design.variant is Variant.DOLAN else fidelity)
+    target = actual_overlap_area(geom, centre.design, centre.position,
+                                 fidelity.for_variant(centre.design.variant))
 
     out = []
     for s in layout.structures:
@@ -134,8 +133,7 @@ def compensated_layout(layout: WaferLayout, geom: EvaporatorGeometry,
                 aspect = (s.design.w_bottom_nm / s.design.w_top_nm
                           if s.design.w_top_nm > 0 else 1.0)
                 design = precompensate(
-                    geom, target, s.position,
-                    Fidelity.BASIC if s.design.variant is Variant.DOLAN else fidelity,
+                    geom, target, s.position, fidelity.for_variant(s.design.variant),
                     aspect=aspect, w_max_nm=w_max_nm, variant=s.design.variant)
         except TargetError as exc:
             out.append(replace(s, excluded=True, exclusion_reason=f"unattainable: {exc}"))

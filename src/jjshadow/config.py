@@ -1,18 +1,24 @@
 """Plain-text key=value run configuration.
 
-One dotted key per line (block.key = value); '#' starts a comment; unknown
-keys are rejected.  Every default is the documented instrument or
-pipeline value where one exists; the synthetic-process block is free
-calibration.  write_default() emits a fully commented template.
+One dotted key per line (block.key = value); '#' starts a comment.  Each
+block is one parameter object (BLOCKS), and its keys are that class's
+fields: the defaults and range checks are the class's own, types come from
+its annotations, and enums are given by value.  A config is validated as a
+whole when it is parsed: unknown keys, unparsable or non-finite values
+(naming the line) and out-of-range blocks (naming the block) raise
+ConfigError.  write_default() emits a template listing every key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, field, fields, replace
+from enum import Enum
 from pathlib import Path
+from typing import Mapping, get_type_hints
 
-from .analysis import FilterConfig, FrequencyModel, Regressor
-from .errors import ConfigError
+from .analysis import FilterConfig, FrequencyModel
+from .errors import ConfigError, JJShadowError
 from .geometry import EvaporatorGeometry, Fidelity
 from .synth import ParasiticsModel, ProcessModel
 
@@ -21,110 +27,75 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
 
 
 @dataclass(frozen=True)
+class AnalysisOptions:
+    """Report switches: RSD also without the relative filter, de-embedding."""
+
+    dual_rsd: bool = False
+    deembed: bool = False
+
+
+# Config block name -> parameter class; the order is the template's.
+BLOCKS = {
+    "geometry": EvaporatorGeometry,
+    "process": ProcessModel,
+    "parasitics": ParasiticsModel,
+    "filter": FilterConfig,
+    "frequency": FrequencyModel,
+    "analysis": AnalysisOptions,
+}
+_KEY_TYPES = {block: get_type_hints(cls) for block, cls in BLOCKS.items()}
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    # geometry block
-    geometry_d_prime_mm: float = 650.0
-    geometry_r_pivot_mm: float = 62.5
-    geometry_alpha_deg: float = 35.0
-    geometry_alpha_dolan_deg: float = 15.0
-    geometry_h_resist_nm: float = 600.0
-    geometry_t_bottom_nm: float = 35.0
-    geometry_dw_offset_nm: float = 25.0
-    # process block (synthesis only; free parameters)
-    process_sigma_j_uS_per_um2: float = 1000.0
-    process_lognormal_sigma: float = 0.0
-    process_p_open: float = 0.0
-    process_p_short: float = 0.0
-    process_fidelity: str = "full"
-    process_seed: int = 0
-    # parasitics block
-    parasitics_pad_centre_ohm: float = 200.0
-    parasitics_pad_edge_ohm: float = 330.0
-    parasitics_substrate_uS: float = 5.0
-    parasitics_cabling_ohm: float = 5.0
-    parasitics_contact_enabled: bool = False
-    parasitics_contact_centre_ohm: float = 0.0
-    parasitics_contact_edge_ohm: float = 0.0
-    # filter block
-    filter_abs_low_uS: float = 20.0
-    filter_abs_high_uS: float = 500.0
-    filter_rel_threshold: float = 0.70
-    filter_regressor: str = "variable_width"
-    # frequency block
-    frequency_f_c_mhz: float = 270.0
-    frequency_m_ghz_per_ms: float = 134.0
-    # analysis block
-    analysis_dual_rsd: bool = False
-    analysis_deembed: bool = False
+    """One parameter object per block, each at its class defaults."""
+
+    blocks: Mapping[str, object] = field(
+        default_factory=lambda: {block: cls() for block, cls in BLOCKS.items()})
 
     def geometry(self) -> EvaporatorGeometry:
-        return EvaporatorGeometry(
-            d_prime_mm=self.geometry_d_prime_mm,
-            r_pivot_mm=self.geometry_r_pivot_mm,
-            alpha_deg=self.geometry_alpha_deg,
-            alpha_dolan_deg=self.geometry_alpha_dolan_deg,
-            h_resist_nm=self.geometry_h_resist_nm,
-            t_bottom_nm=self.geometry_t_bottom_nm,
-            dw_offset_nm=self.geometry_dw_offset_nm,
-        )
+        return self.blocks["geometry"]
 
     def process(self, seed: int | None = None) -> ProcessModel:
-        return ProcessModel(
-            sigma_j_uS_per_um2=self.process_sigma_j_uS_per_um2,
-            lognormal_sigma=self.process_lognormal_sigma,
-            p_open=self.process_p_open,
-            p_short=self.process_p_short,
-            fidelity=self.fidelity(),
-            seed=self.process_seed if seed is None else seed,
-        )
+        process = self.blocks["process"]
+        return process if seed is None else replace(process, seed=seed)
 
     def fidelity(self) -> Fidelity:
-        try:
-            return Fidelity(self.process_fidelity)
-        except ValueError as exc:
-            raise ConfigError(
-                f"process.fidelity must be one of basic/sidewall/full, "
-                f"got {self.process_fidelity!r}") from exc
+        return self.blocks["process"].fidelity
 
     def parasitics(self) -> ParasiticsModel:
-        return ParasiticsModel(
-            pad_centre_ohm=self.parasitics_pad_centre_ohm,
-            pad_edge_ohm=self.parasitics_pad_edge_ohm,
-            substrate_uS=self.parasitics_substrate_uS,
-            cabling_ohm=self.parasitics_cabling_ohm,
-            contact_enabled=self.parasitics_contact_enabled,
-            contact_centre_ohm=self.parasitics_contact_centre_ohm,
-            contact_edge_ohm=self.parasitics_contact_edge_ohm,
-        )
+        return self.blocks["parasitics"]
 
     def filter(self) -> FilterConfig:
-        try:
-            reg = Regressor(self.filter_regressor)
-        except ValueError as exc:
-            raise ConfigError(
-                f"filter.regressor must be variable_width or overlap_area, "
-                f"got {self.filter_regressor!r}") from exc
-        return FilterConfig(
-            abs_low_uS=self.filter_abs_low_uS,
-            abs_high_uS=self.filter_abs_high_uS,
-            rel_threshold=self.filter_rel_threshold,
-            regressor=reg,
-        )
+        return self.blocks["filter"]
 
     def frequency(self) -> FrequencyModel:
-        return FrequencyModel(f_c_mhz=self.frequency_f_c_mhz,
-                              m_ghz_per_ms=self.frequency_m_ghz_per_ms)
+        return self.blocks["frequency"]
+
+    def analysis(self) -> AnalysisOptions:
+        return self.blocks["analysis"]
 
 
-def _key_to_field(key: str) -> str:
-    return key.strip().replace(".", "_")
+def _parse_value(kind: type, text: str) -> object:
+    if kind is bool:
+        if text.lower() not in _BOOL:
+            raise ValueError(f"not a boolean: {text!r}")
+        return _BOOL[text.lower()]
+    if issubclass(kind, Enum):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ValueError(f"expected one of {'/'.join(m.value for m in kind)}, "
+                             f"got {text!r}") from None
+    value = kind(text)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse key=value lines into a RunConfig over the defaults."""
-    cfg = base if base is not None else RunConfig()
-    known = {f.name: f.type for f in fields(RunConfig)}
-    overrides: dict[str, object] = {}
+def parse_config(text: str) -> RunConfig:
+    """Parse key=value lines into a RunConfig over the class defaults."""
+    overrides: dict[str, dict[str, object]] = {block: {} for block in BLOCKS}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -132,24 +103,21 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        name = _key_to_field(key)
-        if name not in known:
+        block, _, name = key.partition(".")
+        kind = _KEY_TYPES.get(block, {}).get(name)
+        if kind is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        kind = known[name]
         try:
-            if kind == "bool" or kind is bool:
-                if value.lower() not in _BOOL:
-                    raise ValueError(f"not a boolean: {value!r}")
-                overrides[name] = _BOOL[value.lower()]
-            elif kind == "int" or kind is int:
-                overrides[name] = int(value)
-            elif kind == "float" or kind is float:
-                overrides[name] = float(value)
-            else:
-                overrides[name] = value
+            overrides[block][name] = _parse_value(kind, value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return replace(cfg, **overrides)
+    blocks = {}
+    for block, cls in BLOCKS.items():
+        try:
+            blocks[block] = cls(**overrides[block])
+        except JJShadowError as exc:
+            raise ConfigError(f"{block}: {exc}") from exc
+    return RunConfig(blocks)
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -165,16 +133,14 @@ def load_config(path: str | Path | None) -> RunConfig:
 
 def write_default(path: str | Path) -> None:
     """Write a config template listing every key at its default."""
-    cfg = RunConfig()
     lines = ["# jjshadow run configuration (key = value, '#' comments)"]
-    block = ""
-    for f in fields(RunConfig):
-        this_block, key = f.name.split("_", 1)
-        if this_block != block:
-            block = this_block
-            lines.append("")
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{block}.{key} = {value}")
+    for block, params in RunConfig().blocks.items():
+        lines.append("")
+        for f in fields(params):
+            value = getattr(params, f.name)
+            if isinstance(value, bool):
+                value = "true" if value else "false"
+            elif isinstance(value, Enum):
+                value = value.value
+            lines.append(f"{block}.{f.name} = {value}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -53,6 +53,10 @@ class Fidelity(str, Enum):
     SIDEWALL = "sidewall"
     FULL = "full"
 
+    def for_variant(self, variant: Variant) -> Fidelity:
+        """The level applied to a variant: bridge junctions are modelled at BASIC."""
+        return Fidelity.BASIC if variant is Variant.DOLAN else self
+
 
 @dataclass(frozen=True)
 class EvaporatorGeometry:
@@ -135,6 +139,8 @@ class JunctionDesign:
     w_top_nm: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.w_bottom_nm) and math.isfinite(self.w_top_nm)):
+            raise GeometryError("designed widths must be finite")
         if self.w_bottom_nm < 0.0 or self.w_top_nm < 0.0:
             raise GeometryError("designed widths must be >= 0")
 

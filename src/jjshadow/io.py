@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .analysis import HeatmapGrid
-from .errors import DataError
+from .errors import DataError, JJShadowError
 from .geometry import JunctionDesign, Variant, WaferPoint
 from .imaging import GrayImage, write_pgm
 from .layout import LayoutKind, TestStructureSpec, WaferLayout
@@ -48,6 +48,18 @@ def _common_fields(s: TestStructureSpec | MeasurementRecord) -> list[str]:
     ]
 
 
+def _parse_common_fields(row: Sequence[str]) -> dict[str, object]:
+    """Keyword arguments from the first ten columns; the mirror of _common_fields."""
+    return dict(
+        structure_id=row[0],
+        die_index=(int(row[1]), int(row[2])),
+        position=WaferPoint(float(row[3]), float(row[4])),
+        design=JunctionDesign(Variant(row[5]), float(row[6]), float(row[7])),
+        a_overlap_designed_um2=float(row[8]),
+        junction_count=int(row[9]),
+    )
+
+
 def write_layout_csv(layout: WaferLayout, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(LAYOUT_HEADER + "\n")
@@ -72,20 +84,14 @@ def read_layout_csv(path: str | Path) -> WaferLayout:
         if len(row) != 11:
             raise DataError(f"{path}:{lineno}: expected 11 columns, got {len(row)}")
         try:
-            design = JunctionDesign(Variant(row[5]), float(row[6]), float(row[7]))
             structures.append(TestStructureSpec(
-                structure_id=row[0],
-                die_index=(int(row[1]), int(row[2])),
+                **_parse_common_fields(row),
                 subarray_index=0,
                 cell_index=(0, 0),
-                position=WaferPoint(float(row[3]), float(row[4])),
-                design=design,
-                a_overlap_designed_um2=float(row[8]),
                 group="uniform",
                 excluded=_bool(row[10], f"{path}:{lineno}"),
-                junction_count=int(row[9]),
             ))
-        except (ValueError, DataError) as exc:
+        except (ValueError, JJShadowError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
     ids = [s.structure_id for s in structures]
     if len(set(ids)) != len(ids):
@@ -121,16 +127,8 @@ def read_measurements_csv(path: str | Path) -> list[MeasurementRecord]:
             if _bool(row[10], f"{path}:{lineno}"):
                 continue
             records.append(MeasurementRecord(
-                structure_id=row[0],
-                die_index=(int(row[1]), int(row[2])),
-                position=WaferPoint(float(row[3]), float(row[4])),
-                design=JunctionDesign(Variant(row[5]), float(row[6]), float(row[7])),
-                a_overlap_designed_um2=float(row[8]),
-                junction_count=int(row[9]),
-                g_uS=float(row[11]),
-                truth_flags=None,
-            ))
-        except (ValueError, DataError) as exc:
+                **_parse_common_fields(row), g_uS=float(row[11]), truth_flags=None))
+        except (ValueError, JJShadowError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
     return records
 

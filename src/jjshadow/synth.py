@@ -13,6 +13,7 @@ parallel substrate conductance then distort the 2-point reading.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -20,17 +21,16 @@ import numpy as np
 
 from .errors import DataError
 from .geometry import (
+    WAFER_RADIUS_MM,
     EvaporatorGeometry,
     Fidelity,
     JunctionDesign,
-    Variant,
     WaferPoint,
     actual_overlap_area,
 )
 from .layout import WaferLayout
 
 SHORT_PAIR_G_US = 2000.0
-WAFER_EDGE_MM = 50.0
 
 DEFECT_CLASSES = ("open_half", "open_full", "short")
 
@@ -88,7 +88,7 @@ class ParasiticsModel:
                 raise DataError(f"{name} must be >= 0")
 
     def series_ohm(self, d_mm: float) -> float:
-        frac = d_mm / WAFER_EDGE_MM
+        frac = d_mm / WAFER_RADIUS_MM
         r = self.pad_centre_ohm + (self.pad_edge_ohm - self.pad_centre_ohm) * frac
         r += self.cabling_ohm
         if self.contact_enabled:
@@ -119,6 +119,8 @@ class MeasurementRecord:
     truth_flags: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.g_uS):
+            raise DataError(f"non-finite conductance on {self.structure_id}")
         if self.g_uS < 0.0:
             raise DataError(f"negative conductance on {self.structure_id}")
 
@@ -153,9 +155,8 @@ def synthesize_wafer(layout: WaferLayout, geom: EvaporatorGeometry,
         draws = rng_disorder.standard_normal(2)
         u_short, u_open0, u_open1 = rng_defects.random(3)
 
-        fidelity = (Fidelity.BASIC if s.design.variant is Variant.DOLAN
-                    else process.fidelity)
-        area = actual_overlap_area(geom, s.design, s.position, fidelity)
+        area = actual_overlap_area(geom, s.design, s.position,
+                                   process.fidelity.for_variant(s.design.variant))
 
         flags: set[str] = set()
         if u_short < process.p_short:

@@ -3,10 +3,12 @@
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jjshadow
 from jjshadow.cli import main
 from jjshadow.geometry import WaferPoint
 from jjshadow.io import write_layout_csv
@@ -202,6 +204,9 @@ class TestExitCodes:
         run("layout", "--kind", "planar35x35-al", "--out", layout)
         assert run("simulate", "--layout", layout, "--config", bad_cfg,
                    "--out", tmp_path / "m.csv") == 2
+        bad_cfg.write_text("geometry.d_prime_mm = 50\n")    # below r_pivot
+        assert run("fieldmap", "--quantity", "wb", "--step", 10, "--config", bad_cfg,
+                   "--out", tmp_path / "f.csv") == 2
 
     def test_numerical_error_is_3(self, tmp_path):
         blank = tmp_path / "blank.pgm"
@@ -211,10 +216,12 @@ class TestExitCodes:
         assert run("extract", "--out", tmp_path / "e.csv", "--images", blank) == 3
 
     def test_entry_point_subprocess(self, tmp_path):
+        # Run from the directory holding the imported package, so the child
+        # finds it also when only pytest's pythonpath setting put it on the path.
         result = subprocess.run(
             [sys.executable, "-m", "jjshadow.cli", "write-config",
              "--out", str(tmp_path / "d.cfg")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, cwd=Path(jjshadow.__file__).parents[1])
         assert result.returncode == 0
         assert (tmp_path / "d.cfg").read_text().startswith("# jjshadow run config")
 

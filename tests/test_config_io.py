@@ -1,7 +1,10 @@
 """Run-config parsing and CSV interchange."""
 
+import re
+
 import pytest
 
+from jjshadow.analysis import Regressor
 from jjshadow.config import RunConfig, load_config, parse_config, write_default
 from jjshadow.errors import ConfigError, DataError
 from jjshadow.geometry import Fidelity, Variant
@@ -18,6 +21,40 @@ from jjshadow.io import (
 )
 from jjshadow.layout import build_35x35
 from jjshadow.synth import NO_PARASITICS, ProcessModel, synthesize_wafer
+
+
+# Every template key at a valid non-default value, with the value its
+# block's accessor must then hold.
+NON_DEFAULT = {
+    "geometry.d_prime_mm": ("700", 700.0),
+    "geometry.r_pivot_mm": ("60", 60.0),
+    "geometry.alpha_deg": ("30", 30.0),
+    "geometry.alpha_dolan_deg": ("20", 20.0),
+    "geometry.h_resist_nm": ("550", 550.0),
+    "geometry.t_bottom_nm": ("40", 40.0),
+    "geometry.dw_offset_nm": ("20", 20.0),
+    "process.sigma_j_uS_per_um2": ("900", 900.0),
+    "process.lognormal_sigma": ("0.02", 0.02),
+    "process.p_open": ("0.01", 0.01),
+    "process.p_short": ("0.02", 0.02),
+    "process.fidelity": ("sidewall", Fidelity.SIDEWALL),
+    "process.seed": ("7", 7),
+    "parasitics.pad_centre_ohm": ("150", 150.0),
+    "parasitics.pad_edge_ohm": ("300", 300.0),
+    "parasitics.substrate_uS": ("4", 4.0),
+    "parasitics.cabling_ohm": ("6", 6.0),
+    "parasitics.contact_enabled": ("true", True),
+    "parasitics.contact_centre_ohm": ("10", 10.0),
+    "parasitics.contact_edge_ohm": ("20", 20.0),
+    "filter.abs_low_uS": ("25", 25.0),
+    "filter.abs_high_uS": ("450", 450.0),
+    "filter.rel_threshold": ("0.6", 0.6),
+    "filter.regressor": ("overlap_area", Regressor.OVERLAP_AREA),
+    "frequency.f_c_mhz": ("250", 250.0),
+    "frequency.m_ghz_per_ms": ("140", 140.0),
+    "analysis.dual_rsd": ("true", True),
+    "analysis.deembed": ("true", True),
+}
 
 
 class TestConfig:
@@ -48,9 +85,19 @@ class TestConfig:
         assert cfg.parasitics().contact_enabled is True
         assert cfg.filter().regressor.value == "overlap_area"
 
+    @pytest.mark.parametrize("key", NON_DEFAULT)
+    def test_every_key_reaches_its_object(self, key):
+        text, expected = NON_DEFAULT[key]
+        block, name = key.split(".")
+        got = getattr(getattr(parse_config(f"{key} = {text}"), block)(), name)
+        assert got == expected and type(got) is type(expected)
+        assert getattr(getattr(RunConfig(), block)(), name) != expected
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("geometry.tilt = 35")
+        with pytest.raises(ConfigError, match="unknown key 'geometry_alpha_deg'"):
+            parse_config("geometry_alpha_deg = 30")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -59,6 +106,13 @@ class TestConfig:
             parse_config("parasitics.contact_enabled = maybe")
         with pytest.raises(ConfigError):
             parse_config("just a line without equals")
+        for text in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match="line 2: .*not a finite number"):
+                parse_config(f"process.seed = 1\ngeometry.h_resist_nm = {text}")
+        with pytest.raises(ConfigError, match="process: p_open must be in"):
+            parse_config("process.p_open = 2")
+        with pytest.raises(ConfigError, match="geometry: need d_prime > r_pivot"):
+            parse_config("geometry.d_prime_mm = 50")
 
     def test_bad_fidelity_name(self):
         with pytest.raises(ConfigError):
@@ -68,6 +122,8 @@ class TestConfig:
         path = tmp_path / "default.cfg"
         write_default(path)
         assert load_config(path) == RunConfig()
+        keys = [line.split(" = ")[0] for line in path.read_text().splitlines()[1:] if line]
+        assert keys == list(NON_DEFAULT)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -130,6 +186,26 @@ class TestCsvRoundTrips:
             read_layout_csv(bad)
         with pytest.raises(DataError):
             read_measurements_csv(bad)
+
+    @pytest.mark.parametrize("kind, column, value", [
+        ("layout", 6, "-5.0"), ("layout", 7, "nan"), ("measurements", 11, "nan"),
+    ], ids=["negative-width", "nan-width", "nan-conductance"])
+    def test_bad_row_rejected_with_location(self, geom, tmp_path, kind, column, value):
+        layout = build_35x35("nbtin")
+        path = tmp_path / f"{kind}.csv"
+        if kind == "layout":
+            write_layout_csv(layout, path)
+        else:
+            write_measurements_csv(
+                synthesize_wafer(layout, geom, ProcessModel(), NO_PARASITICS), path)
+        lines = path.read_text().splitlines()
+        row = lines[3].split(",")
+        row[column] = value
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        reader = read_layout_csv if kind == "layout" else read_measurements_csv
+        with pytest.raises(DataError, match=re.escape(f"{path}:4: ")):
+            reader(path)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         layout = build_35x35("nbtin")
