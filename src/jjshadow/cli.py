@@ -12,6 +12,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import io as jio
 from .compensation import MAX_WIDTH_NM, compensated_layout
 from .config import load_config, write_default
@@ -33,7 +35,9 @@ from .geometry import (
     Variant,
     WaferPoint,
     actual_width_vertical,
-    evaluate_field,
+    evaluate_field,  # noqa: F401 -- perfbench/spans.py wraps this binding in traced runs
+    field_values,
+    within_radius,
 )
 from .imaging import (
     DEFAULT_THRESHOLD_COUNT,
@@ -156,23 +160,24 @@ def cmd_fieldmap(args: argparse.Namespace) -> int:
     geom = cfg.geometry()
     design = JunctionDesign(Variant.MANHATTAN, args.wb, args.wt)
     step = args.step
-    if step <= 0:
-        raise DataError("grid step must be > 0")
+    if not (step > 0 and math.isfinite(step)):
+        raise DataError(f"grid step must be finite and > 0, got {step}")
     n = int(math.floor(WAFER_RADIUS_MM / step))
+    xs = np.arange(-n, n + 1) * step
+    x_text = [repr(x) for x in xs.tolist()]
     with open(args.out, "w", newline="") as fh:
         fh.write("x_mm,y_mm,value\n")
-        for iy in range(n, -n - 1, -1):
-            for ix in range(-n, n + 1):
-                x, y = ix * step, iy * step
-                if math.hypot(x, y) > WAFER_RADIUS_MM:
-                    continue
-                try:
-                    value = repr(evaluate_field(geom, args.quantity,
-                                                WaferPoint(x, y), design,
-                                                args.fidelity))
-                except ShadowedError:
-                    value = ""          # pinched off: blank cell
-                fh.write(f"{x!r},{y!r},{value}\n")
+        for iy in range(n, -n - 1, -1):         # one grid row at a time
+            y = iy * step
+            on = np.flatnonzero(within_radius(xs, y, WAFER_RADIUS_MM))
+            values, ok = field_values(geom, args.quantity, xs[on], y, design,
+                                      args.fidelity)
+            cells = [repr(v) for v in values.tolist()]
+            for k in np.flatnonzero(~ok).tolist():
+                cells[k] = ""           # pinched off: blank cell
+            row = f",{y!r},"
+            fh.write("".join(x_text[i] + row + c + "\n"
+                             for i, c in zip(on.tolist(), cells)))
     print(f"wrote {args.out}")
     return 0
 

@@ -6,14 +6,24 @@ yield uniform actual areas.  The forward area is continuous and strictly
 increasing in the designed width at a fixed point and aspect, so a
 sign-based bracketed bisection suffices (and tolerates the kink the
 full-fidelity top-width branch can introduce).
+
+The bisection runs in lockstep over an array of lanes, one per structure:
+every lane starts from the same bracket, 1 nm to the width limit, and
+halves it at its own midpoint, evaluated for all lanes at once by the
+array kernel geometry.overlap_areas, until it is at most 1e-7 nm wide.
+Each lane does exactly the arithmetic of a one-structure bisection, so a
+width does not depend on how many structures are solved together;
+precompensate and precompensate_fixed_top are one-lane solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable
+from typing import Callable, Sequence
 
-from .errors import ShadowedError, TargetError
+import numpy as np
+
+from .errors import TargetError
 from .geometry import (
     EvaporatorGeometry,
     Fidelity,
@@ -21,40 +31,84 @@ from .geometry import (
     Variant,
     WaferPoint,
     actual_overlap_area,
+    overlap_areas,
 )
-from .layout import WaferLayout
+from .layout import TestStructureSpec, WaferLayout
 
 MAX_WIDTH_NM = 2000.0
 AREA_RTOL = 1.0e-6
+_MIN_WIDTH_NM = 1.0
 _BRACKET_NM = 1.0e-7
 
 
-def _solve_width(area_of: Callable[[float], float], target_um2: float,
-                 w_max_nm: float, what: str) -> float:
-    """Bisect the designed width until area_of(w) meets the target."""
+def _solve_widths(area_of: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                  target_um2: float, w_max_nm: float, lanes: int
+                  ) -> tuple[np.ndarray, list[str]]:
+    """Bisect the designed width in every lane until area_of(w) meets the target.
 
-    def f(w: float) -> float:
-        try:
-            return area_of(w) - target_um2
-        except ShadowedError:
-            return -target_um2          # pinched off: treat as zero area
+    area_of maps one width per lane to (area, ok); a pinched-off lane (ok
+    False) counts as zero area.  Returns the widths and, per lane, "" or
+    why the target is unattainable there.
+    """
 
-    lo, hi = 1.0, w_max_nm
-    if f(lo) >= 0.0:
-        raise TargetError(f"{what}: target {target_um2:g} um^2 needs width <= {lo} nm")
-    if f(hi) < 0.0:
-        raise TargetError(f"{what}: target {target_um2:g} um^2 exceeds the "
-                          f"{w_max_nm:g} nm width limit")
-    while hi - lo > _BRACKET_NM:
+    def f(w: np.ndarray) -> np.ndarray:
+        area, ok = area_of(w)
+        return np.where(ok, area - target_um2, -target_um2)
+
+    lo = np.full(lanes, _MIN_WIDTH_NM)
+    floor = f(lo) >= 0.0
+    # A lane already too wide at lo is held there: as in a one-lane solve it
+    # never evaluates w_max, so a bad limit raises only for lanes that reach it.
+    hi = np.where(floor, lo, w_max_nm)
+    limit = f(hi) < 0.0
+    active = hi - lo > _BRACKET_NM
+    while active.any():
         mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        below = f(mid) < 0.0
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active = hi - lo > _BRACKET_NM
     w = 0.5 * (lo + hi)
-    if abs(f(w)) > AREA_RTOL * target_um2:
-        raise TargetError(f"{what}: no width meets the target within tolerance")
-    return w
+    missed = np.abs(f(w)) > AREA_RTOL * target_um2
+    reasons = ("",
+               f"target {target_um2:g} um^2 needs width <= {_MIN_WIDTH_NM} nm",
+               f"target {target_um2:g} um^2 exceeds the {w_max_nm:g} nm width limit",
+               "no width meets the target within tolerance")
+    which = np.select([floor, limit, missed], [1, 2, 3], 0)
+    return w, [reasons[k] for k in which.tolist()]
+
+
+def _solve_designs(geom: EvaporatorGeometry, target_um2: float,
+                   points: Sequence[WaferPoint], fidelity: Fidelity,
+                   variant: Variant, w_max_nm: float, aspect: np.ndarray | float,
+                   w_top_nm: float | None) -> list[JunctionDesign | TargetError]:
+    """Designs meeting the target at each point, or the TargetError why not.
+
+    With w_top_nm None the top width is solved and the bottom held at
+    aspect times it; otherwise the bottom width is solved under that top.
+    """
+    x = np.array([p.x_mm for p in points])
+    y = np.array([p.y_mm for p in points])
+
+    def widths(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(bottom, top) designed widths for the solved width w."""
+        if w_top_nm is None:
+            return np.broadcast_arrays(aspect * w, w)
+        return np.broadcast_arrays(w, w_top_nm)
+
+    w, reasons = _solve_widths(
+        lambda w: overlap_areas(geom, variant, *widths(w), x, y, fidelity),
+        target_um2, w_max_nm, len(points))
+    w_b, w_t = widths(w)
+    return [TargetError(f"({p.x_mm:g}, {p.y_mm:g}) mm: {why}") if why
+            else JunctionDesign(variant, w_bottom_nm=b, w_top_nm=t)
+            for p, why, b, t in zip(points, reasons, w_b.tolist(), w_t.tolist())]
+
+
+def _one(result: JunctionDesign | TargetError) -> JunctionDesign:
+    if isinstance(result, TargetError):
+        raise result
+    return result
 
 
 def precompensate(geom: EvaporatorGeometry, target_area_um2: float, p: WaferPoint,
@@ -71,14 +125,8 @@ def precompensate(geom: EvaporatorGeometry, target_area_um2: float, p: WaferPoin
         raise TargetError("aspect ratio must be > 0")
     if target_area_um2 <= 0.0:
         raise TargetError("target area must be > 0")
-
-    def area_of(w_top: float) -> float:
-        d = JunctionDesign(variant, w_bottom_nm=aspect * w_top, w_top_nm=w_top)
-        return actual_overlap_area(geom, d, p, fidelity)
-
-    w_top = _solve_width(area_of, target_area_um2, w_max_nm,
-                         f"({p.x_mm:g}, {p.y_mm:g}) mm")
-    return JunctionDesign(variant, w_bottom_nm=aspect * w_top, w_top_nm=w_top)
+    return _one(_solve_designs(geom, target_area_um2, [p], fidelity, variant,
+                               w_max_nm, aspect, None)[0])
 
 
 def precompensate_fixed_top(geom: EvaporatorGeometry, target_area_um2: float,
@@ -90,14 +138,8 @@ def precompensate_fixed_top(geom: EvaporatorGeometry, target_area_um2: float,
     """
     if target_area_um2 <= 0.0:
         raise TargetError("target area must be > 0")
-
-    def area_of(w_bottom: float) -> float:
-        d = JunctionDesign(Variant.MANHATTAN, w_bottom_nm=w_bottom, w_top_nm=w_top_nm)
-        return actual_overlap_area(geom, d, p, fidelity)
-
-    w_bottom = _solve_width(area_of, target_area_um2, w_max_nm,
-                            f"({p.x_mm:g}, {p.y_mm:g}) mm")
-    return JunctionDesign(Variant.MANHATTAN, w_bottom_nm=w_bottom, w_top_nm=w_top_nm)
+    return _one(_solve_designs(geom, target_area_um2, [p], fidelity, Variant.MANHATTAN,
+                               w_max_nm, 1.0, w_top_nm)[0])
 
 
 def compensated_layout(layout: WaferLayout, geom: EvaporatorGeometry,
@@ -110,7 +152,8 @@ def compensated_layout(layout: WaferLayout, geom: EvaporatorGeometry,
     fixed top width, if fixed_top_nm is given); structures whose target is
     unattainable are marked excluded with a reason.  Excluded structures
     pass through unchanged.  Bridge-style structures are solved at basic
-    fidelity, the only level the model defines for them.
+    fidelity, the only level the model defines for them.  The structures
+    of each variant are solved together, in one lockstep bisection.
     """
     viable = layout.viable()
     if not viable:
@@ -119,26 +162,32 @@ def compensated_layout(layout: WaferLayout, geom: EvaporatorGeometry,
     target = actual_overlap_area(geom, centre.design, centre.position,
                                  fidelity.for_variant(centre.design.variant))
 
-    out = []
-    for s in layout.structures:
-        if s.excluded:
-            out.append(s)
-            continue
-        try:
-            if fixed_top_nm is not None and s.design.variant is Variant.MANHATTAN:
-                design = precompensate_fixed_top(
-                    geom, target, s.position, fidelity,
-                    w_top_nm=fixed_top_nm, w_max_nm=w_max_nm)
-            else:
-                aspect = (s.design.w_bottom_nm / s.design.w_top_nm
-                          if s.design.w_top_nm > 0 else 1.0)
-                design = precompensate(
-                    geom, target, s.position, fidelity.for_variant(s.design.variant),
-                    aspect=aspect, w_max_nm=w_max_nm, variant=s.design.variant)
-        except TargetError as exc:
-            out.append(replace(s, excluded=True, exclusion_reason=f"unattainable: {exc}"))
-            continue
-        out.append(replace(s, design=design,
-                           a_overlap_designed_um2=design.designed_area_um2()))
+    out = list(layout.structures)
+    for variant in dict.fromkeys(s.design.variant for s in viable):
+        lanes = [i for i, s in enumerate(out)
+                 if not s.excluded and s.design.variant is variant]
+        solved = _compensate(geom, [out[i] for i in lanes], target,
+                             fidelity.for_variant(variant), variant, w_max_nm,
+                             fixed_top_nm if variant is Variant.MANHATTAN else None)
+        for i, s in zip(lanes, solved):
+            out[i] = s
     return WaferLayout(layout.kind, tuple(out), die_pitch_mm=layout.die_pitch_mm,
                        wafer_shape=layout.wafer_shape)
+
+
+def _compensate(geom: EvaporatorGeometry, structures: list[TestStructureSpec],
+                target_um2: float, fidelity: Fidelity, variant: Variant,
+                w_max_nm: float, fixed_top_nm: float | None) -> list[TestStructureSpec]:
+    """Redesigned (or unattainable-excluded) copies of same-variant structures."""
+    w_b = np.array([s.design.w_bottom_nm for s in structures])
+    w_t = np.array([s.design.w_top_nm for s in structures])
+    aspect = np.divide(w_b, w_t, out=np.ones_like(w_b), where=w_t > 0.0)
+    designs = _solve_designs(geom, target_um2, [s.position for s in structures],
+                             fidelity, variant, w_max_nm, aspect, fixed_top_nm)
+    if fixed_top_nm is None:
+        designs = [TargetError("aspect ratio must be > 0") if flat else d
+                   for d, flat in zip(designs, (aspect <= 0.0).tolist())]
+    return [replace(s, excluded=True, exclusion_reason=f"unattainable: {d}")
+            if isinstance(d, TargetError)
+            else replace(s, design=d, a_overlap_designed_um2=d.designed_area_um2())
+            for s, d in zip(structures, designs)]

@@ -15,6 +15,15 @@ film thickness.  This module evaluates those effects for a single junction:
 Internally every length is a nanometre stored as a float64 (50 mm is
 exactly 5e7 nm); millimetres appear only in signatures, for wafer-scale
 coordinates and evaporator distances.  All functions are pure.
+
+Each quantity has a scalar function for one wafer point, which raises
+ShadowedError where an electrode pinches off, and an array kernel for
+many points at once (overlap_areas, field_values), which returns an ok
+mask instead.  Both evaluate the same private expressions, and the two
+agree bit for bit under one exactness rule: every step is an IEEE
++ - * / sqrt abs max in the same order, except |r - C|**3, which both take
+with Python's float ** (libm pow), element by element on the array path,
+because numpy's power differs from it in the last bit for some arguments.
 """
 
 from __future__ import annotations
@@ -22,6 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+
+import numpy as np
 
 from .errors import GeometryError, ShadowedError
 
@@ -123,11 +135,21 @@ class WaferPoint:
     x_mm: float
     y_mm: float
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.x_mm) and math.isfinite(self.y_mm)):
+            raise GeometryError(
+                f"wafer coordinates must be finite, got ({self.x_mm}, {self.y_mm})")
+
     def radius_mm(self) -> float:
         return math.hypot(self.x_mm, self.y_mm)
 
 
 ORIGIN = WaferPoint(0.0, 0.0)
+
+
+_WIDTHS_NOT_FINITE = "designed widths must be finite"
+_WIDTHS_NEGATIVE = "designed widths must be >= 0"
+_DOLAN_BASIC_ONLY = "bridge-style junctions are modeled at basic fidelity only"
 
 
 @dataclass(frozen=True)
@@ -140,9 +162,9 @@ class JunctionDesign:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.w_bottom_nm) and math.isfinite(self.w_top_nm)):
-            raise GeometryError("designed widths must be finite")
+            raise GeometryError(_WIDTHS_NOT_FINITE)
         if self.w_bottom_nm < 0.0 or self.w_top_nm < 0.0:
-            raise GeometryError("designed widths must be >= 0")
+            raise GeometryError(_WIDTHS_NEGATIVE)
 
     def designed_area_um2(self) -> float:
         if self.variant is Variant.DOLAN:
@@ -155,12 +177,90 @@ def source_distance(geom: EvaporatorGeometry) -> float:
     return geom.source_distance_nm() / NM_PER_MM
 
 
+# ---------------------------------------------------------------------------
+# Model expressions, each written once and evaluated by both the scalar
+# functions and the array kernels (the exactness rule is in the module
+# docstring).  |r - C|**3 is passed in as r3, since the two paths take it
+# differently.
+
+def _dist_sq_nm2(geom: EvaporatorGeometry, x_mm, y_mm):
+    """|r - C|^2 with C the source position, in nm^2."""
+    dy = y_mm * NM_PER_MM - geom.crucible_y_nm()
+    dx = x_mm * NM_PER_MM
+    d = geom.source_distance_nm()
+    return dx * dx + dy * dy + d * d
+
+
+def _printed(geom: EvaporatorGeometry, w_designed_nm, shade_nm):
+    """Deposited width: designed width plus the exposure offset, less a shade."""
+    return w_designed_nm + geom.dw_offset_nm - shade_nm
+
+
+def _narrowed(geom: EvaporatorGeometry, w_designed_nm, coord_mm, d_nm):
+    """W + dW_offset - |coord| * H / D."""
+    return (w_designed_nm + geom.dw_offset_nm
+            - abs(coord_mm) * NM_PER_MM * geom.h_resist_nm / d_nm)
+
+
+def _thickness(geom: EvaporatorGeometry, r3):
+    """T'_b = T_b * (D'-R)^2 * D / |r-C|^3."""
+    dr = (geom.d_prime_mm - geom.r_pivot_mm) * NM_PER_MM
+    return geom.t_bottom_nm * dr * dr * geom.source_distance_nm() / r3
+
+
+def _lip(geom: EvaporatorGeometry, y_mm, r3):
+    """W_lip = -T_b * (D'-R)^2 * (D'*sin(alpha) - y) / |r-C|^3."""
+    dr = (geom.d_prime_mm - geom.r_pivot_mm) * NM_PER_MM
+    dy = geom.crucible_y_nm() - y_mm * NM_PER_MM
+    return -geom.t_bottom_nm * dr * dr * dy / r3
+
+
+def _south_of_source(geom: EvaporatorGeometry, y_mm):
+    """D'*sin(alpha) - y in nm, the lip-height denominator."""
+    return geom.crucible_y_nm() - y_mm * NM_PER_MM
+
+
+def _lip_h(geom: EvaporatorGeometry, w_top_nm, y_mm):
+    """H_lip = D * W_t / (D'*sin(alpha) - y)."""
+    return geom.source_distance_nm() * w_top_nm / _south_of_source(geom, y_mm)
+
+
+def _slope(geom: EvaporatorGeometry, y_mm):
+    return abs(y_mm) * NM_PER_MM / geom.source_distance_nm()
+
+
+def _resist_shade(geom: EvaporatorGeometry, y_mm, dh):
+    """(H + dH) * |y| / D: shadow of the resist edge raised by dH."""
+    return (geom.h_resist_nm + dh) * _slope(geom, y_mm)
+
+
+def _lip_shade(geom: EvaporatorGeometry, w_top_nm, y_mm, dh, w_lip):
+    """W_lip + (H_lip + dH) * |y| / D: the lip's shadow south of centre."""
+    return w_lip + (_lip_h(geom, w_top_nm, y_mm) + dh) * _slope(geom, y_mm)
+
+
+def _with_sidewalls(w_b_nm, t_b_nm):
+    return w_b_nm + 2.0 * t_b_nm
+
+
+def _crossed_area(w_b_nm, w_t_nm):
+    return w_b_nm * w_t_nm / NM_PER_MM
+
+
+def _bridge_area(w_t_nm):
+    return w_t_nm * DOLAN_OVERLAP_LENGTH_NM / NM_PER_MM
+
+
+def _not_south(y_mm: float) -> GeometryError:
+    return GeometryError(f"point y={y_mm} mm is not south of the source projection")
+
+
+# ---------------------------------------------------------------------------
+# Scalar functions: one wafer point, Python floats, ShadowedError on pinch-off.
+
 def _dist_to_source_nm(geom: EvaporatorGeometry, p: WaferPoint) -> float:
     """|r - C| with C the source position, in nm."""
-    dy = p.y_mm * NM_PER_MM - geom.crucible_y_nm()
-    dx = p.x_mm * NM_PER_MM
-    d = geom.source_distance_nm()
-    return math.sqrt(dx * dx + dy * dy + d * d)
+    return math.sqrt(_dist_sq_nm2(geom, p.x_mm, p.y_mm))
 
 
 def actual_width_vertical(geom: EvaporatorGeometry, w_designed_nm: float,
@@ -176,8 +276,7 @@ def actual_width_vertical(geom: EvaporatorGeometry, w_designed_nm: float,
 
 def _narrowed_width(geom: EvaporatorGeometry, w_designed_nm: float,
                     coord_mm: float, d_nm: float) -> float:
-    w = (w_designed_nm + geom.dw_offset_nm
-         - abs(coord_mm) * NM_PER_MM * geom.h_resist_nm / d_nm)
+    w = _narrowed(geom, w_designed_nm, coord_mm, d_nm)
     if w <= 0.0:
         raise ShadowedError(
             f"electrode fully shadowed: W'={w:.2f} nm at |coord|={abs(coord_mm)} mm"
@@ -192,9 +291,7 @@ def bottom_thickness(geom: EvaporatorGeometry, p: WaferPoint) -> float:
     the wafer centre under normal incidence.  The same expression gives the
     resist-height increase dH(r) left by the first evaporation.
     """
-    dr = (geom.d_prime_mm - geom.r_pivot_mm) * NM_PER_MM
-    d = geom.source_distance_nm()
-    return geom.t_bottom_nm * dr * dr * d / _dist_to_source_nm(geom, p) ** 3
+    return _thickness(geom, _dist_to_source_nm(geom, p) ** 3)
 
 
 def lip_width(geom: EvaporatorGeometry, p: WaferPoint) -> float:
@@ -203,17 +300,14 @@ def lip_width(geom: EvaporatorGeometry, p: WaferPoint) -> float:
     Evaluated exactly as printed, -T_b*(D'-R)^2*(D'*sin(alpha)-y)/|r-C|^3,
     leading minus sign included; negative everywhere on-wafer.
     """
-    dr = (geom.d_prime_mm - geom.r_pivot_mm) * NM_PER_MM
-    dy = geom.crucible_y_nm() - p.y_mm * NM_PER_MM
-    return -geom.t_bottom_nm * dr * dr * dy / _dist_to_source_nm(geom, p) ** 3
+    return _lip(geom, p.y_mm, _dist_to_source_nm(geom, p) ** 3)
 
 
 def lip_height(geom: EvaporatorGeometry, w_top_nm: float, p: WaferPoint) -> float:
     """Lip height H_lip(r) = D * W_t / (D'*sin(alpha) - y) in nm."""
-    denom = geom.crucible_y_nm() - p.y_mm * NM_PER_MM
-    if denom <= 0.0:
-        raise GeometryError(f"point y={p.y_mm} mm is not south of the source projection")
-    return geom.source_distance_nm() * w_top_nm / denom
+    if _south_of_source(geom, p.y_mm) <= 0.0:
+        raise _not_south(p.y_mm)
+    return _lip_h(geom, w_top_nm, p.y_mm)
 
 
 def actual_top_width(geom: EvaporatorGeometry, w_top_nm: float, p: WaferPoint) -> float:
@@ -223,17 +317,19 @@ def actual_top_width(geom: EvaporatorGeometry, w_top_nm: float, p: WaferPoint) -
     the raised-resist shadow apply together; south of centre the larger of
     the raised-resist shadow and the lip shadow wins.
     """
-    d = geom.source_distance_nm()
-    dh = bottom_thickness(geom, p)          # resist-height increase dH(r)
-    w_lip = lip_width(geom, p)
-    h_prime = geom.h_resist_nm + dh
-    slope = abs(p.y_mm) * NM_PER_MM / d
+    return _top_width(geom, w_top_nm, p, _dist_to_source_nm(geom, p) ** 3)
+
+
+def _top_width(geom: EvaporatorGeometry, w_top_nm: float, p: WaferPoint,
+               r3: float) -> float:
+    dh = _thickness(geom, r3)           # resist-height increase dH(r)
+    w_lip = _lip(geom, p.y_mm, r3)
+    resist = _resist_shade(geom, p.y_mm, dh)
     if p.y_mm >= 0.0:
-        shade = w_lip + h_prime * slope
+        shade = w_lip + resist
     else:
-        h_lip_prime = lip_height(geom, w_top_nm, p) + dh
-        shade = max(h_prime * slope, w_lip + h_lip_prime * slope)
-    w = w_top_nm + geom.dw_offset_nm - shade
+        shade = max(resist, _lip_shade(geom, w_top_nm, p.y_mm, dh, w_lip))
+    w = _printed(geom, w_top_nm, shade)
     if w <= 0.0:
         raise ShadowedError(f"top electrode fully shadowed at ({p.x_mm}, {p.y_mm}) mm")
     return w
@@ -252,19 +348,20 @@ def actual_overlap_area(geom: EvaporatorGeometry, design: JunctionDesign,
     """
     if design.variant is Variant.DOLAN:
         if fidelity is not Fidelity.BASIC:
-            raise GeometryError("bridge-style junctions are modeled at basic fidelity only")
-        w_t = _narrowed_width(geom, design.w_top_nm, p.x_mm, geom.bridge_distance_nm())
-        return w_t * DOLAN_OVERLAP_LENGTH_NM / NM_PER_MM
+            raise GeometryError(_DOLAN_BASIC_ONLY)
+        return _bridge_area(_narrowed_width(geom, design.w_top_nm, p.x_mm,
+                                            geom.bridge_distance_nm()))
 
     w_b = actual_width_vertical(geom, design.w_bottom_nm, p.x_mm)
     if fidelity is Fidelity.BASIC:
-        return w_b * actual_width_vertical(geom, design.w_top_nm, p.y_mm) / NM_PER_MM
-    w_b += 2.0 * bottom_thickness(geom, p)
+        return _crossed_area(w_b, actual_width_vertical(geom, design.w_top_nm, p.y_mm))
+    r3 = _dist_to_source_nm(geom, p) ** 3
+    w_b = _with_sidewalls(w_b, _thickness(geom, r3))
     if fidelity is Fidelity.SIDEWALL:
         w_t = actual_width_vertical(geom, design.w_top_nm, p.y_mm)
     else:
-        w_t = actual_top_width(geom, design.w_top_nm, p)
-    return w_b * w_t / NM_PER_MM
+        w_t = _top_width(geom, design.w_top_nm, p, r3)
+    return _crossed_area(w_b, w_t)
 
 
 # Field-map quantity names accepted by evaluate_field (and the CLI).
@@ -295,3 +392,122 @@ def evaluate_field(geom: EvaporatorGeometry, quantity: str, p: WaferPoint,
     if quantity == "area":
         return actual_overlap_area(geom, design, p, fidelity)
     raise ValueError(f"unknown field quantity {quantity!r}")
+
+
+# ---------------------------------------------------------------------------
+# Array kernels: many points (and widths) at once.  Inputs broadcast against
+# each other; a pinched-off element comes back with ok False instead of
+# raising, and its value is meaningless.
+
+def _cubed(r: np.ndarray) -> np.ndarray:
+    """r**3 per element with Python float **, as the scalar functions take it."""
+    return np.fromiter(map(pow, r.ravel().tolist(), repeat(3)), float,
+                       r.size).reshape(r.shape)
+
+
+def _r_cubed(geom: EvaporatorGeometry, x_mm: np.ndarray, y_mm: np.ndarray) -> np.ndarray:
+    return _cubed(np.sqrt(_dist_sq_nm2(geom, x_mm, y_mm)))
+
+
+def _top_widths(geom: EvaporatorGeometry, w_top_nm, y_mm: np.ndarray,
+                r3: np.ndarray) -> np.ndarray:
+    """Array form of actual_top_width, without the pinch-off check."""
+    dh = _thickness(geom, r3)
+    w_lip = _lip(geom, y_mm, r3)
+    resist = _resist_shade(geom, y_mm, dh)
+    # The lip shadow counts only where y < 0.  Elsewhere its denominator
+    # D'*sin(alpha) - y can be zero or negative; those values are discarded.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        south = np.maximum(resist, _lip_shade(geom, w_top_nm, y_mm, dh, w_lip))
+    return _printed(geom, w_top_nm, np.where(y_mm >= 0.0, w_lip + resist, south))
+
+
+def _points(*values) -> tuple[np.ndarray, ...]:
+    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+
+
+def overlap_areas(geom: EvaporatorGeometry, variant: Variant, w_b_nm, w_t_nm,
+                  x_mm, y_mm, fidelity: Fidelity) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of actual_overlap_area: (area in um^2, ok) per element.
+
+    Designed widths are checked as JunctionDesign checks them.  ok is
+    False where actual_overlap_area would raise ShadowedError; every other
+    area equals the scalar function's bit for bit.
+    """
+    w_b, w_t, x, y = _points(w_b_nm, w_t_nm, x_mm, y_mm)
+    if not (np.isfinite(w_b).all() and np.isfinite(w_t).all()):
+        raise GeometryError(_WIDTHS_NOT_FINITE)
+    if (w_b < 0.0).any() or (w_t < 0.0).any():
+        raise GeometryError(_WIDTHS_NEGATIVE)
+    if variant is Variant.DOLAN:
+        if fidelity is not Fidelity.BASIC:
+            raise GeometryError(_DOLAN_BASIC_ONLY)
+        w = _narrowed(geom, w_t, x, geom.bridge_distance_nm())
+        return _bridge_area(w), w > 0.0
+
+    d = geom.source_distance_nm()
+    w_b = _narrowed(geom, w_b, x, d)
+    ok = w_b > 0.0
+    if fidelity is Fidelity.BASIC:
+        w_t = _narrowed(geom, w_t, y, d)
+    else:
+        r3 = _r_cubed(geom, x, y)
+        w_b = _with_sidewalls(w_b, _thickness(geom, r3))
+        if fidelity is Fidelity.SIDEWALL:
+            w_t = _narrowed(geom, w_t, y, d)
+        else:
+            w_t = _top_widths(geom, w_t, y, r3)
+    return _crossed_area(w_b, w_t), ok & (w_t > 0.0)
+
+
+def field_values(geom: EvaporatorGeometry, quantity: str, x_mm, y_mm,
+                 design: JunctionDesign,
+                 fidelity: Fidelity = Fidelity.FULL) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of evaluate_field: (value, ok) at each point.
+
+    ok is False where evaluate_field would raise ShadowedError (a blank
+    field-map cell).  'hlip' raises GeometryError, naming the first such
+    point, where evaluate_field would.
+    """
+    x, y = _points(x_mm, y_mm)
+    d = geom.source_distance_nm()
+    everywhere = np.ones(x.shape, bool)
+    if quantity == "wb":
+        value = _narrowed(geom, design.w_bottom_nm, x, d)
+    elif quantity == "wt":
+        value = _narrowed(geom, design.w_top_nm, y, d)
+    elif quantity == "tb":
+        return _thickness(geom, _r_cubed(geom, x, y)), everywhere
+    elif quantity == "wlip":
+        return _lip(geom, y, _r_cubed(geom, x, y)), everywhere
+    elif quantity == "hlip":
+        north = _south_of_source(geom, y) <= 0.0
+        if north.any():
+            raise _not_south(float(y.flat[np.argmax(north)]))
+        return _lip_h(geom, design.w_top_nm, y), everywhere
+    elif quantity == "wt_full":
+        value = _top_widths(geom, design.w_top_nm, y, _r_cubed(geom, x, y))
+    elif quantity == "area":
+        return overlap_areas(geom, design.variant, design.w_bottom_nm, design.w_top_nm,
+                             x, y, fidelity)
+    else:
+        raise ValueError(f"unknown field quantity {quantity!r}")
+    return value, value > 0.0
+
+
+_HYPOT_SLACK = 1e-12        # far above the few-ulp gap between the two hypots
+
+
+def within_radius(dx_mm, dy_mm, r_mm) -> np.ndarray:
+    """math.hypot(dx, dy) <= r per element.
+
+    numpy's hypot can differ from math.hypot in the last bit, so elements
+    whose numpy distance lies within rounding of r are decided by
+    math.hypot, and the result matches a scalar loop exactly.
+    """
+    dx, dy, r = _points(dx_mm, dy_mm, r_mm)
+    h = np.hypot(dx, dy)
+    near = np.abs(h - r) <= _HYPOT_SLACK * np.abs(r)
+    if near.any():
+        h[near] = list(map(math.hypot, dx[near].tolist(), dy[near].tolist()))
+    return h <= r

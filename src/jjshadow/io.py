@@ -7,6 +7,7 @@ bit exactly and identical inputs yield byte-identical outputs.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -35,6 +36,13 @@ def _bool(text: str, where: str) -> bool:
     raise DataError(f"{where}: expected true/false, got {text!r}")
 
 
+def _finite(text: str, column: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise DataError(f"{column} must be finite, got {text!r}")
+    return value
+
+
 def _common_fields(s: TestStructureSpec | MeasurementRecord) -> list[str]:
     """The first ten columns, shared by layout and measurement rows."""
     return [
@@ -55,7 +63,7 @@ def _parse_common_fields(row: Sequence[str]) -> dict[str, object]:
         die_index=(int(row[1]), int(row[2])),
         position=WaferPoint(float(row[3]), float(row[4])),
         design=JunctionDesign(Variant(row[5]), float(row[6]), float(row[7])),
-        a_overlap_designed_um2=float(row[8]),
+        a_overlap_designed_um2=_finite(row[8], "a_overlap_um2"),
         junction_count=int(row[9]),
     )
 

@@ -19,13 +19,16 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DataError
+import numpy as np
+
+from .errors import DataError, GeometryError
 from .geometry import (
     SQUARE_HALF_MM,
     WAFER_RADIUS_MM,
     JunctionDesign,
     Variant,
     WaferPoint,
+    within_radius,
 )
 
 DIE_PITCH_MM = 13.0
@@ -113,9 +116,10 @@ def load_subarray_sites(path: str | Path | None = None) -> tuple[SubarraySite, .
     sites = []
     for row in csv.DictReader(text.splitlines()):
         try:
-            sites.append(SubarraySite(int(row["sub_index"]), float(row["x_mm"]),
-                                      float(row["y_mm"]), row["group"].strip()))
-        except (KeyError, TypeError, ValueError) as exc:
+            offset = WaferPoint(float(row["x_mm"]), float(row["y_mm"]))  # must be finite
+            sites.append(SubarraySite(int(row["sub_index"]), offset.x_mm, offset.y_mm,
+                                      row["group"].strip()))
+        except (KeyError, TypeError, ValueError, GeometryError) as exc:
             raise DataError(f"malformed sub-array row {row!r}") from exc
     if len(sites) != 17 or sorted(s.index for s in sites) != list(range(17)):
         raise DataError(f"sub-array file must define indices 0..16, got {len(sites)} rows")
@@ -134,7 +138,7 @@ def load_tsv_file(path: str | Path | None = None) -> tuple[tuple[WaferPoint, flo
         try:
             vias.append((WaferPoint(float(row["x_mm"]), float(row["y_mm"])),
                          float(row["diameter_um"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, GeometryError) as exc:
             raise DataError(f"malformed via row {row!r}") from exc
     return tuple(vias)
 
@@ -233,12 +237,27 @@ def build_planar_17q(sweeps: dict[str, Sequence[float]] | None = None,
     return WaferLayout(LayoutKind.PLANAR_17Q, tuple(structures))
 
 
-def _via_overlaps(pos: WaferPoint, via: WaferPoint, diameter_um: float) -> bool:
-    # Circle vs the structure's square footprint: clamp the centre to the box.
-    r_mm = diameter_um / 2000.0
-    nx = min(max(via.x_mm, pos.x_mm - STRUCTURE_HALF_MM), pos.x_mm + STRUCTURE_HALF_MM)
-    ny = min(max(via.y_mm, pos.y_mm - STRUCTURE_HALF_MM), pos.y_mm + STRUCTURE_HALF_MM)
-    return math.hypot(via.x_mm - nx, via.y_mm - ny) <= r_mm
+_VIA_MARGIN_MM = 1e-6          # far above the rounding of mm-scale coordinates
+
+
+def _via_hits(cells: Sequence[TestStructureSpec], via_x: np.ndarray,
+              via_y: np.ndarray, via_r: np.ndarray) -> list[bool]:
+    """Whether each structure's square footprint meets any via circle.
+
+    Each via centre is clamped to each footprint, cells by vias in one
+    broadcast; a via counts when that nearest point lies within its radius.
+    Vias farther than their radius (plus a rounding margin) beyond the
+    cells' bounding box cannot count and are dropped first.
+    """
+    x = np.array([[s.position.x_mm] for s in cells])
+    y = np.array([[s.position.y_mm] for s in cells])
+    reach = via_r + STRUCTURE_HALF_MM + _VIA_MARGIN_MM
+    near = ((via_x >= x.min() - reach) & (via_x <= x.max() + reach)
+            & (via_y >= y.min() - reach) & (via_y <= y.max() + reach))
+    via_x, via_y, via_r = via_x[near], via_y[near], via_r[near]
+    nx = np.minimum(np.maximum(via_x, x - STRUCTURE_HALF_MM), x + STRUCTURE_HALF_MM)
+    ny = np.minimum(np.maximum(via_y, y - STRUCTURE_HALF_MM), y + STRUCTURE_HALF_MM)
+    return within_radius(via_x - nx, via_y - ny, via_r).any(axis=1).tolist()
 
 
 def build_tsv_17q(variant: Variant,
@@ -253,6 +272,9 @@ def build_tsv_17q(variant: Variant,
     if tsv_positions is None:
         tsv_positions = load_tsv_file()
     vias = tuple(tsv_positions)         # empty is valid: nothing gets excluded
+    via_x = np.array([v.x_mm for v, _ in vias])
+    via_y = np.array([v.y_mm for v, _ in vias])
+    via_r = np.array([d for _, d in vias]) / 2000.0     # diameter um -> radius mm
     sweep = TSV_SWEEP if sweep is None else tuple(sweep)
     sites = load_subarray_sites() if sites is None else tuple(sites)
     structures: list[TestStructureSpec] = []
@@ -262,11 +284,10 @@ def build_tsv_17q(variant: Variant,
                 cells = _cell_structures(
                     variant, (ix, iy), site, 5,
                     sweep, WaferShape.SQUARE_70MM)
-                for s in cells:
-                    hit = any(_via_overlaps(s.position, v, d) for v, d in vias)
-                    structures.append(
-                        replace(s, excluded=True, exclusion_reason="tsv_overlap")
-                        if hit else s)
+                structures.extend(
+                    replace(s, excluded=True, exclusion_reason="tsv_overlap")
+                    if hit else s
+                    for s, hit in zip(cells, _via_hits(cells, via_x, via_y, via_r)))
     kind = (LayoutKind.TSV_17Q_MANHATTAN if variant is Variant.MANHATTAN
             else LayoutKind.TSV_17Q_DOLAN)
     return WaferLayout(kind, tuple(structures), wafer_shape=WaferShape.SQUARE_70MM)

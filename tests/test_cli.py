@@ -204,9 +204,27 @@ class TestExitCodes:
         run("layout", "--kind", "planar35x35-al", "--out", layout)
         assert run("simulate", "--layout", layout, "--config", bad_cfg,
                    "--out", tmp_path / "m.csv") == 2
+        for step in ("0", "nan", "inf"):
+            assert run("fieldmap", "--quantity", "wb", "--step", step,
+                       "--out", tmp_path / "f.csv") == 2
         bad_cfg.write_text("geometry.d_prime_mm = 50\n")    # below r_pivot
         assert run("fieldmap", "--quantity", "wb", "--step", 10, "--config", bad_cfg,
                    "--out", tmp_path / "f.csv") == 2
+
+    @pytest.mark.parametrize("column, value", [(4, "inf"), (8, "nan")],
+                             ids=["inf-y", "nan-designed-area"])
+    def test_non_finite_measurement_names_its_line(self, tmp_path, capsys, column, value):
+        layout, meas = tmp_path / "layout.csv", tmp_path / "meas.csv"
+        run("layout", "--kind", "planar35x35-al", "--out", layout)
+        run("simulate", "--layout", layout, "--out", meas)
+        lines = rows(meas)
+        cells = lines[3].split(",")
+        cells[column] = value
+        lines[3] = ",".join(cells)
+        meas.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("analyze", "--measurements", meas, "--out-dir", tmp_path / "out") == 2
+        assert f"{meas}:4: " in capsys.readouterr().err
 
     def test_numerical_error_is_3(self, tmp_path):
         blank = tmp_path / "blank.pgm"

@@ -1,6 +1,7 @@
 """Inverse-model pre-compensation: round trips and edge handling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from jjshadow.compensation import (
     precompensate_fixed_top,
 )
 from jjshadow.config import parse_config
-from jjshadow.errors import TargetError
+from jjshadow.errors import GeometryError, ShadowedError, TargetError
 from jjshadow.geometry import (
     EvaporatorGeometry,
     Fidelity,
@@ -25,6 +26,75 @@ from jjshadow.geometry import (
 from jjshadow.io import write_layout_csv
 from jjshadow.layout import build_35x35, build_planar_17q, build_tsv_17q
 from jjshadow.synth import NO_PARASITICS, ProcessModel, synthesize_wafer
+
+# Scalar oracle: the one-structure-at-a-time bisection that the lockstep
+# solver replaced, kept verbatim apart from its inlined constants.
+AREA_RTOL = 1.0e-6
+_BRACKET_NM = 1.0e-7
+
+
+def _solve_width(area_of, target_um2, w_max_nm, what):
+    """Bisect the designed width until area_of(w) meets the target."""
+
+    def f(w):
+        try:
+            return area_of(w) - target_um2
+        except ShadowedError:
+            return -target_um2          # pinched off: treat as zero area
+
+    lo, hi = 1.0, w_max_nm
+    if f(lo) >= 0.0:
+        raise TargetError(f"{what}: target {target_um2:g} um^2 needs width <= {lo} nm")
+    if f(hi) < 0.0:
+        raise TargetError(f"{what}: target {target_um2:g} um^2 exceeds the "
+                          f"{w_max_nm:g} nm width limit")
+    while hi - lo > _BRACKET_NM:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    w = 0.5 * (lo + hi)
+    if abs(f(w)) > AREA_RTOL * target_um2:
+        raise TargetError(f"{what}: no width meets the target within tolerance")
+    return w
+
+
+def oracle_layout(layout, geom, fidelity, w_max_nm=2000.0, fixed_top_nm=None):
+    """compensated_layout, one structure at a time through _solve_width."""
+    viable = layout.viable()
+    centre = min(viable, key=lambda s: (s.position.radius_mm(), s.structure_id))
+    target = actual_overlap_area(geom, centre.design, centre.position,
+                                 fidelity.for_variant(centre.design.variant))
+    out = []
+    for s in layout.structures:
+        if s.excluded:
+            out.append(s)
+            continue
+        p, variant = s.position, s.design.variant
+        fid = fidelity.for_variant(variant)
+        what = f"({p.x_mm:g}, {p.y_mm:g}) mm"
+        try:
+            if fixed_top_nm is not None and variant is Variant.MANHATTAN:
+                w = _solve_width(lambda w: actual_overlap_area(
+                    geom, JunctionDesign(variant, w, fixed_top_nm), p, fid),
+                    target, w_max_nm, what)
+                design = JunctionDesign(variant, w, fixed_top_nm)
+            else:
+                aspect = (s.design.w_bottom_nm / s.design.w_top_nm
+                          if s.design.w_top_nm > 0 else 1.0)
+                if aspect <= 0.0:
+                    raise TargetError("aspect ratio must be > 0")
+                w = _solve_width(lambda w: actual_overlap_area(
+                    geom, JunctionDesign(variant, aspect * w, w), p, fid),
+                    target, w_max_nm, what)
+                design = JunctionDesign(variant, aspect * w, w)
+        except TargetError as exc:
+            out.append(replace(s, excluded=True, exclusion_reason=f"unattainable: {exc}"))
+            continue
+        out.append(replace(s, design=design,
+                           a_overlap_designed_um2=design.designed_area_um2()))
+    return out
 
 BRIDGE_TILT_25_CFG = """
 geometry.alpha_dolan_deg = 25
@@ -43,6 +113,15 @@ def tsv_dolan():
 def spread(values):
     values = np.asarray(values, float)
     return float((values.max() - values.min()) / values.min())
+
+
+def zero_bottom_layout():
+    """A 35x35 layout with every seventh bottom electrode drawn 0 nm wide."""
+    base = build_35x35("nbtin")
+    flat = JunctionDesign(Variant.MANHATTAN, 0.0, 200.0)
+    return type(base)(base.kind, tuple(
+        replace(s, design=flat) if k % 7 == 3 else s
+        for k, s in enumerate(base.structures)))
 
 
 class TestPrecompensate:
@@ -197,6 +276,62 @@ class TestCompensatedLayout:
         a, b, c = (float(v) for v in fit.split()[2:])
         # flat actual-area conductivity: no radial trend across the wafer
         assert abs(b) * 50.0 + abs(c) * 2500.0 <= 1e-9 * a
+
+    @pytest.mark.parametrize("kind, fidelity, options, reason", [
+        ("tsv17q-manhattan", Fidelity.FULL, {}, None),
+        ("tsv17q-dolan", Fidelity.FULL, {}, None),
+        ("planar17q", Fidelity.SIDEWALL, {}, None),
+        ("planar17q", Fidelity.FULL, {"fixed_top_nm": 160.0}, None),
+        ("planar35x35-nbtin", Fidelity.FULL, {"w_max_nm": 240.0}, "width limit"),
+        ("planar35x35-al", Fidelity.BASIC, {"w_max_nm": 212.0, "fixed_top_nm": 150.0},
+         "width limit"),
+        ("planar35x35-tin", Fidelity.BASIC, {"fixed_top_nm": 5000.0}, "needs width <="),
+        ("zero-bottom", Fidelity.FULL, {}, "aspect ratio must be > 0"),
+    ], ids=["tsv-manhattan-full", "tsv-dolan", "planar-mixed", "planar-fixed-top",
+            "width-limit", "width-limit-fixed-top", "width-floor", "zero-aspect"])
+    def test_lockstep_equals_scalar_bisection(self, geom, kind, fidelity, options, reason):
+        layout = {
+            "tsv17q-manhattan": lambda: build_tsv_17q(Variant.MANHATTAN),
+            "tsv17q-dolan": lambda: build_tsv_17q(Variant.DOLAN),
+            "planar17q": build_planar_17q,
+            "planar35x35-nbtin": lambda: build_35x35("nbtin"),
+            "planar35x35-al": lambda: build_35x35("al", omitted_rows=(0,)),
+            "planar35x35-tin": lambda: build_35x35("tin"),
+            "zero-bottom": zero_bottom_layout,
+        }[kind]()
+        got = compensated_layout(layout, geom, fidelity, **options).structures
+        want = oracle_layout(layout, geom, fidelity, **options)
+        assert [s.exclusion_reason for s in got] == [s.exclusion_reason for s in want]
+        assert [(s.design.w_bottom_nm, s.design.w_top_nm) for s in got] == \
+            [(s.design.w_bottom_nm, s.design.w_top_nm) for s in want]
+        assert got == tuple(want)
+        if reason is not None:
+            assert any(reason in s.exclusion_reason for s in got)
+
+    def test_bad_width_limit_raises_like_scalar(self, geom):
+        layout = build_35x35("tin")
+        for w_max in (math.nan, -5.0):
+            with pytest.raises(GeometryError) as scalar:
+                oracle_layout(layout, geom, Fidelity.BASIC, w_max_nm=w_max)
+            with pytest.raises(GeometryError) as lockstep:
+                compensated_layout(layout, geom, Fidelity.BASIC, w_max_nm=w_max)
+            assert str(lockstep.value) == str(scalar.value)
+        # With every structure too large already at 1 nm, the limit is never
+        # evaluated: all come back unattainable instead.
+        centred = type(layout)(layout.kind, tuple(
+            replace(s, position=WaferPoint(0.0, 0.0)) for s in layout.structures))
+        options = dict(w_max_nm=math.nan, fixed_top_nm=1e6)
+        got = compensated_layout(centred, geom, Fidelity.BASIC, **options).structures
+        assert got == tuple(oracle_layout(centred, geom, Fidelity.BASIC, **options))
+        assert all("needs width <= 1.0 nm" in s.exclusion_reason for s in got)
+
+    def test_single_point_solvers_raise_scalar_messages(self, geom):
+        p = WaferPoint(12.5, -3.0)
+        for call in (lambda: precompensate(geom, 10.0, p, Fidelity.FULL, w_max_nm=500.0),
+                     lambda: precompensate_fixed_top(geom, 1e-6, p, Fidelity.FULL, 160.0)):
+            with pytest.raises(TargetError) as exc:
+                call()
+            assert str(exc.value).startswith("(12.5, -3) mm: target ")
 
     def test_fixed_top_layout_mode(self, geom):
         layout = build_35x35("tin")

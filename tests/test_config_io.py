@@ -189,7 +189,9 @@ class TestCsvRoundTrips:
 
     @pytest.mark.parametrize("kind, column, value", [
         ("layout", 6, "-5.0"), ("layout", 7, "nan"), ("measurements", 11, "nan"),
-    ], ids=["negative-width", "nan-width", "nan-conductance"])
+        ("layout", 3, "nan"), ("measurements", 4, "inf"), ("measurements", 8, "nan"),
+    ], ids=["negative-width", "nan-width", "nan-conductance", "nan-x", "inf-y",
+            "nan-designed-area"])
     def test_bad_row_rejected_with_location(self, geom, tmp_path, kind, column, value):
         layout = build_35x35("nbtin")
         path = tmp_path / f"{kind}.csv"

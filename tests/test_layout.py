@@ -3,18 +3,33 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from jjshadow.errors import DataError
 from jjshadow.geometry import Variant, WaferPoint
 from jjshadow.layout import (
     PLANAR_SWEEPS,
+    STRUCTURE_HALF_MM,
     build_35x35,
     build_planar_17q,
     build_tsv_17q,
     load_subarray_sites,
     load_tsv_file,
 )
+
+
+def via_overlaps(pos, via, diameter_um):
+    """Scalar oracle: clamp the via centre to the square footprint."""
+    r_mm = diameter_um / 2000.0
+    nx = min(max(via.x_mm, pos.x_mm - STRUCTURE_HALF_MM), pos.x_mm + STRUCTURE_HALF_MM)
+    ny = min(max(via.y_mm, pos.y_mm - STRUCTURE_HALF_MM), pos.y_mm + STRUCTURE_HALF_MM)
+    return math.hypot(via.x_mm - nx, via.y_mm - ny) <= r_mm
+
+
+def oracle_excluded(layout, vias):
+    return [any(via_overlaps(s.position, v, d) for v, d in vias)
+            for s in layout.structures]
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +124,40 @@ class TestTsv17Q:
         per_die = Counter(s.die_index for s in layout.viable())
         assert set(per_die.values()) == {425}
 
+    def test_bundled_vias_match_scalar_oracle(self, tsv_manhattan):
+        excluded = [s.excluded for s in tsv_manhattan.structures]
+        assert excluded == oracle_excluded(tsv_manhattan, load_tsv_file())
+        assert sum(excluded) == 376
+
+    def test_tangent_via_counts_as_hit(self):
+        cell = build_tsv_17q(Variant.MANHATTAN, ()).structures[1234].position
+        edge = cell.x_mm + STRUCTURE_HALF_MM
+        via_x = edge + 0.25                       # 500 um diameter: r = 0.25 mm
+        assert via_x - edge == 0.25               # exactly tangent in floats
+        beyond = math.nextafter(via_x, math.inf)
+        for x, hit in ((via_x, True), (beyond, False)):
+            vias = [(WaferPoint(x, cell.y_mm), 500.0)]
+            layout = build_tsv_17q(Variant.MANHATTAN, vias)
+            excluded = [s.excluded for s in layout.structures]
+            assert excluded == oracle_excluded(layout, vias)
+            assert excluded[1234] is hit
+
+    def test_random_vias_match_scalar_oracle(self):
+        rng = np.random.default_rng(3)
+        vias = [(WaferPoint(float(x), float(y)), float(d)) for x, y, d in zip(
+            rng.uniform(-30.0, 30.0, 300), rng.uniform(0.0, 30.0, 300),
+            rng.uniform(20.0, 600.0, 300))]
+        layout = build_tsv_17q(Variant.DOLAN, vias)
+        excluded = [s.excluded for s in layout.structures]
+        assert excluded == oracle_excluded(layout, vias)
+        assert 0 < sum(excluded) < len(excluded)
+
+    def test_non_finite_via_rejected(self, tmp_path):
+        path = tmp_path / "vias.csv"
+        path.write_text("x_mm,y_mm,diameter_um\n1.0,nan,160\n")
+        with pytest.raises(DataError, match="malformed via row"):
+            load_tsv_file(path)
+
     def test_exclusion_reason_recorded(self, tsv_manhattan):
         excluded = [s for s in tsv_manhattan.structures if s.excluded]
         assert excluded and all(s.exclusion_reason == "tsv_overlap" for s in excluded)
@@ -178,3 +227,12 @@ def test_subarray_reference_file():
     sites = load_subarray_sites()
     assert len(sites) == 17
     assert Counter(s.group for s in sites) == {"m": 9, "l": 4, "h": 4}
+
+
+def test_non_finite_subarray_offset_rejected(tmp_path):
+    path = tmp_path / "sites.csv"
+    rows = ["sub_index,x_mm,y_mm,group"] + [f"{k},{k * 0.5},0.0,m" for k in range(17)]
+    rows[4] = "3,nan,0.0,m"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(DataError, match="malformed sub-array row"):
+        load_subarray_sites(path)
