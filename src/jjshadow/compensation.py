@@ -33,7 +33,7 @@ from .geometry import (
     actual_overlap_area,
     overlap_areas,
 )
-from .layout import TestStructureSpec, WaferLayout
+from .layout import WaferLayout
 
 MAX_WIDTH_NM = 2000.0
 AREA_RTOL = 1.0e-6
@@ -81,11 +81,13 @@ def _solve_widths(area_of: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 def _solve_designs(geom: EvaporatorGeometry, target_um2: float,
                    points: Sequence[WaferPoint], fidelity: Fidelity,
                    variant: Variant, w_max_nm: float, aspect: np.ndarray | float,
-                   w_top_nm: float | None) -> list[JunctionDesign | TargetError]:
-    """Designs meeting the target at each point, or the TargetError why not.
+                   w_top_nm: float | None) -> tuple[list[float], list[float], list[str]]:
+    """(bottom, top) designed widths meeting the target at each point, and why not.
 
     With w_top_nm None the top width is solved and the bottom held at
     aspect times it; otherwise the bottom width is solved under that top.
+    A point's reason is "" where the target is met, else the TargetError
+    message naming the point.
     """
     x = np.array([p.x_mm for p in points])
     y = np.array([p.y_mm for p in points])
@@ -100,15 +102,9 @@ def _solve_designs(geom: EvaporatorGeometry, target_um2: float,
         lambda w: overlap_areas(geom, variant, *widths(w), x, y, fidelity),
         target_um2, w_max_nm, len(points))
     w_b, w_t = widths(w)
-    return [TargetError(f"({p.x_mm:g}, {p.y_mm:g}) mm: {why}") if why
-            else JunctionDesign(variant, w_bottom_nm=b, w_top_nm=t)
-            for p, why, b, t in zip(points, reasons, w_b.tolist(), w_t.tolist())]
-
-
-def _one(result: JunctionDesign | TargetError) -> JunctionDesign:
-    if isinstance(result, TargetError):
-        raise result
-    return result
+    return (w_b.tolist(), w_t.tolist(),
+            [why and f"({p.x_mm:g}, {p.y_mm:g}) mm: {why}"
+             for p, why in zip(points, reasons)])
 
 
 def precompensate(geom: EvaporatorGeometry, target_area_um2: float, p: WaferPoint,
@@ -125,8 +121,11 @@ def precompensate(geom: EvaporatorGeometry, target_area_um2: float, p: WaferPoin
         raise TargetError("aspect ratio must be > 0")
     if target_area_um2 <= 0.0:
         raise TargetError("target area must be > 0")
-    return _one(_solve_designs(geom, target_area_um2, [p], fidelity, variant,
-                               w_max_nm, aspect, None)[0])
+    (w_b,), (w_t,), (why,) = _solve_designs(geom, target_area_um2, [p], fidelity,
+                                            variant, w_max_nm, aspect, None)
+    if why:
+        raise TargetError(why)
+    return JunctionDesign(variant, w_bottom_nm=w_b, w_top_nm=w_t)
 
 
 def precompensate_fixed_top(geom: EvaporatorGeometry, target_area_um2: float,
@@ -138,8 +137,11 @@ def precompensate_fixed_top(geom: EvaporatorGeometry, target_area_um2: float,
     """
     if target_area_um2 <= 0.0:
         raise TargetError("target area must be > 0")
-    return _one(_solve_designs(geom, target_area_um2, [p], fidelity, Variant.MANHATTAN,
-                               w_max_nm, 1.0, w_top_nm)[0])
+    (w_b,), (w_t,), (why,) = _solve_designs(geom, target_area_um2, [p], fidelity,
+                                            Variant.MANHATTAN, w_max_nm, 1.0, w_top_nm)
+    if why:
+        raise TargetError(why)
+    return JunctionDesign(Variant.MANHATTAN, w_bottom_nm=w_b, w_top_nm=w_t)
 
 
 def compensated_layout(layout: WaferLayout, geom: EvaporatorGeometry,
@@ -166,28 +168,27 @@ def compensated_layout(layout: WaferLayout, geom: EvaporatorGeometry,
     for variant in dict.fromkeys(s.design.variant for s in viable):
         lanes = [i for i, s in enumerate(out)
                  if not s.excluded and s.design.variant is variant]
-        solved = _compensate(geom, [out[i] for i in lanes], target,
-                             fidelity.for_variant(variant), variant, w_max_nm,
-                             fixed_top_nm if variant is Variant.MANHATTAN else None)
-        for i, s in zip(lanes, solved):
-            out[i] = s
+        w_top = fixed_top_nm if variant is Variant.MANHATTAN else None
+        aspect = 1.0
+        if w_top is None:
+            w_b = np.array([out[i].design.w_bottom_nm for i in lanes])
+            w_t = np.array([out[i].design.w_top_nm for i in lanes])
+            aspect = np.divide(w_b, w_t, out=np.ones_like(w_b), where=w_t > 0.0)
+            for i in np.asarray(lanes)[aspect <= 0.0].tolist():
+                out[i] = replace(out[i], excluded=True,
+                                 exclusion_reason="unattainable: aspect ratio must be > 0")
+            lanes = np.asarray(lanes)[aspect > 0.0].tolist()
+            aspect = aspect[aspect > 0.0]
+        solved = _solve_designs(geom, target, [out[i].position for i in lanes],
+                                fidelity.for_variant(variant), variant, w_max_nm,
+                                aspect, w_top)
+        for i, bottom, top, why in zip(lanes, *solved):
+            if why:
+                out[i] = replace(out[i], excluded=True,
+                                 exclusion_reason=f"unattainable: {why}")
+            else:
+                design = JunctionDesign(variant, w_bottom_nm=bottom, w_top_nm=top)
+                out[i] = replace(out[i], design=design,
+                                 a_overlap_designed_um2=design.designed_area_um2())
     return WaferLayout(layout.kind, tuple(out), die_pitch_mm=layout.die_pitch_mm,
                        wafer_shape=layout.wafer_shape)
-
-
-def _compensate(geom: EvaporatorGeometry, structures: list[TestStructureSpec],
-                target_um2: float, fidelity: Fidelity, variant: Variant,
-                w_max_nm: float, fixed_top_nm: float | None) -> list[TestStructureSpec]:
-    """Redesigned (or unattainable-excluded) copies of same-variant structures."""
-    w_b = np.array([s.design.w_bottom_nm for s in structures])
-    w_t = np.array([s.design.w_top_nm for s in structures])
-    aspect = np.divide(w_b, w_t, out=np.ones_like(w_b), where=w_t > 0.0)
-    designs = _solve_designs(geom, target_um2, [s.position for s in structures],
-                             fidelity, variant, w_max_nm, aspect, fixed_top_nm)
-    if fixed_top_nm is None:
-        designs = [TargetError("aspect ratio must be > 0") if flat else d
-                   for d, flat in zip(designs, (aspect <= 0.0).tolist())]
-    return [replace(s, excluded=True, exclusion_reason=f"unattainable: {d}")
-            if isinstance(d, TargetError)
-            else replace(s, design=d, a_overlap_designed_um2=d.designed_area_um2())
-            for s, d in zip(structures, designs)]

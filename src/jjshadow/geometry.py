@@ -208,16 +208,15 @@ def _thickness(geom: EvaporatorGeometry, r3):
     return geom.t_bottom_nm * dr * dr * geom.source_distance_nm() / r3
 
 
+def _south_of_source(geom: EvaporatorGeometry, y_mm):
+    """D'*sin(alpha) - y in nm."""
+    return geom.crucible_y_nm() - y_mm * NM_PER_MM
+
+
 def _lip(geom: EvaporatorGeometry, y_mm, r3):
     """W_lip = -T_b * (D'-R)^2 * (D'*sin(alpha) - y) / |r-C|^3."""
     dr = (geom.d_prime_mm - geom.r_pivot_mm) * NM_PER_MM
-    dy = geom.crucible_y_nm() - y_mm * NM_PER_MM
-    return -geom.t_bottom_nm * dr * dr * dy / r3
-
-
-def _south_of_source(geom: EvaporatorGeometry, y_mm):
-    """D'*sin(alpha) - y in nm, the lip-height denominator."""
-    return geom.crucible_y_nm() - y_mm * NM_PER_MM
+    return -geom.t_bottom_nm * dr * dr * _south_of_source(geom, y_mm) / r3
 
 
 def _lip_h(geom: EvaporatorGeometry, w_top_nm, y_mm):

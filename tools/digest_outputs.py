@@ -17,8 +17,8 @@ one ``diff``:
     diff old.txt new.txt
 
 ``--config FILE`` passes a run configuration to ``compensate`` and
-``fieldmap``; ``--keep DIR`` writes the outputs there instead of a
-temporary directory.
+``fieldmap``.  The outputs are written to a temporary directory and
+removed afterwards.
 """
 
 from __future__ import annotations
@@ -85,17 +85,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", default=None,
                         help="run configuration for compensate and fieldmap")
-    parser.add_argument("--keep", default=None, metavar="DIR",
-                        help="write the outputs to DIR instead of a temporary directory")
     args = parser.parse_args()
     config = str(Path(args.config).resolve()) if args.config else None
-    if args.keep:
-        out = Path(args.keep)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = digest_outputs(out, config)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            lines = digest_outputs(Path(tmp), config)
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = digest_outputs(Path(tmp), config)
     print("\n".join(lines))
     return 0
 
