@@ -23,7 +23,8 @@ from .geometry import (
     Fidelity,
     Variant,
     WaferPoint,
-    actual_overlap_area,
+    actual_overlap_area,  # noqa: F401 -- perfbench/spans.py wraps this binding in traced runs
+    structure_areas,
 )
 from .synth import MeasurementRecord
 
@@ -306,20 +307,20 @@ def effective_conductivity(records: Sequence[MeasurementRecord],
     """
     if areas not in ("designed", "actual"):
         raise ValueError(f"areas must be 'designed' or 'actual', got {areas!r}")
+    if areas == "designed":
+        per_junction = [rec.a_overlap_designed_um2 for rec in records]
+    elif area_table is not None:
+        try:
+            per_junction = [area_table[rec.structure_id] for rec in records]
+        except KeyError as exc:
+            raise DataError(f"no extracted area for {exc.args[0]}") from exc
+    elif geom is None and records:
+        raise DataError("actual areas need a geometry or an area table")
+    else:
+        per_junction = structure_areas(geom, [rec.design for rec in records],
+                                       [rec.position for rec in records], fidelity)
     out = []
-    for rec in records:
-        if areas == "designed":
-            a = rec.a_overlap_designed_um2
-        elif area_table is not None:
-            try:
-                a = area_table[rec.structure_id]
-            except KeyError as exc:
-                raise DataError(f"no extracted area for {rec.structure_id}") from exc
-        else:
-            if geom is None:
-                raise DataError("actual areas need a geometry or an area table")
-            a = actual_overlap_area(geom, rec.design, rec.position,
-                                    fidelity.for_variant(rec.design.variant))
+    for rec, a in zip(records, per_junction):
         total = a * rec.junction_count
         if total <= 0.0:
             raise DataError(f"zero junction area for {rec.structure_id}")

@@ -86,6 +86,14 @@ def _fidelity_arg(value: str) -> Fidelity:
             f"fidelity must be basic/sidewall/full, got {value!r}")
 
 
+def _check_widths(args: argparse.Namespace, *options: str) -> None:
+    """Reject a width option that is not a finite number >= 0 nm."""
+    for option in options:
+        value = getattr(args, option.lstrip("-").replace("-", "_"))
+        if not (math.isfinite(value) and value >= 0.0):
+            raise DataError(f"{option} must be finite and >= 0 nm, got {value}")
+
+
 def cmd_layout(args: argparse.Namespace) -> int:
     sites = load_subarray_sites(args.subarrays) if args.subarrays else None
     kind = args.kind
@@ -156,6 +164,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_fieldmap(args: argparse.Namespace) -> int:
+    _check_widths(args, "--wb", "--wt")
     cfg = load_config(args.config)
     geom = cfg.geometry()
     design = JunctionDesign(Variant.MANHATTAN, args.wb, args.wt)
@@ -201,6 +210,7 @@ def _render_targets(args: argparse.Namespace):
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    _check_widths(args, "--wb", "--wt")
     cfg = load_config(args.config)
     geom = cfg.geometry()
     out_dir = Path(args.out_dir)
@@ -262,6 +272,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_compensate(args: argparse.Namespace) -> int:
+    _check_widths(args, "--max-width-nm", "--fixed-top-nm")
     cfg = load_config(args.config)
     layout = jio.read_layout_csv(args.layout)
     fidelity = args.fidelity if args.fidelity else cfg.fidelity()

@@ -4,7 +4,7 @@ A point source at distance D' from the sample-holder pivot deposits metal
 through a resist mask of thickness H onto a wafer tilted by alpha.  The
 finite source distance makes the flux incidence angle position dependent,
 which narrows electrodes away from the wafer centre and modulates deposited
-film thickness.  This module evaluates those effects for a single junction:
+film thickness.  This module evaluates those effects across the wafer:
 
 * vertical-electrode width vs x (the resist edge shadows the oblique flux),
 * deposited bottom-electrode thickness vs position,
@@ -16,14 +16,16 @@ Internally every length is a nanometre stored as a float64 (50 mm is
 exactly 5e7 nm); millimetres appear only in signatures, for wafer-scale
 coordinates and evaporator distances.  All functions are pure.
 
-Each quantity has a scalar function for one wafer point, which raises
-ShadowedError where an electrode pinches off, and an array kernel for
-many points at once (overlap_areas, field_values), which returns an ok
-mask instead.  Both evaluate the same private expressions, and the two
-agree bit for bit under one exactness rule: every step is an IEEE
-+ - * / sqrt abs max in the same order, except |r - C|**3, which both take
-with Python's float ** (libm pow), element by element on the array path,
-because numpy's power differs from it in the last bit for some arguments.
+The model has one implementation, the array kernels overlap_areas and
+field_values: many points at once, with an ok mask that is False where an
+electrode pinches off.  The one-point functions (actual_overlap_area,
+evaluate_field, actual_top_width, ...) are one-element calls of those
+kernels that return a Python float and raise ShadowedError instead of
+returning a False mask; actual_width_vertical, a single expression, is
+evaluated directly.  Exactness rule: every step is an IEEE + - * / sqrt abs
+max, and |r - C|**3 is taken with Python's float ** (libm pow) element by
+element, because numpy's power differs from it in the last bit for some
+arguments.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -178,10 +181,9 @@ def source_distance(geom: EvaporatorGeometry) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Model expressions, each written once and evaluated by both the scalar
-# functions and the array kernels (the exactness rule is in the module
-# docstring).  |r - C|**3 is passed in as r3, since the two paths take it
-# differently.
+# Model expressions, each written once (the exactness rule is in the module
+# docstring).  They take Python floats or arrays; |r - C|**3 is passed in
+# as r3.
 
 def _dist_sq_nm2(geom: EvaporatorGeometry, x_mm, y_mm):
     """|r - C|^2 with C the source position, in nm^2."""
@@ -255,163 +257,30 @@ def _not_south(y_mm: float) -> GeometryError:
 
 
 # ---------------------------------------------------------------------------
-# Scalar functions: one wafer point, Python floats, ShadowedError on pinch-off.
-
-def _dist_to_source_nm(geom: EvaporatorGeometry, p: WaferPoint) -> float:
-    """|r - C| with C the source position, in nm."""
-    return math.sqrt(_dist_sq_nm2(geom, p.x_mm, p.y_mm))
-
-
-def actual_width_vertical(geom: EvaporatorGeometry, w_designed_nm: float,
-                          coord_mm: float) -> float:
-    """Deposited width of an electrode running along y, at offset x.
-
-    W'(x) = W + dW_offset - |x| * H / D.  Also used for the horizontal
-    (top) electrode of a crossed junction with coord = y, since the second
-    evaporation is the same geometry rotated 90 degrees in azimuth.
-    """
-    return _narrowed_width(geom, w_designed_nm, coord_mm, geom.source_distance_nm())
-
-
-def _narrowed_width(geom: EvaporatorGeometry, w_designed_nm: float,
-                    coord_mm: float, d_nm: float) -> float:
-    w = _narrowed(geom, w_designed_nm, coord_mm, d_nm)
-    if w <= 0.0:
-        raise ShadowedError(
-            f"electrode fully shadowed: W'={w:.2f} nm at |coord|={abs(coord_mm)} mm"
-        )
-    return w
-
-
-def bottom_thickness(geom: EvaporatorGeometry, p: WaferPoint) -> float:
-    """Deposited bottom-electrode thickness T'_b(r) in nm.
-
-    T'_b = T_b * (D'-R)^2 * D / |r-C|^3, calibrated so that T'_b = T_b at
-    the wafer centre under normal incidence.  The same expression gives the
-    resist-height increase dH(r) left by the first evaporation.
-    """
-    return _thickness(geom, _dist_to_source_nm(geom, p) ** 3)
-
-
-def lip_width(geom: EvaporatorGeometry, p: WaferPoint) -> float:
-    """Signed width of the first-evaporation lip on the southern resist edge.
-
-    Evaluated exactly as printed, -T_b*(D'-R)^2*(D'*sin(alpha)-y)/|r-C|^3,
-    leading minus sign included; negative everywhere on-wafer.
-    """
-    return _lip(geom, p.y_mm, _dist_to_source_nm(geom, p) ** 3)
-
-
-def lip_height(geom: EvaporatorGeometry, w_top_nm: float, p: WaferPoint) -> float:
-    """Lip height H_lip(r) = D * W_t / (D'*sin(alpha) - y) in nm."""
-    if _south_of_source(geom, p.y_mm) <= 0.0:
-        raise _not_south(p.y_mm)
-    return _lip_h(geom, w_top_nm, p.y_mm)
-
-
-def actual_top_width(geom: EvaporatorGeometry, w_top_nm: float, p: WaferPoint) -> float:
-    """Top-electrode width including first-evaporation lip shading, in nm.
-
-    The shading term is piecewise in y: north of centre the lip width plus
-    the raised-resist shadow apply together; south of centre the larger of
-    the raised-resist shadow and the lip shadow wins.
-    """
-    return _top_width(geom, w_top_nm, p, _dist_to_source_nm(geom, p) ** 3)
-
-
-def _top_width(geom: EvaporatorGeometry, w_top_nm: float, p: WaferPoint,
-               r3: float) -> float:
-    dh = _thickness(geom, r3)           # resist-height increase dH(r)
-    w_lip = _lip(geom, p.y_mm, r3)
-    resist = _resist_shade(geom, p.y_mm, dh)
-    if p.y_mm >= 0.0:
-        shade = w_lip + resist
-    else:
-        shade = max(resist, _lip_shade(geom, w_top_nm, p.y_mm, dh, w_lip))
-    w = _printed(geom, w_top_nm, shade)
-    if w <= 0.0:
-        raise ShadowedError(f"top electrode fully shadowed at ({p.x_mm}, {p.y_mm}) mm")
-    return w
-
-
-def actual_overlap_area(geom: EvaporatorGeometry, design: JunctionDesign,
-                        p: WaferPoint, fidelity: Fidelity) -> float:
-    """Actual junction overlap area in um^2 at the requested fidelity.
-
-    Bridge-style junctions (both electrodes vertical) are evaporated at the
-    bridge tilt alpha_dolan and supported at BASIC fidelity only: the
-    narrower top electrode width W'_t(x) times a fixed designed overlap
-    length.  Crossed junctions use W'_b(x) * W'_t(y) at BASIC, add the
-    2*T'_b sidewall term at SIDEWALL, and additionally replace W'_t with
-    the lip-shaded width at FULL.
-    """
-    if design.variant is Variant.DOLAN:
-        if fidelity is not Fidelity.BASIC:
-            raise GeometryError(_DOLAN_BASIC_ONLY)
-        return _bridge_area(_narrowed_width(geom, design.w_top_nm, p.x_mm,
-                                            geom.bridge_distance_nm()))
-
-    w_b = actual_width_vertical(geom, design.w_bottom_nm, p.x_mm)
-    if fidelity is Fidelity.BASIC:
-        return _crossed_area(w_b, actual_width_vertical(geom, design.w_top_nm, p.y_mm))
-    r3 = _dist_to_source_nm(geom, p) ** 3
-    w_b = _with_sidewalls(w_b, _thickness(geom, r3))
-    if fidelity is Fidelity.SIDEWALL:
-        w_t = actual_width_vertical(geom, design.w_top_nm, p.y_mm)
-    else:
-        w_t = _top_width(geom, design.w_top_nm, p, r3)
-    return _crossed_area(w_b, w_t)
-
-
-# Field-map quantity names accepted by evaluate_field (and the CLI).
-FIELD_QUANTITIES = ("wb", "wt", "tb", "wlip", "hlip", "wt_full", "area")
-
-
-def evaluate_field(geom: EvaporatorGeometry, quantity: str, p: WaferPoint,
-                   design: JunctionDesign,
-                   fidelity: Fidelity = Fidelity.FULL) -> float:
-    """Evaluate one model quantity at a wafer point, for field-map export.
-
-    Widths and thicknesses are returned in nm, areas in um^2.  Raises
-    ShadowedError where an electrode pinches off; callers exporting maps
-    should blank those cells.
-    """
-    if quantity == "wb":
-        return actual_width_vertical(geom, design.w_bottom_nm, p.x_mm)
-    if quantity == "wt":
-        return actual_width_vertical(geom, design.w_top_nm, p.y_mm)
-    if quantity == "tb":
-        return bottom_thickness(geom, p)
-    if quantity == "wlip":
-        return lip_width(geom, p)
-    if quantity == "hlip":
-        return lip_height(geom, design.w_top_nm, p)
-    if quantity == "wt_full":
-        return actual_top_width(geom, design.w_top_nm, p)
-    if quantity == "area":
-        return actual_overlap_area(geom, design, p, fidelity)
-    raise ValueError(f"unknown field quantity {quantity!r}")
-
-
-# ---------------------------------------------------------------------------
 # Array kernels: many points (and widths) at once.  Inputs broadcast against
 # each other; a pinched-off element comes back with ok False instead of
 # raising, and its value is meaningless.
 
 def _cubed(r: np.ndarray) -> np.ndarray:
-    """r**3 per element with Python float **, as the scalar functions take it."""
+    """r**3 per element with Python float ** (libm pow), not numpy's power."""
     return np.fromiter(map(pow, r.ravel().tolist(), repeat(3)), float,
                        r.size).reshape(r.shape)
 
 
 def _r_cubed(geom: EvaporatorGeometry, x_mm: np.ndarray, y_mm: np.ndarray) -> np.ndarray:
+    """|r - C|**3 with C the source position, in nm^3."""
     return _cubed(np.sqrt(_dist_sq_nm2(geom, x_mm, y_mm)))
 
 
 def _top_widths(geom: EvaporatorGeometry, w_top_nm, y_mm: np.ndarray,
                 r3: np.ndarray) -> np.ndarray:
-    """Array form of actual_top_width, without the pinch-off check."""
-    dh = _thickness(geom, r3)
+    """Top-electrode width with first-evaporation lip shading, unchecked.
+
+    The shading term is piecewise in y: north of centre (y >= 0) the lip
+    width plus the raised-resist shadow apply together; south of centre
+    the larger of the raised-resist shadow and the lip shadow wins.
+    """
+    dh = _thickness(geom, r3)           # resist-height increase dH(r)
     w_lip = _lip(geom, y_mm, r3)
     resist = _resist_shade(geom, y_mm, dh)
     # The lip shadow counts only where y < 0.  Elsewhere its denominator
@@ -427,11 +296,15 @@ def _points(*values) -> tuple[np.ndarray, ...]:
 
 def overlap_areas(geom: EvaporatorGeometry, variant: Variant, w_b_nm, w_t_nm,
                   x_mm, y_mm, fidelity: Fidelity) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of actual_overlap_area: (area in um^2, ok) per element.
+    """Actual junction overlap area in um^2 per element: (area, ok).
 
-    Designed widths are checked as JunctionDesign checks them.  ok is
-    False where actual_overlap_area would raise ShadowedError; every other
-    area equals the scalar function's bit for bit.
+    Bridge-style junctions (both electrodes vertical) are evaporated at the
+    bridge tilt alpha_dolan and supported at BASIC fidelity only: the
+    narrower top electrode width W'_t(x) times a fixed designed overlap
+    length.  Crossed junctions use W'_b(x) * W'_t(y) at BASIC, add the
+    2*T'_b sidewall term at SIDEWALL, and additionally replace W'_t with
+    the lip-shaded width at FULL.  Designed widths are checked as
+    JunctionDesign checks them; ok is False where an electrode pinches off.
     """
     w_b, w_t, x, y = _points(w_b_nm, w_t_nm, x_mm, y_mm)
     if not (np.isfinite(w_b).all() and np.isfinite(w_t).all()):
@@ -459,14 +332,38 @@ def overlap_areas(geom: EvaporatorGeometry, variant: Variant, w_b_nm, w_t_nm,
     return _crossed_area(w_b, w_t), ok & (w_t > 0.0)
 
 
+def structure_areas(geom: EvaporatorGeometry, designs: Sequence[JunctionDesign],
+                    points: Sequence[WaferPoint], fidelity: Fidelity) -> list[float]:
+    """Actual overlap area in um^2 of each (design, point) pair, in input order.
+
+    The pairs of each variant go through one overlap_areas call at
+    fidelity.for_variant(variant).  Raises ShadowedError for the first
+    pair, in input order, where an electrode pinches off.
+    """
+    areas, ok = np.empty(len(designs)), np.ones(len(designs), dtype=bool)
+    for variant in dict.fromkeys(d.variant for d in designs):
+        idx = [i for i, d in enumerate(designs) if d.variant is variant]
+        columns = np.array([(designs[i].w_bottom_nm, designs[i].w_top_nm,
+                             points[i].x_mm, points[i].y_mm) for i in idx]).T
+        areas[idx], ok[idx] = overlap_areas(geom, variant, *columns,
+                                            fidelity.for_variant(variant))
+    if not ok.all():
+        raise _shadowed(points[int(np.argmin(ok))])
+    return areas.tolist()
+
+
+# Field-map quantity names accepted by field_values (and the CLI).
+FIELD_QUANTITIES = ("wb", "wt", "tb", "wlip", "hlip", "wt_full", "area")
+
+
 def field_values(geom: EvaporatorGeometry, quantity: str, x_mm, y_mm,
                  design: JunctionDesign,
                  fidelity: Fidelity = Fidelity.FULL) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of evaluate_field: (value, ok) at each point.
+    """One model quantity at each point, for field-map export: (value, ok).
 
-    ok is False where evaluate_field would raise ShadowedError (a blank
-    field-map cell).  'hlip' raises GeometryError, naming the first such
-    point, where evaluate_field would.
+    Widths and thicknesses are in nm, areas in um^2.  ok is False where an
+    electrode pinches off (a blank field-map cell).  'hlip' raises
+    GeometryError, naming the first point north of the source projection.
     """
     x, y = _points(x_mm, y_mm)
     d = geom.source_distance_nm()
@@ -492,6 +389,89 @@ def field_values(geom: EvaporatorGeometry, quantity: str, x_mm, y_mm,
     else:
         raise ValueError(f"unknown field quantity {quantity!r}")
     return value, value > 0.0
+
+
+# ---------------------------------------------------------------------------
+# One-point functions: a WaferPoint in, a Python float out, ShadowedError
+# where an electrode pinches off.  All but actual_width_vertical are
+# one-element calls of the array kernels.
+
+def _shadowed(p: WaferPoint) -> ShadowedError:
+    return ShadowedError(f"electrode fully shadowed at ({p.x_mm}, {p.y_mm}) mm")
+
+
+def _top_line(w_top_nm: float) -> JunctionDesign:
+    """A crossed design for the quantities that read the top width alone."""
+    return JunctionDesign(Variant.MANHATTAN, 0.0, w_top_nm)
+
+
+def actual_width_vertical(geom: EvaporatorGeometry, w_designed_nm: float,
+                          coord_mm: float) -> float:
+    """Deposited width of an electrode running along y, at offset x.
+
+    W'(x) = W + dW_offset - |x| * H / D.  Also used for the horizontal
+    (top) electrode of a crossed junction with coord = y, since the second
+    evaporation is the same geometry rotated 90 degrees in azimuth.
+    """
+    w = _narrowed(geom, w_designed_nm, coord_mm, geom.source_distance_nm())
+    if w <= 0.0:
+        raise ShadowedError(
+            f"electrode fully shadowed: W'={w:.2f} nm at |coord|={abs(coord_mm)} mm"
+        )
+    return w
+
+
+def bottom_thickness(geom: EvaporatorGeometry, p: WaferPoint) -> float:
+    """Deposited bottom-electrode thickness T'_b(r) in nm.
+
+    T'_b = T_b * (D'-R)^2 * D / |r-C|^3, calibrated so that T'_b = T_b at
+    the wafer centre under normal incidence.  The same expression gives the
+    resist-height increase dH(r) left by the first evaporation.
+    """
+    return evaluate_field(geom, "tb", p, _top_line(0.0))
+
+
+def lip_width(geom: EvaporatorGeometry, p: WaferPoint) -> float:
+    """Signed width of the first-evaporation lip on the southern resist edge.
+
+    Evaluated exactly as printed, -T_b*(D'-R)^2*(D'*sin(alpha)-y)/|r-C|^3,
+    leading minus sign included; negative everywhere on-wafer.
+    """
+    return evaluate_field(geom, "wlip", p, _top_line(0.0))
+
+
+def lip_height(geom: EvaporatorGeometry, w_top_nm: float, p: WaferPoint) -> float:
+    """Lip height H_lip(r) = D * W_t / (D'*sin(alpha) - y) in nm."""
+    return evaluate_field(geom, "hlip", p, _top_line(w_top_nm))
+
+
+def actual_top_width(geom: EvaporatorGeometry, w_top_nm: float, p: WaferPoint) -> float:
+    """Top-electrode width including first-evaporation lip shading, in nm.
+
+    At FULL fidelity the shading is piecewise in y (see _top_widths), so
+    the width jumps at y = 0: for a 200 nm line at the default geometry it
+    is ~225.0 nm just south of the equator and ~245.9 nm at y = 0.
+    """
+    return evaluate_field(geom, "wt_full", p, _top_line(w_top_nm))
+
+
+def actual_overlap_area(geom: EvaporatorGeometry, design: JunctionDesign,
+                        p: WaferPoint, fidelity: Fidelity) -> float:
+    """Actual junction overlap area in um^2 at the requested fidelity.
+
+    See overlap_areas for the model at each fidelity.
+    """
+    return evaluate_field(geom, "area", p, design, fidelity)
+
+
+def evaluate_field(geom: EvaporatorGeometry, quantity: str, p: WaferPoint,
+                   design: JunctionDesign,
+                   fidelity: Fidelity = Fidelity.FULL) -> float:
+    """One model quantity at one wafer point (see field_values)."""
+    value, ok = field_values(geom, quantity, p.x_mm, p.y_mm, design, fidelity)
+    if not ok:
+        raise _shadowed(p)
+    return float(value)
 
 
 _HYPOT_SLACK = 1e-12        # far above the few-ulp gap between the two hypots

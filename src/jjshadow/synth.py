@@ -26,7 +26,8 @@ from .geometry import (
     Fidelity,
     JunctionDesign,
     WaferPoint,
-    actual_overlap_area,
+    actual_overlap_area,  # noqa: F401 -- perfbench/spans.py wraps this binding in traced runs
+    structure_areas,
 )
 from .layout import WaferLayout
 
@@ -150,13 +151,13 @@ def synthesize_wafer(layout: WaferLayout, geom: EvaporatorGeometry,
     rng_disorder = np.random.default_rng(disorder)
     rng_defects = np.random.default_rng(defects)
 
+    viable = layout.viable()
+    areas = structure_areas(geom, [s.design for s in viable],
+                            [s.position for s in viable], process.fidelity)
     records = []
-    for s in layout.viable():
+    for s, area in zip(viable, areas):
         draws = rng_disorder.standard_normal(2)
         u_short, u_open0, u_open1 = rng_defects.random(3)
-
-        area = actual_overlap_area(geom, s.design, s.position,
-                                   process.fidelity.for_variant(s.design.variant))
 
         flags: set[str] = set()
         if u_short < process.p_short:

@@ -1,10 +1,12 @@
-"""The array kernels against the scalar functions: exact equality, same blanks."""
+"""The array kernels and their one-point wrappers against the scalar
+reference model (tests/scalar_model.py): exact equality, same blanks."""
 
 import math
 
 import numpy as np
 import pytest
 
+import scalar_model
 from jjshadow.errors import GeometryError, ShadowedError
 from jjshadow.geometry import (
     FIELD_QUANTITIES,
@@ -14,9 +16,14 @@ from jjshadow.geometry import (
     Variant,
     WaferPoint,
     actual_overlap_area,
+    actual_top_width,
+    bottom_thickness,
     evaluate_field,
     field_values,
+    lip_height,
+    lip_width,
     overlap_areas,
+    structure_areas,
     within_radius,
 )
 
@@ -32,6 +39,9 @@ DESIGNS = {
 # 2.5 mm grid over the 100 mm square: includes the y = 0 row and x = 0 column.
 GRID = np.arange(-20, 21) * 2.5
 X, Y = np.meshgrid(GRID, GRID)
+# The one-point wrappers cost a kernel call each, so they are checked on
+# the 10 mm sub-grid, which still has the y = 0 row and blank cells.
+COARSE = [WaferPoint(x, y) for y in GRID[::4].tolist() for x in GRID[::4].tolist()]
 
 
 def scalar_or_none(fn):
@@ -52,6 +62,18 @@ def assert_matches(values, ok, scalars):
             assert v == want
 
 
+def assert_wrapper_matches(wrapper, reference, points):
+    """A one-point wrapper returns the reference's float, or raises with it."""
+    for p in points:
+        want = scalar_or_none(lambda: reference(p))
+        if want is None:
+            with pytest.raises(ShadowedError, match=rf"\({p.x_mm}, {p.y_mm}\) mm"):
+                wrapper(p)
+        else:
+            got = wrapper(p)
+            assert type(got) is float and got == want
+
+
 @pytest.mark.parametrize("geom", GEOMETRIES.values(), ids=GEOMETRIES)
 @pytest.mark.parametrize("design", DESIGNS.values(), ids=DESIGNS)
 @pytest.mark.parametrize("fidelity", list(Fidelity))
@@ -59,10 +81,27 @@ def assert_matches(values, ok, scalars):
 def test_field_values_equal_evaluate_field(geom, design, fidelity, quantity):
     xs, ys = X.ravel(), Y.ravel()
     values, ok = field_values(geom, quantity, xs, ys, design, fidelity)
-    scalars = [scalar_or_none(lambda: evaluate_field(geom, quantity, WaferPoint(x, y),
-                                                     design, fidelity))
-               for x, y in zip(xs.tolist(), ys.tolist())]
+    scalars = [scalar_or_none(lambda: scalar_model.evaluate_field(
+        geom, quantity, WaferPoint(x, y), design, fidelity))
+        for x, y in zip(xs.tolist(), ys.tolist())]
     assert_matches(values, ok, scalars)
+    assert_wrapper_matches(
+        lambda p: evaluate_field(geom, quantity, p, design, fidelity),
+        lambda p: scalar_model.evaluate_field(geom, quantity, p, design, fidelity),
+        COARSE)
+
+
+@pytest.mark.parametrize("geom", GEOMETRIES.values(), ids=GEOMETRIES)
+def test_point_functions_equal_scalar_model(geom):
+    for w_top in (30.0, 200.0):
+        for public, reference in ((actual_top_width, scalar_model.actual_top_width),
+                                  (lip_height, scalar_model.lip_height)):
+            assert_wrapper_matches(lambda p: public(geom, w_top, p),
+                                   lambda p: reference(geom, w_top, p), COARSE)
+    for public, reference in ((bottom_thickness, scalar_model.bottom_thickness),
+                              (lip_width, scalar_model.lip_width)):
+        assert_wrapper_matches(lambda p: public(geom, p), lambda p: reference(geom, p),
+                               COARSE)
 
 
 @pytest.mark.parametrize("geom", GEOMETRIES.values(), ids=GEOMETRIES)
@@ -84,12 +123,41 @@ def test_overlap_areas_per_element_widths(geom, fidelity):
     x, y = rng.uniform(-50.0, 50.0, n), rng.uniform(-50.0, 50.0, n)
     for variant in Variant:
         fid = fidelity.for_variant(variant)
+        designs = [JunctionDesign(variant, b, t) for b, t in zip(w_b.tolist(), w_t.tolist())]
+        points = [WaferPoint(px, py) for px, py in zip(x.tolist(), y.tolist())]
         area, ok = overlap_areas(geom, variant, w_b, w_t, x, y, fid)
-        scalars = [scalar_or_none(lambda: actual_overlap_area(
-            geom, JunctionDesign(variant, b, t), WaferPoint(px, py), fid))
-            for b, t, px, py in zip(w_b.tolist(), w_t.tolist(), x.tolist(), y.tolist())]
+        scalars = [scalar_or_none(lambda: scalar_model.actual_overlap_area(geom, d, p, fid))
+                   for d, p in zip(designs, points)]
         assert any(s is None for s in scalars) and any(s is not None for s in scalars)
         assert_matches(area, ok, scalars)
+        for d, p in zip(designs[:40], points[:40]):
+            assert_wrapper_matches(lambda q: actual_overlap_area(geom, d, q, fid),
+                                   lambda q: scalar_model.actual_overlap_area(geom, d, q, fid),
+                                   [p])
+
+
+@pytest.mark.parametrize("geom", GEOMETRIES.values(), ids=GEOMETRIES)
+@pytest.mark.parametrize("fidelity", list(Fidelity))
+def test_structure_areas_in_input_order(geom, fidelity):
+    # Mixed variants, interleaved: each pair gets its variant's fidelity.
+    rng = np.random.default_rng(8)
+    n = 300
+    designs = [JunctionDesign(Variant.DOLAN if k % 3 else Variant.MANHATTAN, b, t)
+               for k, (b, t) in enumerate(zip(rng.uniform(150.0, 300.0, n).tolist(),
+                                              rng.uniform(150.0, 300.0, n).tolist()))]
+    points = [WaferPoint(px, py) for px, py in
+              zip(rng.uniform(-35.0, 35.0, n).tolist(), rng.uniform(-35.0, 35.0, n).tolist())]
+    areas = structure_areas(geom, designs, points, fidelity)
+    assert areas == [scalar_model.actual_overlap_area(geom, d, p, fidelity.for_variant(d.variant))
+                     for d, p in zip(designs, points)]
+    assert all(type(a) is float for a in areas)
+    assert structure_areas(geom, [], [], fidelity) == []
+    # Two pinched-off structures: the error names the first in input order.
+    thin = JunctionDesign(Variant.MANHATTAN, 5.0, 200.0)
+    with pytest.raises(ShadowedError, match=r"\(-40.0, 1.0\) mm"):
+        structure_areas(geom, designs[:5] + [thin, thin],
+                        points[:5] + [WaferPoint(-40.0, 1.0), WaferPoint(30.0, 2.0)],
+                        fidelity)
 
 
 def test_overlap_areas_checks_like_the_scalar_path(geom):
@@ -107,13 +175,15 @@ def test_lip_height_north_of_source_raises_like_scalar(design_200):
     # height is undefined from y = 0 northward.
     flat = EvaporatorGeometry(alpha_deg=0.0)
     with pytest.raises(GeometryError) as scalar:
-        evaluate_field(flat, "hlip", WaferPoint(1.0, 0.0), design_200)
+        scalar_model.evaluate_field(flat, "hlip", WaferPoint(1.0, 0.0), design_200)
     with pytest.raises(GeometryError) as array:
         field_values(flat, "hlip", [1.0, 1.0, 1.0], [-2.0, 0.0, 3.0], design_200)
-    assert str(array.value) == str(scalar.value)
+    with pytest.raises(GeometryError) as point:
+        evaluate_field(flat, "hlip", WaferPoint(1.0, 0.0), design_200)
+    assert str(array.value) == str(point.value) == str(scalar.value)
     values, ok = field_values(flat, "wt_full", X, Y, design_200)   # south branch only
-    scalars = [scalar_or_none(lambda: evaluate_field(flat, "wt_full", WaferPoint(x, y),
-                                                     design_200))
+    scalars = [scalar_or_none(lambda: scalar_model.evaluate_field(
+        flat, "wt_full", WaferPoint(x, y), design_200))
                for x, y in zip(X.ravel().tolist(), Y.ravel().tolist())]
     assert_matches(values.ravel(), ok.ravel(), scalars)
 

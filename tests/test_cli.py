@@ -195,7 +195,7 @@ class TestExitCodes:
         assert_exit(["layout"], 1)
         assert_exit(["no-such-command"], 1)
 
-    def test_data_error_is_2(self, tmp_path):
+    def test_data_error_is_2(self, tmp_path, capsys):
         assert run("analyze", "--measurements", tmp_path / "absent.csv",
                    "--out-dir", tmp_path) == 2
         bad_cfg = tmp_path / "bad.cfg"
@@ -210,6 +210,21 @@ class TestExitCodes:
         bad_cfg.write_text("geometry.d_prime_mm = 50\n")    # below r_pivot
         assert run("fieldmap", "--quantity", "wb", "--step", 10, "--config", bad_cfg,
                    "--out", tmp_path / "f.csv") == 2
+        # Width options are checked where they enter, naming the option.
+        for option in ("--max-width-nm", "--fixed-top-nm"):
+            for value in ("nan", "inf", "-5"):
+                capsys.readouterr()
+                assert run("compensate", "--layout", layout, "--mode", "fixed-top",
+                           option, value, "--out", tmp_path / "c.csv") == 2
+                assert f"{option} must be finite and >= 0" in capsys.readouterr().err
+        for option in ("--wb", "--wt"):
+            for value in ("nan", "-1"):
+                capsys.readouterr()
+                assert run("fieldmap", "--quantity", "wb", "--step", 10, option, value,
+                           "--out", tmp_path / "f.csv") == 2
+                assert run("render", "--grid", 1, option, value,
+                           "--out-dir", tmp_path / "img") == 2
+                assert capsys.readouterr().err.count(f"{option} must be finite") == 2
 
     @pytest.mark.parametrize("column, value", [(4, "inf"), (8, "nan")],
                              ids=["inf-y", "nan-designed-area"])

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import scalar_model
 from jjshadow.analysis import effective_conductivity
 from jjshadow.cli import main
 from jjshadow.compensation import (
@@ -28,7 +29,8 @@ from jjshadow.layout import build_35x35, build_planar_17q, build_tsv_17q
 from jjshadow.synth import NO_PARASITICS, ProcessModel, synthesize_wafer
 
 # Scalar oracle: the one-structure-at-a-time bisection that the lockstep
-# solver replaced, kept verbatim apart from its inlined constants.
+# solver replaced, kept verbatim apart from its inlined constants.  It
+# evaluates areas with the scalar reference model.
 AREA_RTOL = 1.0e-6
 _BRACKET_NM = 1.0e-7
 
@@ -64,8 +66,8 @@ def oracle_layout(layout, geom, fidelity, w_max_nm=2000.0, fixed_top_nm=None):
     """compensated_layout, one structure at a time through _solve_width."""
     viable = layout.viable()
     centre = min(viable, key=lambda s: (s.position.radius_mm(), s.structure_id))
-    target = actual_overlap_area(geom, centre.design, centre.position,
-                                 fidelity.for_variant(centre.design.variant))
+    target = scalar_model.actual_overlap_area(geom, centre.design, centre.position,
+                                              fidelity.for_variant(centre.design.variant))
     out = []
     for s in layout.structures:
         if s.excluded:
@@ -76,7 +78,7 @@ def oracle_layout(layout, geom, fidelity, w_max_nm=2000.0, fixed_top_nm=None):
         what = f"({p.x_mm:g}, {p.y_mm:g}) mm"
         try:
             if fixed_top_nm is not None and variant is Variant.MANHATTAN:
-                w = _solve_width(lambda w: actual_overlap_area(
+                w = _solve_width(lambda w: scalar_model.actual_overlap_area(
                     geom, JunctionDesign(variant, w, fixed_top_nm), p, fid),
                     target, w_max_nm, what)
                 design = JunctionDesign(variant, w, fixed_top_nm)
@@ -85,7 +87,7 @@ def oracle_layout(layout, geom, fidelity, w_max_nm=2000.0, fixed_top_nm=None):
                           if s.design.w_top_nm > 0 else 1.0)
                 if aspect <= 0.0:
                     raise TargetError("aspect ratio must be > 0")
-                w = _solve_width(lambda w: actual_overlap_area(
+                w = _solve_width(lambda w: scalar_model.actual_overlap_area(
                     geom, JunctionDesign(variant, aspect * w, w), p, fid),
                     target, w_max_nm, what)
                 design = JunctionDesign(variant, aspect * w, w)

@@ -7,6 +7,7 @@ the package.
 
 import math
 
+import numpy as np
 import pytest
 
 from jjshadow.errors import GeometryError, ShadowedError
@@ -21,8 +22,10 @@ from jjshadow.geometry import (
     actual_width_vertical,
     bottom_thickness,
     evaluate_field,
+    field_values,
     lip_height,
     lip_width,
+    overlap_areas,
     source_distance,
 )
 
@@ -193,6 +196,17 @@ class TestTopWidth:
                 225.0, abs=1e-9)
 
 
+    def test_jump_at_equator(self, geom, design_200):
+        # The signed lip term (-20.86 nm at the centre) enters only the
+        # y >= 0 branch, so the top width jumps across y = 0 (README, Notes).
+        expect = {-1e-9: 224.99999999867, 0.0: 245.86440088863, 1e-9: 245.86440088730}
+        values, ok = field_values(geom, "wt_full", 0.0, list(expect), design_200)
+        assert ok.all()
+        for (y, want), got in zip(expect.items(), values.tolist()):
+            assert got == pytest.approx(want, abs=5e-12)
+            assert actual_top_width(geom, 200.0, WaferPoint(0.0, y)) == got
+
+
 class TestOverlapArea:
     def test_basic_centre(self, geom, design_200, origin):
         assert actual_overlap_area(geom, design_200, origin,
@@ -271,3 +285,28 @@ class TestFieldMaps:
     def test_unknown_quantity(self, geom, design_200, origin):
         with pytest.raises(ValueError):
             evaluate_field(geom, "nope", origin, design_200)
+
+
+@pytest.mark.parametrize("geom", [EvaporatorGeometry(), EvaporatorGeometry(alpha_dolan_deg=25.0)],
+                         ids=["default", "alpha-dolan-25"])
+@pytest.mark.parametrize("fidelity", list(Fidelity))
+@pytest.mark.parametrize("variant", list(Variant))
+def test_area_strictly_increasing_in_designed_width(geom, fidelity, variant):
+    # Pre-compensation bisects on this: at a fixed point and aspect (or
+    # fixed top width) the area rises strictly with the designed width, and
+    # a line that prints stays printed when drawn wider.
+    rng = np.random.default_rng(20230418)
+    n = 64
+    r, theta = 50.0 * np.sqrt(rng.random(n)), rng.uniform(0.0, 2.0 * np.pi, n)
+    x, y = (r * np.cos(theta))[:, None], (r * np.sin(theta))[:, None]
+    w = np.unique(rng.uniform(1.0, 2000.0, 256))[None, :]
+    sweeps = [(rng.uniform(0.2, 5.0, (n, 1)) * w, w)]
+    if variant is Variant.MANHATTAN:
+        sweeps.append((w, rng.uniform(1.0, 2000.0, (n, 1))))     # fixed top width
+    for w_b, w_t in sweeps:
+        area, ok = overlap_areas(geom, variant, w_b, w_t, x, y,
+                                 fidelity.for_variant(variant))
+        assert ok.any()
+        assert (ok[:, 1:] >= ok[:, :-1]).all()
+        both = ok[:, 1:] & ok[:, :-1]
+        assert (np.diff(area, axis=1)[both] > 0.0).all()

@@ -1,8 +1,10 @@
-"""Print a SHA-256 digest of every design-path output, for byte-identity checks.
+"""Print a SHA-256 digest of every CLI output, for byte-identity checks.
 
 Runs, in one process and against the checkout's own src/:
 
 * ``layout`` for every layout kind,
+* ``simulate --seed {3,7} --truth-out`` of every layout, and ``analyze
+  --layout`` of each of those measurement files,
 * ``compensate`` of every layout in both modes at all three fidelities,
   plus a tight width limit that leaves structures unattainable,
 * ``fieldmap`` for every quantity at every fidelity on a 2 mm grid,
@@ -16,9 +18,9 @@ one ``diff``:
     python /path/to/other/checkout/tools/digest_outputs.py > old.txt
     diff old.txt new.txt
 
-``--config FILE`` passes a run configuration to ``compensate`` and
-``fieldmap``.  The outputs are written to a temporary directory and
-removed afterwards.
+``--config FILE`` passes a run configuration to ``simulate``, ``analyze``,
+``compensate`` and ``fieldmap``.  The outputs are written to a temporary
+directory and removed afterwards.
 """
 
 from __future__ import annotations
@@ -39,52 +41,71 @@ from jjshadow.layout import LayoutKind               # noqa: E402
 
 FIELDMAP_STEP_MM = "2"
 TIGHT_WIDTH_NM = "230"
+SEEDS = ("3", "7")
 
 
-def _commands(out: Path, config: list[str]) -> list[tuple[str, list[str]]]:
-    """(output file name, argv) for every run, in a fixed order."""
+def _commands(out: Path, config: list[str]) -> list[tuple[list[str], list[str]]]:
+    """(argv, names of its outputs) for every run, in a fixed order."""
     runs = []
     kinds = [k.value for k in LayoutKind if k is not LayoutKind.CUSTOM]
     for kind in kinds:
-        runs.append((f"layout-{kind}.csv", ["layout", "--kind", kind]))
+        name = f"layout-{kind}.csv"
+        runs.append((["layout", "--kind", kind, "--out", str(out / name)], [name]))
+    for kind in kinds:
+        layout = ["--layout", str(out / f"layout-{kind}.csv")]
+        for seed in SEEDS:
+            sim, truth = f"simulate-{kind}-{seed}.csv", f"truth-{kind}-{seed}.csv"
+            runs.append((["simulate", *layout, "--seed", seed, "--out", str(out / sim),
+                          "--truth-out", str(out / truth), *config], [sim, truth]))
+            report = f"analyze-{kind}-{seed}"
+            runs.append((["analyze", "--measurements", str(out / sim), *layout,
+                          "--out-dir", str(out / report), *config], [report]))
     for kind in kinds:
         layout = ["--layout", str(out / f"layout-{kind}.csv")]
         for fid in Fidelity:
             for mode in ("aspect", "fixed-top"):
-                runs.append((f"compensate-{kind}-{fid.value}-{mode}.csv",
-                             ["compensate", *layout, "--fidelity", fid.value,
-                              "--mode", mode, *config]))
-        runs.append((f"compensate-{kind}-full-max{TIGHT_WIDTH_NM}.csv",
-                     ["compensate", *layout, "--fidelity", "full",
-                      "--max-width-nm", TIGHT_WIDTH_NM, *config]))
+                name = f"compensate-{kind}-{fid.value}-{mode}.csv"
+                runs.append((["compensate", *layout, "--fidelity", fid.value, "--mode", mode,
+                              "--out", str(out / name), *config], [name]))
+        name = f"compensate-{kind}-full-max{TIGHT_WIDTH_NM}.csv"
+        runs.append((["compensate", *layout, "--fidelity", "full", "--max-width-nm",
+                      TIGHT_WIDTH_NM, "--out", str(out / name), *config], [name]))
     for quantity in FIELD_QUANTITIES:
         for fid in Fidelity:
-            runs.append((f"fieldmap-{quantity}-{fid.value}.csv",
-                         ["fieldmap", "--quantity", quantity, "--step", FIELDMAP_STEP_MM,
-                          "--fidelity", fid.value, *config]))
-    runs.append(("write-config.cfg", ["write-config"]))
+            name = f"fieldmap-{quantity}-{fid.value}.csv"
+            runs.append((["fieldmap", "--quantity", quantity, "--step", FIELDMAP_STEP_MM,
+                          "--fidelity", fid.value, "--out", str(out / name), *config],
+                         [name]))
+    runs.append((["write-config", "--out", str(out / "write-config.cfg")],
+                 ["write-config.cfg"]))
     return runs
 
 
 def digest_outputs(out: Path, config: str | None) -> list[str]:
+    """Run every command and digest its outputs; a directory output digests
+    each file in it."""
     lines = []
     extra = ["--config", config] if config else []
-    for name, argv in _commands(out, extra):
-        target = out / name
+    for argv, names in _commands(out, extra):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = jjshadow_main(argv + ["--out", str(target)])
+            code = jjshadow_main(argv)
         if code != 0:
-            lines.append(f"exit {code}  {name}")
-        if target.exists():
-            lines.append(f"{hashlib.sha256(target.read_bytes()).hexdigest()}  {name}")
+            lines.append(f"exit {code}  {names[0]}")
+        for name in names:
+            target = out / name
+            for path in sorted(target.iterdir()) if target.is_dir() else [target]:
+                if path.is_file():
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    lines.append(f"{digest}  {path.relative_to(out)}")
     return lines
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", default=None,
-                        help="run configuration for compensate and fieldmap")
+                        help="run configuration for simulate, analyze, compensate "
+                             "and fieldmap")
     args = parser.parse_args()
     config = str(Path(args.config).resolve()) if args.config else None
     with tempfile.TemporaryDirectory() as tmp:
