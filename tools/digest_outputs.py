@@ -21,6 +21,12 @@ one ``diff``:
 ``--config FILE`` passes a run configuration to ``simulate``, ``analyze``,
 ``compensate`` and ``fieldmap``.  The outputs are written to a temporary
 directory and removed afterwards.
+
+``--write`` regenerates the committed reference digests in ``tests/data/``:
+one file for the default configuration and one for ``non-default.cfg``,
+which sets every configuration key to a non-default value.
+``tests/test_output_digests.py`` recomputes both and fails on any
+difference, so each regeneration is an intended output change.
 """
 
 from __future__ import annotations
@@ -38,6 +44,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from jjshadow.cli import main as jjshadow_main       # noqa: E402
 from jjshadow.geometry import FIELD_QUANTITIES, Fidelity  # noqa: E402
 from jjshadow.layout import LayoutKind               # noqa: E402
+
+DATA_DIR = Path(__file__).resolve().parents[1] / "tests" / "data"
+# Reference set name -> config file in DATA_DIR (None: the default config).
+REFERENCE_SETS = {"default": None, "non-default": "non-default.cfg"}
 
 FIELDMAP_STEP_MM = "2"
 TIGHT_WIDTH_NM = "230"
@@ -101,16 +111,39 @@ def digest_outputs(out: Path, config: str | None) -> list[str]:
     return lines
 
 
+def run_digests(config: str | Path | None = None) -> list[str]:
+    """The digest lines of one full run, made in a temporary directory."""
+    config = str(Path(config).resolve()) if config else None
+    with tempfile.TemporaryDirectory() as tmp:
+        return digest_outputs(Path(tmp), config)
+
+
+def reference_path(name: str) -> Path:
+    return DATA_DIR / f"digests-{name}.txt"
+
+
+def reference_config(name: str) -> Path | None:
+    config = REFERENCE_SETS[name]
+    return DATA_DIR / config if config else None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", default=None,
                         help="run configuration for simulate, analyze, compensate "
                              "and fieldmap")
+    parser.add_argument("--write", action="store_true",
+                        help="regenerate the reference digests in tests/data/")
     args = parser.parse_args()
-    config = str(Path(args.config).resolve()) if args.config else None
-    with tempfile.TemporaryDirectory() as tmp:
-        lines = digest_outputs(Path(tmp), config)
-    print("\n".join(lines))
+    if args.write:
+        if args.config:
+            parser.error("--write takes its configurations from tests/data/")
+        for name in REFERENCE_SETS:
+            lines = run_digests(reference_config(name))
+            reference_path(name).write_text("\n".join(lines) + "\n")
+            print(f"wrote {reference_path(name)}: {len(lines)} digests")
+        return 0
+    print("\n".join(run_digests(args.config)))
     return 0
 
 
