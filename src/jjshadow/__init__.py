@@ -68,6 +68,7 @@ from .layout import (
 from .report import UniformityReport, build_report, render_report_text
 from .synth import (
     MeasurementRecord,
+    MeasurementTable,
     ParasiticsModel,
     ProcessModel,
     synthesize_wafer,

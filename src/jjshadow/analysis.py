@@ -6,11 +6,16 @@ layouts) or a fraction-of-the-mean cut (uniform layouts) removes half-open
 pairs.  Statistics computed on the kept set: per-design conductance CV,
 predicted-frequency residual spread (RSD) at die and wafer scope,
 mean-normalized heatmaps, and effective conductivity versus radius.
+
+The pipeline runs on the columns of a MeasurementTable; each public
+function takes any sequence of records and converts it once.  The columns
+go through the arithmetic a record-by-record loop would do: the same numpy
+reductions (mean, std, polyfit) on the same values in the same order, and
+Python sum where such a loop sums in Python, so results agree to the bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -19,14 +24,17 @@ import numpy as np
 
 from .errors import DataError, FitError
 from .geometry import (
+    VARIANTS,
     EvaporatorGeometry,
     Fidelity,
     Variant,
     WaferPoint,
     actual_overlap_area,  # noqa: F401 -- perfbench/spans.py wraps this binding in traced runs
-    structure_areas,
+    variant_areas,
 )
-from .synth import MeasurementRecord
+from .synth import MeasurementRecord, MeasurementTable
+
+_DOLAN = VARIANTS.index(Variant.DOLAN)
 
 
 class Regressor(str, Enum):
@@ -65,34 +73,45 @@ class FrequencyModel:
             raise DataError("frequency constants must be > 0")
 
 
+def _frequencies(g_uS, model: FrequencyModel):
+    """Transmon f01 in MHz of each pair conductance in uS (a float or an array)."""
+    return np.sqrt(8.0 * model.f_c_mhz * model.m_ghz_per_ms * g_uS) - model.f_c_mhz
+
+
 def predicted_frequency(g_uS: float, model: FrequencyModel = FrequencyModel()) -> float:
     """Transmon f01 in MHz from pair conductance in uS."""
     if g_uS < 0.0:
         raise DataError(f"negative conductance {g_uS}")
-    return math.sqrt(8.0 * model.f_c_mhz * model.m_ghz_per_ms * g_uS) - model.f_c_mhz
+    return float(_frequencies(g_uS, model))
 
 
-def regressor_value(rec: MeasurementRecord, cfg: FilterConfig) -> float:
-    """The per-record abscissa for regression filtering.
+def _regressor(table: MeasurementTable, cfg: FilterConfig) -> np.ndarray:
+    """Each record's abscissa for regression filtering.
 
     The variable electrode is the swept one: the bottom electrode for
     crossed junctions, the top for bridge junctions.
     """
     if cfg.regressor is Regressor.OVERLAP_AREA:
-        return rec.a_overlap_designed_um2
-    if rec.design.variant is Variant.DOLAN:
-        return rec.design.w_top_nm
-    return rec.design.w_bottom_nm
+        return table.a_overlap_designed_um2
+    return np.where(table.variant == _DOLAN, table.w_top_nm, table.w_bottom_nm)
+
+
+def _in_window(g_uS: np.ndarray, cfg: FilterConfig) -> np.ndarray:
+    return ~((g_uS < cfg.abs_low_uS) | (g_uS > cfg.abs_high_uS))
+
+
+def _split(records: list, keep: np.ndarray) -> tuple[list, list]:
+    kept, rejected = [], []
+    for rec, k in zip(records, keep.tolist()):
+        (kept if k else rejected).append(rec)
+    return kept, rejected
 
 
 def absolute_filter(records: Iterable[MeasurementRecord], cfg: FilterConfig,
                     ) -> tuple[list[MeasurementRecord], list[MeasurementRecord]]:
     """Split records into (kept, rejected) by the absolute window."""
-    kept, rejected = [], []
-    for rec in records:
-        (rejected if rec.g_uS < cfg.abs_low_uS or rec.g_uS > cfg.abs_high_uS
-         else kept).append(rec)
-    return kept, rejected
+    records = list(records)
+    return _split(records, _in_window(MeasurementTable.from_records(records).g_uS, cfg))
 
 
 @dataclass(frozen=True)
@@ -123,11 +142,33 @@ class ConstantFit:
         return self.mean_uS
 
 
-def _ols(xs: Sequence[float], ys: Sequence[float], who: str) -> tuple[float, float]:
-    if len(set(xs)) < 2:
+def _distinct(values: np.ndarray) -> int:
+    return len(set(values.tolist()))
+
+
+def _ols(xs: np.ndarray, ys: np.ndarray, who: str) -> tuple[float, float]:
+    if _distinct(xs) < 2:
         raise FitError(f"{who}: regression is underdetermined")
-    slope, intercept = np.polyfit(np.asarray(xs, float), np.asarray(ys, float), 1)
+    slope, intercept = np.polyfit(xs, ys, 1)
     return float(slope), float(intercept)
+
+
+def _regression(xs: np.ndarray, gs: np.ndarray, ids: np.ndarray,
+                die: tuple[int, int], cfg: FilterConfig,
+                ) -> tuple[RegressionFit, np.ndarray]:
+    """The two-pass filter on one die's columns: the fit and the kept mask."""
+    if _distinct(xs) < 3:
+        raise FitError(f"die {die}: fewer than 3 distinct regressor values")
+    slope1, icept1 = _ols(xs, gs, f"die {die} pass 1")
+    keep = ~(gs < cfg.rel_threshold * (slope1 * xs + icept1))
+    if keep.sum() < 2:
+        raise FitError(f"die {die}: regression filter rejected nearly all records")
+    slope2, icept2 = _ols(xs[keep], gs[keep], f"die {die} pass 2")
+    residuals = gs[keep] - (slope2 * xs[keep] + icept2)
+    return RegressionFit(
+        die_index=die, slope=slope2, intercept=icept2,
+        residuals_uS=tuple(zip(ids[keep].tolist(), residuals.tolist())),
+        kept_ids=frozenset(ids[keep]), rejected_ids=frozenset(ids[~keep])), keep
 
 
 def regression_filter_die(records: Sequence[MeasurementRecord], cfg: FilterConfig,
@@ -138,34 +179,21 @@ def regression_filter_die(records: Sequence[MeasurementRecord], cfg: FilterConfi
     than (1 - rel_threshold) below the line, interpreted as half-open
     pairs; pass 2 refits on the keepers and reports their residuals.
     """
-    records = list(records)
-    if not records:
+    table = MeasurementTable.from_records(records)
+    if not len(table):
         raise FitError("regression filter got no records")
-    die = records[0].die_index
-    for rec in records:
-        if rec.die_index != die:
-            raise DataError(f"records of dies {die} and {rec.die_index} mixed in one fit")
-    xs = [regressor_value(r, cfg) for r in records]
-    if len(set(xs)) < 3:
-        raise FitError(f"die {die}: fewer than 3 distinct regressor values")
+    die = (int(table.die_x[0]), int(table.die_y[0]))
+    mixed = np.flatnonzero((table.die_x != die[0]) | (table.die_y != die[1]))
+    if mixed.size:
+        other = (int(table.die_x[mixed[0]]), int(table.die_y[mixed[0]]))
+        raise DataError(f"records of dies {die} and {other} mixed in one fit")
+    return _regression(_regressor(table, cfg), table.g_uS, table.structure_id, die, cfg)[0]
 
-    slope1, icept1 = _ols(xs, [r.g_uS for r in records], f"die {die} pass 1")
-    kept, rejected = [], []
-    for rec, x in zip(records, xs):
-        pred = slope1 * x + icept1
-        (rejected if rec.g_uS < cfg.rel_threshold * pred else kept).append(rec)
-    if len(kept) < 2:
-        raise FitError(f"die {die}: regression filter rejected nearly all records")
 
-    slope2, icept2 = _ols([regressor_value(r, cfg) for r in kept],
-                          [r.g_uS for r in kept], f"die {die} pass 2")
-    residuals = tuple(
-        (r.structure_id, r.g_uS - (slope2 * regressor_value(r, cfg) + icept2))
-        for r in kept)
-    return RegressionFit(
-        die_index=die, slope=slope2, intercept=icept2, residuals_uS=residuals,
-        kept_ids=frozenset(r.structure_id for r in kept),
-        rejected_ids=frozenset(r.structure_id for r in rejected))
+def _mean_keep(g_uS: np.ndarray, cfg: FilterConfig) -> np.ndarray:
+    """The mean filter's kept mask; the mean is a Python sum in record order."""
+    mean = sum(g_uS.tolist()) / len(g_uS)
+    return ~(g_uS < cfg.rel_threshold * mean)
 
 
 def mean_filter(records: Sequence[MeasurementRecord], cfg: FilterConfig,
@@ -175,13 +203,19 @@ def mean_filter(records: Sequence[MeasurementRecord], cfg: FilterConfig,
     For layouts of identical designs only; the mean is taken over the
     (already absolute-filtered) input.
     """
+    records = list(records)
     if not records:
         raise DataError("mean filter got no records")
-    mean = sum(r.g_uS for r in records) / len(records)
-    kept, rejected = [], []
-    for rec in records:
-        (rejected if rec.g_uS < cfg.rel_threshold * mean else kept).append(rec)
-    return kept, rejected
+    return _split(records, _mean_keep(MeasurementTable.from_records(records).g_uS, cfg))
+
+
+def _exact_mean(values: np.ndarray) -> float:
+    """Python-sum mean; constant data yields its value bit-exactly (zero residuals)."""
+    values = values.tolist()
+    first = values[0]
+    if all(v == first for v in values):
+        return first
+    return sum(values) / len(values)
 
 
 @dataclass(frozen=True)
@@ -190,6 +224,48 @@ class CvStats:
     mean_uS: float
     std_uS: float
     cv: float | None       # None when the group has a single member
+
+
+def _runs(keys: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Row indices grouped by equal keys.
+
+    Groups come in key order (the last key sorts first, as in np.lexsort)
+    and hold their rows in input order.
+    """
+    order = np.lexsort(keys)
+    change = np.zeros(max(order.size - 1, 0), dtype=bool)
+    for key in keys:
+        ordered = key[order]
+        change |= ordered[1:] != ordered[:-1]
+    return np.split(order, np.flatnonzero(change) + 1) if order.size else []
+
+
+def _design_runs(table: MeasurementTable, by_die: bool = False) -> list[np.ndarray]:
+    """Rows grouped by identical design: (variant, area), after die if by_die."""
+    keys = (table.a_overlap_designed_um2, table.variant)
+    return _runs(keys + (table.die_y, table.die_x) if by_die else keys)
+
+
+def _group_mean(values: np.ndarray) -> float:
+    """The mean _cv reports for a group."""
+    return float(values[0]) if np.all(values == values[0]) else float(values.mean())
+
+
+def _cv(table: MeasurementTable, scope: str) -> dict[tuple, CvStats]:
+    out = {}
+    for idx in _design_runs(table, by_die=scope == "die"):
+        i = idx[0]
+        key: tuple = (VARIANTS[table.variant[i]].value, float(table.a_overlap_designed_um2[i]))
+        if scope == "die":
+            key = ((int(table.die_x[i]), int(table.die_y[i])),) + key
+        vals = table.g_uS[idx]
+        if np.all(vals == vals[0]):
+            mean, std = float(vals[0]), 0.0         # constant groups stay bit-exact
+        else:
+            mean, std = float(vals.mean()), float(vals.std(ddof=0))
+        out[key] = CvStats(n=len(vals), mean_uS=mean, std_uS=std,
+                           cv=std / mean if len(vals) > 1 else None)
+    return out
 
 
 def conductance_cv(records: Iterable[MeasurementRecord], scope: str = "wafer",
@@ -201,23 +277,15 @@ def conductance_cv(records: Iterable[MeasurementRecord], scope: str = "wafer",
     """
     if scope not in ("wafer", "die"):
         raise ValueError(f"scope must be 'wafer' or 'die', got {scope!r}")
-    groups: dict[tuple, list[float]] = {}
-    for rec in records:
-        key: tuple = (rec.design.variant.value, rec.a_overlap_designed_um2)
-        if scope == "die":
-            key = (rec.die_index,) + key
-        groups.setdefault(key, []).append(rec.g_uS)
-    out = {}
-    for key in sorted(groups):
-        vals = np.asarray(groups[key], float)
-        if np.all(vals == vals[0]):
-            # keep constant groups bit-exact: mean is the value, spread 0
-            mean, std = float(vals[0]), 0.0
-        else:
-            mean, std = float(vals.mean()), float(vals.std(ddof=0))
-        cv = std / mean if len(vals) > 1 else None
-        out[key] = CvStats(n=len(vals), mean_uS=mean, std_uS=std, cv=cv)
-    return out
+    return _cv(MeasurementTable.from_records(records), scope)
+
+
+def _rsd(g_uS: np.ndarray, g_fit, model: FrequencyModel) -> float:
+    """Sample std of f01(G) - f01(max(G_fit, 0)); 0 below two records."""
+    if len(g_uS) < 2:
+        return 0.0
+    residuals = _frequencies(g_uS, model) - _frequencies(np.maximum(g_fit, 0.0), model)
+    return float(np.std(residuals, ddof=1))
 
 
 def frequency_rsd(records: Sequence[MeasurementRecord],
@@ -231,14 +299,8 @@ def frequency_rsd(records: Sequence[MeasurementRecord],
     root, this figure is not invariant under rescaling all conductances
     (unlike CV and normalized heatmaps).
     """
-    residuals = []
-    for rec in records:
-        g_fit = fit.predict(regressor_value(rec, cfg))
-        residuals.append(predicted_frequency(rec.g_uS, model)
-                         - predicted_frequency(max(g_fit, 0.0), model))
-    if len(residuals) < 2:
-        return 0.0
-    return float(np.std(np.asarray(residuals, float), ddof=1))
+    table = MeasurementTable.from_records(records)
+    return _rsd(table.g_uS, fit.predict(_regressor(table, cfg)), model)
 
 
 @dataclass(frozen=True)
@@ -262,6 +324,40 @@ class HeatmapGrid:
         return float(self.values[i, j])
 
 
+def _axis(coords: list[float], extra: Iterable[float], descending: bool,
+          ) -> tuple[tuple[float, ...], list[int]]:
+    """A grid axis of coordinates rounded to 6 decimals, and the index of
+    each of coords on it.  Each distinct coordinate is rounded once; of
+    equal rounded values (0.0 and -0.0) the first seen is kept, as a set
+    built in input order keeps it."""
+    rounded = {c: round(c, 6) for c in dict.fromkeys(coords)}
+    values = set(rounded.values())
+    values.update(round(c, 6) for c in dict.fromkeys(extra))
+    axis = tuple(sorted(values, reverse=descending))
+    where = {v: k for k, v in enumerate(axis)}
+    return axis, [where[rounded[c]] for c in coords]
+
+
+def _heatmap(table: MeasurementTable, grid_positions: Iterable[WaferPoint]) -> HeatmapGrid:
+    grid = list(grid_positions)
+    ratio = np.empty(len(table))
+    for idx in _design_runs(table):
+        mean = _group_mean(table.g_uS[idx])
+        if mean == 0.0:
+            raise DataError(f"zero mean conductance in the design group of "
+                            f"{table.structure_id[idx[0]]}")
+        ratio[idx] = table.g_uS[idx] / mean
+    xs, col = _axis(table.x_mm.tolist(), (p.x_mm for p in grid), descending=False)
+    ys, row = _axis(table.y_mm.tolist(), (p.y_mm for p in grid), descending=True)
+    cell = np.array(row, dtype=np.intp) * len(xs) + np.array(col, dtype=np.intp)
+    last = len(cell) - 1 - np.unique(cell[::-1], return_index=True)[1]  # later records win
+    values = np.zeros((len(ys), len(xs)))
+    valid = np.zeros((len(ys), len(xs)), dtype=bool)
+    values.flat[cell[last]] = ratio[last]
+    valid.flat[cell[last]] = True
+    return HeatmapGrid(xs=xs, ys=ys, values=values, valid=valid)
+
+
 def normalized_heatmap(records: Sequence[MeasurementRecord],
                        grid_positions: Iterable[WaferPoint] = (),
                        ) -> HeatmapGrid:
@@ -270,27 +366,34 @@ def normalized_heatmap(records: Sequence[MeasurementRecord],
     grid_positions optionally pins extra cells (rejected or excluded
     structures) into the grid; they render blank.
     """
-    means: dict[tuple, float] = {}
-    for key, stats in conductance_cv(records, "wafer").items():
-        means[key] = stats.mean_uS
-    all_x = {round(r.position.x_mm, 6) for r in records}
-    all_y = {round(r.position.y_mm, 6) for r in records}
-    for p in grid_positions:
-        all_x.add(round(p.x_mm, 6))
-        all_y.add(round(p.y_mm, 6))
-    xs = tuple(sorted(all_x))
-    ys = tuple(sorted(all_y, reverse=True))
-    values = np.zeros((len(ys), len(xs)))
-    valid = np.zeros((len(ys), len(xs)), dtype=bool)
-    xi = {x: j for j, x in enumerate(xs)}
-    yi = {y: i for i, y in enumerate(ys)}
-    for rec in records:
-        key = (rec.design.variant.value, rec.a_overlap_designed_um2)
-        i = yi[round(rec.position.y_mm, 6)]
-        j = xi[round(rec.position.x_mm, 6)]
-        values[i, j] = rec.g_uS / means[key]
-        valid[i, j] = True
-    return HeatmapGrid(xs=xs, ys=ys, values=values, valid=valid)
+    return _heatmap(MeasurementTable.from_records(records), grid_positions)
+
+
+def _junction_areas(table: MeasurementTable, areas: str,
+                    geom: EvaporatorGeometry | None, fidelity: Fidelity,
+                    area_table: Mapping[str, float] | None = None) -> np.ndarray:
+    if areas not in ("designed", "actual"):
+        raise ValueError(f"areas must be 'designed' or 'actual', got {areas!r}")
+    if areas == "designed":
+        return table.a_overlap_designed_um2
+    if area_table is not None:
+        try:
+            return np.array([area_table[sid] for sid in table.structure_id.tolist()],
+                            dtype=float)
+        except KeyError as exc:
+            raise DataError(f"no extracted area for {exc.args[0]}") from exc
+    if geom is None and len(table):
+        raise DataError("actual areas need a geometry or an area table")
+    return variant_areas(geom, table.variant, table.w_bottom_nm, table.w_top_nm,
+                         table.x_mm, table.y_mm, fidelity)
+
+
+def _conductivity(table: MeasurementTable, per_junction: np.ndarray) -> np.ndarray:
+    total = per_junction * table.junction_count
+    bad = np.flatnonzero(total <= 0.0)
+    if bad.size:
+        raise DataError(f"zero junction area for {table.structure_id[bad[0]]}")
+    return table.g_uS / total
 
 
 def effective_conductivity(records: Sequence[MeasurementRecord],
@@ -305,35 +408,20 @@ def effective_conductivity(records: Sequence[MeasurementRecord],
     model's areas (requires geom) or, if area_table maps structure ids to
     per-junction um^2 (e.g. from image extraction), by those.
     """
-    if areas not in ("designed", "actual"):
-        raise ValueError(f"areas must be 'designed' or 'actual', got {areas!r}")
-    if areas == "designed":
-        per_junction = [rec.a_overlap_designed_um2 for rec in records]
-    elif area_table is not None:
-        try:
-            per_junction = [area_table[rec.structure_id] for rec in records]
-        except KeyError as exc:
-            raise DataError(f"no extracted area for {exc.args[0]}") from exc
-    elif geom is None and records:
-        raise DataError("actual areas need a geometry or an area table")
-    else:
-        per_junction = structure_areas(geom, [rec.design for rec in records],
-                                       [rec.position for rec in records], fidelity)
-    out = []
-    for rec, a in zip(records, per_junction):
-        total = a * rec.junction_count
-        if total <= 0.0:
-            raise DataError(f"zero junction area for {rec.structure_id}")
-        out.append((rec.d_mm(), rec.g_uS / total))
-    return out
+    table = MeasurementTable.from_records(records)
+    sigma = _conductivity(table, _junction_areas(table, areas, geom, fidelity, area_table))
+    return list(zip(table.radius_mm().tolist(), sigma.tolist()))
+
+
+def _quadratic_fit(ds: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
+    if _distinct(ds) < 3:
+        raise FitError("quadratic fit needs at least 3 distinct radii")
+    c, b, a = np.polyfit(ds, values, 2)
+    return float(a), float(b), float(c)
 
 
 def quadratic_radial_fit(points: Sequence[tuple[float, float]],
                          ) -> tuple[float, float, float]:
     """Least-squares a + b*d + c*d^2 through (d, value) points."""
-    ds = [d for d, _ in points]
-    if len(set(ds)) < 3:
-        raise FitError("quadratic fit needs at least 3 distinct radii")
-    c, b, a = np.polyfit(np.asarray(ds, float),
-                         np.asarray([v for _, v in points], float), 2)
-    return float(a), float(b), float(c)
+    return _quadratic_fit(np.asarray([d for d, _ in points], float),
+                          np.asarray([v for _, v in points], float))

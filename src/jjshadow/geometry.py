@@ -55,6 +55,11 @@ class Variant(str, Enum):
     MANHATTAN = "manhattan"
 
 
+# Integer codes of variant columns: code k stands for VARIANTS[k].  The
+# codes sort as the variant names do.
+VARIANTS = tuple(sorted(Variant, key=lambda v: v.value))
+
+
 class Fidelity(str, Enum):
     """How much of the shadowing model to apply to the overlap area.
 
@@ -332,24 +337,36 @@ def overlap_areas(geom: EvaporatorGeometry, variant: Variant, w_b_nm, w_t_nm,
     return _crossed_area(w_b, w_t), ok & (w_t > 0.0)
 
 
+def variant_areas(geom: EvaporatorGeometry, variant: np.ndarray, w_b_nm: np.ndarray,
+                  w_t_nm: np.ndarray, x_mm: np.ndarray, y_mm: np.ndarray,
+                  fidelity: Fidelity) -> np.ndarray:
+    """Actual overlap area in um^2 of each structure, from columns.
+
+    variant holds VARIANTS codes.  The structures of each variant go
+    through one overlap_areas call at fidelity.for_variant(variant).
+    Raises ShadowedError for the first structure, in input order, where an
+    electrode pinches off.
+    """
+    areas, ok = np.empty(len(variant)), np.ones(len(variant), dtype=bool)
+    for code in np.unique(variant).tolist():
+        idx = np.flatnonzero(variant == code)
+        v = VARIANTS[code]
+        areas[idx], ok[idx] = overlap_areas(geom, v, w_b_nm[idx], w_t_nm[idx],
+                                            x_mm[idx], y_mm[idx], fidelity.for_variant(v))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise _shadowed(WaferPoint(float(x_mm[i]), float(y_mm[i])))
+    return areas
+
+
 def structure_areas(geom: EvaporatorGeometry, designs: Sequence[JunctionDesign],
                     points: Sequence[WaferPoint], fidelity: Fidelity) -> list[float]:
-    """Actual overlap area in um^2 of each (design, point) pair, in input order.
-
-    The pairs of each variant go through one overlap_areas call at
-    fidelity.for_variant(variant).  Raises ShadowedError for the first
-    pair, in input order, where an electrode pinches off.
-    """
-    areas, ok = np.empty(len(designs)), np.ones(len(designs), dtype=bool)
-    for variant in dict.fromkeys(d.variant for d in designs):
-        idx = [i for i, d in enumerate(designs) if d.variant is variant]
-        columns = np.array([(designs[i].w_bottom_nm, designs[i].w_top_nm,
-                             points[i].x_mm, points[i].y_mm) for i in idx]).T
-        areas[idx], ok[idx] = overlap_areas(geom, variant, *columns,
-                                            fidelity.for_variant(variant))
-    if not ok.all():
-        raise _shadowed(points[int(np.argmin(ok))])
-    return areas.tolist()
+    """Actual overlap area in um^2 of each (design, point) pair, in input order
+    (see variant_areas)."""
+    columns = np.array([(d.w_bottom_nm, d.w_top_nm, p.x_mm, p.y_mm)
+                        for d, p in zip(designs, points)], dtype=float).reshape(-1, 4).T
+    codes = np.array([VARIANTS.index(d.variant) for d in designs], dtype=np.int8)
+    return variant_areas(geom, codes, *columns, fidelity).tolist()
 
 
 # Field-map quantity names accepted by field_values (and the CLI).

@@ -1,24 +1,40 @@
 """CSV interchange: layouts, measurements, truth sidecars, heatmaps.
 
 Column schemas are fixed; floats are written with repr so files round-trip
-bit exactly and identical inputs yield byte-identical outputs.
+bit exactly and identical inputs yield byte-identical outputs.  Files are
+written and read a column at a time: each column is formatted or parsed
+whole and checked as an array.  A reader still names the first bad row as
+path:line, with the message a row-by-row reader would give: the checks run
+in the order a row is read, so of two problems on one row the first one
+read is reported.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .analysis import HeatmapGrid
 from .errors import DataError, JJShadowError
-from .geometry import JunctionDesign, Variant, WaferPoint
+from .geometry import VARIANTS, JunctionDesign, Variant, WaferPoint
 from .imaging import GrayImage, write_pgm
-from .layout import LayoutKind, TestStructureSpec, WaferLayout
-from .synth import MeasurementRecord
+from .layout import (
+    JUNCTION_COUNTS,
+    LayoutKind,
+    TestStructureSpec,
+    WaferLayout,
+    check_junction_count,
+)
+from .synth import (
+    STRUCTURE_COLUMNS,
+    MeasurementRecord,
+    MeasurementTable,
+    check_conductance,
+    structure_columns,
+)
 
 MEASUREMENT_HEADER = ("structure_id,die_x,die_y,x_mm,y_mm,variant,w_b_nm,w_t_nm,"
                       "a_overlap_um2,junction_count,excluded,g_uS")
@@ -27,128 +43,236 @@ TRUTH_HEADER = "structure_id,flags"
 HEATMAP_HEADER = "row,col,x_mm,y_mm,value,valid"
 EXTRACTION_HEADER = "structure_id,d_mm,w_top_nm,w_bottom_nm,a_overlap_um2"
 
-
-def _bool(text: str, where: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise DataError(f"{where}: expected true/false, got {text!r}")
+_VARIANT_NAMES = [v.value for v in VARIANTS]
 
 
-def _finite(text: str, column: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise DataError(f"{column} must be finite, got {text!r}")
-    return value
+def _text(col: np.ndarray, fmt: Callable = repr) -> list[str]:
+    """fmt of each value of col, formatting each distinct value once.
+
+    Floats are told apart by their bits, so 0.0 and -0.0 keep their own text.
+    """
+    floats = col.dtype == float
+    distinct, inverse = np.unique(col.view(np.int64) if floats else col,
+                                  return_inverse=True)
+    text = list(map(fmt, (distinct.view(float) if floats else distinct).tolist()))
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
-def _common_fields(s: TestStructureSpec | MeasurementRecord) -> list[str]:
-    """The first ten columns, shared by layout and measurement rows."""
-    return [
-        s.structure_id,
-        str(s.die_index[0]), str(s.die_index[1]),
-        repr(s.position.x_mm), repr(s.position.y_mm),
-        s.design.variant.value,
-        repr(s.design.w_bottom_nm), repr(s.design.w_top_nm),
-        repr(s.a_overlap_designed_um2),
-        str(s.junction_count),
-    ]
+def _common_text(columns: Mapping[str, np.ndarray]) -> list[list[str]]:
+    """The first ten CSV columns, shared by layout and measurement rows."""
+    return [columns["structure_id"].tolist()] + [
+        _text(columns[name], _VARIANT_NAMES.__getitem__ if name == "variant" else repr)
+        for name in list(STRUCTURE_COLUMNS)[1:]]
 
 
-def _parse_common_fields(row: Sequence[str]) -> dict[str, object]:
-    """Keyword arguments from the first ten columns; the mirror of _common_fields."""
-    return dict(
-        structure_id=row[0],
-        die_index=(int(row[1]), int(row[2])),
-        position=WaferPoint(float(row[3]), float(row[4])),
-        design=JunctionDesign(Variant(row[5]), float(row[6]), float(row[7])),
-        a_overlap_designed_um2=_finite(row[8], "a_overlap_um2"),
-        junction_count=int(row[9]),
-    )
+def _write_rows(path: str | Path, header: str, columns: list[list[str]]) -> None:
+    """Write the header and the rows of columns of cell text."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        # Only structure ids can hold a character that needs CSV quoting.
+        if any(c in "".join(columns[0]) for c in ',"\r\n'):
+            csv.writer(fh, lineterminator="\n").writerows(zip(*columns))
+        else:
+            fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
+
+
+def _read_columns(path: str | Path, header: str, width: int, what: str,
+                  ) -> tuple[list[int], list[Sequence[str]], DataError | None]:
+    """The line numbers and the cells, column by column, of the non-blank
+    rows before the first row of the wrong width, and that row's error
+    (None if every row has width cells)."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    lines = text.splitlines()
+    if not lines or lines[0] != header:
+        raise DataError(f"{path}: bad or missing {what} header")
+    body = lines[1:]
+    if body and '"' not in text and all(body) and all(
+            line.count(",") == width - 1 for line in body):
+        cells = ",".join(body).split(",")          # no quoting: split as csv would
+        return list(range(2, len(body) + 2)), [cells[k::width] for k in range(width)], None
+    linenos, rows, error = [], [], None
+    for lineno, row in enumerate(csv.reader(body), start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            error = DataError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+            break
+        linenos.append(lineno)
+        rows.append(row)
+    return linenos, list(zip(*rows)) if rows else [()] * width, error
+
+
+def _error_text(check: Callable, *args) -> str:
+    """The message check(*args) raises, for a cell a column check flagged."""
+    try:
+        check(*args)
+    except (ValueError, JJShadowError) as exc:
+        return str(exc)
+    raise AssertionError(f"{check.__name__}{args} accepted a flagged cell")
+
+
+class _ColumnReader:
+    """Parses CSV rows a column at a time and keeps the first bad row's error.
+
+    Call the checks in the order a row's cells are read: a row's first
+    failed check is then the one reported, as a row-by-row reader would.
+    Rows outside `active` are skipped by later checks.
+    """
+
+    def __init__(self, path: str | Path, header: str, width: int, what: str) -> None:
+        self.path = path
+        self.linenos, self.cells, self.trailing = _read_columns(path, header, width, what)
+        self.active = np.ones(len(self.linenos), dtype=bool)
+        self.first_bad = len(self.linenos)
+        self.error = ""
+
+    def check(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
+        """Flag the rows in bad; message(i) is the error text for row i."""
+        hit = np.flatnonzero(bad & self.active)
+        if hit.size and hit[0] < self.first_bad:
+            self.first_bad = int(hit[0])
+            self.error = message(self.first_bad)
+
+    def parse(self, k: int, convert: Callable, dtype) -> np.ndarray:
+        """Column k converted cell by cell; a cell that fails is a bad row."""
+        cells = self.cells[k]
+        try:
+            return np.array(list(map(convert, cells)), dtype=dtype)
+        except (ValueError, OverflowError):
+            pass
+        values, errors = [], {}
+        for i, cell in enumerate(cells):
+            try:
+                value = convert(cell)
+                np.array(value, dtype=dtype)
+            except ValueError as exc:
+                value, errors[i] = 0, str(exc)
+            except OverflowError:
+                value, errors[i] = 0, f"{cell!r} is outside the 64-bit integer range"
+            values.append(value)
+        bad = np.zeros(len(cells), dtype=bool)
+        bad[list(errors)] = True
+        self.check(bad, errors.__getitem__)
+        return np.array(values, dtype=dtype)
+
+    def flags(self, k: int) -> np.ndarray:
+        cells = np.array(self.cells[k], dtype=str)
+        true = cells == "true"
+        self.check(~true & (cells != "false"),
+                   lambda i: f"expected true/false, got {self.cells[k][i]!r}")
+        return true
+
+    def variants(self, k: int) -> np.ndarray:
+        cells = self.cells[k]
+        codes = {}
+        for cell in set(cells):
+            try:
+                codes[cell] = VARIANTS.index(Variant(cell))
+            except ValueError:
+                codes[cell] = -1
+        col = np.array([codes[cell] for cell in cells], dtype=np.int8)
+        self.check(col < 0, lambda i: _error_text(Variant, cells[i]))
+        return col
+
+    def structures(self) -> dict[str, np.ndarray]:
+        """The STRUCTURE_COLUMNS from the first ten cells of each row."""
+        ids = np.array(self.cells[0], dtype=object)
+        die_x = self.parse(1, int, np.int64)
+        die_y = self.parse(2, int, np.int64)
+        x = self.parse(3, float, float)
+        y = self.parse(4, float, float)
+        self.check(~(np.isfinite(x) & np.isfinite(y)),
+                   lambda i: _error_text(WaferPoint, float(x[i]), float(y[i])))
+        variant = self.variants(5)
+        w_b = self.parse(6, float, float)
+        w_t = self.parse(7, float, float)
+
+        def design(i: int) -> str:
+            return _error_text(JunctionDesign, VARIANTS[variant[i]], float(w_b[i]),
+                               float(w_t[i]))
+        self.check(~(np.isfinite(w_b) & np.isfinite(w_t)), design)
+        self.check((w_b < 0.0) | (w_t < 0.0), design)
+        area = self.parse(8, float, float)
+        self.check(~np.isfinite(area),
+                   lambda i: f"a_overlap_um2 must be finite, got {self.cells[8][i]!r}")
+        count = self.parse(9, int, np.int64)
+        self.check(~np.isin(count, JUNCTION_COUNTS),
+                   lambda i: _error_text(check_junction_count, ids[i], int(count[i])))
+        return dict(zip(STRUCTURE_COLUMNS, (ids, die_x, die_y, x, y, variant, w_b, w_t,
+                                            area, count)))
+
+    def raise_first(self) -> None:
+        """Raise the first bad row's error, else that of the row of the wrong
+        width that ended the rows read, if any."""
+        if self.error:
+            raise DataError(f"{self.path}:{self.linenos[self.first_bad]}: {self.error}")
+        if self.trailing is not None:
+            raise self.trailing
 
 
 def write_layout_csv(layout: WaferLayout, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(LAYOUT_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for s in layout.structures:
-            writer.writerow(_common_fields(s) + ["true" if s.excluded else "false"])
+    excluded = ["true" if s.excluded else "false" for s in layout.structures]
+    _write_rows(path, LAYOUT_HEADER,
+                _common_text(structure_columns(layout.structures)) + [excluded])
 
 
 def read_layout_csv(path: str | Path) -> WaferLayout:
     """Read a layout CSV; bounds are not revalidated for user-edited files."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read layout {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines or lines[0] != LAYOUT_HEADER:
-        raise DataError(f"{path}: bad or missing layout header")
-    structures = []
-    for lineno, row in enumerate(csv.reader(lines[1:]), start=2):
-        if not row:
-            continue
-        if len(row) != 11:
-            raise DataError(f"{path}:{lineno}: expected 11 columns, got {len(row)}")
-        try:
-            structures.append(TestStructureSpec(
-                **_parse_common_fields(row),
-                subarray_index=0,
-                cell_index=(0, 0),
-                group="uniform",
-                excluded=_bool(row[10], f"{path}:{lineno}"),
-            ))
-        except (ValueError, JJShadowError) as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    ids = [s.structure_id for s in structures]
-    if len(set(ids)) != len(ids):
+    reader = _ColumnReader(path, LAYOUT_HEADER, 11, "layout")
+    columns = reader.structures()
+    excluded = reader.flags(10)
+    reader.raise_first()
+    values = [col.tolist() for col in columns.values()]
+    structures = tuple(
+        TestStructureSpec(
+            structure_id=sid, die_index=(dx, dy), subarray_index=0, cell_index=(0, 0),
+            position=WaferPoint(x, y), design=JunctionDesign(VARIANTS[v], w_b, w_t),
+            a_overlap_designed_um2=area, group="uniform", excluded=ex, junction_count=count)
+        for sid, dx, dy, x, y, v, w_b, w_t, area, count, ex
+        in zip(*values, excluded.tolist()))
+    if len(set(values[0])) != len(values[0]):
         raise DataError(f"{path}: duplicate structure ids")
-    return WaferLayout(LayoutKind.CUSTOM, tuple(structures))
+    return WaferLayout(LayoutKind.CUSTOM, structures)
 
 
 def write_measurements_csv(records: Sequence[MeasurementRecord],
                            path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(MEASUREMENT_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for r in records:
-            writer.writerow(_common_fields(r) + ["false", repr(r.g_uS)])
+    table = MeasurementTable.from_records(records)
+    _write_rows(path, MEASUREMENT_HEADER,
+                _common_text({name: getattr(table, name) for name in STRUCTURE_COLUMNS})
+                + [["false"] * len(table), list(map(repr, table.g_uS.tolist()))])
 
 
-def read_measurements_csv(path: str | Path) -> list[MeasurementRecord]:
+def read_measurements_csv(path: str | Path) -> MeasurementTable:
     """Read measurements; rows flagged excluded are skipped, truth is None."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read measurements {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines or lines[0] != MEASUREMENT_HEADER:
-        raise DataError(f"{path}: bad or missing measurement header")
-    records = []
-    for lineno, row in enumerate(csv.reader(lines[1:]), start=2):
-        if not row:
-            continue
-        if len(row) != 12:
-            raise DataError(f"{path}:{lineno}: expected 12 columns, got {len(row)}")
-        try:
-            if _bool(row[10], f"{path}:{lineno}"):
-                continue
-            records.append(MeasurementRecord(
-                **_parse_common_fields(row), g_uS=float(row[11]), truth_flags=None))
-        except (ValueError, JJShadowError) as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return records
+    reader = _ColumnReader(path, MEASUREMENT_HEADER, 12, "measurements")
+    excluded = reader.flags(10)
+    reader.active &= ~excluded
+    columns = reader.structures()
+    ids, g = columns["structure_id"], reader.parse(11, float, float)
+    reader.check(~np.isfinite(g) | (g < 0.0),
+                 lambda i: _error_text(check_conductance, ids[i], float(g[i])))
+    reader.raise_first()
+    kept = ~excluded
+    return MeasurementTable({**{name: col[kept] for name, col in columns.items()},
+                             "g_uS": g[kept], "truth_flags": [None] * int(kept.sum())})
 
 
 def write_truth_csv(records: Sequence[MeasurementRecord], path: str | Path) -> None:
     """Defect sidecar for synthetic runs: flags joined by ';', blank if clean."""
+    table = MeasurementTable.from_records(records)
+    flags = table.truth_flags.tolist()
+    if None in flags:
+        sid = table.structure_id[flags.index(None)]
+        raise DataError(f"record {sid} has no truth flags")
+    text = {f: ";".join(sorted(f)) for f in set(flags)}
     with open(path, "w", newline="") as fh:
         fh.write(TRUTH_HEADER + "\n")
-        for r in records:
-            if r.truth_flags is None:
-                raise DataError(f"record {r.structure_id} has no truth flags")
-            fh.write(f"{r.structure_id},{';'.join(sorted(r.truth_flags))}\n")
+        fh.writelines(f"{sid},{text[f]}\n"
+                      for sid, f in zip(table.structure_id.tolist(), flags))
 
 
 def read_truth_csv(path: str | Path) -> dict[str, frozenset[str]]:
@@ -169,14 +293,14 @@ def read_truth_csv(path: str | Path) -> dict[str, frozenset[str]]:
 
 def write_heatmap_csv(grid: HeatmapGrid, path: str | Path) -> None:
     """Long-form grid: one row per cell, blanks encoded 0 with valid=0."""
+    x_text = [f"{j},{x!r}," for j, x in enumerate(grid.xs)]
+    cells = np.full(grid.valid.shape, "0,0", dtype=object)
+    cells[grid.valid] = [f"{v!r},1" for v in grid.values[grid.valid].tolist()]
     with open(path, "w", newline="") as fh:
         fh.write(HEATMAP_HEADER + "\n")
-        for i, y in enumerate(grid.ys):
-            for j, x in enumerate(grid.xs):
-                if grid.valid[i, j]:
-                    fh.write(f"{i},{j},{x!r},{y!r},{float(grid.values[i, j])!r},1\n")
-                else:
-                    fh.write(f"{i},{j},{x!r},{y!r},0,0\n")
+        for i, (y, row) in enumerate(zip(grid.ys, cells.tolist())):
+            head, y_text = f"{i},", f"{y!r},"
+            fh.write("".join([f"{head}{x}{y_text}{c}\n" for x, c in zip(x_text, row)]))
 
 
 def heatmap_to_image(grid: HeatmapGrid) -> GrayImage:

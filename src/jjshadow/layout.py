@@ -49,6 +49,15 @@ PLANAR_SWEEPS = {
 TSV_SWEEP = tuple(150.0 + 25.0 * k for k in range(25))
 
 
+# A test structure holds one junction or a pair of junctions in parallel.
+JUNCTION_COUNTS = (1, 2)
+
+
+def check_junction_count(structure_id: str, count: int) -> None:
+    if count not in JUNCTION_COUNTS:
+        raise DataError(f"junction_count must be 1 or 2, got {count} on {structure_id}")
+
+
 class LayoutKind(str, Enum):
     PLANAR_17Q = "planar17q"
     TSV_17Q_DOLAN = "tsv17q-dolan"
@@ -79,6 +88,9 @@ class TestStructureSpec:
     excluded: bool = False
     junction_count: int = 2
     exclusion_reason: str = ""
+
+    def __post_init__(self) -> None:
+        check_junction_count(self.structure_id, self.junction_count)
 
 
 @dataclass(frozen=True)

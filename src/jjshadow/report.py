@@ -5,12 +5,19 @@ regression filter, uniform layouts the fraction-of-mean filter), then
 gathers yield, per-design CV, die- and wafer-level frequency RSD,
 mean-normalized heatmaps per variant, and effective-conductivity radial
 fits into one UniformityReport with a deterministic text rendering.
+
+The report runs on the columns of a MeasurementTable: it sorts one index
+array by (variant, die) and loops over those groups, never over records,
+handing each statistic the same values in the same order as the analysis
+functions would get them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .analysis import (
     ConstantFit,
@@ -19,50 +26,44 @@ from .analysis import (
     FrequencyModel,
     HeatmapGrid,
     RegressionFit,
+    _conductivity,
+    _cv,
+    _exact_mean,
+    _heatmap,
+    _in_window,
+    _junction_areas,
+    _mean_keep,
     _ols,
-    absolute_filter,
-    conductance_cv,
-    effective_conductivity,
-    frequency_rsd,
-    mean_filter,
-    normalized_heatmap,
-    quadratic_radial_fit,
-    regression_filter_die,
-    regressor_value,
+    _quadratic_fit,
+    _regression,
+    _regressor,
+    _rsd,
+    _runs,
 )
 from .errors import DataError, FitError
-from .geometry import EvaporatorGeometry, Fidelity
-from .synth import MeasurementRecord, ParasiticsModel
-
-
-def _exact_mean(values: Sequence[float]) -> float:
-    # Constant data must yield its value bit-exactly (zero residuals).
-    first = values[0]
-    if all(v == first for v in values):
-        return first
-    return sum(values) / len(values)
+from .geometry import VARIANTS, EvaporatorGeometry, Fidelity
+from .synth import MeasurementRecord, MeasurementTable, ParasiticsModel
 
 
 def deembed_records(records: Sequence[MeasurementRecord],
-                    parasitics: ParasiticsModel) -> list[MeasurementRecord]:
+                    parasitics: ParasiticsModel) -> MeasurementTable:
     """Remove assumed substrate and series contributions from raw readings.
 
     Inverse of the synthetic measurement composition; an optional
     pre-analysis correction, off by default since reported figures use raw
-    conductance.
+    conductance.  A reading at or below the substrate level becomes 0.
     """
-    out = []
-    for rec in records:
-        g = rec.g_uS - parasitics.substrate_uS
-        if g <= 0.0:
-            out.append(replace(rec, g_uS=0.0))
-            continue
-        inv = 1.0e6 / g - parasitics.series_ohm(rec.d_mm())
-        if inv <= 0.0:
-            raise DataError(
-                f"{rec.structure_id}: reading exceeds the assumed series limit")
-        out.append(replace(rec, g_uS=1.0e6 / inv))
-    return out
+    table = MeasurementTable.from_records(records)
+    g = table.g_uS - parasitics.substrate_uS
+    on = g > 0.0
+    inv = 1.0e6 / g[on] - parasitics.series_ohm(table.radius_mm()[on])
+    bad = np.flatnonzero(inv <= 0.0)
+    if bad.size:
+        sid = table.structure_id[np.flatnonzero(on)[bad[0]]]
+        raise DataError(f"{sid}: reading exceeds the assumed series limit")
+    out = np.zeros(len(table))
+    out[on] = 1.0e6 / inv
+    return table.with_conductance(out)
 
 
 FitKey = tuple[str, tuple[int, int]]        # (variant, die_index)
@@ -74,7 +75,7 @@ class UniformityReport:
     total: int
     abs_rejected_ids: frozenset[str]
     rel_rejected_ids: frozenset[str]
-    kept: tuple[MeasurementRecord, ...]
+    kept: MeasurementTable
     fits: dict[FitKey, RegressionFit | ConstantFit]
     cv_by_area: dict[tuple, CvStats]                     # (variant, area_um2)
     cv_by_area_die: dict[tuple, CvStats]                 # (die, variant, area)
@@ -90,27 +91,10 @@ class UniformityReport:
         return len(self.kept) / self.total if self.total else 0.0
 
 
-def _is_uniform(records: Sequence[MeasurementRecord]) -> bool:
-    designs = {(r.design.variant.value, r.a_overlap_designed_um2) for r in records}
-    return len(designs) == 1
-
-
-def _group(records, key):
-    groups: dict = {}
-    for rec in records:
-        groups.setdefault(key(rec), []).append(rec)
-    return groups
-
-
-def _fit_without_rejection(records, die, uniform: bool, cfg, who: str,
-                           ) -> RegressionFit | ConstantFit:
-    """The pipeline's model (mean or line) fitted once to all of records."""
-    ids = frozenset(r.structure_id for r in records)
-    if uniform:
-        return ConstantFit(die, _exact_mean([r.g_uS for r in records]), ids, frozenset())
-    slope, intercept = _ols([regressor_value(r, cfg) for r in records],
-                            [r.g_uS for r in records], who)
-    return RegressionFit(die, slope, intercept, (), ids, frozenset())
+def _is_uniform(table: MeasurementTable) -> bool:
+    """True when every record has the same design (variant and area)."""
+    return bool(np.all(table.variant == table.variant[0])
+                and np.all(table.a_overlap_designed_um2 == table.a_overlap_designed_um2[0]))
 
 
 def build_report(records: Sequence[MeasurementRecord], cfg: FilterConfig,
@@ -126,95 +110,100 @@ def build_report(records: Sequence[MeasurementRecord], cfg: FilterConfig,
     grid_positions (variant -> wafer points) pins excluded-structure cells
     into the heatmaps as blanks.
     """
-    if not records:
+    table = MeasurementTable.from_records(records)
+    if not len(table):
         raise DataError("no measurement records to analyze")
-    total = len(records)
-    abs_kept, abs_rej = absolute_filter(records, cfg)
-    if not abs_kept:
+    g, ids, x = table.g_uS, table.structure_id, _regressor(table, cfg)
+    in_window = _in_window(g, cfg)
+    abs_kept = np.flatnonzero(in_window)
+    if not abs_kept.size:
         raise DataError("absolute filter rejected every record")
-    uniform = _is_uniform(records)
+    uniform = _is_uniform(table)
+
+    def by_variant(idx: np.ndarray) -> list[tuple[str, np.ndarray]]:
+        codes = table.variant[idx]
+        return [(VARIANTS[c].value, idx[codes == c]) for c in np.unique(codes).tolist()]
+
+    def refit(idx: np.ndarray, who: str):
+        """The pipeline's model (mean or line) fitted once to all of idx,
+        evaluated at idx."""
+        if uniform:
+            return _exact_mean(g[idx])
+        slope, intercept = _ols(x[idx], g[idx], who)
+        return slope * x[idx] + intercept
+
+    by_die = []                     # ((variant, die), rows), sorted by key
+    for run in _runs((table.die_y[abs_kept], table.die_x[abs_kept],
+                      table.variant[abs_kept])):
+        idx = abs_kept[run]
+        i = idx[0]
+        key = (VARIANTS[table.variant[i]].value, (int(table.die_x[i]), int(table.die_y[i])))
+        by_die.append((key, idx))
 
     fits: dict[FitKey, RegressionFit | ConstantFit] = {}
-    kept: list[MeasurementRecord] = []
-    rel_rejected: list[str] = []
-
-    by_die = _group(abs_kept, lambda r: (r.design.variant.value, r.die_index))
+    die_kept: dict[FitKey, np.ndarray] = {}
     if uniform:
-        wafer_kept, wafer_rej = mean_filter(abs_kept, cfg)
-        kept_ids = {r.structure_id for r in wafer_kept}
-        rel_rejected = [r.structure_id for r in wafer_rej]
-        for key in sorted(by_die):
-            die_kept = [r for r in by_die[key] if r.structure_id in kept_ids]
-            if not die_kept:
+        keep = np.zeros(len(table), dtype=bool)
+        keep[abs_kept] = _mean_keep(g[abs_kept], cfg)
+        for key, idx in by_die:
+            die_kept[key] = idx[keep[idx]]
+            if not die_kept[key].size:
                 raise FitError(f"die {key[1]}: mean filter rejected every record")
             fits[key] = ConstantFit(
-                die_index=key[1],
-                mean_uS=_exact_mean([r.g_uS for r in die_kept]),
-                kept_ids=frozenset(r.structure_id for r in die_kept),
-                rejected_ids=frozenset(r.structure_id for r in by_die[key]
-                                       if r.structure_id not in kept_ids))
-        kept = wafer_kept
+                die_index=key[1], mean_uS=_exact_mean(g[die_kept[key]]),
+                kept_ids=frozenset(ids[die_kept[key]]),
+                rejected_ids=frozenset(ids[idx[~keep[idx]]]))
+        kept = abs_kept[keep[abs_kept]]
     else:
-        for key in sorted(by_die):
-            fit = regression_filter_die(by_die[key], cfg)
-            fits[key] = fit
-            kept.extend(r for r in by_die[key] if r.structure_id in fit.kept_ids)
-            rel_rejected.extend(sorted(fit.rejected_ids))
+        for key, idx in by_die:
+            fits[key], keep = _regression(x[idx], g[idx], ids[idx], key[1], cfg)
+            die_kept[key] = idx[keep]
+        kept = np.concatenate(list(die_kept.values()))
+    rel_rejected = frozenset().union(*(fit.rejected_ids for fit in fits.values()))
 
-    by_variant_kept = _group(kept, lambda r: r.design.variant.value)
-
-    rsd_die = {}
-    for key in sorted(fits):
-        die_kept = [r for r in by_die[key] if r.structure_id in fits[key].kept_ids]
-        rsd_die[key] = frequency_rsd(die_kept, fits[key], cfg, fmodel)
-
-    rsd_wafer = {}
-    for variant, recs in sorted(by_variant_kept.items()):
-        wfit = _fit_without_rejection(recs, (0, 0), uniform, cfg, f"{variant} wafer")
-        rsd_wafer[variant] = frequency_rsd(recs, wfit, cfg, fmodel)
+    rsd_die = {key: _rsd(g[idx], fits[key].predict(x[idx]), fmodel)
+               for key, idx in die_kept.items()}
+    rsd_wafer = {variant: _rsd(g[idx], refit(idx, f"{variant} wafer"), fmodel)
+                 for variant, idx in by_variant(kept)}
 
     rsd_die_nf = rsd_wafer_nf = None
     if dual_rsd:
-        rsd_die_nf, rsd_wafer_nf = {}, {}
-        for key in sorted(by_die):
-            nfit = _fit_without_rejection(by_die[key], key[1], uniform, cfg,
-                                          f"{key[0]} die {key[1]} unfiltered")
-            rsd_die_nf[key] = frequency_rsd(by_die[key], nfit, cfg, fmodel)
-        for variant, recs in sorted(_group(abs_kept,
-                                           lambda r: r.design.variant.value).items()):
-            nfit = _fit_without_rejection(recs, (0, 0), uniform, cfg,
-                                          f"{variant} wafer unfiltered")
-            rsd_wafer_nf[variant] = frequency_rsd(recs, nfit, cfg, fmodel)
+        rsd_die_nf = {
+            key: _rsd(g[idx], refit(idx, f"{key[0]} die {key[1]} unfiltered"), fmodel)
+            for key, idx in by_die}
+        rsd_wafer_nf = {
+            variant: _rsd(g[idx], refit(idx, f"{variant} wafer unfiltered"), fmodel)
+            for variant, idx in by_variant(abs_kept)}
 
-    heatmaps = {
-        variant: normalized_heatmap(
-            recs, (grid_positions or {}).get(variant, ()))
-        for variant, recs in sorted(by_variant_kept.items())}
+    kept_by_variant = [(variant, table.take(idx)) for variant, idx in by_variant(kept)]
+    heatmaps = {variant: _heatmap(sub, (grid_positions or {}).get(variant, ()))
+                for variant, sub in kept_by_variant}
 
     fit_designed, fit_actual = {}, {}
-    for variant, recs in sorted(by_variant_kept.items()):
+    for variant, sub in kept_by_variant:
+        d = sub.radius_mm()
         try:
-            fit_designed[variant] = quadratic_radial_fit(
-                effective_conductivity(recs, "designed"))
+            fit_designed[variant] = _quadratic_fit(
+                d, _conductivity(sub, sub.a_overlap_designed_um2))
         except FitError:
             pass                        # degenerate radii (e.g. single position)
         if geom is not None:
             try:
-                fit_actual[variant] = quadratic_radial_fit(
-                    effective_conductivity(recs, "actual", geom=geom,
-                                           fidelity=fidelity))
+                fit_actual[variant] = _quadratic_fit(
+                    d, _conductivity(sub, _junction_areas(sub, "actual", geom, fidelity)))
             except FitError:
                 pass
 
+    kept_table = table.take(kept)
     return UniformityReport(
         pipeline="uniform" if uniform else "sweep",
-        total=total,
-        abs_rejected_ids=frozenset(r.structure_id for r in abs_rej),
-        rel_rejected_ids=frozenset(rel_rejected),
-        kept=tuple(kept),
+        total=len(table),
+        abs_rejected_ids=frozenset(ids[~in_window]),
+        rel_rejected_ids=rel_rejected,
+        kept=kept_table,
         fits=fits,
-        cv_by_area=conductance_cv(kept, "wafer"),
-        cv_by_area_die=conductance_cv(kept, "die"),
+        cv_by_area=_cv(kept_table, "wafer"),
+        cv_by_area_die=_cv(kept_table, "die"),
         rsd_die_mhz=rsd_die,
         rsd_wafer_mhz=rsd_wafer,
         rsd_die_nf_mhz=rsd_die_nf,

@@ -1,35 +1,45 @@
-"""Synthetic room-temperature conductance generator.
+"""Synthetic room-temperature conductance generator and the measurement table.
 
-Produces measurement records for a layout by composing the shadow model
+Produces the measurements of a layout by composing the shadow model
 with configurable process disorder, defect injection, and probe-station
 parasitics.  Serves as the ground-truth oracle for the analysis pipeline:
-defect injections are recorded as truth flags on each record.
+defect injections are recorded as truth flags on each measurement.
 
 Per structure, each junction conducts sigma_j times its actual overlap
 area, times a multiplicative lognormal disorder draw; the junctions of a
 pair add in parallel; series pad/cabling/contact resistance and the
 parallel substrate conductance then distort the 2-point reading.
+
+Measurements live in a MeasurementTable, one array per field in record
+order.  It is a Sequence of MeasurementRecord whose records are built on
+demand, so code written for records keeps working, while synthesis, CSV io
+and the report run on whole columns.  Synthesis keeps the arithmetic of a
+structure-by-structure loop bit for bit: the batched random draws are the
+same streams, the disorder factor is numpy's exp (math.exp differs in the
+last bit), the pair sum is (0.0 + g0) + g1 with an open junction as a zero
+term, and the radius is math.hypot per element (np.hypot differs).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .geometry import (
+    VARIANTS,
     WAFER_RADIUS_MM,
     EvaporatorGeometry,
     Fidelity,
     JunctionDesign,
     WaferPoint,
     actual_overlap_area,  # noqa: F401 -- perfbench/spans.py wraps this binding in traced runs
-    structure_areas,
+    variant_areas,
 )
-from .layout import WaferLayout
+from .layout import JUNCTION_COUNTS, TestStructureSpec, WaferLayout, check_junction_count
 
 SHORT_PAIR_G_US = 2000.0
 
@@ -102,6 +112,13 @@ NO_PARASITICS = ParasiticsModel(pad_centre_ohm=0.0, pad_edge_ohm=0.0,
                                 substrate_uS=0.0, cabling_ohm=0.0)
 
 
+def check_conductance(structure_id: str, g_uS: float) -> None:
+    if not math.isfinite(g_uS):
+        raise DataError(f"non-finite conductance on {structure_id}")
+    if g_uS < 0.0:
+        raise DataError(f"negative conductance on {structure_id}")
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One conductance reading with its provenance.
@@ -120,25 +137,147 @@ class MeasurementRecord:
     truth_flags: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.g_uS):
-            raise DataError(f"non-finite conductance on {self.structure_id}")
-        if self.g_uS < 0.0:
-            raise DataError(f"negative conductance on {self.structure_id}")
-
-    def d_mm(self) -> float:
-        return self.position.radius_mm()
+        check_conductance(self.structure_id, self.g_uS)
 
 
-def _measured_g(g_pair_uS: float, series_ohm: float, substrate_uS: float) -> float:
-    if g_pair_uS <= 0.0:
-        return substrate_uS
-    return 1.0e6 / (1.0e6 / g_pair_uS + series_ohm) + substrate_uS
+# The columns a measurement shares with its layout structure, in CSV order,
+# with their dtypes; `variant` holds geometry.VARIANTS codes.
+STRUCTURE_COLUMNS = {
+    "structure_id": object, "die_x": np.int64, "die_y": np.int64,
+    "x_mm": float, "y_mm": float, "variant": np.int8,
+    "w_bottom_nm": float, "w_top_nm": float, "a_overlap_designed_um2": float,
+    "junction_count": np.int64,
+}
+COLUMNS = {**STRUCTURE_COLUMNS, "g_uS": float, "truth_flags": object}
+_VARIANT_CODES = {v: code for code, v in enumerate(VARIANTS)}
+
+
+def _column(values: Sequence, dtype) -> np.ndarray:
+    """A read-only copy of values as a 1-D array."""
+    if dtype is object:
+        col = np.empty(len(values), dtype=object)
+        col[:] = values
+    else:
+        col = np.array(values, dtype=dtype)
+    col.flags.writeable = False
+    return col
+
+
+def _radii(x_mm: np.ndarray, y_mm: np.ndarray) -> np.ndarray:
+    """math.hypot per element, as WaferPoint.radius_mm computes it."""
+    return np.fromiter(map(math.hypot, x_mm.tolist(), y_mm.tolist()), float, len(x_mm))
+
+
+def _raise_first(bad: np.ndarray, check, *columns: np.ndarray) -> None:
+    """Call check on the first row flagged in bad, so that it raises its error."""
+    hit = np.flatnonzero(bad)
+    if hit.size:
+        i = int(hit[0])
+        check(*(col[i:i + 1].tolist()[0] for col in columns))
+
+
+def structure_columns(structures: Sequence[TestStructureSpec | MeasurementRecord],
+                      ) -> dict[str, np.ndarray]:
+    """The STRUCTURE_COLUMNS of layout structures or measurement records."""
+    rows = [(s.structure_id, *s.die_index, s.position.x_mm, s.position.y_mm,
+             _VARIANT_CODES[s.design.variant], s.design.w_bottom_nm, s.design.w_top_nm,
+             s.a_overlap_designed_um2, s.junction_count) for s in structures]
+    values = zip(*rows) if rows else [()] * len(STRUCTURE_COLUMNS)
+    return {name: _column(col, dtype)
+            for (name, dtype), col in zip(STRUCTURE_COLUMNS.items(), values)}
+
+
+def _record(structure_id, die_x, die_y, x_mm, y_mm, variant, w_bottom_nm, w_top_nm,
+            a_overlap_designed_um2, junction_count, g_uS, truth_flags,
+            ) -> MeasurementRecord:
+    return MeasurementRecord(
+        structure_id, (die_x, die_y), WaferPoint(x_mm, y_mm),
+        JunctionDesign(VARIANTS[variant], w_bottom_nm, w_top_nm),
+        a_overlap_designed_um2, junction_count, g_uS, truth_flags)
+
+
+class MeasurementTable(Sequence[MeasurementRecord]):
+    """Measurement records stored as columns, in record order.
+
+    Each name in COLUMNS is a read-only array attribute: structure ids,
+    die x/y, position x/y in mm, variant (geometry.VARIANTS codes), bottom
+    and top designed widths, designed area, junction count, g_uS and truth
+    flags (a frozenset per row, None for readings loaded from a file).
+    Indexing and iteration build MeasurementRecord objects on demand; a
+    slice is a table.  The constructor copies and checks the columns.
+    """
+
+    __slots__ = tuple(COLUMNS)
+    __hash__ = None
+
+    def __init__(self, columns: Mapping[str, Sequence]) -> None:
+        if set(columns) != set(COLUMNS):
+            raise TypeError(f"a measurement table has the columns {', '.join(COLUMNS)}")
+        for name, dtype in COLUMNS.items():
+            setattr(self, name, _column(columns[name], dtype))
+        if any(len(getattr(self, name)) != len(self.g_uS) for name in COLUMNS):
+            raise DataError("measurement columns differ in length")
+        _raise_first(~np.isin(self.junction_count, JUNCTION_COUNTS), check_junction_count,
+                    self.structure_id, self.junction_count)
+        _raise_first(~np.isfinite(self.g_uS) | (self.g_uS < 0.0), check_conductance,
+                    self.structure_id, self.g_uS)
+
+    @classmethod
+    def from_records(cls, records: Iterable[MeasurementRecord]) -> MeasurementTable:
+        """A table of records; a table is returned as it is."""
+        if isinstance(records, MeasurementTable):
+            return records
+        records = list(records)
+        return cls({**structure_columns(records),
+                    "g_uS": [r.g_uS for r in records],
+                    "truth_flags": [r.truth_flags for r in records]})
+
+    def take(self, index) -> MeasurementTable:
+        """The rows at index (an index array, a mask or a slice), as a table."""
+        table = object.__new__(MeasurementTable)
+        for name in COLUMNS:
+            col = getattr(self, name)[index]
+            col.flags.writeable = False
+            setattr(table, name, col)
+        return table
+
+    def with_conductance(self, g_uS: Sequence[float]) -> MeasurementTable:
+        """The same measurements with new readings."""
+        return MeasurementTable({**{name: getattr(self, name) for name in COLUMNS},
+                                 "g_uS": g_uS})
+
+    def radius_mm(self) -> np.ndarray:
+        return _radii(self.x_mm, self.y_mm)
+
+    def __len__(self) -> int:
+        return len(self.g_uS)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(index)
+        return next(iter(self.take([index])))
+
+    def __iter__(self) -> Iterator[MeasurementRecord]:
+        return map(_record, *(getattr(self, name).tolist() for name in COLUMNS))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MeasurementTable):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in COLUMNS)
+
+    def __repr__(self) -> str:
+        return f"MeasurementTable({len(self)} records)"
+
+
+_CLEAN, _SHORT = frozenset(), frozenset({"short"})
+_OPEN_FULL, _OPEN_HALF = frozenset({"open_full"}), frozenset({"open_half"})
 
 
 def synthesize_wafer(layout: WaferLayout, geom: EvaporatorGeometry,
                      process: ProcessModel,
                      parasitics: ParasiticsModel = ParasiticsModel(),
-                     ) -> list[MeasurementRecord]:
+                     ) -> MeasurementTable:
     """Generate one record per viable structure, deterministically per seed.
 
     Bridge-style structures are evaluated at basic fidelity (the only level
@@ -148,50 +287,38 @@ def synthesize_wafer(layout: WaferLayout, geom: EvaporatorGeometry,
     changing defect probabilities alters only the flagged structures.
     """
     disorder, defects = np.random.SeedSequence(process.seed).spawn(2)
-    rng_disorder = np.random.default_rng(disorder)
-    rng_defects = np.random.default_rng(defects)
+    columns = structure_columns(layout.viable())
+    n = len(columns["structure_id"])
+    # Two normals and three uniforms per structure, in structure order: the
+    # same streams as drawing them structure by structure.
+    draws = np.random.default_rng(disorder).standard_normal((n, 2))
+    uniforms = np.random.default_rng(defects).random((n, 3))
+    area = variant_areas(geom, columns["variant"], columns["w_bottom_nm"],
+                         columns["w_top_nm"], columns["x_mm"], columns["y_mm"],
+                         process.fidelity)
 
-    viable = layout.viable()
-    areas = structure_areas(geom, [s.design for s in viable],
-                            [s.position for s in viable], process.fidelity)
-    records = []
-    for s, area in zip(viable, areas):
-        draws = rng_disorder.standard_normal(2)
-        u_short, u_open0, u_open1 = rng_defects.random(3)
+    g_j = (process.sigma_j_uS_per_um2 * area)[:, None]
+    if process.lognormal_sigma > 0.0:
+        g_j = g_j * np.exp(process.lognormal_sigma * draws)
+    count = columns["junction_count"]
+    present = np.arange(2) < count[:, None]
+    opened = present & (uniforms[:, 1:] < process.p_open)
+    terms = np.where(present & ~opened, g_j, 0.0)
+    g_pair = (0.0 + terms[:, 0]) + terms[:, 1]
+    short = uniforms[:, 0] < process.p_short
+    g_pair[short] = SHORT_PAIR_G_US
 
-        flags: set[str] = set()
-        if u_short < process.p_short:
-            flags.add("short")
-            g_pair = SHORT_PAIR_G_US
-        else:
-            opens = [u < process.p_open for u in (u_open0, u_open1)][:s.junction_count]
-            g_pair = 0.0
-            for j in range(s.junction_count):
-                if opens[j]:
-                    continue
-                g_j = process.sigma_j_uS_per_um2 * area
-                if process.lognormal_sigma > 0.0:
-                    g_j *= float(np.exp(process.lognormal_sigma * draws[j]))
-                g_pair += g_j
-            n_open = sum(opens)
-            if n_open == s.junction_count and n_open > 0:
-                flags.add("open_full")
-            elif n_open == 1 and s.junction_count == 2:
-                flags.add("open_half")
+    n_open = opened.sum(axis=1)
+    flags = np.full(n, _CLEAN, dtype=object)
+    flags[short] = _SHORT
+    flags[~short & (n_open == count)] = _OPEN_FULL
+    flags[~short & (n_open == 1) & (count == 2)] = _OPEN_HALF
 
-        g = _measured_g(g_pair, parasitics.series_ohm(s.position.radius_mm()),
-                        parasitics.substrate_uS)
-        records.append(MeasurementRecord(
-            structure_id=s.structure_id,
-            die_index=s.die_index,
-            position=s.position,
-            design=s.design,
-            a_overlap_designed_um2=s.a_overlap_designed_um2,
-            junction_count=s.junction_count,
-            g_uS=g,
-            truth_flags=frozenset(flags),
-        ))
-    return records
+    series = parasitics.series_ohm(_radii(columns["x_mm"], columns["y_mm"]))
+    g = np.full(n, parasitics.substrate_uS, dtype=float)
+    on = g_pair > 0.0
+    g[on] = 1.0e6 / (1.0e6 / g_pair[on] + series[on]) + parasitics.substrate_uS
+    return MeasurementTable({**columns, "g_uS": g, "truth_flags": flags})
 
 
 def truth_table(records: Iterable[MeasurementRecord]) -> Mapping[str, set[str]]:
@@ -200,10 +327,11 @@ def truth_table(records: Iterable[MeasurementRecord]) -> Mapping[str, set[str]]:
     Raises DataError on records without truth flags (real measurements
     carry no ground truth).
     """
-    table: dict[str, set[str]] = {cls: set() for cls in DEFECT_CLASSES}
-    for rec in records:
-        if rec.truth_flags is None:
-            raise DataError(f"record {rec.structure_id} has no truth flags")
-        for flag in rec.truth_flags:
-            table[flag].add(rec.structure_id)
-    return table
+    table = MeasurementTable.from_records(records)
+    out: dict[str, set[str]] = {cls: set() for cls in DEFECT_CLASSES}
+    for sid, flags in zip(table.structure_id.tolist(), table.truth_flags.tolist()):
+        if flags is None:
+            raise DataError(f"record {sid} has no truth flags")
+        for flag in flags:
+            out[flag].add(sid)
+    return out

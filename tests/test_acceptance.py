@@ -40,7 +40,7 @@ from jjshadow.imaging import (
     render_junction,
 )
 from jjshadow.io import write_layout_csv
-from jjshadow.layout import build_35x35, build_planar_17q
+from jjshadow.layout import build_35x35, build_planar_17q, build_tsv_17q
 from jjshadow.report import build_report
 from jjshadow.synth import (
     NO_PARASITICS,
@@ -227,15 +227,29 @@ def test_c07_offset_recovery_from_extracted_areas():
           f"(configured {GEOM.dw_offset_nm:.0f} nm)")
 
 
-@pytest.mark.parametrize("fidelity", [Fidelity.BASIC, Fidelity.SIDEWALL])
-def test_c08_compensation_round_trip(fidelity):
-    layout = compensated_layout(build_35x35("nbtin"), GEOM, fidelity)
-    records = synthesize_wafer(layout, GEOM, ProcessModel(fidelity=fidelity),
+DOLAN_25 = EvaporatorGeometry(alpha_dolan_deg=25.0)
+
+
+@pytest.mark.parametrize("fidelity, wafer", [
+    pytest.param(Fidelity.BASIC, "35x35-nbtin", id="basic"),
+    pytest.param(Fidelity.SIDEWALL, "35x35-nbtin", id="sidewall"),
+    pytest.param(Fidelity.FULL, "35x35-nbtin", id="full"),
+    pytest.param(Fidelity.BASIC, "tsv17q-dolan-25deg", id="tsv-dolan-25deg-basic"),
+    pytest.param(Fidelity.SIDEWALL, "tsv17q-dolan-25deg", id="tsv-dolan-25deg-sidewall"),
+    pytest.param(Fidelity.FULL, "tsv17q-dolan-25deg", id="tsv-dolan-25deg-full"),
+])
+def test_c08_compensation_round_trip(fidelity, wafer):
+    if wafer == "35x35-nbtin":
+        geom, layout = GEOM, build_35x35("nbtin")
+    else:                   # bridge junctions at a non-default bridge tilt
+        geom, layout = DOLAN_25, build_tsv_17q(Variant.DOLAN)
+    layout = compensated_layout(layout, geom, fidelity)
+    records = synthesize_wafer(layout, geom, ProcessModel(fidelity=fidelity),
                                NO_PARASITICS)
     gs = np.array([r.g_uS for r in records])
     spread = float((gs.max() - gs.min()) / gs.min())
     assert spread <= 1e-6
-    ok(8, f"compensated {fidelity.value} wafer G spread {spread:.2e}")
+    ok(8, f"compensated {fidelity.value} {wafer} wafer G spread {spread:.2e}")
 
 
 def test_c09_layout_counts(tmp_path):

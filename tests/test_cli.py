@@ -241,6 +241,28 @@ class TestExitCodes:
         assert run("analyze", "--measurements", meas, "--out-dir", tmp_path / "out") == 2
         assert f"{meas}:4: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, count", [("simulate", "-3"), ("simulate", "3"),
+                                                ("analyze", "0"), ("analyze", "-2")])
+    def test_undefined_junction_count_names_its_line(self, tmp_path, capsys, command,
+                                                     count):
+        layout, meas = tmp_path / "layout.csv", tmp_path / "meas.csv"
+        run("layout", "--kind", "planar35x35-al", "--out", layout)
+        run("simulate", "--layout", layout, "--out", meas)
+        path = layout if command == "simulate" else meas
+        lines = rows(path)
+        cells = lines[3].split(",")
+        cells[9] = count
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        if command == "simulate":
+            code = run("simulate", "--layout", layout, "--out", tmp_path / "m2.csv")
+        else:
+            code = run("analyze", "--measurements", meas, "--out-dir", tmp_path / "out")
+        assert code == 2
+        assert (f"{path}:4: junction_count must be 1 or 2, got {count} on {cells[0]}"
+                in capsys.readouterr().err)
+
     def test_numerical_error_is_3(self, tmp_path):
         blank = tmp_path / "blank.pgm"
         from jjshadow.imaging import GrayImage, write_pgm

@@ -212,6 +212,15 @@ class TestPlanar35x35:
         with pytest.raises(DataError):
             build_35x35("cu")
 
+    @pytest.mark.parametrize("count", [0, 3, -3])
+    def test_undefined_junction_count_rejected(self, count):
+        from dataclasses import replace
+
+        spec = build_35x35("al").structures[0]
+        with pytest.raises(DataError, match=f"junction_count must be 1 or 2, got {count} "
+                                            f"on {spec.structure_id}"):
+            replace(spec, junction_count=count)
+
     def test_bad_omitted_rows(self):
         with pytest.raises(DataError):
             build_35x35("al", omitted_rows=(35,))
