@@ -246,26 +246,12 @@ def _design_runs(table: MeasurementTable, by_die: bool = False) -> list[np.ndarr
     return _runs(keys + (table.die_y, table.die_x) if by_die else keys)
 
 
-def _group_mean(values: np.ndarray) -> float:
-    """The mean _cv reports for a group."""
-    return float(values[0]) if np.all(values == values[0]) else float(values.mean())
-
-
-def _cv(table: MeasurementTable, scope: str) -> dict[tuple, CvStats]:
-    out = {}
-    for idx in _design_runs(table, by_die=scope == "die"):
-        i = idx[0]
-        key: tuple = (VARIANTS[table.variant[i]].value, float(table.a_overlap_designed_um2[i]))
-        if scope == "die":
-            key = ((int(table.die_x[i]), int(table.die_y[i])),) + key
-        vals = table.g_uS[idx]
-        if np.all(vals == vals[0]):
-            mean, std = float(vals[0]), 0.0         # constant groups stay bit-exact
-        else:
-            mean, std = float(vals.mean()), float(vals.std(ddof=0))
-        out[key] = CvStats(n=len(vals), mean_uS=mean, std_uS=std,
-                           cv=std / mean if len(vals) > 1 else None)
-    return out
+def _group_stats(values: np.ndarray) -> tuple[float, float]:
+    """Mean and population std of a design group's conductances; a constant
+    group's are its value and 0.0, bit-exactly."""
+    if np.all(values == values[0]):
+        return float(values[0]), 0.0
+    return float(values.mean()), float(values.std(ddof=0))
 
 
 def conductance_cv(records: Iterable[MeasurementRecord], scope: str = "wafer",
@@ -277,7 +263,18 @@ def conductance_cv(records: Iterable[MeasurementRecord], scope: str = "wafer",
     """
     if scope not in ("wafer", "die"):
         raise ValueError(f"scope must be 'wafer' or 'die', got {scope!r}")
-    return _cv(MeasurementTable.from_records(records), scope)
+    table = MeasurementTable.from_records(records)
+    out = {}
+    for idx in _design_runs(table, by_die=scope == "die"):
+        i = idx[0]
+        key: tuple = (VARIANTS[table.variant[i]].value, float(table.a_overlap_designed_um2[i]))
+        if scope == "die":
+            key = ((int(table.die_x[i]), int(table.die_y[i])),) + key
+        vals = table.g_uS[idx]
+        mean, std = _group_stats(vals)
+        out[key] = CvStats(n=len(vals), mean_uS=mean, std_uS=std,
+                           cv=std / mean if len(vals) > 1 else None)
+    return out
 
 
 def _rsd(g_uS: np.ndarray, g_fit, model: FrequencyModel) -> float:
@@ -338,11 +335,19 @@ def _axis(coords: list[float], extra: Iterable[float], descending: bool,
     return axis, [where[rounded[c]] for c in coords]
 
 
-def _heatmap(table: MeasurementTable, grid_positions: Iterable[WaferPoint]) -> HeatmapGrid:
+def normalized_heatmap(records: Sequence[MeasurementRecord],
+                       grid_positions: Iterable[WaferPoint] = (),
+                       ) -> HeatmapGrid:
+    """Each kept record's G over the mean G of its identical-design group.
+
+    grid_positions optionally pins extra cells (rejected or excluded
+    structures) into the grid; they render blank.
+    """
+    table = MeasurementTable.from_records(records)
     grid = list(grid_positions)
     ratio = np.empty(len(table))
     for idx in _design_runs(table):
-        mean = _group_mean(table.g_uS[idx])
+        mean = _group_stats(table.g_uS[idx])[0]
         if mean == 0.0:
             raise DataError(f"zero mean conductance in the design group of "
                             f"{table.structure_id[idx[0]]}")
@@ -358,44 +363,6 @@ def _heatmap(table: MeasurementTable, grid_positions: Iterable[WaferPoint]) -> H
     return HeatmapGrid(xs=xs, ys=ys, values=values, valid=valid)
 
 
-def normalized_heatmap(records: Sequence[MeasurementRecord],
-                       grid_positions: Iterable[WaferPoint] = (),
-                       ) -> HeatmapGrid:
-    """Each kept record's G over the mean G of its identical-design group.
-
-    grid_positions optionally pins extra cells (rejected or excluded
-    structures) into the grid; they render blank.
-    """
-    return _heatmap(MeasurementTable.from_records(records), grid_positions)
-
-
-def _junction_areas(table: MeasurementTable, areas: str,
-                    geom: EvaporatorGeometry | None, fidelity: Fidelity,
-                    area_table: Mapping[str, float] | None = None) -> np.ndarray:
-    if areas not in ("designed", "actual"):
-        raise ValueError(f"areas must be 'designed' or 'actual', got {areas!r}")
-    if areas == "designed":
-        return table.a_overlap_designed_um2
-    if area_table is not None:
-        try:
-            return np.array([area_table[sid] for sid in table.structure_id.tolist()],
-                            dtype=float)
-        except KeyError as exc:
-            raise DataError(f"no extracted area for {exc.args[0]}") from exc
-    if geom is None and len(table):
-        raise DataError("actual areas need a geometry or an area table")
-    return variant_areas(geom, table.variant, table.w_bottom_nm, table.w_top_nm,
-                         table.x_mm, table.y_mm, fidelity)
-
-
-def _conductivity(table: MeasurementTable, per_junction: np.ndarray) -> np.ndarray:
-    total = per_junction * table.junction_count
-    bad = np.flatnonzero(total <= 0.0)
-    if bad.size:
-        raise DataError(f"zero junction area for {table.structure_id[bad[0]]}")
-    return table.g_uS / total
-
-
 def effective_conductivity(records: Sequence[MeasurementRecord],
                            areas: str = "designed",
                            geom: EvaporatorGeometry | None = None,
@@ -408,20 +375,34 @@ def effective_conductivity(records: Sequence[MeasurementRecord],
     model's areas (requires geom) or, if area_table maps structure ids to
     per-junction um^2 (e.g. from image extraction), by those.
     """
+    if areas not in ("designed", "actual"):
+        raise ValueError(f"areas must be 'designed' or 'actual', got {areas!r}")
     table = MeasurementTable.from_records(records)
-    sigma = _conductivity(table, _junction_areas(table, areas, geom, fidelity, area_table))
-    return list(zip(table.radius_mm().tolist(), sigma.tolist()))
-
-
-def _quadratic_fit(ds: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
-    if _distinct(ds) < 3:
-        raise FitError("quadratic fit needs at least 3 distinct radii")
-    c, b, a = np.polyfit(ds, values, 2)
-    return float(a), float(b), float(c)
+    if areas == "designed":
+        per_junction = table.a_overlap_designed_um2
+    elif area_table is not None:
+        try:
+            per_junction = np.array([area_table[sid] for sid in table.structure_id.tolist()],
+                                    dtype=float)
+        except KeyError as exc:
+            raise DataError(f"no extracted area for {exc.args[0]}") from exc
+    elif geom is None and len(table):
+        raise DataError("actual areas need a geometry or an area table")
+    else:
+        per_junction = variant_areas(geom, table.variant, table.w_bottom_nm, table.w_top_nm,
+                                     table.x_mm, table.y_mm, fidelity)
+    total = per_junction * table.junction_count
+    bad = np.flatnonzero(total <= 0.0)
+    if bad.size:
+        raise DataError(f"zero junction area for {table.structure_id[bad[0]]}")
+    return list(zip(table.radius_mm().tolist(), (table.g_uS / total).tolist()))
 
 
 def quadratic_radial_fit(points: Sequence[tuple[float, float]],
                          ) -> tuple[float, float, float]:
     """Least-squares a + b*d + c*d^2 through (d, value) points."""
-    return _quadratic_fit(np.asarray([d for d, _ in points], float),
-                          np.asarray([v for _, v in points], float))
+    ds = np.asarray([d for d, _ in points], float)
+    if _distinct(ds) < 3:
+        raise FitError("quadratic fit needs at least 3 distinct radii")
+    c, b, a = np.polyfit(ds, np.asarray([v for _, v in points], float), 2)
+    return float(a), float(b), float(c)

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Sequence
 
 import numpy as np
 
@@ -357,16 +356,6 @@ def variant_areas(geom: EvaporatorGeometry, variant: np.ndarray, w_b_nm: np.ndar
         i = int(np.argmin(ok))
         raise _shadowed(WaferPoint(float(x_mm[i]), float(y_mm[i])))
     return areas
-
-
-def structure_areas(geom: EvaporatorGeometry, designs: Sequence[JunctionDesign],
-                    points: Sequence[WaferPoint], fidelity: Fidelity) -> list[float]:
-    """Actual overlap area in um^2 of each (design, point) pair, in input order
-    (see variant_areas)."""
-    columns = np.array([(d.w_bottom_nm, d.w_top_nm, p.x_mm, p.y_mm)
-                        for d, p in zip(designs, points)], dtype=float).reshape(-1, 4).T
-    codes = np.array([VARIANTS.index(d.variant) for d in designs], dtype=np.int8)
-    return variant_areas(geom, codes, *columns, fidelity).tolist()
 
 
 # Field-map quantity names accepted by field_values (and the CLI).

@@ -1,17 +1,18 @@
 """CSV interchange: layouts, measurements, truth sidecars, heatmaps.
 
-Column schemas are fixed; floats are written with repr so files round-trip
-bit exactly and identical inputs yield byte-identical outputs.  Files are
-written and read a column at a time: each column is formatted or parsed
-whole and checked as an array.  A reader still names the first bad row as
-path:line, with the message a row-by-row reader would give: the checks run
-in the order a row is read, so of two problems on one row the first one
-read is reported.
+Column schemas are fixed; floats are written with repr (which is also
+their str, as csv.writer writes them) so files round-trip bit exactly and
+identical inputs yield byte-identical outputs.  Measurement files are
+written from whole columns and read a column at a time: each column is
+parsed whole and checked as an array.  Only when a check fails are the
+rows parsed one by one with the record constructors, so the first bad
+row's error is raised with its path:line.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -21,18 +22,11 @@ from .analysis import HeatmapGrid
 from .errors import DataError, JJShadowError
 from .geometry import VARIANTS, JunctionDesign, Variant, WaferPoint
 from .imaging import GrayImage, write_pgm
-from .layout import (
-    JUNCTION_COUNTS,
-    LayoutKind,
-    TestStructureSpec,
-    WaferLayout,
-    check_junction_count,
-)
+from .layout import LayoutKind, TestStructureSpec, WaferLayout, check_junction_count
 from .synth import (
     STRUCTURE_COLUMNS,
     MeasurementRecord,
     MeasurementTable,
-    check_conductance,
     structure_columns,
 )
 
@@ -44,43 +38,24 @@ HEATMAP_HEADER = "row,col,x_mm,y_mm,value,valid"
 EXTRACTION_HEADER = "structure_id,d_mm,w_top_nm,w_bottom_nm,a_overlap_um2"
 
 _VARIANT_NAMES = [v.value for v in VARIANTS]
+_VARIANT_CODES = {name: code for code, name in enumerate(_VARIANT_NAMES)}
 
 
-def _text(col: np.ndarray, fmt: Callable = repr) -> list[str]:
-    """fmt of each value of col, formatting each distinct value once.
-
-    Floats are told apart by their bits, so 0.0 and -0.0 keep their own text.
-    """
-    floats = col.dtype == float
-    distinct, inverse = np.unique(col.view(np.int64) if floats else col,
-                                  return_inverse=True)
-    text = list(map(fmt, (distinct.view(float) if floats else distinct).tolist()))
-    return np.array(text, dtype=object)[inverse].tolist()
-
-
-def _common_text(columns: Mapping[str, np.ndarray]) -> list[list[str]]:
+def _common_cells(columns: Mapping[str, np.ndarray]) -> list[list]:
     """The first ten CSV columns, shared by layout and measurement rows."""
-    return [columns["structure_id"].tolist()] + [
-        _text(columns[name], _VARIANT_NAMES.__getitem__ if name == "variant" else repr)
-        for name in list(STRUCTURE_COLUMNS)[1:]]
+    return [[_VARIANT_NAMES[c] for c in columns[name].tolist()] if name == "variant"
+            else columns[name].tolist() for name in STRUCTURE_COLUMNS]
 
 
-def _write_rows(path: str | Path, header: str, columns: list[list[str]]) -> None:
-    """Write the header and the rows of columns of cell text."""
+def _write_rows(path: str | Path, header: str, columns: list[list]) -> None:
+    """Write the header and the rows of columns."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        # Only structure ids can hold a character that needs CSV quoting.
-        if any(c in "".join(columns[0]) for c in ',"\r\n'):
-            csv.writer(fh, lineterminator="\n").writerows(zip(*columns))
-        else:
-            fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
+        csv.writer(fh, lineterminator="\n").writerows(zip(*columns))
 
 
-def _read_columns(path: str | Path, header: str, width: int, what: str,
-                  ) -> tuple[list[int], list[Sequence[str]], DataError | None]:
-    """The line numbers and the cells, column by column, of the non-blank
-    rows before the first row of the wrong width, and that row's error
-    (None if every row has width cells)."""
+def _read_rows(path: str | Path, header: str, what: str) -> list[tuple[int, list[str]]]:
+    """The line number and cells of each non-blank row after the header."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -88,177 +63,135 @@ def _read_columns(path: str | Path, header: str, width: int, what: str,
     lines = text.splitlines()
     if not lines or lines[0] != header:
         raise DataError(f"{path}: bad or missing {what} header")
-    body = lines[1:]
-    if body and '"' not in text and all(body) and all(
-            line.count(",") == width - 1 for line in body):
-        cells = ",".join(body).split(",")          # no quoting: split as csv would
-        return list(range(2, len(body) + 2)), [cells[k::width] for k in range(width)], None
-    linenos, rows, error = [], [], None
-    for lineno, row in enumerate(csv.reader(body), start=2):
-        if not row:
-            continue
+    return [(lineno, row) for lineno, row in enumerate(csv.reader(lines[1:]), start=2)
+            if row]
+
+
+def _parse_rows(path: str | Path, rows: list[tuple[int, list[str]]], width: int,
+                parse: Callable[[list[str]], object]) -> list:
+    """parse of each row in order; the first row of the wrong width, or
+    that parse rejects, raises DataError naming its path:line."""
+    out = []
+    for lineno, row in rows:
         if len(row) != width:
-            error = DataError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
-            break
-        linenos.append(lineno)
-        rows.append(row)
-    return linenos, list(zip(*rows)) if rows else [()] * width, error
-
-
-def _error_text(check: Callable, *args) -> str:
-    """The message check(*args) raises, for a cell a column check flagged."""
-    try:
-        check(*args)
-    except (ValueError, JJShadowError) as exc:
-        return str(exc)
-    raise AssertionError(f"{check.__name__}{args} accepted a flagged cell")
-
-
-class _ColumnReader:
-    """Parses CSV rows a column at a time and keeps the first bad row's error.
-
-    Call the checks in the order a row's cells are read: a row's first
-    failed check is then the one reported, as a row-by-row reader would.
-    Rows outside `active` are skipped by later checks.
-    """
-
-    def __init__(self, path: str | Path, header: str, width: int, what: str) -> None:
-        self.path = path
-        self.linenos, self.cells, self.trailing = _read_columns(path, header, width, what)
-        self.active = np.ones(len(self.linenos), dtype=bool)
-        self.first_bad = len(self.linenos)
-        self.error = ""
-
-    def check(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
-        """Flag the rows in bad; message(i) is the error text for row i."""
-        hit = np.flatnonzero(bad & self.active)
-        if hit.size and hit[0] < self.first_bad:
-            self.first_bad = int(hit[0])
-            self.error = message(self.first_bad)
-
-    def parse(self, k: int, convert: Callable, dtype) -> np.ndarray:
-        """Column k converted cell by cell; a cell that fails is a bad row."""
-        cells = self.cells[k]
+            raise DataError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
         try:
-            return np.array(list(map(convert, cells)), dtype=dtype)
-        except (ValueError, OverflowError):
-            pass
-        values, errors = [], {}
-        for i, cell in enumerate(cells):
-            try:
-                value = convert(cell)
-                np.array(value, dtype=dtype)
-            except ValueError as exc:
-                value, errors[i] = 0, str(exc)
-            except OverflowError:
-                value, errors[i] = 0, f"{cell!r} is outside the 64-bit integer range"
-            values.append(value)
-        bad = np.zeros(len(cells), dtype=bool)
-        bad[list(errors)] = True
-        self.check(bad, errors.__getitem__)
-        return np.array(values, dtype=dtype)
+            out.append(parse(row))
+        except (ValueError, JJShadowError) as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+    return out
 
-    def flags(self, k: int) -> np.ndarray:
-        cells = np.array(self.cells[k], dtype=str)
-        true = cells == "true"
-        self.check(~true & (cells != "false"),
-                   lambda i: f"expected true/false, got {self.cells[k][i]!r}")
-        return true
 
-    def variants(self, k: int) -> np.ndarray:
-        cells = self.cells[k]
-        codes = {}
-        for cell in set(cells):
-            try:
-                codes[cell] = VARIANTS.index(Variant(cell))
-            except ValueError:
-                codes[cell] = -1
-        col = np.array([codes[cell] for cell in cells], dtype=np.int8)
-        self.check(col < 0, lambda i: _error_text(Variant, cells[i]))
-        return col
+def _int64(text: str) -> int:
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{text!r} is outside the 64-bit integer range")
+    return value
 
-    def structures(self) -> dict[str, np.ndarray]:
-        """The STRUCTURE_COLUMNS from the first ten cells of each row."""
-        ids = np.array(self.cells[0], dtype=object)
-        die_x = self.parse(1, int, np.int64)
-        die_y = self.parse(2, int, np.int64)
-        x = self.parse(3, float, float)
-        y = self.parse(4, float, float)
-        self.check(~(np.isfinite(x) & np.isfinite(y)),
-                   lambda i: _error_text(WaferPoint, float(x[i]), float(y[i])))
-        variant = self.variants(5)
-        w_b = self.parse(6, float, float)
-        w_t = self.parse(7, float, float)
 
-        def design(i: int) -> str:
-            return _error_text(JunctionDesign, VARIANTS[variant[i]], float(w_b[i]),
-                               float(w_t[i]))
-        self.check(~(np.isfinite(w_b) & np.isfinite(w_t)), design)
-        self.check((w_b < 0.0) | (w_t < 0.0), design)
-        area = self.parse(8, float, float)
-        self.check(~np.isfinite(area),
-                   lambda i: f"a_overlap_um2 must be finite, got {self.cells[8][i]!r}")
-        count = self.parse(9, int, np.int64)
-        self.check(~np.isin(count, JUNCTION_COUNTS),
-                   lambda i: _error_text(check_junction_count, ids[i], int(count[i])))
-        return dict(zip(STRUCTURE_COLUMNS, (ids, die_x, die_y, x, y, variant, w_b, w_t,
-                                            area, count)))
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise DataError(f"expected true/false, got {text!r}")
+    return text == "true"
 
-    def raise_first(self) -> None:
-        """Raise the first bad row's error, else that of the row of the wrong
-        width that ended the rows read, if any."""
-        if self.error:
-            raise DataError(f"{self.path}:{self.linenos[self.first_bad]}: {self.error}")
-        if self.trailing is not None:
-            raise self.trailing
+
+def _finite(text: str, column: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise DataError(f"{column} must be finite, got {text!r}")
+    return value
+
+
+def _structure_fields(row: Sequence[str]) -> dict[str, object]:
+    """Keyword arguments of a structure or record from a row's first ten
+    cells, parsed and checked in CSV order."""
+    return dict(
+        structure_id=row[0],
+        die_index=(_int64(row[1]), _int64(row[2])),
+        position=WaferPoint(float(row[3]), float(row[4])),
+        design=JunctionDesign(Variant(row[5]), float(row[6]), float(row[7])),
+        a_overlap_designed_um2=_finite(row[8], "a_overlap_um2"),
+        junction_count=_int64(row[9]),
+    )
+
+
+def _structure(row: list[str]) -> TestStructureSpec:
+    return TestStructureSpec(**_structure_fields(row), subarray_index=0, cell_index=(0, 0),
+                             group="uniform", excluded=_flag(row[10]))
+
+
+def _record(row: list[str]) -> MeasurementRecord | None:
+    """The measurement of a row, or None for a row flagged excluded."""
+    if _flag(row[10]):
+        return None
+    fields = _structure_fields(row)
+    check_junction_count(row[0], fields["junction_count"])   # as the table does
+    return MeasurementRecord(**fields, g_uS=float(row[11]))
 
 
 def write_layout_csv(layout: WaferLayout, path: str | Path) -> None:
     excluded = ["true" if s.excluded else "false" for s in layout.structures]
     _write_rows(path, LAYOUT_HEADER,
-                _common_text(structure_columns(layout.structures)) + [excluded])
+                _common_cells(structure_columns(layout.structures)) + [excluded])
 
 
 def read_layout_csv(path: str | Path) -> WaferLayout:
     """Read a layout CSV; bounds are not revalidated for user-edited files."""
-    reader = _ColumnReader(path, LAYOUT_HEADER, 11, "layout")
-    columns = reader.structures()
-    excluded = reader.flags(10)
-    reader.raise_first()
-    values = [col.tolist() for col in columns.values()]
-    structures = tuple(
-        TestStructureSpec(
-            structure_id=sid, die_index=(dx, dy), subarray_index=0, cell_index=(0, 0),
-            position=WaferPoint(x, y), design=JunctionDesign(VARIANTS[v], w_b, w_t),
-            a_overlap_designed_um2=area, group="uniform", excluded=ex, junction_count=count)
-        for sid, dx, dy, x, y, v, w_b, w_t, area, count, ex
-        in zip(*values, excluded.tolist()))
-    if len(set(values[0])) != len(values[0]):
+    structures = _parse_rows(path, _read_rows(path, LAYOUT_HEADER, "layout"), 11,
+                             _structure)
+    ids = [s.structure_id for s in structures]
+    if len(set(ids)) != len(ids):
         raise DataError(f"{path}: duplicate structure ids")
-    return WaferLayout(LayoutKind.CUSTOM, structures)
+    return WaferLayout(LayoutKind.CUSTOM, tuple(structures))
 
 
 def write_measurements_csv(records: Sequence[MeasurementRecord],
                            path: str | Path) -> None:
     table = MeasurementTable.from_records(records)
     _write_rows(path, MEASUREMENT_HEADER,
-                _common_text({name: getattr(table, name) for name in STRUCTURE_COLUMNS})
-                + [["false"] * len(table), list(map(repr, table.g_uS.tolist()))])
+                _common_cells({name: getattr(table, name) for name in STRUCTURE_COLUMNS})
+                + [["false"] * len(table), table.g_uS.tolist()])
+
+
+def _measurement_columns(rows: list[list[str]]) -> MeasurementTable | None:
+    """The measurements of rows, parsed and checked a column at a time;
+    None if a row has the wrong width or a bad value."""
+    if any(len(row) != 12 for row in rows):
+        return None
+    flags = {row[10] for row in rows}
+    if not flags <= {"true", "false"}:
+        return None
+    if "true" in flags:
+        rows = [row for row in rows if row[10] == "false"]
+    cells = list(zip(*rows)) if rows else [()] * 12
+    try:
+        die_x, die_y, count = (np.array(list(map(int, cells[k])), dtype=np.int64)
+                               for k in (1, 2, 9))
+        x, y, w_b, w_t, area, g = (np.array(list(map(float, cells[k])), dtype=float)
+                                   for k in (3, 4, 6, 7, 8, 11))
+        variant = np.array([_VARIANT_CODES[c] for c in cells[5]], dtype=np.int8)
+    except (ValueError, OverflowError, KeyError):
+        return None
+    if not (np.isfinite(np.stack([x, y, w_b, w_t, area])).all()
+            and (w_b >= 0.0).all() and (w_t >= 0.0).all()):
+        return None
+    try:            # the table checks junction counts and conductances
+        return MeasurementTable(dict(
+            structure_id=cells[0], die_x=die_x, die_y=die_y, x_mm=x, y_mm=y,
+            variant=variant, w_bottom_nm=w_b, w_top_nm=w_t, a_overlap_designed_um2=area,
+            junction_count=count, g_uS=g, truth_flags=[None] * len(g)))
+    except DataError:
+        return None
 
 
 def read_measurements_csv(path: str | Path) -> MeasurementTable:
     """Read measurements; rows flagged excluded are skipped, truth is None."""
-    reader = _ColumnReader(path, MEASUREMENT_HEADER, 12, "measurements")
-    excluded = reader.flags(10)
-    reader.active &= ~excluded
-    columns = reader.structures()
-    ids, g = columns["structure_id"], reader.parse(11, float, float)
-    reader.check(~np.isfinite(g) | (g < 0.0),
-                 lambda i: _error_text(check_conductance, ids[i], float(g[i])))
-    reader.raise_first()
-    kept = ~excluded
-    return MeasurementTable({**{name: col[kept] for name, col in columns.items()},
-                             "g_uS": g[kept], "truth_flags": [None] * int(kept.sum())})
+    rows = _read_rows(path, MEASUREMENT_HEADER, "measurements")
+    table = _measurement_columns([row for _, row in rows])
+    if table is None:   # a check failed: row by row, the first bad row raises
+        records = _parse_rows(path, rows, 12, _record)
+        table = MeasurementTable.from_records(r for r in records if r is not None)
+    return table
 
 
 def write_truth_csv(records: Sequence[MeasurementRecord], path: str | Path) -> None:

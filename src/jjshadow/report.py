@@ -7,9 +7,9 @@ mean-normalized heatmaps per variant, and effective-conductivity radial
 fits into one UniformityReport with a deterministic text rendering.
 
 The report runs on the columns of a MeasurementTable: it sorts one index
-array by (variant, die) and loops over those groups, never over records,
-handing each statistic the same values in the same order as the analysis
-functions would get them.
+array by (variant, die) and loops over those groups, never over records.
+CV, heatmaps and conductivity fits are the analysis functions, called
+with sub-tables.
 """
 
 from __future__ import annotations
@@ -26,19 +26,18 @@ from .analysis import (
     FrequencyModel,
     HeatmapGrid,
     RegressionFit,
-    _conductivity,
-    _cv,
     _exact_mean,
-    _heatmap,
     _in_window,
-    _junction_areas,
     _mean_keep,
     _ols,
-    _quadratic_fit,
     _regression,
     _regressor,
     _rsd,
     _runs,
+    conductance_cv,
+    effective_conductivity,
+    normalized_heatmap,
+    quadratic_radial_fit,
 )
 from .errors import DataError, FitError
 from .geometry import VARIANTS, EvaporatorGeometry, Fidelity
@@ -176,21 +175,19 @@ def build_report(records: Sequence[MeasurementRecord], cfg: FilterConfig,
             for variant, idx in by_variant(abs_kept)}
 
     kept_by_variant = [(variant, table.take(idx)) for variant, idx in by_variant(kept)]
-    heatmaps = {variant: _heatmap(sub, (grid_positions or {}).get(variant, ()))
+    heatmaps = {variant: normalized_heatmap(sub, (grid_positions or {}).get(variant, ()))
                 for variant, sub in kept_by_variant}
 
     fit_designed, fit_actual = {}, {}
     for variant, sub in kept_by_variant:
-        d = sub.radius_mm()
         try:
-            fit_designed[variant] = _quadratic_fit(
-                d, _conductivity(sub, sub.a_overlap_designed_um2))
+            fit_designed[variant] = quadratic_radial_fit(effective_conductivity(sub))
         except FitError:
             pass                        # degenerate radii (e.g. single position)
         if geom is not None:
             try:
-                fit_actual[variant] = _quadratic_fit(
-                    d, _conductivity(sub, _junction_areas(sub, "actual", geom, fidelity)))
+                fit_actual[variant] = quadratic_radial_fit(
+                    effective_conductivity(sub, "actual", geom, fidelity))
             except FitError:
                 pass
 
@@ -202,8 +199,8 @@ def build_report(records: Sequence[MeasurementRecord], cfg: FilterConfig,
         rel_rejected_ids=rel_rejected,
         kept=kept_table,
         fits=fits,
-        cv_by_area=_cv(kept_table, "wafer"),
-        cv_by_area_die=_cv(kept_table, "die"),
+        cv_by_area=conductance_cv(kept_table, "wafer"),
+        cv_by_area_die=conductance_cv(kept_table, "die"),
         rsd_die_mhz=rsd_die,
         rsd_wafer_mhz=rsd_wafer,
         rsd_die_nf_mhz=rsd_die_nf,

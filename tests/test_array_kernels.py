@@ -10,6 +10,7 @@ import scalar_model
 from jjshadow.errors import GeometryError, ShadowedError
 from jjshadow.geometry import (
     FIELD_QUANTITIES,
+    VARIANTS,
     EvaporatorGeometry,
     Fidelity,
     JunctionDesign,
@@ -23,7 +24,7 @@ from jjshadow.geometry import (
     lip_height,
     lip_width,
     overlap_areas,
-    structure_areas,
+    variant_areas,
     within_radius,
 )
 
@@ -139,7 +140,8 @@ def test_overlap_areas_per_element_widths(geom, fidelity):
 @pytest.mark.parametrize("geom", GEOMETRIES.values(), ids=GEOMETRIES)
 @pytest.mark.parametrize("fidelity", list(Fidelity))
 def test_structure_areas_in_input_order(geom, fidelity):
-    # Mixed variants, interleaved: each pair gets its variant's fidelity.
+    # variant_areas on mixed variants, interleaved: each structure gets its
+    # variant's fidelity, in input order.
     rng = np.random.default_rng(8)
     n = 300
     designs = [JunctionDesign(Variant.DOLAN if k % 3 else Variant.MANHATTAN, b, t)
@@ -147,17 +149,23 @@ def test_structure_areas_in_input_order(geom, fidelity):
                                               rng.uniform(150.0, 300.0, n).tolist()))]
     points = [WaferPoint(px, py) for px, py in
               zip(rng.uniform(-35.0, 35.0, n).tolist(), rng.uniform(-35.0, 35.0, n).tolist())]
-    areas = structure_areas(geom, designs, points, fidelity)
-    assert areas == [scalar_model.actual_overlap_area(geom, d, p, fidelity.for_variant(d.variant))
-                     for d, p in zip(designs, points)]
-    assert all(type(a) is float for a in areas)
-    assert structure_areas(geom, [], [], fidelity) == []
+
+    def areas(designs, points):
+        codes = np.array([VARIANTS.index(d.variant) for d in designs], dtype=np.int8)
+        return variant_areas(geom, codes, np.array([d.w_bottom_nm for d in designs]),
+                             np.array([d.w_top_nm for d in designs]),
+                             np.array([p.x_mm for p in points]),
+                             np.array([p.y_mm for p in points]), fidelity)
+
+    assert areas(designs, points).tolist() == [
+        scalar_model.actual_overlap_area(geom, d, p, fidelity.for_variant(d.variant))
+        for d, p in zip(designs, points)]
+    assert areas([], []).shape == (0,)
     # Two pinched-off structures: the error names the first in input order.
     thin = JunctionDesign(Variant.MANHATTAN, 5.0, 200.0)
     with pytest.raises(ShadowedError, match=r"\(-40.0, 1.0\) mm"):
-        structure_areas(geom, designs[:5] + [thin, thin],
-                        points[:5] + [WaferPoint(-40.0, 1.0), WaferPoint(30.0, 2.0)],
-                        fidelity)
+        areas(designs[:5] + [thin, thin],
+              points[:5] + [WaferPoint(-40.0, 1.0), WaferPoint(30.0, 2.0)])
 
 
 def test_overlap_areas_checks_like_the_scalar_path(geom):

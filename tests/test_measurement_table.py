@@ -209,6 +209,10 @@ class TestReaderLocations:
         ("layout", 9, "3", "junction_count must be 1 or 2, got 3 on Nr00c02"),
         ("measurements", 9, "0", "junction_count must be 1 or 2, got 0 on Nr00c02"),
         ("measurements", 11, "-1.5", "negative conductance on Nr00c02"),
+        ("measurements", 7, "-5.0", "designed widths must be >= 0"),
+        ("measurements", 2, "1e3", "invalid literal for int() with base 10: '1e3'"),
+        ("measurements", 1, "9" * 20, f"'{'9' * 20}' is outside the 64-bit integer range"),
+        ("layout", 9, "-" + "9" * 20, f"'-{'9' * 20}' is outside the 64-bit integer range"),
     ]
 
     @pytest.mark.parametrize("kind, column, value, message", CASES)
@@ -228,11 +232,13 @@ class TestReaderLocations:
             row = lines[k].split(",")
             row[column] = value
             lines[k] = ",".join(row)
-        lines[20] = lines[20] + ",extra"    # nor a later row of the wrong width
-        path.write_text("\n".join(lines) + "\n")
         reader = read_layout_csv if kind == "layout" else read_measurements_csv
-        with pytest.raises(DataError, match=f"^{re.escape(f'{path}:4: {message}')}$"):
-            reader(path)
+        for wide in (False, True):
+            if wide:                        # nor a later row of the wrong width
+                lines[20] = lines[20] + ",extra"
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(DataError, match=f"^{re.escape(f'{path}:4: {message}')}$"):
+                reader(path)
 
     def test_blank_and_short_rows(self, tmp_path):
         from jjshadow.layout import build_35x35
