@@ -52,7 +52,7 @@ def test_non_default_config_sets_every_key():
 def test_outputs_match_committed_digests(name):
     want = digest_tool.reference_path(name).read_text().splitlines()
     got = digest_tool.run_digests(digest_tool.reference_config(name))
-    assert len(want) == 134
+    assert len(want) == 147
     differ = sorted(set(want) ^ set(got))
     assert got == want, (
         f"{len(differ)} digest lines differ from {digest_tool.reference_path(name).name}"

@@ -2,12 +2,17 @@
 
 Runs, in one process and against the checkout's own src/:
 
-* ``layout`` for every layout kind,
+* ``layout`` for every layout kind, and for ``planar17q`` and
+  ``tsv17q-dolan`` again with the bundled data files passed explicitly
+  (``--subarrays``, ``--tsv-file``) and the built-in sweeps written out as
+  ``--sweeps`` files,
 * ``simulate --seed {3,7} --truth-out`` of every layout, and ``analyze
   --layout`` of each of those measurement files,
 * ``compensate`` of every layout in both modes at all three fidelities,
   plus a tight width limit that leaves structures unattainable,
 * ``fieldmap`` for every quantity at every fidelity on a 2 mm grid,
+* ``render --grid 3 --canvas 256`` of 100 nm electrodes (images and
+  manifest) and ``extract --manifest`` of those images,
 * ``write-config``.
 
 Each output file prints as ``<sha256>  <name>``, and each command that
@@ -19,7 +24,7 @@ one ``diff``:
     diff old.txt new.txt
 
 ``--config FILE`` passes a run configuration to ``simulate``, ``analyze``,
-``compensate`` and ``fieldmap``.  The outputs are written to a temporary
+``compensate``, ``fieldmap`` and ``render``.  The outputs are written to a temporary
 directory and removed afterwards.
 
 ``--write`` regenerates the committed reference digests in ``tests/data/``:
@@ -43,15 +48,26 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from jjshadow.cli import main as jjshadow_main       # noqa: E402
 from jjshadow.geometry import FIELD_QUANTITIES, Fidelity  # noqa: E402
-from jjshadow.layout import LayoutKind               # noqa: E402
+from jjshadow.layout import PLANAR_SWEEPS, TSV_SWEEP, LayoutKind  # noqa: E402
 
-DATA_DIR = Path(__file__).resolve().parents[1] / "tests" / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA_DIR = ROOT / "tests" / "data"
+BUNDLED = ROOT / "src" / "jjshadow" / "data"
 # Reference set name -> config file in DATA_DIR (None: the default config).
 REFERENCE_SETS = {"default": None, "non-default": "non-default.cfg"}
 
 FIELDMAP_STEP_MM = "2"
 TIGHT_WIDTH_NM = "230"
 SEEDS = ("3", "7")
+RENDER_GRID = "3"
+RENDER_CANVAS_PX = "256"
+RENDER_WIDTH_NM = "100"         # bands well under half the canvas, so edges are found
+
+
+def _write_sweeps(path: Path, sweeps: dict[str, tuple[float, ...]]) -> None:
+    """A width sweep file (group,w_nm) holding the given sweeps."""
+    path.write_text("group,w_nm\n" + "".join(f"{group},{w!r}\n"
+                                             for group, ws in sweeps.items() for w in ws))
 
 
 def _commands(out: Path, config: list[str]) -> list[tuple[list[str], list[str]]]:
@@ -61,6 +77,13 @@ def _commands(out: Path, config: list[str]) -> list[tuple[list[str], list[str]]]
     for kind in kinds:
         name = f"layout-{kind}.csv"
         runs.append((["layout", "--kind", kind, "--out", str(out / name)], [name]))
+    sites = ["--subarrays", str(BUNDLED / "surface17_subarrays.csv")]
+    for kind, extra in (("planar17q", ["--sweeps", str(out / "sweeps-planar.csv")]),
+                        ("tsv17q-dolan", ["--tsv-file", str(BUNDLED / "tsv_vias.csv"),
+                                          "--sweeps", str(out / "sweeps-tsv.csv")])):
+        name = f"layout-{kind}-files.csv"
+        runs.append((["layout", "--kind", kind, *sites, *extra, "--out", str(out / name)],
+                     [name]))
     for kind in kinds:
         layout = ["--layout", str(out / f"layout-{kind}.csv")]
         for seed in SEEDS:
@@ -86,6 +109,14 @@ def _commands(out: Path, config: list[str]) -> list[tuple[list[str], list[str]]]
             runs.append((["fieldmap", "--quantity", quantity, "--step", FIELDMAP_STEP_MM,
                           "--fidelity", fid.value, "--out", str(out / name), *config],
                          [name]))
+    runs.append((["render", "--grid", RENDER_GRID, "--canvas", RENDER_CANVAS_PX,
+                  "--wb", RENDER_WIDTH_NM, "--wt", RENDER_WIDTH_NM,
+                  "--out-dir", str(out / "render"), *config], ["render"]))
+    runs.append((["extract", "--manifest", str(out / "render" / "manifest.csv"),
+                  "--images", *(str(out / "render" / f"g{i:02d}_{j:02d}.pgm")
+                                for i in range(int(RENDER_GRID))
+                                for j in range(int(RENDER_GRID))),
+                  "--out", str(out / "extract.csv")], ["extract.csv"]))
     runs.append((["write-config", "--out", str(out / "write-config.cfg")],
                  ["write-config.cfg"]))
     return runs
@@ -96,6 +127,8 @@ def digest_outputs(out: Path, config: str | None) -> list[str]:
     each file in it."""
     lines = []
     extra = ["--config", config] if config else []
+    _write_sweeps(out / "sweeps-planar.csv", PLANAR_SWEEPS)
+    _write_sweeps(out / "sweeps-tsv.csv", {"all": TSV_SWEEP})
     for argv, names in _commands(out, extra):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
@@ -130,8 +163,8 @@ def reference_config(name: str) -> Path | None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", default=None,
-                        help="run configuration for simulate, analyze, compensate "
-                             "and fieldmap")
+                        help="run configuration for simulate, analyze, compensate, "
+                             "fieldmap and render")
     parser.add_argument("--write", action="store_true",
                         help="regenerate the reference digests in tests/data/")
     args = parser.parse_args()
