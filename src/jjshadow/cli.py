@@ -42,6 +42,8 @@ from .geometry import (
 from .imaging import (
     DEFAULT_THRESHOLD_COUNT,
     band_pixel_count,
+    extract_overlap_area,
+    extract_widths,
     read_pgm,
     render_junction,
     write_pgm,
@@ -63,8 +65,6 @@ from .synth import synthesize_wafer
 USAGE_EXIT = 1
 DATA_EXIT = 2
 NUMERIC_EXIT = 3
-
-MANIFEST_HEADER = "structure_id,x_mm,y_mm,w_b_px,w_t_px"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,14 +95,14 @@ def _check_widths(args: argparse.Namespace, *options: str) -> None:
 
 
 def cmd_layout(args: argparse.Namespace) -> int:
-    sites = load_subarray_sites(args.subarrays) if args.subarrays else None
+    sites = load_subarray_sites(args.subarrays)
     kind = args.kind
     if kind == "planar17q":
         sweeps = load_sweep_file(args.sweeps) if args.sweeps else None
         layout = build_planar_17q(sweeps=sweeps, sites=sites)
     elif kind in ("tsv17q-dolan", "tsv17q-manhattan"):
         variant = Variant.DOLAN if kind.endswith("dolan") else Variant.MANHATTAN
-        vias = load_tsv_file(args.tsv_file) if args.tsv_file else load_tsv_file()
+        vias = load_tsv_file(args.tsv_file)
         sweep = None
         if args.sweeps:
             table = load_sweep_file(args.sweeps)
@@ -110,7 +110,7 @@ def cmd_layout(args: argparse.Namespace) -> int:
                 raise DataError("TSV layouts take a single-group sweep file")
             sweep = next(iter(table.values()))
         layout = build_tsv_17q(variant, vias, sweep=sweep, sites=sites)
-    elif kind.startswith("planar35x35-"):
+    else:                               # planar35x35-<pad>
         pad = kind.rsplit("-", 1)[1]
         omitted: tuple[int, ...] = ()
         if args.omit_rows is not None:
@@ -118,8 +118,6 @@ def cmd_layout(args: argparse.Namespace) -> int:
         elif pad == "al":
             omitted = (33, 34)          # the two rows skipped in acquisition
         layout = build_35x35(pad, omitted_rows=omitted)
-    else:
-        raise DataError(f"unknown layout kind {kind!r}")
     jio.write_layout_csv(layout, args.out)
     print(f"wrote {args.out}: {len(layout.structures)} structures, "
           f"{len(layout.viable())} viable")
@@ -228,40 +226,22 @@ def cmd_render(args: argparse.Namespace) -> int:
         wt_px = band_pixel_count(
             actual_width_vertical(geom, design.w_top_nm, pos.y_mm),
             args.scale, args.canvas)
-        rows.append(f"{sid},{pos.x_mm!r},{pos.y_mm!r},{wb_px},{wt_px}")
+        rows.append((sid, pos.x_mm, pos.y_mm, wb_px, wt_px))
     manifest = out_dir / "manifest.csv"
-    manifest.write_text(MANIFEST_HEADER + "\n" + "\n".join(rows) + "\n")
+    jio.write_manifest_csv(rows, manifest)
     print(f"wrote {len(rows)} images + {manifest}")
     return 0
 
 
-def _read_manifest(path: str) -> dict[str, tuple[float, float]]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != MANIFEST_HEADER:
-        raise DataError(f"{path}: bad or missing manifest header")
-    out = {}
-    for line in lines[1:]:
-        if line:
-            sid, x, y, *_ = line.split(",")
-            out[sid] = (float(x), float(y))
-    return out
-
-
 def cmd_extract(args: argparse.Namespace) -> int:
-    from .imaging import extract_overlap_area, extract_widths
-
-    manifest = _read_manifest(args.manifest) if args.manifest else {}
+    manifest = jio.read_manifest_csv(args.manifest) if args.manifest else {}
     rows = []
     for image_path in args.images:
         sid = Path(image_path).stem
         img = read_pgm(image_path, scale_nm_per_px=args.scale)
         result = extract_widths(img, threshold_count=args.thresholds)
         area = extract_overlap_area(img, result)
-        if sid in manifest:
-            x, y = manifest[sid]
-            d = math.hypot(x, y)
-        else:
-            d = float("nan")
+        d = manifest[sid].radius_mm() if sid in manifest else float("nan")
         rows.append({"structure_id": sid, "d_mm": d,
                      "w_top_nm": result.w_top_nm,
                      "w_bottom_nm": result.w_bottom_nm,

@@ -190,5 +190,4 @@ def compensated_layout(layout: WaferLayout, geom: EvaporatorGeometry,
                 design = JunctionDesign(variant, w_bottom_nm=bottom, w_top_nm=top)
                 out[i] = replace(out[i], design=design,
                                  a_overlap_designed_um2=design.designed_area_um2())
-    return WaferLayout(layout.kind, tuple(out), die_pitch_mm=layout.die_pitch_mm,
-                       wafer_shape=layout.wafer_shape)
+    return WaferLayout(layout.kind, tuple(out))

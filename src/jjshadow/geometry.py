@@ -151,9 +151,6 @@ class WaferPoint:
         return math.hypot(self.x_mm, self.y_mm)
 
 
-ORIGIN = WaferPoint(0.0, 0.0)
-
-
 _WIDTHS_NOT_FINITE = "designed widths must be finite"
 _WIDTHS_NEGATIVE = "designed widths must be >= 0"
 _DOLAN_BASIC_ONLY = "bridge-style junctions are modeled at basic fidelity only"

@@ -1,25 +1,24 @@
-"""CSV interchange: layouts, measurements, truth sidecars, heatmaps.
+"""CSV interchange: layouts, measurements, truth sidecars, render
+manifests, extraction tables and heatmaps.
 
-Column schemas are fixed; floats are written with repr (which is also
-their str, as csv.writer writes them) so files round-trip bit exactly and
-identical inputs yield byte-identical outputs.  Measurement files are
-written from whole columns and read a column at a time: each column is
-parsed whole and checked as an array.  Only when a check fails are the
-rows parsed one by one with the record constructors, so the first bad
-row's error is raised with its path:line.
+Every file is read and written by csvfile's helpers, so files round-trip
+bit exactly, except the heatmap, whose all-number rows are joined by hand.
+Measurement files are read a column at a time, each column checked as an
+array; only when a check fails are the rows parsed one by one, so the
+first bad row is named with its path:line.  Layout, measurement and truth
+files reject a repeated structure id.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .analysis import HeatmapGrid
-from .errors import DataError, JJShadowError
+from .csvfile import _finite, _flag, _int64, _parse_rows, _read_rows, _write_rows
+from .errors import DataError
 from .geometry import VARIANTS, JunctionDesign, Variant, WaferPoint
 from .imaging import GrayImage, write_pgm
 from .layout import LayoutKind, TestStructureSpec, WaferLayout, check_junction_count
@@ -36,6 +35,7 @@ LAYOUT_HEADER = MEASUREMENT_HEADER.rsplit(",", 1)[0]
 TRUTH_HEADER = "structure_id,flags"
 HEATMAP_HEADER = "row,col,x_mm,y_mm,value,valid"
 EXTRACTION_HEADER = "structure_id,d_mm,w_top_nm,w_bottom_nm,a_overlap_um2"
+MANIFEST_HEADER = "structure_id,x_mm,y_mm,w_b_px,w_t_px"
 
 _VARIANT_NAMES = [v.value for v in VARIANTS]
 _VARIANT_CODES = {name: code for code, name in enumerate(_VARIANT_NAMES)}
@@ -45,61 +45,6 @@ def _common_cells(columns: Mapping[str, np.ndarray]) -> list[list]:
     """The first ten CSV columns, shared by layout and measurement rows."""
     return [[_VARIANT_NAMES[c] for c in columns[name].tolist()] if name == "variant"
             else columns[name].tolist() for name in STRUCTURE_COLUMNS]
-
-
-def _write_rows(path: str | Path, header: str, columns: list[list]) -> None:
-    """Write the header and the rows of columns."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        csv.writer(fh, lineterminator="\n").writerows(zip(*columns))
-
-
-def _read_rows(path: str | Path, header: str, what: str) -> list[tuple[int, list[str]]]:
-    """The line number and cells of each non-blank row after the header."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines or lines[0] != header:
-        raise DataError(f"{path}: bad or missing {what} header")
-    return [(lineno, row) for lineno, row in enumerate(csv.reader(lines[1:]), start=2)
-            if row]
-
-
-def _parse_rows(path: str | Path, rows: list[tuple[int, list[str]]], width: int,
-                parse: Callable[[list[str]], object]) -> list:
-    """parse of each row in order; the first row of the wrong width, or
-    that parse rejects, raises DataError naming its path:line."""
-    out = []
-    for lineno, row in rows:
-        if len(row) != width:
-            raise DataError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
-        try:
-            out.append(parse(row))
-        except (ValueError, JJShadowError) as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return out
-
-
-def _int64(text: str) -> int:
-    value = int(text)
-    if not -2**63 <= value < 2**63:
-        raise ValueError(f"{text!r} is outside the 64-bit integer range")
-    return value
-
-
-def _flag(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise DataError(f"expected true/false, got {text!r}")
-    return text == "true"
-
-
-def _finite(text: str, column: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise DataError(f"{column} must be finite, got {text!r}")
-    return value
 
 
 def _structure_fields(row: Sequence[str]) -> dict[str, object]:
@@ -129,19 +74,22 @@ def _record(row: list[str]) -> MeasurementRecord | None:
     return MeasurementRecord(**fields, g_uS=float(row[11]))
 
 
+def _check_unique(path: str | Path, ids: Sequence[str]) -> None:
+    if len(set(ids)) != len(ids):
+        raise DataError(f"{path}: duplicate structure ids")
+
+
 def write_layout_csv(layout: WaferLayout, path: str | Path) -> None:
     excluded = ["true" if s.excluded else "false" for s in layout.structures]
     _write_rows(path, LAYOUT_HEADER,
-                _common_cells(structure_columns(layout.structures)) + [excluded])
+                zip(*_common_cells(structure_columns(layout.structures)), excluded))
 
 
 def read_layout_csv(path: str | Path) -> WaferLayout:
     """Read a layout CSV; bounds are not revalidated for user-edited files."""
     structures = _parse_rows(path, _read_rows(path, LAYOUT_HEADER, "layout"), 11,
                              _structure)
-    ids = [s.structure_id for s in structures]
-    if len(set(ids)) != len(ids):
-        raise DataError(f"{path}: duplicate structure ids")
+    _check_unique(path, [s.structure_id for s in structures])
     return WaferLayout(LayoutKind.CUSTOM, tuple(structures))
 
 
@@ -149,8 +97,8 @@ def write_measurements_csv(records: Sequence[MeasurementRecord],
                            path: str | Path) -> None:
     table = MeasurementTable.from_records(records)
     _write_rows(path, MEASUREMENT_HEADER,
-                _common_cells({name: getattr(table, name) for name in STRUCTURE_COLUMNS})
-                + [["false"] * len(table), table.g_uS.tolist()])
+                zip(*_common_cells({name: getattr(table, name) for name in STRUCTURE_COLUMNS}),
+                    ["false"] * len(table), table.g_uS.tolist()))
 
 
 def _measurement_columns(rows: list[list[str]]) -> MeasurementTable | None:
@@ -191,6 +139,7 @@ def read_measurements_csv(path: str | Path) -> MeasurementTable:
     if table is None:   # a check failed: row by row, the first bad row raises
         records = _parse_rows(path, rows, 12, _record)
         table = MeasurementTable.from_records(r for r in records if r is not None)
+    _check_unique(path, table.structure_id)
     return table
 
 
@@ -202,26 +151,19 @@ def write_truth_csv(records: Sequence[MeasurementRecord], path: str | Path) -> N
         sid = table.structure_id[flags.index(None)]
         raise DataError(f"record {sid} has no truth flags")
     text = {f: ";".join(sorted(f)) for f in set(flags)}
-    with open(path, "w", newline="") as fh:
-        fh.write(TRUTH_HEADER + "\n")
-        fh.writelines(f"{sid},{text[f]}\n"
-                      for sid, f in zip(table.structure_id.tolist(), flags))
+    _write_rows(path, TRUTH_HEADER,
+                zip(table.structure_id.tolist(), [text[f] for f in flags]))
+
+
+def _truth(row: list[str]) -> tuple[str, frozenset[str]]:
+    return row[0], frozenset(f for f in row[1].split(";") if f)
 
 
 def read_truth_csv(path: str | Path) -> dict[str, frozenset[str]]:
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read truth file {path}: {exc}") from exc
-    if not lines or lines[0] != TRUTH_HEADER:
-        raise DataError(f"{path}: bad or missing truth header")
-    out = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        sid, _, flags = line.partition(",")
-        out[sid] = frozenset(f for f in flags.split(";") if f)
-    return out
+    """Defect flags by structure id."""
+    truth = _parse_rows(path, _read_rows(path, TRUTH_HEADER, "truth"), 2, _truth)
+    _check_unique(path, [sid for sid, _ in truth])
+    return dict(truth)
 
 
 def write_heatmap_csv(grid: HeatmapGrid, path: str | Path) -> None:
@@ -257,8 +199,16 @@ def write_heatmap_pgm(grid: HeatmapGrid, path: str | Path) -> None:
 def write_extraction_csv(rows: Iterable[Mapping[str, object]], path: str | Path) -> None:
     """Batch extraction results; rows need the EXTRACTION_HEADER keys."""
     keys = EXTRACTION_HEADER.split(",")
-    with open(path, "w", newline="") as fh:
-        fh.write(EXTRACTION_HEADER + "\n")
-        for row in rows:
-            cells = [row[k] for k in keys]
-            fh.write(",".join(c if isinstance(c, str) else repr(c) for c in cells) + "\n")
+    _write_rows(path, EXTRACTION_HEADER, ([row[k] for k in keys] for row in rows))
+
+
+def write_manifest_csv(rows: Iterable[Sequence], path: str | Path) -> None:
+    """Render manifest: rows of MANIFEST_HEADER cells, each image's id, wafer
+    position and true bottom and top band widths in pixels."""
+    _write_rows(path, MANIFEST_HEADER, rows)
+
+
+def read_manifest_csv(path: str | Path) -> dict[str, WaferPoint]:
+    """Wafer position by image id from a render manifest."""
+    return dict(_parse_rows(path, _read_rows(path, MANIFEST_HEADER, "manifest"), 5,
+                            lambda row: (row[0], WaferPoint(float(row[1]), float(row[2])))))

@@ -11,7 +11,6 @@ jjshadow/data/.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -21,7 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, GeometryError
+from .csvfile import _parse_rows, _read_rows
+from .errors import DataError
 from .geometry import (
     SQUARE_HALF_MM,
     WAFER_RADIUS_MM,
@@ -97,8 +97,6 @@ class TestStructureSpec:
 class WaferLayout:
     kind: LayoutKind
     structures: tuple[TestStructureSpec, ...]
-    die_pitch_mm: float = DIE_PITCH_MM
-    wafer_shape: WaferShape = WaferShape.ROUND_100MM
 
     def viable(self) -> tuple[TestStructureSpec, ...]:
         return tuple(s for s in self.structures if not s.excluded)
@@ -114,59 +112,57 @@ class SubarraySite:
     group: str
 
 
+SUBARRAY_HEADER = "sub_index,x_mm,y_mm,group"
+VIA_HEADER = "x_mm,y_mm,diameter_um"
+SWEEP_HEADER = "group,w_nm"
+
+
 def _data_path(name: str):
     return resources.files("jjshadow.data").joinpath(name)
 
 
+def _site(row: list[str]) -> SubarraySite:
+    offset = WaferPoint(float(row[1]), float(row[2]))          # must be finite
+    return SubarraySite(int(row[0]), offset.x_mm, offset.y_mm, row[3].strip())
+
+
 def load_subarray_sites(path: str | Path | None = None) -> tuple[SubarraySite, ...]:
     """Read sub-array placements (sub_index,x_mm,y_mm,group) for one die."""
-    src = Path(path) if path is not None else _data_path("surface17_subarrays.csv")
-    try:
-        text = src.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read sub-array file {src}: {exc}") from exc
-    sites = []
-    for row in csv.DictReader(text.splitlines()):
-        try:
-            offset = WaferPoint(float(row["x_mm"]), float(row["y_mm"]))  # must be finite
-            sites.append(SubarraySite(int(row["sub_index"]), offset.x_mm, offset.y_mm,
-                                      row["group"].strip()))
-        except (KeyError, TypeError, ValueError, GeometryError) as exc:
-            raise DataError(f"malformed sub-array row {row!r}") from exc
+    src = path if path is not None else _data_path("surface17_subarrays.csv")
+    sites = _parse_rows(src, _read_rows(src, SUBARRAY_HEADER, "sub-array file"), 4, _site,
+                        "malformed sub-array row: ")
     if len(sites) != 17 or sorted(s.index for s in sites) != list(range(17)):
         raise DataError(f"sub-array file must define indices 0..16, got {len(sites)} rows")
     return tuple(sorted(sites, key=lambda s: s.index))
 
 
+def _via(row: list[str]) -> tuple[WaferPoint, float]:
+    diameter = float(row[2])
+    if not (math.isfinite(diameter) and diameter > 0.0):
+        raise DataError(f"diameter_um must be finite and > 0, got {row[2]!r}")
+    return WaferPoint(float(row[0]), float(row[1])), diameter
+
+
 def load_tsv_file(path: str | Path | None = None) -> tuple[tuple[WaferPoint, float], ...]:
     """Read via positions (x_mm,y_mm,diameter_um) in wafer coordinates."""
-    src = Path(path) if path is not None else _data_path("tsv_vias.csv")
-    try:
-        text = src.read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read TSV file {src}: {exc}") from exc
-    vias = []
-    for row in csv.DictReader(text.splitlines()):
-        try:
-            vias.append((WaferPoint(float(row["x_mm"]), float(row["y_mm"])),
-                         float(row["diameter_um"])))
-        except (KeyError, TypeError, ValueError, GeometryError) as exc:
-            raise DataError(f"malformed via row {row!r}") from exc
-    return tuple(vias)
+    src = path if path is not None else _data_path("tsv_vias.csv")
+    return tuple(_parse_rows(src, _read_rows(src, VIA_HEADER, "via file"), 3, _via,
+                             "malformed via row: "))
+
+
+def _sweep_width(row: list[str]) -> tuple[str, float]:
+    width = float(row[1])
+    if not (math.isfinite(width) and width >= 0.0):
+        raise DataError(f"w_nm must be finite and >= 0, got {row[1]!r}")
+    return row[0].strip(), width
 
 
 def load_sweep_file(path: str | Path) -> dict[str, tuple[float, ...]]:
     """Read width sweeps (group,w_nm), ordered within each group."""
     sweeps: dict[str, list[float]] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read sweep file {path}: {exc}") from exc
-    for row in csv.DictReader(text.splitlines()):
-        try:
-            sweeps.setdefault(row["group"].strip(), []).append(float(row["w_nm"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed sweep row {row!r}") from exc
+    for group, width in _parse_rows(path, _read_rows(path, SWEEP_HEADER, "sweep file"), 2,
+                                    _sweep_width, "malformed sweep row: "):
+        sweeps.setdefault(group, []).append(width)
     if not sweeps:
         raise DataError(f"sweep file {path} is empty")
     return {g: tuple(v) for g, v in sweeps.items()}
@@ -302,7 +298,7 @@ def build_tsv_17q(variant: Variant,
                     for s, hit in zip(cells, _via_hits(cells, via_x, via_y, via_r)))
     kind = (LayoutKind.TSV_17Q_MANHATTAN if variant is Variant.MANHATTAN
             else LayoutKind.TSV_17Q_DOLAN)
-    return WaferLayout(kind, tuple(structures), wafer_shape=WaferShape.SQUARE_70MM)
+    return WaferLayout(kind, tuple(structures))
 
 
 _PAD_CODE = {"nbtin": "N", "tin": "T", "al": "A"}

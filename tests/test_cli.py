@@ -225,6 +225,24 @@ class TestExitCodes:
                 assert run("render", "--grid", 1, option, value,
                            "--out-dir", tmp_path / "img") == 2
                 assert capsys.readouterr().err.count(f"{option} must be finite") == 2
+        # Data files are checked where they enter, naming path:line.
+        for name, option, kind, text in (
+                ("vias.csv", "--tsv-file", "tsv17q-dolan", "x_mm,y_mm,diameter_um\n1,2,{}\n"),
+                ("sweeps.csv", "--sweeps", "tsv17q-dolan", "group,w_nm\nall,{}\n")):
+            for value in ("nan", "-400", "inf"):
+                path = tmp_path / name
+                path.write_text(text.format(value))
+                capsys.readouterr()
+                assert run("layout", "--kind", kind, option, path,
+                           "--out", tmp_path / "l.csv") == 2
+                assert f"{path}:2: malformed " in capsys.readouterr().err
+        manifest = tmp_path / "manifest.csv"
+        for row in ("g00_00,abc,0.0,40,40", "g00_00,1.0,2.0"):
+            manifest.write_text(f"structure_id,x_mm,y_mm,w_b_px,w_t_px\n{row}\n")
+            capsys.readouterr()
+            assert run("extract", "--manifest", manifest, "--images", tmp_path / "g00_00.pgm",
+                       "--out", tmp_path / "e.csv") == 2
+            assert f"{manifest}:2: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("column, value", [(4, "inf"), (8, "nan")],
                              ids=["inf-y", "nan-designed-area"])

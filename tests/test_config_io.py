@@ -219,6 +219,19 @@ class TestCsvRoundTrips:
         with pytest.raises(DataError):
             read_layout_csv(path)
 
+    @pytest.mark.parametrize("kind", ["measurements", "truth"])
+    def test_duplicate_measurement_and_truth_ids_rejected(self, geom, tmp_path, kind):
+        records = synthesize_wafer(build_35x35("al"), geom, ProcessModel(), NO_PARASITICS)
+        path = tmp_path / f"{kind}.csv"
+        writer, reader = ((write_measurements_csv, read_measurements_csv)
+                          if kind == "measurements" else (write_truth_csv, read_truth_csv))
+        writer(records, path)
+        lines = path.read_text().splitlines()
+        lines.append(lines[5])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: duplicate structure ids$"):
+            reader(path)
+
     def test_heatmap_csv_blank_encoding(self, tmp_path):
         from jjshadow.analysis import normalized_heatmap
         from jjshadow.geometry import WaferPoint

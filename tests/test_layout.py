@@ -1,6 +1,7 @@
 """Layout builders: reference structure counts, uniqueness, determinism."""
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -15,6 +16,7 @@ from jjshadow.layout import (
     build_planar_17q,
     build_tsv_17q,
     load_subarray_sites,
+    load_sweep_file,
     load_tsv_file,
 )
 
@@ -158,6 +160,14 @@ class TestTsv17Q:
         with pytest.raises(DataError, match="malformed via row"):
             load_tsv_file(path)
 
+    @pytest.mark.parametrize("diameter", ["nan", "-400", "inf", "0"])
+    def test_bad_via_diameter_names_its_line(self, tmp_path, diameter):
+        path = tmp_path / "vias.csv"
+        path.write_text(f"x_mm,y_mm,diameter_um\n1.0,2.0,400\n\n3.0,4.0,{diameter}\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:4: malformed via row: "
+                                            "diameter_um must be finite and > 0"):
+            load_tsv_file(path)
+
     def test_exclusion_reason_recorded(self, tsv_manhattan):
         excluded = [s for s in tsv_manhattan.structures if s.excluded]
         assert excluded and all(s.exclusion_reason == "tsv_overlap" for s in excluded)
@@ -236,6 +246,28 @@ def test_subarray_reference_file():
     sites = load_subarray_sites()
     assert len(sites) == 17
     assert Counter(s.group for s in sites) == {"m": 9, "l": 4, "h": 4}
+
+
+@pytest.mark.parametrize("width", ["nan", "-1.0", "inf"])
+def test_bad_sweep_width_names_its_line(tmp_path, width):
+    path = tmp_path / "sweeps.csv"
+    path.write_text(f"group,w_nm\nall,150.0\nall,{width}\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: malformed sweep row: "
+                                        "w_nm must be finite and >= 0"):
+        load_sweep_file(path)
+
+
+@pytest.mark.parametrize("loader, header", [
+    (load_tsv_file, "y_mm,x_mm,diameter_um"),
+    (load_tsv_file, "x_mm,y_mm,diameter_um,note"),
+    (load_sweep_file, "w_nm,group"),
+    (load_subarray_sites, "sub_index,x_mm,y_mm"),
+])
+def test_data_file_needs_its_exact_header(tmp_path, loader, header):
+    path = tmp_path / "data.csv"
+    path.write_text(header + "\n")
+    with pytest.raises(DataError, match="bad or missing .* file header"):
+        loader(path)
 
 
 def test_non_finite_subarray_offset_rejected(tmp_path):

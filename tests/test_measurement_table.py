@@ -7,9 +7,12 @@ from jjshadow.errors import DataError
 from jjshadow.geometry import JunctionDesign, Variant, WaferPoint
 from jjshadow.io import (
     read_layout_csv,
+    read_manifest_csv,
     read_measurements_csv,
     read_truth_csv,
+    write_extraction_csv,
     write_layout_csv,
+    write_manifest_csv,
     write_measurements_csv,
     write_truth_csv,
 )
@@ -172,11 +175,26 @@ class TestCsvIdentityAtTheEdges:
         assert [s.excluded for s in back] == [s.excluded for s in specs]
 
     def test_truth(self, tmp_path):
-        # The truth sidecar does not quote: its ids hold no commas.
-        records = [r for r in edge_records() if "," not in r.structure_id]
+        records = edge_records()
         write_truth_csv(records, tmp_path / "t.csv")
         assert read_truth_csv(tmp_path / "t.csv") == {r.structure_id: r.truth_flags
                                                       for r in records}
+
+    def test_manifest_and_extraction(self, tmp_path):
+        import csv
+
+        records = edge_records()
+        write_manifest_csv([(r.structure_id, r.position.x_mm, r.position.y_mm, 40, 62)
+                            for r in records], tmp_path / "m.csv")
+        back = read_manifest_csv(tmp_path / "m.csv")
+        assert [(sid, repr(p.x_mm), repr(p.y_mm)) for sid, p in back.items()] == [
+            (r.structure_id, repr(r.position.x_mm), repr(r.position.y_mm)) for r in records]
+        write_extraction_csv([{"structure_id": r.structure_id, "d_mm": r.g_uS,
+                               "w_top_nm": 1.0, "w_bottom_nm": 2.0, "a_overlap_um2": 0.5}
+                              for r in records], tmp_path / "e.csv")
+        rows = list(csv.reader(tmp_path.joinpath("e.csv").read_text().splitlines()[1:]))
+        assert [(row[0], row[1]) for row in rows] == [(r.structure_id, repr(r.g_uS))
+                                                      for r in records]
 
     def test_quoting_matches_csv_module(self, tmp_path):
         import csv
