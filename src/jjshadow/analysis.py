@@ -190,15 +190,6 @@ def regression_filter_die(records: Sequence[MeasurementRecord], cfg: FilterConfi
     return _regression(_regressor(table, cfg), table.g_uS, table.structure_id, die, cfg)[0]
 
 
-def _exact_mean(values: np.ndarray) -> float:
-    """Python-sum mean; constant data yields its value bit-exactly (zero residuals)."""
-    values = values.tolist()
-    first = values[0]
-    if all(v == first for v in values):
-        return first
-    return sum(values) / len(values)
-
-
 def _mean_keep(g_uS: np.ndarray, cfg: FilterConfig) -> np.ndarray:
     """The mean filter's kept mask."""
     return ~(g_uS < cfg.rel_threshold * _exact_mean(g_uS))
@@ -215,6 +206,15 @@ def mean_filter(records: Sequence[MeasurementRecord], cfg: FilterConfig,
     if not records:
         raise DataError("mean filter got no records")
     return _split(records, _mean_keep(MeasurementTable.from_records(records).g_uS, cfg))
+
+
+def _exact_mean(values: np.ndarray) -> float:
+    """Python-sum mean; constant data yields its value bit-exactly (zero residuals)."""
+    values = values.tolist()
+    first = values[0]
+    if all(v == first for v in values):
+        return first
+    return sum(values) / len(values)
 
 
 @dataclass(frozen=True)
