@@ -10,7 +10,9 @@ Runs, in one process and against the checkout's own src/:
   --layout`` of each of those measurement files,
 * ``compensate`` of every layout in both modes at all three fidelities,
   plus a tight width limit that leaves structures unattainable,
-* ``fieldmap`` for every quantity at every fidelity on a 2 mm grid,
+* ``fieldmap`` for every quantity at every fidelity on a 2 mm grid, and on
+  a 0.3 mm grid the FULL-fidelity area and the bottom width of a 20 nm
+  line, which pinches off into blank cells away from the centre,
 * ``render --grid 3 --canvas 256`` of 100 nm electrodes (images and
   manifest) and ``extract --manifest`` of those images,
 * ``write-config``.
@@ -57,6 +59,7 @@ BUNDLED = ROOT / "src" / "jjshadow" / "data"
 REFERENCE_SETS = {"default": None, "non-default": "non-default.cfg"}
 
 FIELDMAP_STEP_MM = "2"
+FINE_STEP_MM = "0.3"            # ~87k disc cells, near the benchmark's 0.25 mm map
 TIGHT_WIDTH_NM = "230"
 SEEDS = ("3", "7")
 RENDER_GRID = "3"
@@ -109,6 +112,10 @@ def _commands(out: Path, config: list[str]) -> list[tuple[list[str], list[str]]]
             runs.append((["fieldmap", "--quantity", quantity, "--step", FIELDMAP_STEP_MM,
                           "--fidelity", fid.value, "--out", str(out / name), *config],
                          [name]))
+    for name, extra in (("fieldmap-area-full-fine.csv", ["area", "--fidelity", "full"]),
+                        ("fieldmap-wb-wb20-fine.csv", ["wb", "--wb", "20"])):
+        runs.append((["fieldmap", "--quantity", *extra, "--step", FINE_STEP_MM,
+                      "--out", str(out / name), *config], [name]))
     runs.append((["render", "--grid", RENDER_GRID, "--canvas", RENDER_CANVAS_PX,
                   "--wb", RENDER_WIDTH_NM, "--wt", RENDER_WIDTH_NM,
                   "--out-dir", str(out / "render"), *config], ["render"]))
