@@ -6,8 +6,10 @@ Runs, in one process and against the checkout's own src/:
   ``tsv17q-dolan`` again with the bundled data files passed explicitly
   (``--subarrays``, ``--tsv-file``) and the built-in sweeps written out as
   ``--sweeps`` files,
-* ``simulate --seed {3,7} --truth-out`` of every layout, and ``analyze
-  --layout`` of each of those measurement files,
+* ``simulate --seed 3 --truth-out`` of every layout, and ``analyze
+  --layout`` of each of those measurement files; again with ``--seed 7``
+  when the configuration's process model draws random numbers (disorder,
+  opens or shorts), since otherwise no output depends on the seed,
 * ``compensate`` of every layout in both modes at all three fidelities,
   plus a tight width limit that leaves structures unattainable,
 * ``fieldmap`` for every quantity at every fidelity on a 2 mm grid, and on
@@ -49,6 +51,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from jjshadow.cli import main as jjshadow_main       # noqa: E402
+from jjshadow.config import load_config               # noqa: E402
 from jjshadow.geometry import FIELD_QUANTITIES, Fidelity  # noqa: E402
 from jjshadow.layout import PLANAR_SWEEPS, TSV_SWEEP, LayoutKind  # noqa: E402
 
@@ -73,8 +76,17 @@ def _write_sweeps(path: Path, sweeps: dict[str, tuple[float, ...]]) -> None:
                                              for group, ws in sweeps.items() for w in ws))
 
 
-def _commands(out: Path, config: list[str]) -> list[tuple[list[str], list[str]]]:
+def _seeds(config: str | None) -> tuple[str, ...]:
+    """The simulate seeds: the first alone unless the process model is random."""
+    process = load_config(config).process()
+    random = max(process.lognormal_sigma, process.p_open, process.p_short) > 0.0
+    return SEEDS if random else SEEDS[:1]
+
+
+def _commands(out: Path, config: str | None) -> list[tuple[list[str], list[str]]]:
     """(argv, names of its outputs) for every run, in a fixed order."""
+    seeds = _seeds(config)
+    config = ["--config", config] if config else []
     runs = []
     kinds = [k.value for k in LayoutKind if k is not LayoutKind.CUSTOM]
     for kind in kinds:
@@ -89,7 +101,7 @@ def _commands(out: Path, config: list[str]) -> list[tuple[list[str], list[str]]]
                      [name]))
     for kind in kinds:
         layout = ["--layout", str(out / f"layout-{kind}.csv")]
-        for seed in SEEDS:
+        for seed in seeds:
             sim, truth = f"simulate-{kind}-{seed}.csv", f"truth-{kind}-{seed}.csv"
             runs.append((["simulate", *layout, "--seed", seed, "--out", str(out / sim),
                           "--truth-out", str(out / truth), *config], [sim, truth]))
@@ -133,10 +145,9 @@ def digest_outputs(out: Path, config: str | None) -> list[str]:
     """Run every command and digest its outputs; a directory output digests
     each file in it."""
     lines = []
-    extra = ["--config", config] if config else []
     _write_sweeps(out / "sweeps-planar.csv", PLANAR_SWEEPS)
     _write_sweeps(out / "sweeps-tsv.csv", {"all": TSV_SWEEP})
-    for argv, names in _commands(out, extra):
+    for argv, names in _commands(out, config):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = jjshadow_main(argv)
