@@ -2,14 +2,17 @@
 reference model (tests/scalar_model.py): exact equality, same blanks."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import scalar_model
+from jjshadow.config import load_config
 from jjshadow.errors import GeometryError, ShadowedError
 from jjshadow.geometry import (
     FIELD_QUANTITIES,
+    NM_PER_MM,
     VARIANTS,
     EvaporatorGeometry,
     Fidelity,
@@ -211,3 +214,62 @@ def test_within_radius_decides_like_math_hypot():
     assert within_radius(dx, dy, exact).all()
     assert not within_radius(dx, dy, np.nextafter(exact, 0.0)).any()
     assert within_radius(np.empty(0), np.empty(0), 1.0).shape == (0,)
+
+
+# The field map evaluates x >= 0 only and mirrors each row, so every
+# quantity must be even in x, bit for bit, at any geometry.
+MIRROR_GEOMETRIES = {
+    "default": EvaporatorGeometry(),
+    "non-default": load_config(Path(__file__).parent / "data" / "non-default.cfg").geometry(),
+}
+
+
+def pinch_off_mm(geom, w_nm, d_nm):
+    """Offset where a w_nm line narrowed over distance d_nm prints 0 nm wide."""
+    return (w_nm + geom.dw_offset_nm) * d_nm / (geom.h_resist_nm * NM_PER_MM)
+
+
+def mirror_samples(rng, edges_mm):
+    """Offsets >= 0: uniform over the wafer, 0, and each pinch-off edge with
+    the floats on either side of it."""
+    edges = np.array(edges_mm)
+    return np.concatenate([rng.uniform(0.0, 50.0, 120), [0.0], edges,
+                           np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+
+
+def assert_even_in_x(kernel, x, y):
+    """kernel(x, y) and kernel(-x, y) return the same bits, values and ok;
+    returns the ok mask."""
+    east, west = kernel(x, y), kernel(-x, y)
+    for a, b in zip(east, west):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return east[1]
+
+
+@pytest.mark.parametrize("geom", MIRROR_GEOMETRIES.values(), ids=MIRROR_GEOMETRIES)
+@pytest.mark.parametrize("fidelity", list(Fidelity))
+@pytest.mark.parametrize("quantity", FIELD_QUANTITIES)
+def test_field_values_even_in_x(geom, fidelity, quantity):
+    rng = np.random.default_rng(20231018)
+    d = geom.source_distance_nm()
+    for design in DESIGNS.values():
+        edges = [pinch_off_mm(geom, w, d) for w in (design.w_bottom_nm, design.w_top_nm)]
+        x = mirror_samples(rng, edges)[:, None]
+        offsets = mirror_samples(rng, edges)
+        y = np.concatenate([offsets, -offsets])[None, :]
+        ok = assert_even_in_x(
+            lambda px, py: field_values(geom, quantity, px, py, design, fidelity), x, y)
+        if design is DESIGNS["narrow"] and quantity in ("wb", "wt", "wt_full", "area"):
+            assert ok.any() and not ok.all()
+
+
+@pytest.mark.parametrize("geom", MIRROR_GEOMETRIES.values(), ids=MIRROR_GEOMETRIES)
+def test_bridge_areas_even_in_x(geom):
+    rng = np.random.default_rng(20231019)
+    w_t = np.array([15.0, 20.0, 200.0])[:, None, None]
+    edges = [pinch_off_mm(geom, w, geom.bridge_distance_nm()) for w in w_t.ravel().tolist()]
+    x = mirror_samples(rng, edges)[None, :, None]
+    y = rng.uniform(-50.0, 50.0, 40)[None, None, :]
+    ok = assert_even_in_x(lambda px, py: overlap_areas(geom, Variant.DOLAN, 300.0, w_t,
+                                                       px, py, Fidelity.BASIC), x, y)
+    assert ok.any() and not ok.all()
