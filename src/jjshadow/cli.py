@@ -234,10 +234,15 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    manifest = jio.read_manifest_csv(args.manifest) if args.manifest else {}
-    rows = []
+    ids: dict[str, str] = {}            # image id (file stem) -> path
     for image_path in args.images:
         sid = Path(image_path).stem
+        if sid in ids:
+            raise DataError(f"images {ids[sid]} and {image_path} share the id {sid!r}")
+        ids[sid] = image_path
+    manifest = jio.read_manifest_csv(args.manifest) if args.manifest else {}
+    rows = []
+    for sid, image_path in ids.items():
         img = read_pgm(image_path, scale_nm_per_px=args.scale)
         result = extract_widths(img, threshold_count=args.thresholds)
         area = extract_overlap_area(img, result)

@@ -5,8 +5,8 @@ Every file is read and written by csvfile's helpers, so files round-trip
 bit exactly, except the heatmap, whose all-number rows are joined by hand.
 Measurement files are read a column at a time, each column checked as an
 array; only when a check fails are the rows parsed one by one, so the
-first bad row is named with its path:line.  Layout, measurement and truth
-files reject a repeated structure id.
+first bad row is named with its path:line.  Layout, measurement, truth
+and manifest files reject a repeated structure id.
 """
 
 from __future__ import annotations
@@ -209,6 +209,14 @@ def write_manifest_csv(rows: Iterable[Sequence], path: str | Path) -> None:
 
 
 def read_manifest_csv(path: str | Path) -> dict[str, WaferPoint]:
-    """Wafer position by image id from a render manifest."""
-    return dict(_parse_rows(path, _read_rows(path, MANIFEST_HEADER, "manifest"), 5,
-                            lambda row: (row[0], WaferPoint(float(row[1]), float(row[2])))))
+    """Wafer position by image id from a render manifest; a repeated id is
+    rejected at its path:line."""
+    manifest: dict[str, WaferPoint] = {}
+
+    def entry(row: list[str]) -> None:
+        if row[0] in manifest:
+            raise DataError(f"repeated structure id {row[0]!r}")
+        manifest[row[0]] = WaferPoint(float(row[1]), float(row[2]))
+
+    _parse_rows(path, _read_rows(path, MANIFEST_HEADER, "manifest"), 5, entry)
+    return manifest

@@ -173,6 +173,29 @@ class TestRenderExtract:
             assert abs(float(wb_nm) / 2.0 - wb_px) <= 1.0
             assert abs(float(wt_nm) / 2.0 - wt_px) <= 1.0
 
+    def test_extract_rejects_images_sharing_an_id(self, tmp_path, capsys):
+        # Each row is named by its image's file stem, so two images with one
+        # stem would give one structure_id two meanings.
+        for name in ("a", "b"):
+            assert run("render", "--grid", 1, "--out-dir", tmp_path / name) == 0
+        first, second = (tmp_path / name / "g00_00.pgm" for name in ("a", "b"))
+        capsys.readouterr()
+        assert run("extract", "--images", first, second, "--out", tmp_path / "e.csv") == 2
+        err = capsys.readouterr().err
+        assert f"{first} and {second} share the id 'g00_00'" in err
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_manifest_rejects_a_repeated_id(self, tmp_path, capsys):
+        out_dir = tmp_path / "imgs"
+        assert run("render", "--grid", 1, "--out-dir", out_dir) == 0
+        manifest = out_dir / "manifest.csv"
+        lines = rows(manifest)
+        manifest.write_text("\n".join(lines + ["g00_00,30.0,0.0,40,40"]) + "\n")
+        capsys.readouterr()
+        assert run("extract", "--manifest", manifest, "--images", out_dir / "g00_00.pgm",
+                   "--out", tmp_path / "e.csv") == 2
+        assert f"{manifest}:3: repeated structure id 'g00_00'" in capsys.readouterr().err
+
 
 class TestCompensateCommand:
     def test_round_trip_uniform_g(self, tmp_path):
