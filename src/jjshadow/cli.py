@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import (
 from .geometry import (
     FIELD_QUANTITIES,
     WAFER_RADIUS_MM,
+    EvaporatorGeometry,
     Fidelity,
     JunctionDesign,
     Variant,
@@ -161,30 +163,58 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+FIELDMAP_BLOCK_POINTS = 8192        # x >= 0 grid points per field_values call
+
+
+def _field_map_text(geom: EvaporatorGeometry, quantity: str, design: JunctionDesign,
+                    fidelity: Fidelity, step: float) -> Iterator[str]:
+    """The CSV lines of each field-map row, north to south; within a row,
+    west to east.  field_values runs once per block of rows.
+
+    Every field quantity takes the same value at (x, y) and (-x, y), and so
+    does the disc test; the grid is symmetric too, since (-k)*step is
+    -(k*step) exactly.  So only x >= 0 is evaluated and formatted, and each
+    row's x < 0 cells mirror its x > 0 cells.
+    """
+    n = int(math.floor(WAFER_RADIUS_MM / step))
+    xs = np.arange(n + 1) * step
+    x_east = [repr(x) for x in xs.tolist()]
+    x_west = [repr(-x) for x in xs.tolist()]
+    ys = np.arange(n, -n - 1, -1) * step
+    rows_per_block = max(1, FIELDMAP_BLOCK_POINTS // xs.size)
+    for first in range(0, ys.size, rows_per_block):
+        block = ys[first:first + rows_per_block]
+        row, col = np.nonzero(within_radius(xs, block[:, None], WAFER_RADIUS_MM))
+        values, ok = field_values(geom, quantity, xs[col], block[row], design, fidelity)
+        cells = [repr(v) for v in values.tolist()]
+        for k in np.flatnonzero(~ok).tolist():
+            cells[k] = ""               # pinched off: blank cell
+        bounds = np.searchsorted(row, np.arange(block.size + 1)).tolist()
+        col = col.tolist()
+        for y, lo, hi in zip(block.tolist(), bounds, bounds[1:]):
+            if lo == hi:
+                continue
+            east = col[lo:hi]
+            west = east[::-1]
+            if west[-1] == 0:
+                west.pop()              # x = 0 has no mirror image
+            half = cells[lo:hi]
+            x_text = [x_west[k] for k in west] + [x_east[k] for k in east]
+            yield "\n".join(map(f",{y!r},".join,
+                                zip(x_text, half[::-1][:len(west)] + half))) + "\n"
+
+
 def cmd_fieldmap(args: argparse.Namespace) -> int:
     _check_widths(args, "--wb", "--wt")
     cfg = load_config(args.config)
-    geom = cfg.geometry()
     design = JunctionDesign(Variant.MANHATTAN, args.wb, args.wt)
     step = args.step
     if not (step > 0 and math.isfinite(step)):
         raise DataError(f"grid step must be finite and > 0, got {step}")
-    n = int(math.floor(WAFER_RADIUS_MM / step))
-    xs = np.arange(-n, n + 1) * step
-    x_text = [repr(x) for x in xs.tolist()]
     with open(args.out, "w", newline="") as fh:
         fh.write("x_mm,y_mm,value\n")
-        for iy in range(n, -n - 1, -1):         # one grid row at a time
-            y = iy * step
-            on = np.flatnonzero(within_radius(xs, y, WAFER_RADIUS_MM))
-            values, ok = field_values(geom, args.quantity, xs[on], y, design,
-                                      args.fidelity)
-            cells = [repr(v) for v in values.tolist()]
-            for k in np.flatnonzero(~ok).tolist():
-                cells[k] = ""           # pinched off: blank cell
-            row = f",{y!r},"
-            fh.write("".join(x_text[i] + row + c + "\n"
-                             for i, c in zip(on.tolist(), cells)))
+        fh.writelines(_field_map_text(cfg.geometry(), args.quantity, design,
+                                      args.fidelity, step))
     print(f"wrote {args.out}")
     return 0
 

@@ -25,7 +25,9 @@ returning a False mask; actual_width_vertical, a single expression, is
 evaluated directly.  Exactness rule: every step is an IEEE + - * / sqrt abs
 max, and |r - C|**3 is taken with Python's float ** (libm pow) element by
 element, because numpy's power differs from it in the last bit for some
-arguments.
+arguments.  Every quantity is even in x, bit for bit: x enters only as
+|x| (the narrowed width) and as dx * dx (the source distance), so the
+field map evaluates x >= 0 and mirrors it.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Command-line behaviour: schemas, counts, determinism, exit codes."""
 
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,7 +11,15 @@ import pytest
 
 import jjshadow
 from jjshadow.cli import main
-from jjshadow.geometry import WaferPoint
+from jjshadow.geometry import (
+    WAFER_RADIUS_MM,
+    EvaporatorGeometry,
+    JunctionDesign,
+    Variant,
+    WaferPoint,
+    field_values,
+    within_radius,
+)
 from jjshadow.io import write_layout_csv
 from jjshadow.layout import build_35x35
 
@@ -143,6 +152,37 @@ class TestFieldmap:
                    "--out", out) == 0
         blank = [line for line in rows(out)[1:] if line.endswith(",")]
         assert blank                                  # pinch-off far from centre
+
+    @pytest.mark.parametrize("quantity, w_bottom", [("area", 200.0), ("wb", 20.0)])
+    def test_equals_whole_grid_reference(self, tmp_path, quantity, w_bottom):
+        # The map evaluates x >= 0 only, many rows per kernel call, and
+        # mirrors each row; evaluating every cell of every row on its own
+        # must give the same file, blanks included.
+        out = tmp_path / "field.csv"
+        assert run("fieldmap", "--quantity", quantity, "--wb", w_bottom, "--step", 0.3,
+                   "--out", out) == 0
+        design = JunctionDesign(Variant.MANHATTAN, w_bottom, 200.0)
+        n = math.floor(WAFER_RADIUS_MM / 0.3)
+        xs = np.arange(-n, n + 1) * 0.3
+        want = ["x_mm,y_mm,value"]
+        for iy in range(n, -n - 1, -1):
+            y = iy * 0.3
+            on = within_radius(xs, y, WAFER_RADIUS_MM)
+            values, ok = field_values(EvaporatorGeometry(), quantity, xs[on], y, design)
+            want += [f"{x!r},{y!r}," + (repr(v) if good else "")
+                     for x, v, good in zip(xs[on].tolist(), values.tolist(), ok.tolist())]
+        assert rows(out) == want
+        assert any(line.endswith(",") for line in want) == (quantity == "wb")
+
+    def test_lip_height_north_of_source_names_the_first_row(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("geometry.alpha_deg = 2\n")     # source projects inside the wafer
+        out = tmp_path / "field.csv"
+        assert run("fieldmap", "--quantity", "hlip", "--step", 0.5, "--config", cfg,
+                   "--out", out) == 3
+        assert "point y=50.0 mm is not south of the source projection" \
+            in capsys.readouterr().err
+        assert rows(out) == ["x_mm,y_mm,value"]
 
 
 class TestRenderExtract:
