@@ -79,14 +79,13 @@ def _write_sweeps(path: Path, sweeps: dict[str, tuple[float, ...]]) -> None:
 def _seeds(config: str | None) -> tuple[str, ...]:
     """The simulate seeds: the first alone unless the process model is random."""
     process = load_config(config).process()
-    random = max(process.lognormal_sigma, process.p_open, process.p_short) > 0.0
-    return SEEDS if random else SEEDS[:1]
+    random_process = max(process.lognormal_sigma, process.p_open, process.p_short) > 0.0
+    return SEEDS if random_process else SEEDS[:1]
 
 
-def _commands(out: Path, config: str | None) -> list[tuple[list[str], list[str]]]:
+def _commands(out: Path, config: list[str],
+              seeds: tuple[str, ...]) -> list[tuple[list[str], list[str]]]:
     """(argv, names of its outputs) for every run, in a fixed order."""
-    seeds = _seeds(config)
-    config = ["--config", config] if config else []
     runs = []
     kinds = [k.value for k in LayoutKind if k is not LayoutKind.CUSTOM]
     for kind in kinds:
@@ -145,9 +144,10 @@ def digest_outputs(out: Path, config: str | None) -> list[str]:
     """Run every command and digest its outputs; a directory output digests
     each file in it."""
     lines = []
+    extra = ["--config", config] if config else []
     _write_sweeps(out / "sweeps-planar.csv", PLANAR_SWEEPS)
     _write_sweeps(out / "sweeps-tsv.csv", {"all": TSV_SWEEP})
-    for argv, names in _commands(out, config):
+    for argv, names in _commands(out, extra, _seeds(config)):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = jjshadow_main(argv)
