@@ -7,7 +7,6 @@ oracle, and design pre-compensation.
 """
 
 from .analysis import (
-    ConstantFit,
     FilterConfig,
     FrequencyModel,
     RegressionFit,

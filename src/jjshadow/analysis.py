@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DataError, FitError
 from .geometry import (
+    VARIANT_CODES,
     VARIANTS,
     EvaporatorGeometry,
     Fidelity,
@@ -33,8 +34,6 @@ from .geometry import (
     variant_areas,
 )
 from .synth import MeasurementRecord, MeasurementTable
-
-_DOLAN = VARIANTS.index(Variant.DOLAN)
 
 
 class Regressor(str, Enum):
@@ -93,7 +92,8 @@ def _regressor(table: MeasurementTable, cfg: FilterConfig) -> np.ndarray:
     """
     if cfg.regressor is Regressor.OVERLAP_AREA:
         return table.a_overlap_designed_um2
-    return np.where(table.variant == _DOLAN, table.w_top_nm, table.w_bottom_nm)
+    dolan = table.variant == VARIANT_CODES[Variant.DOLAN]
+    return np.where(dolan, table.w_top_nm, table.w_bottom_nm)
 
 
 def _in_window(g_uS: np.ndarray, cfg: FilterConfig) -> np.ndarray:
@@ -129,46 +129,30 @@ class RegressionFit:
         return self.slope * x + self.intercept
 
 
-@dataclass(frozen=True)
-class ConstantFit:
-    """Mean model used in place of a regression on uniform layouts."""
-
-    die_index: tuple[int, int]
-    mean_uS: float
-    kept_ids: frozenset[str]
-    rejected_ids: frozenset[str]
-
-    def predict(self, x: float) -> float:
-        return self.mean_uS
-
-
 def _distinct(values: np.ndarray) -> int:
     return len(set(values.tolist()))
 
 
-def _ols(xs: np.ndarray, ys: np.ndarray, who: str) -> tuple[float, float]:
-    if _distinct(xs) < 2:
-        raise FitError(f"{who}: regression is underdetermined")
-    slope, intercept = np.polyfit(xs, ys, 1)
-    return float(slope), float(intercept)
+def _polyfit(xs: np.ndarray, ys: np.ndarray, deg: int, message: str) -> list[float]:
+    """np.polyfit's coefficients, highest power first, as Python floats;
+    FitError(message) when fewer than deg + 1 distinct xs determine them."""
+    if _distinct(xs) < deg + 1:
+        raise FitError(message)
+    return np.polyfit(xs, ys, deg).tolist()
 
 
-def _regression(xs: np.ndarray, gs: np.ndarray, ids: np.ndarray,
-                die: tuple[int, int], cfg: FilterConfig,
-                ) -> tuple[RegressionFit, np.ndarray]:
-    """The two-pass filter on one die's columns: the fit and the kept mask."""
+def _regression(xs: np.ndarray, gs: np.ndarray, die: tuple[int, int], cfg: FilterConfig,
+                ) -> tuple[float, float, np.ndarray]:
+    """The two-pass filter on one die's columns: pass-2 slope, intercept and kept mask."""
     if _distinct(xs) < 3:
         raise FitError(f"die {die}: fewer than 3 distinct regressor values")
-    slope1, icept1 = _ols(xs, gs, f"die {die} pass 1")
+    slope1, icept1 = _polyfit(xs, gs, 1, f"die {die} pass 1: regression is underdetermined")
     keep = ~(gs < cfg.rel_threshold * (slope1 * xs + icept1))
     if keep.sum() < 2:
         raise FitError(f"die {die}: regression filter rejected nearly all records")
-    slope2, icept2 = _ols(xs[keep], gs[keep], f"die {die} pass 2")
-    residuals = gs[keep] - (slope2 * xs[keep] + icept2)
-    return RegressionFit(
-        die_index=die, slope=slope2, intercept=icept2,
-        residuals_uS=tuple(zip(ids[keep].tolist(), residuals.tolist())),
-        kept_ids=frozenset(ids[keep]), rejected_ids=frozenset(ids[~keep])), keep
+    slope2, icept2 = _polyfit(xs[keep], gs[keep], 1,
+                              f"die {die} pass 2: regression is underdetermined")
+    return slope2, icept2, keep
 
 
 def regression_filter_die(records: Sequence[MeasurementRecord], cfg: FilterConfig,
@@ -187,7 +171,12 @@ def regression_filter_die(records: Sequence[MeasurementRecord], cfg: FilterConfi
     if mixed.size:
         other = (int(table.die_x[mixed[0]]), int(table.die_y[mixed[0]]))
         raise DataError(f"records of dies {die} and {other} mixed in one fit")
-    return _regression(_regressor(table, cfg), table.g_uS, table.structure_id, die, cfg)[0]
+    xs, gs, ids = _regressor(table, cfg), table.g_uS, table.structure_id
+    slope, intercept, keep = _regression(xs, gs, die, cfg)
+    residuals = gs[keep] - (slope * xs[keep] + intercept)
+    return RegressionFit(die, slope, intercept,
+                         tuple(zip(ids[keep].tolist(), residuals.tolist())),
+                         frozenset(ids[keep]), frozenset(ids[~keep]))
 
 
 def _mean_keep(g_uS: np.ndarray, cfg: FilterConfig) -> np.ndarray:
@@ -285,7 +274,7 @@ def _rsd(g_uS: np.ndarray, g_fit, model: FrequencyModel) -> float:
 
 
 def frequency_rsd(records: Sequence[MeasurementRecord],
-                  fit: RegressionFit | ConstantFit,
+                  fit: RegressionFit,
                   cfg: FilterConfig,
                   model: FrequencyModel = FrequencyModel()) -> float:
     """Spread of predicted frequency about a fit, in MHz.
@@ -400,8 +389,7 @@ def effective_conductivity(records: Sequence[MeasurementRecord],
 def quadratic_radial_fit(points: Sequence[tuple[float, float]],
                          ) -> tuple[float, float, float]:
     """Least-squares a + b*d + c*d^2 through (d, value) points."""
-    ds = np.asarray([d for d, _ in points], float)
-    if _distinct(ds) < 3:
-        raise FitError("quadratic fit needs at least 3 distinct radii")
-    c, b, a = np.polyfit(ds, np.asarray([v for _, v in points], float), 2)
-    return float(a), float(b), float(c)
+    c, b, a = _polyfit(np.asarray([d for d, _ in points], float),
+                       np.asarray([v for _, v in points], float), 2,
+                       "quadratic fit needs at least 3 distinct radii")
+    return a, b, c

@@ -164,6 +164,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 FIELDMAP_BLOCK_POINTS = 8192        # x >= 0 grid points per field_values call
+FIELDMAP_MAX_CELLS = 10_000_000     # bound on the (2n + 1)^2 square grid a step asks for
 
 
 def _field_map_text(geom: EvaporatorGeometry, quantity: str, design: JunctionDesign,
@@ -211,6 +212,9 @@ def cmd_fieldmap(args: argparse.Namespace) -> int:
     step = args.step
     if not (step > 0 and math.isfinite(step)):
         raise DataError(f"grid step must be finite and > 0, got {step}")
+    n = WAFER_RADIUS_MM / step
+    if not (math.isfinite(n) and (2 * math.floor(n) + 1) ** 2 <= FIELDMAP_MAX_CELLS):
+        raise DataError(f"--step {step} mm asks for more than {FIELDMAP_MAX_CELLS:,} cells")
     with open(args.out, "w", newline="") as fh:
         fh.write("x_mm,y_mm,value\n")
         fh.writelines(_field_map_text(cfg.geometry(), args.quantity, design,

@@ -56,9 +56,11 @@ class Variant(str, Enum):
     MANHATTAN = "manhattan"
 
 
-# Integer codes of variant columns: code k stands for VARIANTS[k].  The
-# codes sort as the variant names do.
+# Integer codes of variant columns: code k stands for VARIANTS[k], and
+# VARIANT_CODES maps each variant back to its code.  The codes sort as the
+# variant names do.
 VARIANTS = tuple(sorted(Variant, key=lambda v: v.value))
+VARIANT_CODES = {v: code for code, v in enumerate(VARIANTS)}
 
 
 class Fidelity(str, Enum):

@@ -18,8 +18,8 @@ import numpy as np
 
 from .analysis import HeatmapGrid
 from .csvfile import _finite, _flag, _int64, _parse_rows, _read_rows, _write_rows
-from .errors import DataError
-from .geometry import VARIANTS, JunctionDesign, Variant, WaferPoint
+from .errors import DataError, JJShadowError
+from .geometry import VARIANT_CODES, VARIANTS, JunctionDesign, Variant, WaferPoint
 from .imaging import GrayImage, write_pgm
 from .layout import LayoutKind, TestStructureSpec, WaferLayout, check_junction_count
 from .synth import (
@@ -37,13 +37,11 @@ HEATMAP_HEADER = "row,col,x_mm,y_mm,value,valid"
 EXTRACTION_HEADER = "structure_id,d_mm,w_top_nm,w_bottom_nm,a_overlap_um2"
 MANIFEST_HEADER = "structure_id,x_mm,y_mm,w_b_px,w_t_px"
 
-_VARIANT_NAMES = [v.value for v in VARIANTS]
-_VARIANT_CODES = {name: code for code, name in enumerate(_VARIANT_NAMES)}
-
 
 def _common_cells(columns: Mapping[str, np.ndarray]) -> list[list]:
     """The first ten CSV columns, shared by layout and measurement rows."""
-    return [[_VARIANT_NAMES[c] for c in columns[name].tolist()] if name == "variant"
+    names = [v.value for v in VARIANTS]
+    return [[names[c] for c in columns[name].tolist()] if name == "variant"
             else columns[name].tolist() for name in STRUCTURE_COLUMNS]
 
 
@@ -117,18 +115,16 @@ def _measurement_columns(rows: list[list[str]]) -> MeasurementTable | None:
                                for k in (1, 2, 9))
         x, y, w_b, w_t, area, g = (np.array(list(map(float, cells[k])), dtype=float)
                                    for k in (3, 4, 6, 7, 8, 11))
-        variant = np.array([_VARIANT_CODES[c] for c in cells[5]], dtype=np.int8)
-    except (ValueError, OverflowError, KeyError):
+        codes = {name: VARIANT_CODES[Variant(name)] for name in set(cells[5])}
+        variant = np.array([codes[c] for c in cells[5]], dtype=np.int8)
+    except (ValueError, OverflowError):
         return None
-    if not (np.isfinite(np.stack([x, y, w_b, w_t, area])).all()
-            and (w_b >= 0.0).all() and (w_t >= 0.0).all()):
-        return None
-    try:            # the table checks junction counts and conductances
+    try:            # the table checks every value of every column
         return MeasurementTable(dict(
             structure_id=cells[0], die_x=die_x, die_y=die_y, x_mm=x, y_mm=y,
             variant=variant, w_bottom_nm=w_b, w_top_nm=w_t, a_overlap_designed_um2=area,
             junction_count=count, g_uS=g, truth_flags=[None] * len(g)))
-    except DataError:
+    except JJShadowError:
         return None
 
 

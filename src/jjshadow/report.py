@@ -20,16 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import (
-    ConstantFit,
     CvStats,
     FilterConfig,
     FrequencyModel,
     HeatmapGrid,
-    RegressionFit,
     _exact_mean,
     _in_window,
     _mean_keep,
-    _ols,
+    _polyfit,
     _regression,
     _regressor,
     _rsd,
@@ -75,9 +73,7 @@ class UniformityReport:
     abs_rejected_ids: frozenset[str]
     rel_rejected_ids: frozenset[str]
     kept: MeasurementTable
-    fits: dict[FitKey, RegressionFit | ConstantFit]
     cv_by_area: dict[tuple, CvStats]                     # (variant, area_um2)
-    cv_by_area_die: dict[tuple, CvStats]                 # (die, variant, area)
     rsd_die_mhz: dict[FitKey, float]
     rsd_wafer_mhz: dict[str, float]                      # per variant
     rsd_die_nf_mhz: dict[FitKey, float] | None
@@ -128,7 +124,8 @@ def build_report(records: Sequence[MeasurementRecord], cfg: FilterConfig,
         evaluated at idx."""
         if uniform:
             return _exact_mean(g[idx])
-        slope, intercept = _ols(x[idx], g[idx], who)
+        slope, intercept = _polyfit(x[idx], g[idx], 1,
+                                    f"{who}: regression is underdetermined")
         return slope * x[idx] + intercept
 
     by_die = []                     # ((variant, die), rows), sorted by key
@@ -139,29 +136,25 @@ def build_report(records: Sequence[MeasurementRecord], cfg: FilterConfig,
         key = (VARIANTS[table.variant[i]].value, (int(table.die_x[i]), int(table.die_y[i])))
         by_die.append((key, idx))
 
-    fits: dict[FitKey, RegressionFit | ConstantFit] = {}
-    die_kept: dict[FitKey, np.ndarray] = {}
+    keep = np.zeros(len(table), dtype=bool)             # kept by the relative filter
+    fitted = {}     # (variant, die) -> kept rows, and the die's mean or pass-2 line there
     if uniform:
-        keep = np.zeros(len(table), dtype=bool)
         keep[abs_kept] = _mean_keep(g[abs_kept], cfg)
         for key, idx in by_die:
-            die_kept[key] = idx[keep[idx]]
-            if not die_kept[key].size:
+            rows = idx[keep[idx]]
+            if not rows.size:
                 raise FitError(f"die {key[1]}: mean filter rejected every record")
-            fits[key] = ConstantFit(
-                die_index=key[1], mean_uS=_exact_mean(g[die_kept[key]]),
-                kept_ids=frozenset(ids[die_kept[key]]),
-                rejected_ids=frozenset(ids[idx[~keep[idx]]]))
+            fitted[key] = rows, _exact_mean(g[rows])
         kept = abs_kept[keep[abs_kept]]
     else:
         for key, idx in by_die:
-            fits[key], keep = _regression(x[idx], g[idx], ids[idx], key[1], cfg)
-            die_kept[key] = idx[keep]
-        kept = np.concatenate(list(die_kept.values()))
-    rel_rejected = frozenset().union(*(fit.rejected_ids for fit in fits.values()))
+            slope, intercept, die_keep = _regression(x[idx], g[idx], key[1], cfg)
+            rows = idx[die_keep]
+            keep[rows] = True
+            fitted[key] = rows, slope * x[rows] + intercept
+        kept = np.concatenate([rows for rows, _ in fitted.values()])
 
-    rsd_die = {key: _rsd(g[idx], fits[key].predict(x[idx]), fmodel)
-               for key, idx in die_kept.items()}
+    rsd_die = {key: _rsd(g[rows], fit, fmodel) for key, (rows, fit) in fitted.items()}
     rsd_wafer = {variant: _rsd(g[idx], refit(idx, f"{variant} wafer"), fmodel)
                  for variant, idx in by_variant(kept)}
 
@@ -196,11 +189,9 @@ def build_report(records: Sequence[MeasurementRecord], cfg: FilterConfig,
         pipeline="uniform" if uniform else "sweep",
         total=len(table),
         abs_rejected_ids=frozenset(ids[~in_window]),
-        rel_rejected_ids=rel_rejected,
+        rel_rejected_ids=frozenset(ids[in_window & ~keep]),
         kept=kept_table,
-        fits=fits,
         cv_by_area=conductance_cv(kept_table, "wafer"),
-        cv_by_area_die=conductance_cv(kept_table, "die"),
         rsd_die_mhz=rsd_die,
         rsd_wafer_mhz=rsd_wafer,
         rsd_die_nf_mhz=rsd_die_nf,

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DataError
 from .geometry import (
+    VARIANT_CODES,
     VARIANTS,
     WAFER_RADIUS_MM,
     EvaporatorGeometry,
@@ -112,6 +113,16 @@ NO_PARASITICS = ParasiticsModel(pad_centre_ohm=0.0, pad_edge_ohm=0.0,
                                 substrate_uS=0.0, cabling_ohm=0.0)
 
 
+def _check_variant_code(structure_id: str, code: int) -> None:
+    if not 0 <= code < len(VARIANTS):
+        raise DataError(f"undefined variant code {code} on {structure_id}")
+
+
+def _check_designed_area(structure_id: str, area_um2: float) -> None:
+    if not math.isfinite(area_um2):
+        raise DataError(f"non-finite designed area on {structure_id}")
+
+
 def check_conductance(structure_id: str, g_uS: float) -> None:
     if not math.isfinite(g_uS):
         raise DataError(f"non-finite conductance on {structure_id}")
@@ -149,7 +160,6 @@ STRUCTURE_COLUMNS = {
     "junction_count": np.int64,
 }
 COLUMNS = {**STRUCTURE_COLUMNS, "g_uS": float, "truth_flags": object}
-_VARIANT_CODES = {v: code for code, v in enumerate(VARIANTS)}
 
 
 def _column(values: Sequence, dtype) -> np.ndarray:
@@ -180,7 +190,7 @@ def structure_columns(structures: Sequence[TestStructureSpec | MeasurementRecord
                       ) -> dict[str, np.ndarray]:
     """The STRUCTURE_COLUMNS of layout structures or measurement records."""
     rows = [(s.structure_id, *s.die_index, s.position.x_mm, s.position.y_mm,
-             _VARIANT_CODES[s.design.variant], s.design.w_bottom_nm, s.design.w_top_nm,
+             VARIANT_CODES[s.design.variant], s.design.w_bottom_nm, s.design.w_top_nm,
              s.a_overlap_designed_um2, s.junction_count) for s in structures]
     values = zip(*rows) if rows else [()] * len(STRUCTURE_COLUMNS)
     return {name: _column(col, dtype)
@@ -204,7 +214,8 @@ class MeasurementTable(Sequence[MeasurementRecord]):
     and top designed widths, designed area, junction count, g_uS and truth
     flags (a frozenset per row, None for readings loaded from a file).
     Indexing and iteration build MeasurementRecord objects on demand; a
-    slice is a table.  The constructor copies and checks the columns.
+    slice is a table.  The constructor copies the columns and checks each
+    value a record checks, raising its error for the first bad row.
     """
 
     __slots__ = tuple(COLUMNS)
@@ -217,6 +228,14 @@ class MeasurementTable(Sequence[MeasurementRecord]):
             setattr(self, name, _column(columns[name], dtype))
         if any(len(getattr(self, name)) != len(self.g_uS) for name in COLUMNS):
             raise DataError("measurement columns differ in length")
+        x, y, w_b, w_t = self.x_mm, self.y_mm, self.w_bottom_nm, self.w_top_nm
+        _raise_first(~(np.isfinite(x) & np.isfinite(y)), WaferPoint, x, y)
+        _raise_first((self.variant < 0) | (self.variant >= len(VARIANTS)),
+                     _check_variant_code, self.structure_id, self.variant)
+        _raise_first(~(np.isfinite(w_b) & np.isfinite(w_t)) | (w_b < 0.0) | (w_t < 0.0),
+                     lambda v, b, t: JunctionDesign(VARIANTS[v], b, t), self.variant, w_b, w_t)
+        _raise_first(~np.isfinite(self.a_overlap_designed_um2), _check_designed_area,
+                     self.structure_id, self.a_overlap_designed_um2)
         _raise_first(~np.isin(self.junction_count, JUNCTION_COUNTS), check_junction_count,
                     self.structure_id, self.junction_count)
         _raise_first(~np.isfinite(self.g_uS) | (self.g_uS < 0.0), check_conductance,

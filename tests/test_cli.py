@@ -174,6 +174,25 @@ class TestFieldmap:
         assert rows(out) == want
         assert any(line.endswith(",") for line in want) == (quantity == "wb")
 
+    @pytest.mark.parametrize("step", ["0.0123456", "0.001", "1e-300", "5e-324"])
+    def test_grid_size_bound(self, tmp_path, capsys, step):
+        out = tmp_path / "field.csv"
+        assert run("fieldmap", "--quantity", "area", "--step", step, "--out", out) == 2
+        assert f"--step {float(step)} mm asks for more than" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_size_bound_is_inclusive(self, tmp_path, monkeypatch):
+        out = tmp_path / "field.csv"
+        assert run("fieldmap", "--quantity", "wb", "--step", 0.25, "--out", out) == 0
+        cells = (2 * math.floor(WAFER_RADIUS_MM / 0.3) + 1) ** 2
+        monkeypatch.setattr(jjshadow.cli, "FIELDMAP_MAX_CELLS", cells)
+        assert run("fieldmap", "--quantity", "wb", "--step", 0.3, "--out", out) == 0
+        out.unlink()
+        monkeypatch.setattr(jjshadow.cli, "FIELDMAP_MAX_CELLS", cells - 1)
+        assert run("fieldmap", "--quantity", "wb", "--step", 0.3, "--out", out) == 2
+        assert not out.exists()
+
     def test_lip_height_north_of_source_names_the_first_row(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("geometry.alpha_deg = 2\n")     # source projects inside the wafer

@@ -1,9 +1,11 @@
 """MeasurementTable: lazy records, conversion, and CSV identity at the edges."""
 
+import math
 import re
+
 import pytest
 
-from jjshadow.errors import DataError
+from jjshadow.errors import DataError, GeometryError
 from jjshadow.geometry import JunctionDesign, Variant, WaferPoint
 from jjshadow.io import (
     read_layout_csv,
@@ -127,6 +129,24 @@ class TestFromRecords:
         g[7] = -1.0
         with pytest.raises(DataError, match="negative conductance on"):
             table.with_conductance(g)
+
+    @pytest.mark.parametrize("column, value, error, message", [
+        ("x_mm", math.nan, GeometryError, "wafer coordinates must be finite, got (nan, {y})"),
+        ("y_mm", -math.inf, GeometryError, "wafer coordinates must be finite, got ({x}, -inf)"),
+        ("w_bottom_nm", -5.0, GeometryError, "designed widths must be >= 0"),
+        ("w_top_nm", math.nan, GeometryError, "designed widths must be finite"),
+        ("w_top_nm", math.inf, GeometryError, "designed widths must be finite"),
+        ("a_overlap_designed_um2", math.nan, DataError, "non-finite designed area on {sid}"),
+        ("variant", 2, DataError, "undefined variant code 2 on {sid}"),
+        ("variant", -1, DataError, "undefined variant code -1 on {sid}"),
+    ])
+    def test_bad_column_value_rejected(self, table, column, value, error, message):
+        # Each column is checked as a record checks it; the first bad row is named.
+        columns = {name: getattr(table, name).copy() for name in COLUMNS}
+        columns[column][[7, 9]] = value
+        want = message.format(x=table.x_mm[7], y=table.y_mm[7], sid=table.structure_id[7])
+        with pytest.raises(error, match=f"^{re.escape(want)}$"):
+            MeasurementTable(columns)
 
 
 # Extreme but valid values: subnormal and huge floats, negative zero, and

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from jjshadow.analysis import FilterConfig, FrequencyModel
+from jjshadow.analysis import (
+    FilterConfig,
+    FrequencyModel,
+    absolute_filter,
+    frequency_rsd,
+    mean_filter,
+    regression_filter_die,
+)
 from jjshadow.errors import DataError
 from jjshadow.geometry import Fidelity, Variant
 from jjshadow.layout import build_35x35, build_planar_17q
@@ -77,6 +84,35 @@ class TestSweepPipeline:
         assert a == b
         assert a.startswith("# jjshadow uniformity report\npipeline = sweep\n")
         assert "[cv wafer]" in a and "[rsd die]" in a and "[rsd wafer]" in a
+
+
+class TestAgreesWithPublicApi:
+    """The report's filter and die RSD equal the public per-die functions."""
+
+    def test_sweep_dies(self, sweep_records):
+        report = build_report(sweep_records, CFG, FREQ)
+        groups = {}
+        for rec in absolute_filter(sweep_records, CFG)[0]:
+            groups.setdefault((rec.design.variant.value, rec.die_index), []).append(rec)
+        assert set(groups) == set(report.rsd_die_mhz)
+        rejected = set()
+        for key, group in groups.items():
+            fit = regression_filter_die(group, CFG)
+            rejected |= fit.rejected_ids
+            kept = [rec for rec in group if rec.structure_id in fit.kept_ids]
+            assert frequency_rsd(kept, fit, CFG, FREQ) == report.rsd_die_mhz[key]
+        assert rejected and report.rel_rejected_ids == rejected
+
+    def test_uniform_wafer(self, geom_module):
+        records = synthesize_wafer(
+            build_35x35("nbtin"), geom_module,
+            ProcessModel(lognormal_sigma=0.02, p_open=0.03, fidelity=Fidelity.BASIC, seed=6),
+            NO_PARASITICS)
+        report = build_report(records, CFG, FREQ)
+        assert report.pipeline == "uniform"
+        rejected = mean_filter(absolute_filter(records, CFG)[0], CFG)[1]
+        assert rejected
+        assert report.rel_rejected_ids == {rec.structure_id for rec in rejected}
 
 
 class TestUniformPipeline:
