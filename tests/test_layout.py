@@ -12,6 +12,8 @@ from jjshadow.geometry import Variant, WaferPoint
 from jjshadow.layout import (
     PLANAR_SWEEPS,
     STRUCTURE_HALF_MM,
+    TSV_SWEEP,
+    SubarraySite,
     build_35x35,
     build_planar_17q,
     build_tsv_17q,
@@ -109,6 +111,39 @@ class TestPlanar17Q:
         with pytest.raises(DataError):
             build_planar_17q(sweeps=bad)
 
+    @pytest.mark.parametrize("group, sweep, message", [
+        ("h", PLANAR_SWEEPS["h"][:10], "sweep for group 'h' has 10 values, need 16"),
+        ("l", tuple(reversed(PLANAR_SWEEPS["l"])),
+         "sweep for group 'l' is not strictly increasing"),
+        ("l", PLANAR_SWEEPS["l"][:8] * 2, "sweep for group 'l' is not strictly increasing"),
+    ])
+    def test_malformed_sweep_names_its_group(self, group, sweep, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            build_planar_17q(sweeps={**PLANAR_SWEEPS, group: sweep})
+
+    def test_first_off_wafer_structure_named(self):
+        # Site 6 of the first die straddles the rim: its row 0 stays on the
+        # wafer and row 1, column 0 is the first structure off it.
+        message = "test structure at (-10.675, 49.074999999999996) mm is off the round wafer"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            build_planar_17q(sites=moved_site(6, 9.5, 42.8))
+
+    def test_errors_raised_in_build_order(self):
+        # An off-wafer site before the first 'h' site is named before the
+        # short 'h' sweep; one after it is not.
+        short = {**PLANAR_SWEEPS, "h": PLANAR_SWEEPS["h"][:10]}
+        with pytest.raises(DataError, match="off the round wafer"):
+            build_planar_17q(sweeps=short, sites=moved_site(6, 9.5, 42.8))
+        with pytest.raises(DataError, match="^sweep for group 'h' has 10 values, need 16$"):
+            build_planar_17q(sweeps=short, sites=moved_site(14, 9.5, 42.8))
+
+
+def moved_site(index, dx_mm, dy_mm):
+    """The bundled sub-array sites with one site moved to (dx_mm, dy_mm)."""
+    sites = list(load_subarray_sites())
+    sites[index] = SubarraySite(index, dx_mm, dy_mm, sites[index].group)
+    return sites
+
 
 class TestTsv17Q:
     def test_total_fabricated(self, tsv_manhattan):
@@ -182,6 +217,21 @@ class TestTsv17Q:
         for cells in sweeps.values():
             assert sorted(cells) == reference
 
+    def test_first_off_wafer_structure_named(self):
+        # Row 3 of site 6 of the first die lies beyond y = 35 mm.
+        message = ("test structure at (-23.799999999999997, 35.150000000000006) mm "
+                   "is off the square wafer")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            build_tsv_17q(Variant.MANHATTAN, (), sites=moved_site(6, -3.4, 28.2))
+
+    @pytest.mark.parametrize("sweep, message", [
+        (TSV_SWEEP[:24], "sweep for group 'm' has 24 values, need 25"),
+        (TSV_SWEEP[:12] + TSV_SWEEP[11:24], "sweep for group 'm' is not strictly increasing"),
+    ])
+    def test_malformed_sweep_names_its_group(self, sweep, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            build_tsv_17q(Variant.DOLAN, (), sweep=sweep)
+
     def test_dolan_wafer(self):
         layout = build_tsv_17q(Variant.DOLAN)
         assert len(layout.viable()) == 3024
@@ -222,6 +272,11 @@ class TestPlanar35x35:
         with pytest.raises(DataError):
             build_35x35("cu")
 
+    def test_bad_pad_kind_message(self):
+        with pytest.raises(DataError, match=re.escape(
+                "pad kind must be one of ['al', 'nbtin', 'tin'], got 'cu'")):
+            build_35x35("Cu")
+
     @pytest.mark.parametrize("count", [0, 3, -3])
     def test_undefined_junction_count_rejected(self, count):
         from dataclasses import replace
@@ -234,6 +289,12 @@ class TestPlanar35x35:
     def test_bad_omitted_rows(self):
         with pytest.raises(DataError):
             build_35x35("al", omitted_rows=(35,))
+
+    @pytest.mark.parametrize("rows, shown", [((35,), "[35]"), ((35, 2, -1), "[-1, 2, 35]")])
+    def test_bad_omitted_rows_message(self, rows, shown):
+        message = f"omitted rows out of range 0..34: {shown}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            build_35x35("al", omitted_rows=rows)
 
     def test_grid_positions(self):
         layout = build_35x35("nbtin")

@@ -251,6 +251,12 @@ class TestReaderLocations:
         ("measurements", 2, "1e3", "invalid literal for int() with base 10: '1e3'"),
         ("measurements", 1, "9" * 20, f"'{'9' * 20}' is outside the 64-bit integer range"),
         ("layout", 9, "-" + "9" * 20, f"'-{'9' * 20}' is outside the 64-bit integer range"),
+        ("layout", 4, "inf", "wafer coordinates must be finite, got (-30.0, inf)"),
+        ("layout", 7, "-0.5", "designed widths must be >= 0"),
+        ("layout", 8, "nan", "a_overlap_um2 must be finite, got 'nan'"),
+        ("layout", 5, "bridge", "'bridge' is not a valid Variant"),
+        ("layout", 10, "no", "expected true/false, got 'no'"),
+        ("layout", 2, "9" * 20, f"'{'9' * 20}' is outside the 64-bit integer range"),
     ]
 
     @pytest.mark.parametrize("kind, column, value, message", CASES)
@@ -277,6 +283,27 @@ class TestReaderLocations:
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(DataError, match=f"^{re.escape(f'{path}:4: {message}')}$"):
                 reader(path)
+
+    @pytest.mark.parametrize("later, message", [
+        (None, "duplicate structure ids"),
+        ("-5.0", "21: designed widths must be >= 0"),      # a later bad row is named first
+        ("-5.0,extra", "21: expected 11 columns, got 12"),
+    ])
+    def test_duplicate_id_checked_after_every_row(self, tmp_path, later, message):
+        from jjshadow.layout import build_35x35
+
+        path = tmp_path / "layout.csv"
+        write_layout_csv(build_35x35("nbtin"), path)
+        lines = path.read_text().splitlines()
+        for k in (3, 9):
+            lines[k] = "dup" + lines[k][lines[k].index(","):]
+        if later is not None:
+            row = lines[20].split(",")
+            row[6] = later
+            lines[20] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}:')} ?{re.escape(message)}$"):
+            read_layout_csv(path)
 
     def test_blank_and_short_rows(self, tmp_path):
         from jjshadow.layout import build_35x35
