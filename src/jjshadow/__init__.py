@@ -58,6 +58,7 @@ from .imaging import (
 )
 from .layout import (
     LayoutKind,
+    StructureTable,
     TestStructureSpec,
     WaferLayout,
     build_35x35,

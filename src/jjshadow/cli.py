@@ -30,6 +30,8 @@ from .errors import (
 )
 from .geometry import (
     FIELD_QUANTITIES,
+    VARIANT_CODES,
+    VARIANTS,
     WAFER_RADIUS_MM,
     EvaporatorGeometry,
     Fidelity,
@@ -121,8 +123,9 @@ def cmd_layout(args: argparse.Namespace) -> int:
             omitted = (33, 34)          # the two rows skipped in acquisition
         layout = build_35x35(pad, omitted_rows=omitted)
     jio.write_layout_csv(layout, args.out)
-    print(f"wrote {args.out}: {len(layout.structures)} structures, "
-          f"{len(layout.viable())} viable")
+    excluded = layout.structures.excluded
+    print(f"wrote {args.out}: {excluded.size} structures, "
+          f"{excluded.size - int(excluded.sum())} viable")
     return 0
 
 
@@ -145,10 +148,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         records = deembed_records(records, cfg.parasitics())
     grid_positions = None
     if args.layout:
-        layout = jio.read_layout_csv(args.layout)
+        table = jio.read_layout_csv(args.layout).structures
         grid_positions = {}
-        for s in layout.structures:
-            grid_positions.setdefault(s.design.variant.value, []).append(s.position)
+        for code in dict.fromkeys(table.variant.tolist()):
+            at = table.variant == code
+            grid_positions[VARIANTS[code].value] = list(map(
+                WaferPoint, table.x_mm[at].tolist(), table.y_mm[at].tolist()))
     report = build_report(records, cfg.filter(), cfg.frequency(),
                           dual_rsd=cfg.analysis().dual_rsd, geom=cfg.geometry(),
                           fidelity=cfg.fidelity(), grid_positions=grid_positions)
@@ -226,13 +231,15 @@ def cmd_fieldmap(args: argparse.Namespace) -> int:
 def _render_targets(args: argparse.Namespace):
     """Yield (structure_id, WaferPoint, JunctionDesign) to render."""
     if args.layout:
-        layout = jio.read_layout_csv(args.layout)
-        targets = [(s.structure_id, s.position, s.design)
-                   for s in layout.viable()
-                   if s.design.variant is Variant.MANHATTAN]
-        if not targets:
+        table = jio.read_layout_csv(args.layout).structures
+        crossed = np.flatnonzero(~table.excluded
+                                 & (table.variant == VARIANT_CODES[Variant.MANHATTAN]))
+        if not crossed.size:
             raise DataError("layout holds no crossed-junction structures to render")
-        return targets[::args.stride]
+        at = crossed[::args.stride]
+        return [(sid, WaferPoint(x, y), JunctionDesign(Variant.MANHATTAN, w_b, w_t))
+                for sid, x, y, w_b, w_t in zip(*(getattr(table, name)[at].tolist() for name in (
+                    "structure_id", "x_mm", "y_mm", "w_bottom_nm", "w_top_nm")))]
     n = args.grid
     span = 34.0
     coords = [(-span + 2 * span * i / (n - 1)) if n > 1 else 0.0 for i in range(n)]
@@ -299,10 +306,10 @@ def cmd_compensate(args: argparse.Namespace) -> int:
     result = compensated_layout(layout, cfg.geometry(), fidelity,
                                 w_max_nm=args.max_width_nm, fixed_top_nm=fixed_top)
     jio.write_layout_csv(result, args.out)
-    flagged = sum(1 for s in result.structures
-                  if s.excluded and s.exclusion_reason.startswith("unattainable"))
-    print(f"wrote {args.out}: {len(result.structures)} structures, "
-          f"{flagged} unattainable")
+    table = result.structures
+    flagged = sum(1 for reason in table.exclusion_reason[table.excluded].tolist()
+                  if reason.startswith("unattainable"))
+    print(f"wrote {args.out}: {len(table)} structures, {flagged} unattainable")
     return 0
 
 

@@ -18,22 +18,23 @@ precompensate and precompensate_fixed_top are one-lane solves.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import TargetError
 from .geometry import (
+    VARIANTS,
     EvaporatorGeometry,
     Fidelity,
     JunctionDesign,
     Variant,
     WaferPoint,
     actual_overlap_area,
+    designed_areas,
     overlap_areas,
 )
-from .layout import WaferLayout
+from .layout import LAYOUT_COLUMNS, StructureTable, WaferLayout, _radii
 
 MAX_WIDTH_NM = 2000.0
 AREA_RTOL = 1.0e-6
@@ -78,10 +79,10 @@ def _solve_widths(area_of: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     return w, [reasons[k] for k in which.tolist()]
 
 
-def _solve_designs(geom: EvaporatorGeometry, target_um2: float,
-                   points: Sequence[WaferPoint], fidelity: Fidelity,
-                   variant: Variant, w_max_nm: float, aspect: np.ndarray | float,
-                   w_top_nm: float | None) -> tuple[list[float], list[float], list[str]]:
+def _solve_designs(geom: EvaporatorGeometry, target_um2: float, x_mm: np.ndarray,
+                   y_mm: np.ndarray, fidelity: Fidelity, variant: Variant, w_max_nm: float,
+                   aspect: np.ndarray | float, w_top_nm: float | None,
+                   ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """(bottom, top) designed widths meeting the target at each point, and why not.
 
     With w_top_nm None the top width is solved and the bottom held at
@@ -89,8 +90,6 @@ def _solve_designs(geom: EvaporatorGeometry, target_um2: float,
     A point's reason is "" where the target is met, else the TargetError
     message naming the point.
     """
-    x = np.array([p.x_mm for p in points])
-    y = np.array([p.y_mm for p in points])
 
     def widths(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(bottom, top) designed widths for the solved width w."""
@@ -99,12 +98,24 @@ def _solve_designs(geom: EvaporatorGeometry, target_um2: float,
         return np.broadcast_arrays(w, w_top_nm)
 
     w, reasons = _solve_widths(
-        lambda w: overlap_areas(geom, variant, *widths(w), x, y, fidelity),
-        target_um2, w_max_nm, len(points))
+        lambda w: overlap_areas(geom, variant, *widths(w), x_mm, y_mm, fidelity),
+        target_um2, w_max_nm, len(x_mm))
     w_b, w_t = widths(w)
-    return (w_b.tolist(), w_t.tolist(),
-            [why and f"({p.x_mm:g}, {p.y_mm:g}) mm: {why}"
-             for p, why in zip(points, reasons)])
+    return (w_b, w_t, [why and f"({x:g}, {y:g}) mm: {why}"
+                       for x, y, why in zip(x_mm.tolist(), y_mm.tolist(), reasons)])
+
+
+def _solve_one(geom: EvaporatorGeometry, target_um2: float, p: WaferPoint,
+               fidelity: Fidelity, variant: Variant, w_max_nm: float, aspect: float,
+               w_top_nm: float | None) -> JunctionDesign:
+    """The design meeting the target at p, as _solve_designs solves it;
+    TargetError if there is none."""
+    (w_b,), (w_t,), (why,) = _solve_designs(geom, target_um2, np.array([p.x_mm]),
+                                            np.array([p.y_mm]), fidelity, variant,
+                                            w_max_nm, aspect, w_top_nm)
+    if why:
+        raise TargetError(why)
+    return JunctionDesign(variant, w_bottom_nm=w_b.item(), w_top_nm=w_t.item())
 
 
 def precompensate(geom: EvaporatorGeometry, target_area_um2: float, p: WaferPoint,
@@ -121,11 +132,7 @@ def precompensate(geom: EvaporatorGeometry, target_area_um2: float, p: WaferPoin
         raise TargetError("aspect ratio must be > 0")
     if target_area_um2 <= 0.0:
         raise TargetError("target area must be > 0")
-    (w_b,), (w_t,), (why,) = _solve_designs(geom, target_area_um2, [p], fidelity,
-                                            variant, w_max_nm, aspect, None)
-    if why:
-        raise TargetError(why)
-    return JunctionDesign(variant, w_bottom_nm=w_b, w_top_nm=w_t)
+    return _solve_one(geom, target_area_um2, p, fidelity, variant, w_max_nm, aspect, None)
 
 
 def precompensate_fixed_top(geom: EvaporatorGeometry, target_area_um2: float,
@@ -137,11 +144,8 @@ def precompensate_fixed_top(geom: EvaporatorGeometry, target_area_um2: float,
     """
     if target_area_um2 <= 0.0:
         raise TargetError("target area must be > 0")
-    (w_b,), (w_t,), (why,) = _solve_designs(geom, target_area_um2, [p], fidelity,
-                                            Variant.MANHATTAN, w_max_nm, 1.0, w_top_nm)
-    if why:
-        raise TargetError(why)
-    return JunctionDesign(Variant.MANHATTAN, w_bottom_nm=w_b, w_top_nm=w_t)
+    return _solve_one(geom, target_area_um2, p, fidelity, Variant.MANHATTAN, w_max_nm, 1.0,
+                      w_top_nm)
 
 
 def compensated_layout(layout: WaferLayout, geom: EvaporatorGeometry,
@@ -150,44 +154,53 @@ def compensated_layout(layout: WaferLayout, geom: EvaporatorGeometry,
     """Redesign every viable structure to hit the centre structure's area.
 
     The target is the actual overlap area of the structure closest to the
-    wafer centre.  Each structure keeps its designed aspect ratio (or its
-    fixed top width, if fixed_top_nm is given); structures whose target is
-    unattainable are marked excluded with a reason.  Excluded structures
-    pass through unchanged.  Bridge-style structures are solved at basic
-    fidelity, the only level the model defines for them.  The structures
-    of each variant are solved together, in one lockstep bisection.
+    wafer centre (the least id among equally close ones).  Each structure
+    keeps its designed aspect ratio (or its fixed top width, if
+    fixed_top_nm is given); structures whose target is unattainable are
+    marked excluded with a reason.  Excluded structures pass through
+    unchanged.  Bridge-style structures are solved at basic fidelity, the
+    only level the model defines for them.  The structures of each variant
+    are solved together, in one lockstep bisection, and the solved widths,
+    designed areas and exclusions are written into the layout's columns.
     """
-    viable = layout.viable()
-    if not viable:
+    table = layout.structures
+    viable = ~table.excluded
+    lanes = np.flatnonzero(viable)
+    if not lanes.size:
         raise TargetError("layout has no viable structures to compensate")
-    centre = min(viable, key=lambda s: (s.position.radius_mm(), s.structure_id))
-    target = actual_overlap_area(geom, centre.design, centre.position,
-                                 fidelity.for_variant(centre.design.variant))
+    radii = _radii(table.x_mm[lanes], table.y_mm[lanes])
+    c = min(lanes[radii == radii.min()].tolist(), key=lambda i: table.structure_id[i])
+    centre = VARIANTS[table.variant[c]]
+    target = actual_overlap_area(
+        geom, JunctionDesign(centre, table.w_bottom_nm[c].item(), table.w_top_nm[c].item()),
+        WaferPoint(table.x_mm[c].item(), table.y_mm[c].item()), fidelity.for_variant(centre))
 
-    out = list(layout.structures)
-    for variant in dict.fromkeys(s.design.variant for s in viable):
-        lanes = [i for i, s in enumerate(out)
-                 if not s.excluded and s.design.variant is variant]
+    columns = {name: getattr(table, name) for name in LAYOUT_COLUMNS}
+    w_b, w_t = table.w_bottom_nm.copy(), table.w_top_nm.copy()
+    excluded, reason = table.excluded.copy(), table.exclusion_reason.copy()
+    solved = np.zeros(len(table), dtype=bool)
+    for code in dict.fromkeys(table.variant[lanes].tolist()):
+        variant = VARIANTS[code]
+        lanes = np.flatnonzero(viable & (table.variant == code))
         w_top = fixed_top_nm if variant is Variant.MANHATTAN else None
         aspect = 1.0
         if w_top is None:
-            w_b = np.array([out[i].design.w_bottom_nm for i in lanes])
-            w_t = np.array([out[i].design.w_top_nm for i in lanes])
-            aspect = np.divide(w_b, w_t, out=np.ones_like(w_b), where=w_t > 0.0)
-            for i in np.asarray(lanes)[aspect <= 0.0].tolist():
-                out[i] = replace(out[i], excluded=True,
-                                 exclusion_reason="unattainable: aspect ratio must be > 0")
-            lanes = np.asarray(lanes)[aspect > 0.0].tolist()
-            aspect = aspect[aspect > 0.0]
-        solved = _solve_designs(geom, target, [out[i].position for i in lanes],
-                                fidelity.for_variant(variant), variant, w_max_nm,
-                                aspect, w_top)
-        for i, bottom, top, why in zip(lanes, *solved):
-            if why:
-                out[i] = replace(out[i], excluded=True,
-                                 exclusion_reason=f"unattainable: {why}")
-            else:
-                design = JunctionDesign(variant, w_bottom_nm=bottom, w_top_nm=top)
-                out[i] = replace(out[i], design=design,
-                                 a_overlap_designed_um2=design.designed_area_um2())
-    return WaferLayout(layout.kind, tuple(out))
+            aspect = np.divide(w_b[lanes], w_t[lanes], out=np.ones(lanes.size),
+                               where=w_t[lanes] > 0.0)
+            flat = lanes[aspect <= 0.0]
+            excluded[flat] = True
+            reason[flat] = "unattainable: aspect ratio must be > 0"
+            lanes, aspect = lanes[aspect > 0.0], aspect[aspect > 0.0]
+        bottom, top, why = _solve_designs(geom, target, table.x_mm[lanes], table.y_mm[lanes],
+                                          fidelity.for_variant(variant), variant, w_max_nm,
+                                          aspect, w_top)
+        met = np.array([not r for r in why], dtype=bool)
+        w_b[lanes[met]], w_t[lanes[met]] = bottom[met], top[met]
+        solved[lanes[met]] = True
+        excluded[lanes[~met]] = True
+        reason[lanes[~met]] = [f"unattainable: {r}" for r in why if r]
+    area = np.where(solved, designed_areas(table.variant, w_b, w_t),
+                    table.a_overlap_designed_um2)
+    return WaferLayout(layout.kind, StructureTable({
+        **columns, "w_bottom_nm": w_b, "w_top_nm": w_t, "a_overlap_designed_um2": area,
+        "excluded": excluded, "exclusion_reason": reason}))

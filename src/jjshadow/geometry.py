@@ -180,6 +180,12 @@ class JunctionDesign:
         return self.w_bottom_nm * self.w_top_nm / NM_PER_MM
 
 
+def designed_areas(variant: np.ndarray, w_b_nm: np.ndarray, w_t_nm: np.ndarray) -> np.ndarray:
+    """JunctionDesign.designed_area_um2 per element; variant holds VARIANTS codes."""
+    dolan = variant == VARIANT_CODES[Variant.DOLAN]
+    return np.where(dolan, w_t_nm * DOLAN_OVERLAP_LENGTH_NM, w_b_nm * w_t_nm) / NM_PER_MM
+
+
 def source_distance(geom: EvaporatorGeometry) -> float:
     """Distance in mm from the source to the exposed wafer plane."""
     return geom.source_distance_nm() / NM_PER_MM

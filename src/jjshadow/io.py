@@ -3,9 +3,9 @@ manifests, extraction tables and heatmaps.
 
 Every file is read and written by csvfile's helpers, so files round-trip
 bit exactly, except the heatmap, whose all-number rows are joined by hand.
-Measurement files are read a column at a time, each column checked as an
-array; only when a check fails are the rows parsed one by one, so the
-first bad row is named with its path:line.  Layout, measurement, truth
+Layout and measurement files are read a column at a time, each column
+checked as an array; only when a check fails are the rows parsed one by
+one, so the first bad row is named with its path:line.  Layout, measurement, truth
 and manifest files reject a repeated structure id.
 """
 
@@ -21,13 +21,16 @@ from .csvfile import _finite, _flag, _int64, _parse_rows, _read_rows, _write_row
 from .errors import DataError, JJShadowError
 from .geometry import VARIANT_CODES, VARIANTS, JunctionDesign, Variant, WaferPoint
 from .imaging import GrayImage, write_pgm
-from .layout import LayoutKind, TestStructureSpec, WaferLayout, check_junction_count
-from .synth import (
+from .layout import (
+    LAYOUT_COLUMNS,
     STRUCTURE_COLUMNS,
-    MeasurementRecord,
-    MeasurementTable,
-    structure_columns,
+    LayoutKind,
+    StructureTable,
+    WaferLayout,
+    _transpose,
+    check_junction_count,
 )
+from .synth import COLUMNS, MeasurementRecord, MeasurementTable, check_conductance
 
 MEASUREMENT_HEADER = ("structure_id,die_x,die_y,x_mm,y_mm,variant,w_b_nm,w_t_nm,"
                       "a_overlap_um2,junction_count,excluded,g_uS")
@@ -38,38 +41,68 @@ EXTRACTION_HEADER = "structure_id,d_mm,w_top_nm,w_bottom_nm,a_overlap_um2"
 MANIFEST_HEADER = "structure_id,x_mm,y_mm,w_b_px,w_t_px"
 
 
-def _common_cells(columns: Mapping[str, np.ndarray]) -> list[list]:
+def _common_cells(table: StructureTable | MeasurementTable) -> list[list]:
     """The first ten CSV columns, shared by layout and measurement rows."""
     names = [v.value for v in VARIANTS]
-    return [[names[c] for c in columns[name].tolist()] if name == "variant"
-            else columns[name].tolist() for name in STRUCTURE_COLUMNS]
+    return [[names[c] for c in table.variant.tolist()] if name == "variant"
+            else getattr(table, name).tolist() for name in STRUCTURE_COLUMNS]
 
 
-def _structure_fields(row: Sequence[str]) -> dict[str, object]:
-    """Keyword arguments of a structure or record from a row's first ten
-    cells, parsed and checked in CSV order."""
-    return dict(
-        structure_id=row[0],
-        die_index=(_int64(row[1]), _int64(row[2])),
-        position=WaferPoint(float(row[3]), float(row[4])),
-        design=JunctionDesign(Variant(row[5]), float(row[6]), float(row[7])),
-        a_overlap_designed_um2=_finite(row[8], "a_overlap_um2"),
-        junction_count=_int64(row[9]),
-    )
+def _structure_values(row: Sequence[str]) -> tuple:
+    """The STRUCTURE_COLUMNS values of a row's first ten cells, parsed and
+    checked in CSV order."""
+    die = (_int64(row[1]), _int64(row[2]))
+    p = WaferPoint(float(row[3]), float(row[4]))
+    d = JunctionDesign(Variant(row[5]), float(row[6]), float(row[7]))
+    return (row[0], *die, p.x_mm, p.y_mm, VARIANT_CODES[d.variant], d.w_bottom_nm,
+            d.w_top_nm, _finite(row[8], "a_overlap_um2"), _int64(row[9]))
 
 
-def _structure(row: list[str]) -> TestStructureSpec:
-    return TestStructureSpec(**_structure_fields(row), subarray_index=0, cell_index=(0, 0),
-                             group="uniform", excluded=_flag(row[10]))
+def _layout_row(row: list[str]) -> tuple:
+    """The LAYOUT_COLUMNS values of a row."""
+    values = _structure_values(row)
+    excluded = _flag(row[10])
+    check_junction_count(row[0], values[-1])
+    return (*values, 0, 0, 0, "uniform", excluded, "")
 
 
-def _record(row: list[str]) -> MeasurementRecord | None:
-    """The measurement of a row, or None for a row flagged excluded."""
+def _measurement_row(row: list[str]) -> tuple | None:
+    """The measurement COLUMNS values of a row, or None for a row flagged excluded."""
     if _flag(row[10]):
         return None
-    fields = _structure_fields(row)
-    check_junction_count(row[0], fields["junction_count"])   # as the table does
-    return MeasurementRecord(**fields, g_uS=float(row[11]))
+    values = _structure_values(row)
+    check_junction_count(row[0], values[-1])        # as the table does
+    g = float(row[11])
+    check_conductance(row[0], g)
+    return (*values, g, None)
+
+
+def _structure_columns(rows: list[list[str]], width: int, skip_excluded: bool,
+                       ) -> tuple[dict[str, np.ndarray], list[tuple]] | None:
+    """The STRUCTURE_COLUMNS of rows, each column parsed as a whole, and the
+    rows' cells column by column; None if a row has the wrong width, an
+    excluded flag is not true/false or a cell does not parse.  Rows flagged
+    excluded are dropped first if skip_excluded."""
+    if any(len(row) != width for row in rows):
+        return None
+    flags = {row[10] for row in rows}
+    if not flags <= {"true", "false"}:
+        return None
+    if skip_excluded and "true" in flags:
+        rows = [row for row in rows if row[10] == "false"]
+    cells = list(zip(*rows)) if rows else [()] * width
+    try:
+        die_x, die_y, count = (np.array(list(map(int, cells[k])), dtype=np.int64)
+                               for k in (1, 2, 9))
+        x, y, w_b, w_t, area = (np.array(list(map(float, cells[k])), dtype=float)
+                                for k in (3, 4, 6, 7, 8))
+        codes = {name: VARIANT_CODES[Variant(name)] for name in set(cells[5])}
+        variant = np.array([codes[c] for c in cells[5]], dtype=np.int8)
+    except (ValueError, OverflowError):
+        return None
+    return dict(structure_id=cells[0], die_x=die_x, die_y=die_y, x_mm=x, y_mm=y,
+                variant=variant, w_bottom_nm=w_b, w_top_nm=w_t,
+                a_overlap_designed_um2=area, junction_count=count), cells
 
 
 def _check_unique(path: str | Path, ids: Sequence[str]) -> None:
@@ -78,63 +111,68 @@ def _check_unique(path: str | Path, ids: Sequence[str]) -> None:
 
 
 def write_layout_csv(layout: WaferLayout, path: str | Path) -> None:
-    excluded = ["true" if s.excluded else "false" for s in layout.structures]
-    _write_rows(path, LAYOUT_HEADER,
-                zip(*_common_cells(structure_columns(layout.structures)), excluded))
+    table = layout.structures
+    excluded = [("false", "true")[e] for e in table.excluded.tolist()]
+    _write_rows(path, LAYOUT_HEADER, zip(*_common_cells(table), excluded))
+
+
+def _layout_table(rows: list[list[str]]) -> StructureTable | None:
+    """The structures of layout rows, parsed and checked a column at a time;
+    None if a row has the wrong width or a bad value."""
+    parsed = _structure_columns(rows, 11, skip_excluded=False)
+    if parsed is None:
+        return None
+    columns, cells = parsed
+    n = len(cells[0])
+    zeros = np.zeros(n, dtype=np.int64)
+    try:            # the table checks every value of every column
+        return StructureTable({
+            **columns, "subarray_index": zeros, "cell_row": zeros, "cell_col": zeros,
+            "group": ["uniform"] * n, "excluded": [flag == "true" for flag in cells[10]],
+            "exclusion_reason": [""] * n})
+    except JJShadowError:
+        return None
 
 
 def read_layout_csv(path: str | Path) -> WaferLayout:
     """Read a layout CSV; bounds are not revalidated for user-edited files."""
-    structures = _parse_rows(path, _read_rows(path, LAYOUT_HEADER, "layout"), 11,
-                             _structure)
-    _check_unique(path, [s.structure_id for s in structures])
-    return WaferLayout(LayoutKind.CUSTOM, tuple(structures))
+    rows = _read_rows(path, LAYOUT_HEADER, "layout")
+    table = _layout_table([row for _, row in rows])
+    if table is None:   # a check failed: row by row, the first bad row raises
+        table = StructureTable(_transpose(_parse_rows(path, rows, 11, _layout_row),
+                                          LAYOUT_COLUMNS))
+    _check_unique(path, table.structure_id)
+    return WaferLayout(LayoutKind.CUSTOM, table)
 
 
 def write_measurements_csv(records: Sequence[MeasurementRecord],
                            path: str | Path) -> None:
     table = MeasurementTable.from_records(records)
     _write_rows(path, MEASUREMENT_HEADER,
-                zip(*_common_cells({name: getattr(table, name) for name in STRUCTURE_COLUMNS}),
-                    ["false"] * len(table), table.g_uS.tolist()))
+                zip(*_common_cells(table), ["false"] * len(table), table.g_uS.tolist()))
 
 
-def _measurement_columns(rows: list[list[str]]) -> MeasurementTable | None:
+def _measurement_table(rows: list[list[str]]) -> MeasurementTable | None:
     """The measurements of rows, parsed and checked a column at a time;
     None if a row has the wrong width or a bad value."""
-    if any(len(row) != 12 for row in rows):
+    parsed = _structure_columns(rows, 12, skip_excluded=True)
+    if parsed is None:
         return None
-    flags = {row[10] for row in rows}
-    if not flags <= {"true", "false"}:
-        return None
-    if "true" in flags:
-        rows = [row for row in rows if row[10] == "false"]
-    cells = list(zip(*rows)) if rows else [()] * 12
-    try:
-        die_x, die_y, count = (np.array(list(map(int, cells[k])), dtype=np.int64)
-                               for k in (1, 2, 9))
-        x, y, w_b, w_t, area, g = (np.array(list(map(float, cells[k])), dtype=float)
-                                   for k in (3, 4, 6, 7, 8, 11))
-        codes = {name: VARIANT_CODES[Variant(name)] for name in set(cells[5])}
-        variant = np.array([codes[c] for c in cells[5]], dtype=np.int8)
-    except (ValueError, OverflowError):
-        return None
+    columns, cells = parsed
     try:            # the table checks every value of every column
-        return MeasurementTable(dict(
-            structure_id=cells[0], die_x=die_x, die_y=die_y, x_mm=x, y_mm=y,
-            variant=variant, w_bottom_nm=w_b, w_top_nm=w_t, a_overlap_designed_um2=area,
-            junction_count=count, g_uS=g, truth_flags=[None] * len(g)))
-    except JJShadowError:
+        return MeasurementTable({**columns, "g_uS": list(map(float, cells[11])),
+                                 "truth_flags": [None] * len(cells[11])})
+    except (ValueError, JJShadowError):
         return None
 
 
 def read_measurements_csv(path: str | Path) -> MeasurementTable:
     """Read measurements; rows flagged excluded are skipped, truth is None."""
     rows = _read_rows(path, MEASUREMENT_HEADER, "measurements")
-    table = _measurement_columns([row for _, row in rows])
+    table = _measurement_table([row for _, row in rows])
     if table is None:   # a check failed: row by row, the first bad row raises
-        records = _parse_rows(path, rows, 12, _record)
-        table = MeasurementTable.from_records(r for r in records if r is not None)
+        values = _parse_rows(path, rows, 12, _measurement_row)
+        table = MeasurementTable(_transpose([v for v in values if v is not None], COLUMNS))
     _check_unique(path, table.structure_id)
     return table
 

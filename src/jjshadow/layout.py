@@ -12,11 +12,11 @@ jjshadow/data/.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -24,10 +24,13 @@ from .csvfile import _parse_rows, _read_rows
 from .errors import DataError
 from .geometry import (
     SQUARE_HALF_MM,
+    VARIANT_CODES,
+    VARIANTS,
     WAFER_RADIUS_MM,
     JunctionDesign,
     Variant,
     WaferPoint,
+    designed_areas,
     within_radius,
 )
 
@@ -93,13 +96,167 @@ class TestStructureSpec:
         check_junction_count(self.structure_id, self.junction_count)
 
 
+# The columns a structure shares with its measurements, in CSV order, with
+# their dtypes; `variant` holds geometry.VARIANTS codes.
+STRUCTURE_COLUMNS = {
+    "structure_id": object, "die_x": np.int64, "die_y": np.int64,
+    "x_mm": float, "y_mm": float, "variant": np.int8,
+    "w_bottom_nm": float, "w_top_nm": float, "a_overlap_designed_um2": float,
+    "junction_count": np.int64,
+}
+# A layout's columns: those, then the structure's place in its die and
+# whether (and why) it is excluded.
+LAYOUT_COLUMNS = {
+    **STRUCTURE_COLUMNS, "subarray_index": np.int64, "cell_row": np.int64,
+    "cell_col": np.int64, "group": object, "excluded": bool, "exclusion_reason": object,
+}
+
+
+def _column(values: Sequence, dtype) -> np.ndarray:
+    """A read-only copy of values as a 1-D array."""
+    if dtype is object:
+        col = np.empty(len(values), dtype=object)
+        col[:] = values
+    else:
+        col = np.array(values, dtype=dtype)
+    col.flags.writeable = False
+    return col
+
+
+def _transpose(rows: Sequence[tuple], names: Iterable[str]) -> dict[str, Sequence]:
+    """Columns by name of rows of values in the order of names."""
+    names = list(names)
+    return dict(zip(names, zip(*rows) if rows else [()] * len(names)))
+
+
+def _radii(x_mm: np.ndarray, y_mm: np.ndarray) -> np.ndarray:
+    """math.hypot per element, as WaferPoint.radius_mm computes it."""
+    return np.fromiter(map(math.hypot, x_mm.tolist(), y_mm.tolist()), float, len(x_mm))
+
+
+def _raise_first(bad: np.ndarray, check, *columns: np.ndarray) -> None:
+    """Call check on the first row flagged in bad, so that it raises its error."""
+    hit = np.flatnonzero(bad)
+    if hit.size:
+        i = int(hit[0])
+        check(*(col[i:i + 1].tolist()[0] for col in columns))
+
+
+def _check_variant_code(structure_id: str, code: int) -> None:
+    if not 0 <= code < len(VARIANTS):
+        raise DataError(f"undefined variant code {code} on {structure_id}")
+
+
+def _check_designed_area(structure_id: str, area_um2: float) -> None:
+    if not math.isfinite(area_um2):
+        raise DataError(f"non-finite designed area on {structure_id}")
+
+
+def check_structure_columns(table) -> None:
+    """Check each STRUCTURE_COLUMNS value of a table as a structure or a
+    measurement checks it; the first bad row raises that check's error."""
+    x, y, w_b, w_t = table.x_mm, table.y_mm, table.w_bottom_nm, table.w_top_nm
+    sid, variant = table.structure_id, table.variant
+    _raise_first(~(np.isfinite(x) & np.isfinite(y)), WaferPoint, x, y)
+    _raise_first((variant < 0) | (variant >= len(VARIANTS)), _check_variant_code, sid, variant)
+    _raise_first(~(np.isfinite(w_b) & np.isfinite(w_t)) | (w_b < 0.0) | (w_t < 0.0),
+                 lambda v, b, t: JunctionDesign(VARIANTS[v], b, t), variant, w_b, w_t)
+    _raise_first(~np.isfinite(table.a_overlap_designed_um2), _check_designed_area,
+                 sid, table.a_overlap_designed_um2)
+    _raise_first(~np.isin(table.junction_count, JUNCTION_COUNTS), check_junction_count,
+                 sid, table.junction_count)
+
+
+def _spec(structure_id, die_x, die_y, x_mm, y_mm, variant, w_bottom_nm, w_top_nm,
+          a_overlap_designed_um2, junction_count, subarray_index, cell_row, cell_col,
+          group, excluded, exclusion_reason) -> TestStructureSpec:
+    return TestStructureSpec(
+        structure_id, (die_x, die_y), subarray_index, (cell_row, cell_col),
+        WaferPoint(x_mm, y_mm), JunctionDesign(VARIANTS[variant], w_bottom_nm, w_top_nm),
+        a_overlap_designed_um2, group, excluded, junction_count, exclusion_reason)
+
+
+class StructureTable(Sequence[TestStructureSpec]):
+    """Test structures stored as columns, in layout order.
+
+    Each name in LAYOUT_COLUMNS is a read-only array attribute: the
+    STRUCTURE_COLUMNS a measurement shares, then sub-array index, cell row
+    and column, group, excluded flag and exclusion reason.  Indexing and
+    iteration build TestStructureSpec objects on demand; a slice is a
+    table, and so is take.  The constructor copies the columns and checks
+    each value a structure or a measurement checks, raising its error for
+    the first bad row.
+    """
+
+    __slots__ = tuple(LAYOUT_COLUMNS)
+    __hash__ = None
+
+    def __init__(self, columns: Mapping[str, Sequence]) -> None:
+        if set(columns) != set(LAYOUT_COLUMNS):
+            raise TypeError(f"a structure table has the columns {', '.join(LAYOUT_COLUMNS)}")
+        for name, dtype in LAYOUT_COLUMNS.items():
+            setattr(self, name, _column(columns[name], dtype))
+        if any(len(getattr(self, name)) != len(self.excluded) for name in LAYOUT_COLUMNS):
+            raise DataError("layout columns differ in length")
+        check_structure_columns(self)
+
+    @classmethod
+    def from_specs(cls, specs: Iterable[TestStructureSpec]) -> StructureTable:
+        """A table of specs; a table is returned as it is."""
+        if isinstance(specs, StructureTable):
+            return specs
+        return cls(_transpose([
+            (s.structure_id, *s.die_index, s.position.x_mm, s.position.y_mm,
+             VARIANT_CODES[s.design.variant], s.design.w_bottom_nm, s.design.w_top_nm,
+             s.a_overlap_designed_um2, s.junction_count, s.subarray_index, *s.cell_index,
+             s.group, s.excluded, s.exclusion_reason) for s in specs], LAYOUT_COLUMNS))
+
+    def take(self, index) -> StructureTable:
+        """The rows at index (an index array, a mask or a slice), as a table."""
+        table = object.__new__(StructureTable)
+        for name in LAYOUT_COLUMNS:
+            col = getattr(self, name)[index]
+            col.flags.writeable = False
+            setattr(table, name, col)
+        return table
+
+    def __len__(self) -> int:
+        return len(self.excluded)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(index)
+        return next(iter(self.take([index])))
+
+    def __iter__(self) -> Iterator[TestStructureSpec]:
+        return map(_spec, *(getattr(self, name).tolist() for name in LAYOUT_COLUMNS))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, list)):
+            return tuple(self) == tuple(other)
+        if not isinstance(other, StructureTable):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in LAYOUT_COLUMNS)
+
+    def __repr__(self) -> str:
+        return f"StructureTable({len(self)} structures)"
+
+
 @dataclass(frozen=True)
 class WaferLayout:
-    kind: LayoutKind
-    structures: tuple[TestStructureSpec, ...]
+    """A layout kind and its structures, a StructureTable; a sequence of
+    TestStructureSpec given instead is converted to one."""
 
-    def viable(self) -> tuple[TestStructureSpec, ...]:
-        return tuple(s for s in self.structures if not s.excluded)
+    kind: LayoutKind
+    structures: StructureTable
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "structures", StructureTable.from_specs(self.structures))
+
+    def viable(self) -> StructureTable:
+        return self.structures.take(~self.structures.excluded)
 
 
 @dataclass(frozen=True)
@@ -177,6 +334,20 @@ def _check_on_wafer(p: WaferPoint, shape: WaferShape, who: str) -> None:
             raise DataError(f"{who} at ({p.x_mm}, {p.y_mm}) mm is off the square wafer")
 
 
+def _on_wafer(x_mm: np.ndarray, y_mm: np.ndarray, shape: WaferShape) -> np.ndarray:
+    """Per element, whether _check_on_wafer passes (False for a non-finite point)."""
+    if shape is WaferShape.ROUND_100MM:
+        return within_radius(x_mm, y_mm, WAFER_RADIUS_MM)
+    return (np.abs(x_mm) <= SQUARE_HALF_MM) & (np.abs(y_mm) <= SQUARE_HALF_MM)
+
+
+def _check_cell(x_mm: float, y_mm: float, shape: WaferShape, variant: Variant,
+                w_variable_nm: float) -> None:
+    """The checks of one structure, in build order: position, then design."""
+    _check_on_wafer(WaferPoint(x_mm, y_mm), shape, "test structure")
+    _design_for(variant, w_variable_nm)
+
+
 def _die_centre(ix: int, iy: int) -> tuple[float, float]:
     # Signed die indices skip 0 so the wafer centre falls between dies.
     return ((ix - math.copysign(0.5, ix)) * DIE_PITCH_MM,
@@ -191,35 +362,71 @@ def _design_for(variant: Variant, w_variable_nm: float) -> JunctionDesign:
                           w_top_nm=w_variable_nm)
 
 
-def _cell_structures(variant: Variant, die: tuple[int, int],
-                     site: SubarraySite, n: int, sweep: Sequence[float],
-                     shape: WaferShape) -> list[TestStructureSpec]:
-    if len(sweep) != n * n:
-        raise DataError(f"sweep for group {site.group!r} has {len(sweep)} values, need {n * n}")
+def _sweep_problem(group: str, sweep: Sequence[float], cells: int) -> str:
+    """Why a sub-array of the group cannot step through sweep, or ""."""
+    if len(sweep) != cells:
+        return f"sweep for group {group!r} has {len(sweep)} values, need {cells}"
     if any(b >= a for a, b in zip(sweep[1:], sweep)):
-        raise DataError(f"sweep for group {site.group!r} is not strictly increasing")
-    cx, cy = _die_centre(*die)
-    code = "M" if variant is Variant.MANHATTAN else "D"
+        return f"sweep for group {group!r} is not strictly increasing"
+    return ""
+
+
+def _subarray_columns(blocks: Sequence[tuple[Variant, tuple[int, int], SubarraySite]],
+                      n: int, sweeps: Mapping[str, Sequence[float]],
+                      shape: WaferShape) -> dict[str, np.ndarray]:
+    """The LAYOUT_COLUMNS of one n x n sub-array per (variant, die, site)
+    block, in block order and row-major within a block.
+
+    A cell's position is (cx + dx) + (col - half) * pitch, the operation
+    order of a cell-by-cell loop, and its variable width is the group's
+    sweep value row * n + col.  The first failure in that loop's order
+    raises its error: a block's sweep is checked as the block begins, then
+    each cell's position (finite, on the wafer) and design.
+    """
+    m = n * n
+    why = {group: _sweep_problem(group, sweeps[group], m)
+           for group in dict.fromkeys(site.group for _, _, site in blocks)}
+    row, col = np.divmod(np.arange(m), n)
     half = (n - 1) / 2.0
-    out = []
-    for row in range(n):
-        for col in range(n):
-            cell = row * n + col
-            pos = WaferPoint(cx + site.dx_mm + (col - half) * SUBARRAY_CELL_PITCH_MM,
-                             cy + site.dy_mm + (row - half) * SUBARRAY_CELL_PITCH_MM)
-            _check_on_wafer(pos, shape, "test structure")
-            design = _design_for(variant, sweep[cell])
-            out.append(TestStructureSpec(
-                structure_id=f"{code}{die[0]:+d}{die[1]:+d}s{site.index:02d}c{cell:02d}",
-                die_index=die,
-                subarray_index=site.index,
-                cell_index=(row, col),
-                position=pos,
-                design=design,
-                a_overlap_designed_um2=design.designed_area_um2(),
-                group=site.group,
-            ))
-    return out
+    centres = [_die_centre(*die) for _, die, _ in blocks]
+    x = (np.array([cx + site.dx_mm for (cx, _), (_, _, site) in zip(centres, blocks)])[:, None]
+         + (col - half) * SUBARRAY_CELL_PITCH_MM).ravel()
+    y = (np.array([cy + site.dy_mm for (_, cy), (_, _, site) in zip(centres, blocks)])[:, None]
+         + (row - half) * SUBARRAY_CELL_PITCH_MM).ravel()
+    w = np.array([np.zeros(m) if why[site.group] else np.asarray(sweeps[site.group], float)
+                  for _, _, site in blocks]).ravel()
+    dolan = np.repeat([variant is Variant.DOLAN for variant, _, _ in blocks], m)
+    w_b = np.where(dolan, 3.0 * w, w)
+    w_t = np.where(dolan, w, MANHATTAN_FIXED_TOP_NM)
+    bad = (~_on_wafer(x, y, shape) | ~(np.isfinite(w_b) & np.isfinite(w_t))
+           | (w_b < 0.0) | (w_t < 0.0))
+    failed = bad.reshape(-1, m).any(axis=1) | [bool(why[site.group]) for _, _, site in blocks]
+    if failed.any():
+        b = int(np.argmax(failed))
+        variant, _, site = blocks[b]
+        if why[site.group]:
+            raise DataError(why[site.group])
+        i = b * m + int(np.argmax(bad[b * m:(b + 1) * m]))
+        _check_cell(x[i].item(), y[i].item(), shape, variant, w[i].item())
+
+    codes = np.array([VARIANT_CODES[variant] for variant, _, _ in blocks], dtype=np.int8)
+    variant = np.repeat(codes, m)
+    cells = [f"c{cell:02d}" for cell in range(m)]
+    subarrays = [f"{'M' if v is Variant.MANHATTAN else 'D'}{ix:+d}{iy:+d}s{site.index:02d}"
+                 for v, (ix, iy), site in blocks]
+    return dict(
+        structure_id=[subarray + cell for subarray in subarrays for cell in cells],
+        die_x=np.repeat([ix for _, (ix, _), _ in blocks], m),
+        die_y=np.repeat([iy for _, (_, iy), _ in blocks], m),
+        x_mm=x, y_mm=y, variant=variant, w_bottom_nm=w_b, w_top_nm=w_t,
+        a_overlap_designed_um2=designed_areas(variant, w_b, w_t),
+        junction_count=np.full(x.size, 2),
+        subarray_index=np.repeat([site.index for _, _, site in blocks], m),
+        cell_row=np.tile(row, len(blocks)), cell_col=np.tile(col, len(blocks)),
+        group=np.repeat(np.array([site.group for _, _, site in blocks], dtype=object), m),
+        excluded=np.zeros(x.size, dtype=bool),
+        exclusion_reason=np.full(x.size, "", dtype=object),
+    )
 
 
 def build_planar_17q(sweeps: dict[str, Sequence[float]] | None = None,
@@ -234,38 +441,39 @@ def build_planar_17q(sweeps: dict[str, Sequence[float]] | None = None,
     missing = {s.group for s in sites} - set(sweeps)
     if missing:
         raise DataError(f"sweep table lacks groups {sorted(missing)}")
-    structures: list[TestStructureSpec] = []
-    for variant, die_ys in ((Variant.DOLAN, (1, 2)), (Variant.MANHATTAN, (-1, -2))):
-        for iy in die_ys:
-            for ix in (-2, -1, 1, 2):
-                for site in sites:
-                    structures.extend(_cell_structures(
-                        variant, (ix, iy), site, 4,
-                        sweeps[site.group], WaferShape.ROUND_100MM))
-    return WaferLayout(LayoutKind.PLANAR_17Q, tuple(structures))
+    blocks = [(variant, (ix, iy), site)
+              for variant, die_ys in ((Variant.DOLAN, (1, 2)), (Variant.MANHATTAN, (-1, -2)))
+              for iy in die_ys for ix in (-2, -1, 1, 2) for site in sites]
+    columns = _subarray_columns(blocks, 4, sweeps, WaferShape.ROUND_100MM)
+    return WaferLayout(LayoutKind.PLANAR_17Q, StructureTable(columns))
 
 
 _VIA_MARGIN_MM = 1e-6          # far above the rounding of mm-scale coordinates
 
 
-def _via_hits(cells: Sequence[TestStructureSpec], via_x: np.ndarray,
-              via_y: np.ndarray, via_r: np.ndarray) -> list[bool]:
-    """Whether each structure's square footprint meets any via circle.
+def _via_hits(x: np.ndarray, y: np.ndarray, m: int, via_x: np.ndarray,
+              via_y: np.ndarray, via_r: np.ndarray) -> np.ndarray:
+    """Whether each structure's square footprint, centred on (x, y), meets
+    any via circle; the structures come in sub-arrays of m.
 
-    Each via centre is clamped to each footprint, cells by vias in one
-    broadcast; a via counts when that nearest point lies within its radius.
-    Vias farther than their radius (plus a rounding margin) beyond the
-    cells' bounding box cannot count and are dropped first.
+    A via whose circle, widened by the footprint and a rounding margin,
+    misses a sub-array's bounding box cannot count for its cells.  Each
+    remaining (cell, via) pair clamps the via centre to the footprint, and
+    the via counts when that nearest point lies within its radius.
     """
-    x = np.array([[s.position.x_mm] for s in cells])
-    y = np.array([[s.position.y_mm] for s in cells])
     reach = via_r + STRUCTURE_HALF_MM + _VIA_MARGIN_MM
-    near = ((via_x >= x.min() - reach) & (via_x <= x.max() + reach)
-            & (via_y >= y.min() - reach) & (via_y <= y.max() + reach))
-    via_x, via_y, via_r = via_x[near], via_y[near], via_r[near]
-    nx = np.minimum(np.maximum(via_x, x - STRUCTURE_HALF_MM), x + STRUCTURE_HALF_MM)
-    ny = np.minimum(np.maximum(via_y, y - STRUCTURE_HALF_MM), y + STRUCTURE_HALF_MM)
-    return within_radius(via_x - nx, via_y - ny, via_r).any(axis=1).tolist()
+    bx, by = x.reshape(-1, m), y.reshape(-1, m)
+    block, via = np.nonzero(
+        (via_x >= bx.min(axis=1)[:, None] - reach) & (via_x <= bx.max(axis=1)[:, None] + reach)
+        & (via_y >= by.min(axis=1)[:, None] - reach) & (via_y <= by.max(axis=1)[:, None] + reach))
+    cell = (block[:, None] * m + np.arange(m)).ravel()
+    via = np.repeat(via, m)
+    cx, cy, vx, vy = x[cell], y[cell], via_x[via], via_y[via]
+    nx = np.minimum(np.maximum(vx, cx - STRUCTURE_HALF_MM), cx + STRUCTURE_HALF_MM)
+    ny = np.minimum(np.maximum(vy, cy - STRUCTURE_HALF_MM), cy + STRUCTURE_HALF_MM)
+    hit = np.zeros(x.size, dtype=bool)
+    hit[cell[within_radius(vx - nx, vy - ny, via_r[via])]] = True
+    return hit
 
 
 def build_tsv_17q(variant: Variant,
@@ -285,20 +493,16 @@ def build_tsv_17q(variant: Variant,
     via_r = np.array([d for _, d in vias]) / 2000.0     # diameter um -> radius mm
     sweep = TSV_SWEEP if sweep is None else tuple(sweep)
     sites = load_subarray_sites() if sites is None else tuple(sites)
-    structures: list[TestStructureSpec] = []
-    for iy in (1, 2):
-        for ix in (-2, -1, 1, 2):
-            for site in sites:
-                cells = _cell_structures(
-                    variant, (ix, iy), site, 5,
-                    sweep, WaferShape.SQUARE_70MM)
-                structures.extend(
-                    replace(s, excluded=True, exclusion_reason="tsv_overlap")
-                    if hit else s
-                    for s, hit in zip(cells, _via_hits(cells, via_x, via_y, via_r)))
+    blocks = [(variant, (ix, iy), site)
+              for iy in (1, 2) for ix in (-2, -1, 1, 2) for site in sites]
+    columns = _subarray_columns(blocks, 5, {site.group: sweep for site in sites},
+                                WaferShape.SQUARE_70MM)
+    hit = _via_hits(columns["x_mm"], columns["y_mm"], 25, via_x, via_y, via_r)
+    columns["excluded"] = hit
+    columns["exclusion_reason"] = np.where(hit, "tsv_overlap", "").astype(object)
     kind = (LayoutKind.TSV_17Q_MANHATTAN if variant is Variant.MANHATTAN
             else LayoutKind.TSV_17Q_DOLAN)
-    return WaferLayout(kind, tuple(structures))
+    return WaferLayout(kind, StructureTable(columns))
 
 
 _PAD_CODE = {"nbtin": "N", "tin": "T", "al": "A"}
@@ -319,27 +523,26 @@ def build_35x35(pad_kind: str, omitted_rows: Sequence[int] = ()) -> WaferLayout:
     omitted = set(omitted_rows)
     if not omitted.issubset(range(_GRID_35)):
         raise DataError(f"omitted rows out of range 0..34: {sorted(omitted)}")
-    design = JunctionDesign(Variant.MANHATTAN, UNIFORM_WIDTH_NM, UNIFORM_WIDTH_NM)
-    count = 1 if pad_kind == "al" else 2
     code = _PAD_CODE[pad_kind]
+    row, col = np.divmod(np.arange(_GRID_35 * _GRID_35), _GRID_35)
     half = (_GRID_35 - 1) / 2.0
-    structures = []
-    for row in range(_GRID_35):
-        for col in range(_GRID_35):
-            pos = WaferPoint((col - half) * _PITCH_35_MM, (row - half) * _PITCH_35_MM)
-            _check_on_wafer(pos, WaferShape.ROUND_100MM, "test structure")
-            structures.append(TestStructureSpec(
-                structure_id=f"{code}r{row:02d}c{col:02d}",
-                die_index=(0, 0),
-                subarray_index=0,
-                cell_index=(row, col),
-                position=pos,
-                design=design,
-                a_overlap_designed_um2=design.designed_area_um2(),
-                group="uniform",
-                excluded=row in omitted,
-                junction_count=count,
-                exclusion_reason="omitted_row" if row in omitted else "",
-            ))
+    x, y = (col - half) * _PITCH_35_MM, (row - half) * _PITCH_35_MM
+    _raise_first(~_on_wafer(x, y, WaferShape.ROUND_100MM),
+                 lambda x, y: _check_on_wafer(WaferPoint(x, y), WaferShape.ROUND_100MM,
+                                              "test structure"), x, y)
+    excluded = np.isin(row, list(omitted))
+    variant = np.full(x.size, VARIANT_CODES[Variant.MANHATTAN], dtype=np.int8)
+    width = np.full(x.size, UNIFORM_WIDTH_NM)
+    columns = dict(
+        structure_id=[f"{code}r{r:02d}c{c:02d}" for r in range(_GRID_35)
+                      for c in range(_GRID_35)],
+        die_x=np.zeros(x.size, dtype=np.int64), die_y=np.zeros(x.size, dtype=np.int64), x_mm=x, y_mm=y, variant=variant,
+        w_bottom_nm=width, w_top_nm=width,
+        a_overlap_designed_um2=designed_areas(variant, width, width),
+        junction_count=np.full(x.size, 1 if pad_kind == "al" else 2),
+        subarray_index=np.zeros(x.size, dtype=np.int64), cell_row=row, cell_col=col,
+        group=np.full(x.size, "uniform", dtype=object), excluded=excluded,
+        exclusion_reason=np.where(excluded, "omitted_row", "").astype(object),
+    )
     kind = LayoutKind(f"planar35x35-{pad_kind}")
-    return WaferLayout(kind, tuple(structures))
+    return WaferLayout(kind, StructureTable(columns))

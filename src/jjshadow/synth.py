@@ -40,7 +40,15 @@ from .geometry import (
     actual_overlap_area,  # noqa: F401 -- perfbench/spans.py wraps this binding in traced runs
     variant_areas,
 )
-from .layout import JUNCTION_COUNTS, TestStructureSpec, WaferLayout, check_junction_count
+from .layout import (
+    STRUCTURE_COLUMNS,
+    WaferLayout,
+    _column,
+    _radii,
+    _raise_first,
+    _transpose,
+    check_structure_columns,
+)
 
 SHORT_PAIR_G_US = 2000.0
 
@@ -113,16 +121,6 @@ NO_PARASITICS = ParasiticsModel(pad_centre_ohm=0.0, pad_edge_ohm=0.0,
                                 substrate_uS=0.0, cabling_ohm=0.0)
 
 
-def _check_variant_code(structure_id: str, code: int) -> None:
-    if not 0 <= code < len(VARIANTS):
-        raise DataError(f"undefined variant code {code} on {structure_id}")
-
-
-def _check_designed_area(structure_id: str, area_um2: float) -> None:
-    if not math.isfinite(area_um2):
-        raise DataError(f"non-finite designed area on {structure_id}")
-
-
 def check_conductance(structure_id: str, g_uS: float) -> None:
     if not math.isfinite(g_uS):
         raise DataError(f"non-finite conductance on {structure_id}")
@@ -151,50 +149,7 @@ class MeasurementRecord:
         check_conductance(self.structure_id, self.g_uS)
 
 
-# The columns a measurement shares with its layout structure, in CSV order,
-# with their dtypes; `variant` holds geometry.VARIANTS codes.
-STRUCTURE_COLUMNS = {
-    "structure_id": object, "die_x": np.int64, "die_y": np.int64,
-    "x_mm": float, "y_mm": float, "variant": np.int8,
-    "w_bottom_nm": float, "w_top_nm": float, "a_overlap_designed_um2": float,
-    "junction_count": np.int64,
-}
 COLUMNS = {**STRUCTURE_COLUMNS, "g_uS": float, "truth_flags": object}
-
-
-def _column(values: Sequence, dtype) -> np.ndarray:
-    """A read-only copy of values as a 1-D array."""
-    if dtype is object:
-        col = np.empty(len(values), dtype=object)
-        col[:] = values
-    else:
-        col = np.array(values, dtype=dtype)
-    col.flags.writeable = False
-    return col
-
-
-def _radii(x_mm: np.ndarray, y_mm: np.ndarray) -> np.ndarray:
-    """math.hypot per element, as WaferPoint.radius_mm computes it."""
-    return np.fromiter(map(math.hypot, x_mm.tolist(), y_mm.tolist()), float, len(x_mm))
-
-
-def _raise_first(bad: np.ndarray, check, *columns: np.ndarray) -> None:
-    """Call check on the first row flagged in bad, so that it raises its error."""
-    hit = np.flatnonzero(bad)
-    if hit.size:
-        i = int(hit[0])
-        check(*(col[i:i + 1].tolist()[0] for col in columns))
-
-
-def structure_columns(structures: Sequence[TestStructureSpec | MeasurementRecord],
-                      ) -> dict[str, np.ndarray]:
-    """The STRUCTURE_COLUMNS of layout structures or measurement records."""
-    rows = [(s.structure_id, *s.die_index, s.position.x_mm, s.position.y_mm,
-             VARIANT_CODES[s.design.variant], s.design.w_bottom_nm, s.design.w_top_nm,
-             s.a_overlap_designed_um2, s.junction_count) for s in structures]
-    values = zip(*rows) if rows else [()] * len(STRUCTURE_COLUMNS)
-    return {name: _column(col, dtype)
-            for (name, dtype), col in zip(STRUCTURE_COLUMNS.items(), values)}
 
 
 def _record(structure_id, die_x, die_y, x_mm, y_mm, variant, w_bottom_nm, w_top_nm,
@@ -228,16 +183,7 @@ class MeasurementTable(Sequence[MeasurementRecord]):
             setattr(self, name, _column(columns[name], dtype))
         if any(len(getattr(self, name)) != len(self.g_uS) for name in COLUMNS):
             raise DataError("measurement columns differ in length")
-        x, y, w_b, w_t = self.x_mm, self.y_mm, self.w_bottom_nm, self.w_top_nm
-        _raise_first(~(np.isfinite(x) & np.isfinite(y)), WaferPoint, x, y)
-        _raise_first((self.variant < 0) | (self.variant >= len(VARIANTS)),
-                     _check_variant_code, self.structure_id, self.variant)
-        _raise_first(~(np.isfinite(w_b) & np.isfinite(w_t)) | (w_b < 0.0) | (w_t < 0.0),
-                     lambda v, b, t: JunctionDesign(VARIANTS[v], b, t), self.variant, w_b, w_t)
-        _raise_first(~np.isfinite(self.a_overlap_designed_um2), _check_designed_area,
-                     self.structure_id, self.a_overlap_designed_um2)
-        _raise_first(~np.isin(self.junction_count, JUNCTION_COUNTS), check_junction_count,
-                    self.structure_id, self.junction_count)
+        check_structure_columns(self)
         _raise_first(~np.isfinite(self.g_uS) | (self.g_uS < 0.0), check_conductance,
                     self.structure_id, self.g_uS)
 
@@ -246,10 +192,11 @@ class MeasurementTable(Sequence[MeasurementRecord]):
         """A table of records; a table is returned as it is."""
         if isinstance(records, MeasurementTable):
             return records
-        records = list(records)
-        return cls({**structure_columns(records),
-                    "g_uS": [r.g_uS for r in records],
-                    "truth_flags": [r.truth_flags for r in records]})
+        return cls(_transpose([
+            (r.structure_id, *r.die_index, r.position.x_mm, r.position.y_mm,
+             VARIANT_CODES[r.design.variant], r.design.w_bottom_nm, r.design.w_top_nm,
+             r.a_overlap_designed_um2, r.junction_count, r.g_uS, r.truth_flags)
+            for r in records], COLUMNS))
 
     def take(self, index) -> MeasurementTable:
         """The rows at index (an index array, a mask or a slice), as a table."""
@@ -306,8 +253,9 @@ def synthesize_wafer(layout: WaferLayout, geom: EvaporatorGeometry,
     changing defect probabilities alters only the flagged structures.
     """
     disorder, defects = np.random.SeedSequence(process.seed).spawn(2)
-    columns = structure_columns(layout.viable())
-    n = len(columns["structure_id"])
+    viable = layout.viable()
+    columns = {name: getattr(viable, name) for name in STRUCTURE_COLUMNS}
+    n = len(viable)
     # Two normals and three uniforms per structure, in structure order: the
     # same streams as drawing them structure by structure.
     draws = np.random.default_rng(disorder).standard_normal((n, 2))

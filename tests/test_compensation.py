@@ -10,6 +10,7 @@ import scalar_model
 from jjshadow.analysis import effective_conductivity
 from jjshadow.cli import main
 from jjshadow.compensation import (
+    MAX_WIDTH_NM,
     compensated_layout,
     precompensate,
     precompensate_fixed_top,
@@ -17,14 +18,18 @@ from jjshadow.compensation import (
 from jjshadow.config import parse_config
 from jjshadow.errors import GeometryError, ShadowedError, TargetError
 from jjshadow.geometry import (
+    VARIANT_CODES,
     EvaporatorGeometry,
     Fidelity,
     JunctionDesign,
     Variant,
     WaferPoint,
     actual_overlap_area,
+    designed_areas,
+    variant_areas,
 )
 from jjshadow.io import write_layout_csv
+from jjshadow import layout as jlayout
 from jjshadow.layout import build_35x35, build_planar_17q, build_tsv_17q
 from jjshadow.synth import NO_PARASITICS, ProcessModel, synthesize_wafer
 
@@ -340,3 +345,71 @@ class TestCompensatedLayout:
         result = compensated_layout(layout, geom, Fidelity.BASIC, fixed_top_nm=160.0)
         tops = {s.design.w_top_nm for s in result.structures}
         assert tops == {160.0}
+
+
+# Non-default tilts, resist height and bottom thickness for the property test.
+TILTED = EvaporatorGeometry(alpha_deg=28.0, alpha_dolan_deg=22.0, h_resist_nm=700.0,
+                            t_bottom_nm=45.0)
+
+
+def sampled_layout(seed, n=240):
+    """Structures of both variants at seeded random points of the wafer, with
+    random widths; a few are drawn with a 0 nm bottom and a few excluded.
+    The first, a 200x200 nm crossed junction at the centre, sets the target."""
+    rng = np.random.default_rng(seed)
+    r = 48.0 * np.sqrt(rng.random(n))
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    x, y = (r * np.cos(theta)).tolist(), (r * np.sin(theta)).tolist()
+    dolan = rng.random(n) < 0.4
+    w_t = np.where(dolan, rng.uniform(100.0, 300.0, n), rng.uniform(120.0, 500.0, n))
+    w_b = np.where(dolan, 3.0 * w_t, rng.uniform(120.0, 500.0, n))
+    w_b[rng.random(n) < 0.03] = 0.0
+    excluded = rng.random(n) < 0.05
+    x[0], y[0], dolan[0], w_b[0], w_t[0], excluded[0] = 0.0, 0.0, False, 200.0, 200.0, False
+    specs = []
+    for k in range(n):
+        design = JunctionDesign(Variant.DOLAN if dolan[k] else Variant.MANHATTAN,
+                                float(w_b[k]), float(w_t[k]))
+        specs.append(jlayout.TestStructureSpec(
+            f"s{k:03d}", (0, 0), 0, (0, k), WaferPoint(x[k], y[k]), design,
+            design.designed_area_um2(), "sampled", excluded=bool(excluded[k]),
+            exclusion_reason="omitted" if excluded[k] else ""))
+    return jlayout.WaferLayout(jlayout.LayoutKind.CUSTOM, tuple(specs))
+
+
+class TestForwardInverseProperty:
+    """The forward model at the compensated designs gives back the target
+    area wherever compensation attained it, at every fidelity, for both
+    variants and both modes."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("w_max_nm", [MAX_WIDTH_NM, 320.0])
+    @pytest.mark.parametrize("fixed_top_nm", [None, 160.0])
+    @pytest.mark.parametrize("fidelity", list(Fidelity))
+    def test_attained_areas_meet_the_target(self, seed, w_max_nm, fixed_top_nm, fidelity):
+        layout = sampled_layout(seed)
+        result = compensated_layout(layout, TILTED, fidelity, w_max_nm=w_max_nm,
+                                    fixed_top_nm=fixed_top_nm)
+        before, after = layout.structures, result.structures
+        centre = min(layout.viable(), key=lambda s: (s.position.radius_mm(), s.structure_id))
+        target = actual_overlap_area(TILTED, centre.design, centre.position,
+                                     fidelity.for_variant(centre.design.variant))
+
+        attained = ~after.excluded
+        areas = variant_areas(TILTED, after.variant[attained], after.w_bottom_nm[attained],
+                              after.w_top_nm[attained], after.x_mm[attained],
+                              after.y_mm[attained], fidelity)
+        assert np.all(np.abs(areas - target) <= AREA_RTOL * target)
+        assert np.array_equal(after.a_overlap_designed_um2[attained], designed_areas(
+            after.variant[attained], after.w_bottom_nm[attained], after.w_top_nm[attained]))
+        if fixed_top_nm is not None:
+            manhattan = attained & (after.variant == VARIANT_CODES[Variant.MANHATTAN])
+            assert set(after.w_top_nm[manhattan].tolist()) == {fixed_top_nm}
+
+        new = after.excluded & ~before.excluded
+        assert all(r.startswith("unattainable: ") for r in after.exclusion_reason[new])
+        assert after.take(before.excluded) == before.take(before.excluded)
+        if w_max_nm < MAX_WIDTH_NM:
+            assert any("width limit" in r for r in after.exclusion_reason[new])
+        if fixed_top_nm is None:
+            assert "unattainable: aspect ratio must be > 0" in after.exclusion_reason[new]

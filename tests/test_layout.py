@@ -338,3 +338,27 @@ def test_non_finite_subarray_offset_rejected(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(DataError, match="malformed sub-array row"):
         load_subarray_sites(path)
+
+
+def test_design_path_builds_no_spec_objects(monkeypatch, tmp_path):
+    # Build, pre-compensate, write, read back and synthesize the via wafer
+    # on columns: no TestStructureSpec is constructed on the way.
+    from jjshadow import layout as jlayout
+    from jjshadow.compensation import compensated_layout
+    from jjshadow.geometry import EvaporatorGeometry, Fidelity
+    from jjshadow.io import read_layout_csv, write_layout_csv
+    from jjshadow.synth import NO_PARASITICS, ProcessModel, synthesize_wafer
+
+    built = []
+    check = jlayout.TestStructureSpec.__post_init__
+    monkeypatch.setattr(jlayout.TestStructureSpec, "__post_init__",
+                        lambda spec: built.append(spec.structure_id) or check(spec))
+    geom = EvaporatorGeometry()
+    layout = build_tsv_17q(Variant.MANHATTAN)
+    compensated = compensated_layout(layout, geom, Fidelity.FULL)
+    write_layout_csv(compensated, tmp_path / "layout.csv")
+    back = read_layout_csv(tmp_path / "layout.csv")
+    records = synthesize_wafer(back, geom, ProcessModel(), NO_PARASITICS)
+    assert len(records) == 3024
+    assert built == []
+    assert back.structures[5].structure_id == built[0]     # specs are built on demand
