@@ -237,9 +237,10 @@ def _render_targets(args: argparse.Namespace):
         if not crossed.size:
             raise DataError("layout holds no crossed-junction structures to render")
         at = crossed[::args.stride]
+        columns = (table.structure_id, table.x_mm, table.y_mm,
+                   table.w_bottom_nm, table.w_top_nm)
         return [(sid, WaferPoint(x, y), JunctionDesign(Variant.MANHATTAN, w_b, w_t))
-                for sid, x, y, w_b, w_t in zip(*(getattr(table, name)[at].tolist() for name in (
-                    "structure_id", "x_mm", "y_mm", "w_bottom_nm", "w_top_nm")))]
+                for sid, x, y, w_b, w_t in zip(*(col[at].tolist() for col in columns))]
     n = args.grid
     span = 34.0
     coords = [(-span + 2 * span * i / (n - 1)) if n > 1 else 0.0 for i in range(n)]

@@ -175,13 +175,14 @@ class JunctionDesign:
             raise GeometryError(_WIDTHS_NEGATIVE)
 
     def designed_area_um2(self) -> float:
-        if self.variant is Variant.DOLAN:
-            return self.w_top_nm * DOLAN_OVERLAP_LENGTH_NM / NM_PER_MM
-        return self.w_bottom_nm * self.w_top_nm / NM_PER_MM
+        return designed_areas(np.array(VARIANT_CODES[self.variant]), self.w_bottom_nm,
+                              self.w_top_nm).item()
 
 
-def designed_areas(variant: np.ndarray, w_b_nm: np.ndarray, w_t_nm: np.ndarray) -> np.ndarray:
-    """JunctionDesign.designed_area_um2 per element; variant holds VARIANTS codes."""
+def designed_areas(variant: np.ndarray, w_b_nm, w_t_nm) -> np.ndarray:
+    """Designed overlap area in um^2 per element: the bottom times the top
+    width of a crossed junction, the top width times DOLAN_OVERLAP_LENGTH_NM
+    of a bridge junction.  variant holds VARIANTS codes."""
     dolan = variant == VARIANT_CODES[Variant.DOLAN]
     return np.where(dolan, w_t_nm * DOLAN_OVERLAP_LENGTH_NM, w_b_nm * w_t_nm) / NM_PER_MM
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -325,41 +326,36 @@ def load_sweep_file(path: str | Path) -> dict[str, tuple[float, ...]]:
     return {g: tuple(v) for g, v in sweeps.items()}
 
 
-def _check_on_wafer(p: WaferPoint, shape: WaferShape, who: str) -> None:
+def _check_cell(shape: WaferShape, variant: Variant, x_mm: float, y_mm: float,
+                w_bottom_nm: float, w_top_nm: float) -> None:
+    """The checks of one structure as it is built: a finite position, on the
+    wafer, then its design."""
+    p = WaferPoint(x_mm, y_mm)
     if shape is WaferShape.ROUND_100MM:
-        if p.radius_mm() > WAFER_RADIUS_MM:
-            raise DataError(f"{who} at ({p.x_mm}, {p.y_mm}) mm is off the round wafer")
+        off, wafer = p.radius_mm() > WAFER_RADIUS_MM, "round"
     else:
-        if abs(p.x_mm) > SQUARE_HALF_MM or abs(p.y_mm) > SQUARE_HALF_MM:
-            raise DataError(f"{who} at ({p.x_mm}, {p.y_mm}) mm is off the square wafer")
+        off, wafer = abs(p.x_mm) > SQUARE_HALF_MM or abs(p.y_mm) > SQUARE_HALF_MM, "square"
+    if off:
+        raise DataError(f"test structure at ({p.x_mm}, {p.y_mm}) mm is off the {wafer} wafer")
+    JunctionDesign(variant, w_bottom_nm, w_top_nm)
 
 
-def _on_wafer(x_mm: np.ndarray, y_mm: np.ndarray, shape: WaferShape) -> np.ndarray:
-    """Per element, whether _check_on_wafer passes (False for a non-finite point)."""
+def _failing_cells(shape: WaferShape, x_mm: np.ndarray, y_mm: np.ndarray,
+                   w_bottom_nm: np.ndarray, w_top_nm: np.ndarray) -> np.ndarray:
+    """Per structure, whether _check_cell raises; the round-wafer test is
+    math.hypot's, through within_radius."""
     if shape is WaferShape.ROUND_100MM:
-        return within_radius(x_mm, y_mm, WAFER_RADIUS_MM)
-    return (np.abs(x_mm) <= SQUARE_HALF_MM) & (np.abs(y_mm) <= SQUARE_HALF_MM)
-
-
-def _check_cell(x_mm: float, y_mm: float, shape: WaferShape, variant: Variant,
-                w_variable_nm: float) -> None:
-    """The checks of one structure, in build order: position, then design."""
-    _check_on_wafer(WaferPoint(x_mm, y_mm), shape, "test structure")
-    _design_for(variant, w_variable_nm)
+        on = within_radius(x_mm, y_mm, WAFER_RADIUS_MM)
+    else:                               # False for a non-finite point, as within_radius
+        on = (np.abs(x_mm) <= SQUARE_HALF_MM) & (np.abs(y_mm) <= SQUARE_HALF_MM)
+    return (~on | ~(np.isfinite(w_bottom_nm) & np.isfinite(w_top_nm))
+            | (w_bottom_nm < 0.0) | (w_top_nm < 0.0))
 
 
 def _die_centre(ix: int, iy: int) -> tuple[float, float]:
     # Signed die indices skip 0 so the wafer centre falls between dies.
     return ((ix - math.copysign(0.5, ix)) * DIE_PITCH_MM,
             (iy - math.copysign(0.5, iy)) * DIE_PITCH_MM)
-
-
-def _design_for(variant: Variant, w_variable_nm: float) -> JunctionDesign:
-    if variant is Variant.MANHATTAN:
-        return JunctionDesign(variant, w_bottom_nm=w_variable_nm,
-                              w_top_nm=MANHATTAN_FIXED_TOP_NM)
-    return JunctionDesign(variant, w_bottom_nm=3.0 * w_variable_nm,
-                          w_top_nm=w_variable_nm)
 
 
 def _sweep_problem(group: str, sweep: Sequence[float], cells: int) -> str:
@@ -381,7 +377,9 @@ def _subarray_columns(blocks: Sequence[tuple[Variant, tuple[int, int], SubarrayS
     order of a cell-by-cell loop, and its variable width is the group's
     sweep value row * n + col.  The first failure in that loop's order
     raises its error: a block's sweep is checked as the block begins, then
-    each cell's position (finite, on the wafer) and design.
+    each cell's position (finite, on the wafer) and design.  A Dolan cell
+    draws its bottom electrode 3x the sweep width, a Manhattan cell its top
+    electrode MANHATTAN_FIXED_TOP_NM wide.
     """
     m = n * n
     why = {group: _sweep_problem(group, sweeps[group], m)
@@ -398,8 +396,7 @@ def _subarray_columns(blocks: Sequence[tuple[Variant, tuple[int, int], SubarrayS
     dolan = np.repeat([variant is Variant.DOLAN for variant, _, _ in blocks], m)
     w_b = np.where(dolan, 3.0 * w, w)
     w_t = np.where(dolan, w, MANHATTAN_FIXED_TOP_NM)
-    bad = (~_on_wafer(x, y, shape) | ~(np.isfinite(w_b) & np.isfinite(w_t))
-           | (w_b < 0.0) | (w_t < 0.0))
+    bad = _failing_cells(shape, x, y, w_b, w_t)
     failed = bad.reshape(-1, m).any(axis=1) | [bool(why[site.group]) for _, _, site in blocks]
     if failed.any():
         b = int(np.argmax(failed))
@@ -407,7 +404,7 @@ def _subarray_columns(blocks: Sequence[tuple[Variant, tuple[int, int], SubarrayS
         if why[site.group]:
             raise DataError(why[site.group])
         i = b * m + int(np.argmax(bad[b * m:(b + 1) * m]))
-        _check_cell(x[i].item(), y[i].item(), shape, variant, w[i].item())
+        _check_cell(shape, variant, x[i].item(), y[i].item(), w_b[i].item(), w_t[i].item())
 
     codes = np.array([VARIANT_CODES[variant] for variant, _, _ in blocks], dtype=np.int8)
     variant = np.repeat(codes, m)
@@ -463,9 +460,10 @@ def _via_hits(x: np.ndarray, y: np.ndarray, m: int, via_x: np.ndarray,
     """
     reach = via_r + STRUCTURE_HALF_MM + _VIA_MARGIN_MM
     bx, by = x.reshape(-1, m), y.reshape(-1, m)
-    block, via = np.nonzero(
-        (via_x >= bx.min(axis=1)[:, None] - reach) & (via_x <= bx.max(axis=1)[:, None] + reach)
-        & (via_y >= by.min(axis=1)[:, None] - reach) & (via_y <= by.max(axis=1)[:, None] + reach))
+    block, via = np.nonzero((via_x >= bx.min(axis=1)[:, None] - reach)
+                            & (via_x <= bx.max(axis=1)[:, None] + reach)
+                            & (via_y >= by.min(axis=1)[:, None] - reach)
+                            & (via_y <= by.max(axis=1)[:, None] + reach))
     cell = (block[:, None] * m + np.arange(m)).ravel()
     via = np.repeat(via, m)
     cx, cy, vx, vy = x[cell], y[cell], via_x[via], via_y[via]
@@ -527,20 +525,21 @@ def build_35x35(pad_kind: str, omitted_rows: Sequence[int] = ()) -> WaferLayout:
     row, col = np.divmod(np.arange(_GRID_35 * _GRID_35), _GRID_35)
     half = (_GRID_35 - 1) / 2.0
     x, y = (col - half) * _PITCH_35_MM, (row - half) * _PITCH_35_MM
-    _raise_first(~_on_wafer(x, y, WaferShape.ROUND_100MM),
-                 lambda x, y: _check_on_wafer(WaferPoint(x, y), WaferShape.ROUND_100MM,
-                                              "test structure"), x, y)
+    width = np.full(x.size, UNIFORM_WIDTH_NM)
+    _raise_first(_failing_cells(WaferShape.ROUND_100MM, x, y, width, width),
+                 partial(_check_cell, WaferShape.ROUND_100MM, Variant.MANHATTAN),
+                 x, y, width, width)
     excluded = np.isin(row, list(omitted))
     variant = np.full(x.size, VARIANT_CODES[Variant.MANHATTAN], dtype=np.int8)
-    width = np.full(x.size, UNIFORM_WIDTH_NM)
+    zeros = np.zeros(x.size, dtype=np.int64)
     columns = dict(
         structure_id=[f"{code}r{r:02d}c{c:02d}" for r in range(_GRID_35)
                       for c in range(_GRID_35)],
-        die_x=np.zeros(x.size, dtype=np.int64), die_y=np.zeros(x.size, dtype=np.int64), x_mm=x, y_mm=y, variant=variant,
+        die_x=zeros, die_y=zeros, x_mm=x, y_mm=y, variant=variant,
         w_bottom_nm=width, w_top_nm=width,
         a_overlap_designed_um2=designed_areas(variant, width, width),
         junction_count=np.full(x.size, 1 if pad_kind == "al" else 2),
-        subarray_index=np.zeros(x.size, dtype=np.int64), cell_row=row, cell_col=col,
+        subarray_index=zeros, cell_row=row, cell_col=col,
         group=np.full(x.size, "uniform", dtype=object), excluded=excluded,
         exclusion_reason=np.where(excluded, "omitted_row", "").astype(object),
     )

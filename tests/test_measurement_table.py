@@ -285,7 +285,7 @@ class TestReaderLocations:
                 reader(path)
 
     @pytest.mark.parametrize("later, message", [
-        (None, "duplicate structure ids"),
+        (None, " duplicate structure ids"),
         ("-5.0", "21: designed widths must be >= 0"),      # a later bad row is named first
         ("-5.0,extra", "21: expected 11 columns, got 12"),
     ])
@@ -302,7 +302,7 @@ class TestReaderLocations:
             row[6] = later
             lines[20] = ",".join(row)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=f"^{re.escape(f'{path}:')} ?{re.escape(message)}$"):
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}:{message}')}$"):
             read_layout_csv(path)
 
     def test_blank_and_short_rows(self, tmp_path):
