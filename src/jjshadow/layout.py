@@ -168,6 +168,70 @@ def check_structure_columns(table) -> None:
                  sid, table.junction_count)
 
 
+class ColumnTable(Sequence):
+    """Rows stored as columns, in row order.
+
+    A subclass names its columns and their dtypes in COLUMNS, builds one
+    row object from one value per column with row, and checks its values
+    with check.  Each column is a read-only array attribute.  Indexing and
+    iteration build row objects on demand; a slice, or take, is a table of
+    the same class, and == compares column by column (or row by row with a
+    tuple or list).  The constructor copies the columns and checks them.
+    """
+
+    COLUMNS: dict[str, object] = {}
+    __slots__ = ()
+    __hash__ = None
+
+    def __init__(self, columns: Mapping[str, Sequence]) -> None:
+        if set(columns) != set(self.COLUMNS):
+            raise TypeError(f"a {type(self).__name__} has the columns "
+                            f"{', '.join(self.COLUMNS)}")
+        for name, dtype in self.COLUMNS.items():
+            setattr(self, name, _column(columns[name], dtype))
+        if len({len(getattr(self, name)) for name in self.COLUMNS}) > 1:
+            raise DataError(f"{type(self).__name__} columns differ in length")
+        self.check()
+
+    def check(self) -> None:
+        """Raise the error of the first bad row."""
+
+    @staticmethod
+    def row(*values):
+        raise NotImplementedError
+
+    def take(self, index):
+        """The rows at index (an index array, a mask or a slice), as a table."""
+        table = object.__new__(type(self))
+        for name in self.COLUMNS:
+            col = getattr(self, name)[index]
+            col.flags.writeable = False
+            setattr(table, name, col)
+        return table
+
+    def __len__(self) -> int:
+        return len(self.structure_id)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(index)
+        return next(iter(self.take([index])))
+
+    def __iter__(self) -> Iterator:
+        return map(self.row, *(getattr(self, name).tolist() for name in self.COLUMNS))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, list)):
+            return tuple(self) == tuple(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.COLUMNS)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)} rows)"
+
+
 def _spec(structure_id, die_x, die_y, x_mm, y_mm, variant, w_bottom_nm, w_top_nm,
           a_overlap_designed_um2, junction_count, subarray_index, cell_row, cell_col,
           group, excluded, exclusion_reason) -> TestStructureSpec:
@@ -177,29 +241,20 @@ def _spec(structure_id, die_x, die_y, x_mm, y_mm, variant, w_bottom_nm, w_top_nm
         a_overlap_designed_um2, group, excluded, junction_count, exclusion_reason)
 
 
-class StructureTable(Sequence[TestStructureSpec]):
+class StructureTable(ColumnTable):
     """Test structures stored as columns, in layout order.
 
-    Each name in LAYOUT_COLUMNS is a read-only array attribute: the
-    STRUCTURE_COLUMNS a measurement shares, then sub-array index, cell row
-    and column, group, excluded flag and exclusion reason.  Indexing and
-    iteration build TestStructureSpec objects on demand; a slice is a
-    table, and so is take.  The constructor copies the columns and checks
-    each value a structure or a measurement checks, raising its error for
-    the first bad row.
+    The LAYOUT_COLUMNS: the STRUCTURE_COLUMNS a measurement shares, then
+    sub-array index, cell row and column, group, excluded flag and
+    exclusion reason.  Rows are TestStructureSpec objects, built on
+    demand.  The constructor checks each value a structure or a
+    measurement checks, raising its error for the first bad row.
     """
 
+    COLUMNS = LAYOUT_COLUMNS
     __slots__ = tuple(LAYOUT_COLUMNS)
-    __hash__ = None
-
-    def __init__(self, columns: Mapping[str, Sequence]) -> None:
-        if set(columns) != set(LAYOUT_COLUMNS):
-            raise TypeError(f"a structure table has the columns {', '.join(LAYOUT_COLUMNS)}")
-        for name, dtype in LAYOUT_COLUMNS.items():
-            setattr(self, name, _column(columns[name], dtype))
-        if any(len(getattr(self, name)) != len(self.excluded) for name in LAYOUT_COLUMNS):
-            raise DataError("layout columns differ in length")
-        check_structure_columns(self)
+    row = staticmethod(_spec)
+    check = check_structure_columns
 
     @classmethod
     def from_specs(cls, specs: Iterable[TestStructureSpec]) -> StructureTable:
@@ -211,38 +266,6 @@ class StructureTable(Sequence[TestStructureSpec]):
              VARIANT_CODES[s.design.variant], s.design.w_bottom_nm, s.design.w_top_nm,
              s.a_overlap_designed_um2, s.junction_count, s.subarray_index, *s.cell_index,
              s.group, s.excluded, s.exclusion_reason) for s in specs], LAYOUT_COLUMNS))
-
-    def take(self, index) -> StructureTable:
-        """The rows at index (an index array, a mask or a slice), as a table."""
-        table = object.__new__(StructureTable)
-        for name in LAYOUT_COLUMNS:
-            col = getattr(self, name)[index]
-            col.flags.writeable = False
-            setattr(table, name, col)
-        return table
-
-    def __len__(self) -> int:
-        return len(self.excluded)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.take(index)
-        return next(iter(self.take([index])))
-
-    def __iter__(self) -> Iterator[TestStructureSpec]:
-        return map(_spec, *(getattr(self, name).tolist() for name in LAYOUT_COLUMNS))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (tuple, list)):
-            return tuple(self) == tuple(other)
-        if not isinstance(other, StructureTable):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in LAYOUT_COLUMNS)
-
-    def __repr__(self) -> str:
-        return f"StructureTable({len(self)} structures)"
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,8 +42,8 @@ from .geometry import (
 )
 from .layout import (
     STRUCTURE_COLUMNS,
+    ColumnTable,
     WaferLayout,
-    _column,
     _radii,
     _raise_first,
     _transpose,
@@ -161,31 +161,25 @@ def _record(structure_id, die_x, die_y, x_mm, y_mm, variant, w_bottom_nm, w_top_
         a_overlap_designed_um2, junction_count, g_uS, truth_flags)
 
 
-class MeasurementTable(Sequence[MeasurementRecord]):
+class MeasurementTable(ColumnTable):
     """Measurement records stored as columns, in record order.
 
-    Each name in COLUMNS is a read-only array attribute: structure ids,
-    die x/y, position x/y in mm, variant (geometry.VARIANTS codes), bottom
-    and top designed widths, designed area, junction count, g_uS and truth
-    flags (a frozenset per row, None for readings loaded from a file).
-    Indexing and iteration build MeasurementRecord objects on demand; a
-    slice is a table.  The constructor copies the columns and checks each
-    value a record checks, raising its error for the first bad row.
+    The COLUMNS: structure ids, die x/y, position x/y in mm, variant
+    (geometry.VARIANTS codes), bottom and top designed widths, designed
+    area, junction count, g_uS and truth flags (a frozenset per row, None
+    for readings loaded from a file).  Rows are MeasurementRecord objects,
+    built on demand.  The constructor checks each value a record checks,
+    raising its error for the first bad row.
     """
 
+    COLUMNS = COLUMNS
     __slots__ = tuple(COLUMNS)
-    __hash__ = None
+    row = staticmethod(_record)
 
-    def __init__(self, columns: Mapping[str, Sequence]) -> None:
-        if set(columns) != set(COLUMNS):
-            raise TypeError(f"a measurement table has the columns {', '.join(COLUMNS)}")
-        for name, dtype in COLUMNS.items():
-            setattr(self, name, _column(columns[name], dtype))
-        if any(len(getattr(self, name)) != len(self.g_uS) for name in COLUMNS):
-            raise DataError("measurement columns differ in length")
+    def check(self) -> None:
         check_structure_columns(self)
         _raise_first(~np.isfinite(self.g_uS) | (self.g_uS < 0.0), check_conductance,
-                    self.structure_id, self.g_uS)
+                     self.structure_id, self.g_uS)
 
     @classmethod
     def from_records(cls, records: Iterable[MeasurementRecord]) -> MeasurementTable:
@@ -198,15 +192,6 @@ class MeasurementTable(Sequence[MeasurementRecord]):
              r.a_overlap_designed_um2, r.junction_count, r.g_uS, r.truth_flags)
             for r in records], COLUMNS))
 
-    def take(self, index) -> MeasurementTable:
-        """The rows at index (an index array, a mask or a slice), as a table."""
-        table = object.__new__(MeasurementTable)
-        for name in COLUMNS:
-            col = getattr(self, name)[index]
-            col.flags.writeable = False
-            setattr(table, name, col)
-        return table
-
     def with_conductance(self, g_uS: Sequence[float]) -> MeasurementTable:
         """The same measurements with new readings."""
         return MeasurementTable({**{name: getattr(self, name) for name in COLUMNS},
@@ -214,26 +199,6 @@ class MeasurementTable(Sequence[MeasurementRecord]):
 
     def radius_mm(self) -> np.ndarray:
         return _radii(self.x_mm, self.y_mm)
-
-    def __len__(self) -> int:
-        return len(self.g_uS)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.take(index)
-        return next(iter(self.take([index])))
-
-    def __iter__(self) -> Iterator[MeasurementRecord]:
-        return map(_record, *(getattr(self, name).tolist() for name in COLUMNS))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MeasurementTable):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in COLUMNS)
-
-    def __repr__(self) -> str:
-        return f"MeasurementTable({len(self)} records)"
 
 
 _CLEAN, _SHORT = frozenset(), frozenset({"short"})
