@@ -5,8 +5,8 @@ Every file is read and written by csvfile's helpers, so files round-trip
 bit exactly, except the heatmap, whose all-number rows are joined by hand.
 Layout and measurement files are read a column at a time, each column
 checked as an array; only when a check fails are the rows parsed one by
-one, so the first bad row is named with its path:line.  Layout, measurement, truth
-and manifest files reject a repeated structure id.
+one, so the first bad row is named with its path:line.  Layout,
+measurement, truth and manifest files reject a repeated structure id.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import DataError, JJShadowError
 from .geometry import VARIANT_CODES, VARIANTS, JunctionDesign, Variant, WaferPoint
 from .imaging import GrayImage, write_pgm
 from .layout import (
-    LAYOUT_COLUMNS,
     STRUCTURE_COLUMNS,
     LayoutKind,
     StructureTable,
@@ -59,11 +58,11 @@ def _structure_values(row: Sequence[str]) -> tuple:
 
 
 def _layout_row(row: list[str]) -> tuple:
-    """The LAYOUT_COLUMNS values of a row."""
+    """The STRUCTURE_COLUMNS values of a row, then its excluded flag."""
     values = _structure_values(row)
     excluded = _flag(row[10])
     check_junction_count(row[0], values[-1])
-    return (*values, 0, 0, 0, "uniform", excluded, "")
+    return (*values, excluded)
 
 
 def _measurement_row(row: list[str]) -> tuple | None:
@@ -116,20 +115,25 @@ def write_layout_csv(layout: WaferLayout, path: str | Path) -> None:
     _write_rows(path, LAYOUT_HEADER, zip(*_common_cells(table), excluded))
 
 
-def _layout_table(rows: list[list[str]]) -> StructureTable | None:
+def _layout_table(columns: Mapping[str, Sequence]) -> StructureTable:
+    """The structures of a layout file's STRUCTURE_COLUMNS and excluded
+    flags; the file carries no sub-array, cell, group or exclusion reason."""
+    n = len(columns["excluded"])
+    zeros = np.zeros(n, dtype=np.int64)
+    return StructureTable({**columns, "subarray_index": zeros, "cell_row": zeros,
+                           "cell_col": zeros, "group": ["uniform"] * n,
+                           "exclusion_reason": [""] * n})
+
+
+def _layout_columns(rows: list[list[str]]) -> StructureTable | None:
     """The structures of layout rows, parsed and checked a column at a time;
     None if a row has the wrong width or a bad value."""
     parsed = _structure_columns(rows, 11, skip_excluded=False)
     if parsed is None:
         return None
     columns, cells = parsed
-    n = len(cells[0])
-    zeros = np.zeros(n, dtype=np.int64)
     try:            # the table checks every value of every column
-        return StructureTable({
-            **columns, "subarray_index": zeros, "cell_row": zeros, "cell_col": zeros,
-            "group": ["uniform"] * n, "excluded": [flag == "true" for flag in cells[10]],
-            "exclusion_reason": [""] * n})
+        return _layout_table({**columns, "excluded": [flag == "true" for flag in cells[10]]})
     except JJShadowError:
         return None
 
@@ -137,10 +141,10 @@ def _layout_table(rows: list[list[str]]) -> StructureTable | None:
 def read_layout_csv(path: str | Path) -> WaferLayout:
     """Read a layout CSV; bounds are not revalidated for user-edited files."""
     rows = _read_rows(path, LAYOUT_HEADER, "layout")
-    table = _layout_table([row for _, row in rows])
+    table = _layout_columns([row for _, row in rows])
     if table is None:   # a check failed: row by row, the first bad row raises
-        table = StructureTable(_transpose(_parse_rows(path, rows, 11, _layout_row),
-                                          LAYOUT_COLUMNS))
+        table = _layout_table(_transpose(_parse_rows(path, rows, 11, _layout_row),
+                                         [*STRUCTURE_COLUMNS, "excluded"]))
     _check_unique(path, table.structure_id)
     return WaferLayout(LayoutKind.CUSTOM, table)
 
@@ -152,7 +156,7 @@ def write_measurements_csv(records: Sequence[MeasurementRecord],
                 zip(*_common_cells(table), ["false"] * len(table), table.g_uS.tolist()))
 
 
-def _measurement_table(rows: list[list[str]]) -> MeasurementTable | None:
+def _measurement_columns(rows: list[list[str]]) -> MeasurementTable | None:
     """The measurements of rows, parsed and checked a column at a time;
     None if a row has the wrong width or a bad value."""
     parsed = _structure_columns(rows, 12, skip_excluded=True)
@@ -169,7 +173,7 @@ def _measurement_table(rows: list[list[str]]) -> MeasurementTable | None:
 def read_measurements_csv(path: str | Path) -> MeasurementTable:
     """Read measurements; rows flagged excluded are skipped, truth is None."""
     rows = _read_rows(path, MEASUREMENT_HEADER, "measurements")
-    table = _measurement_table([row for _, row in rows])
+    table = _measurement_columns([row for _, row in rows])
     if table is None:   # a check failed: row by row, the first bad row raises
         values = _parse_rows(path, rows, 12, _measurement_row)
         table = MeasurementTable(_transpose([v for v in values if v is not None], COLUMNS))

@@ -179,7 +179,7 @@ class ColumnTable(Sequence):
     tuple or list).  The constructor copies the columns and checks them.
     """
 
-    COLUMNS: dict[str, object] = {}
+    COLUMNS: dict[str, object]
     __slots__ = ()
     __hash__ = None
 
@@ -192,13 +192,6 @@ class ColumnTable(Sequence):
         if len({len(getattr(self, name)) for name in self.COLUMNS}) > 1:
             raise DataError(f"{type(self).__name__} columns differ in length")
         self.check()
-
-    def check(self) -> None:
-        """Raise the error of the first bad row."""
-
-    @staticmethod
-    def row(*values):
-        raise NotImplementedError
 
     def take(self, index):
         """The rows at index (an index array, a mask or a slice), as a table."""
