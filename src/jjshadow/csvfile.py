@@ -15,15 +15,30 @@ from typing import Callable, Iterable, Sequence
 from .errors import DataError, JJShadowError
 
 
+def _breaks_line(text: str) -> bool:
+    """Whether text holds a character that str.splitlines breaks a line on."""
+    return text.splitlines() not in ([], [text])
+
+
 def _write_rows(path: str | Path, header: str, rows: Iterable[Sequence]) -> None:
-    """Write the header line and then rows."""
+    """Write the header line and then rows, whose first cell is a structure
+    id; a text cell holding a line break raises DataError before any byte
+    is written, since the reader splits lines as str.splitlines does."""
+    rows = list(rows)
+    for row in rows:
+        for cell in row:
+            if isinstance(cell, str) and _breaks_line(cell):
+                raise DataError(f"structure id {row[0]!r} holds a line break"
+                                if cell is row[0] else
+                                f"cell {cell!r} of structure {row[0]!r} holds a line break")
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _read_rows(path: str | Path, header: str, what: str) -> list[tuple[int, list[str]]]:
-    """The line number and cells of each non-blank row after the header."""
+    """The line number and cells of each non-blank row after the header; a
+    quoted cell spanning lines is rejected at its row's first line."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -31,8 +46,15 @@ def _read_rows(path: str | Path, header: str, what: str) -> list[tuple[int, list
     lines = text.splitlines()
     if not lines or lines[0] != header:
         raise DataError(f"{path}: bad or missing {what} header")
-    return [(lineno, row) for lineno, row in enumerate(csv.reader(lines[1:]), start=2)
-            if row]
+    rows, lineno = [], 2
+    reader = csv.reader(lines[1:])
+    for row in reader:
+        if reader.line_num + 1 != lineno:
+            raise DataError(f"{path}:{lineno}: a quoted cell spans more than one line")
+        if row:
+            rows.append((lineno, row))
+        lineno += 1
+    return rows
 
 
 def _parse_rows(path: str | Path, rows: list[tuple[int, list[str]]], width: int,
