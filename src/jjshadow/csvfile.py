@@ -2,15 +2,29 @@
 
 A reader requires the exact header line, skips blank rows and names the
 first row of the wrong width or with a bad cell as path:line.  Cells are
-quoted by the csv module's rules; floats are written as their repr.
+quoted by the csv module's rules; floats are written as their repr.  No
+cell may hold a line break: the writer rejects one before writing, and
+the reader rejects a quoted cell that spans lines.
+
+Both pay per distinct value, not per cell, wherever the csv module's
+rules allow.  The writer formats a numeric column with one repr or str
+per distinct value and joins rows by hand unless a text cell holds "," or
+'"', the only characters csv.writer would quote here.  The reader splits
+text holding no '"' on commas, and _parse_distinct parses each distinct
+cell of a column once.  Other text goes through csv.writer and
+csv.reader, so every byte written and every cell read is the csv
+module's.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DataError, JJShadowError
 
@@ -20,25 +34,91 @@ def _breaks_line(text: str) -> bool:
     return text.splitlines() not in ([], [text])
 
 
-def _write_rows(path: str | Path, header: str, rows: Iterable[Sequence]) -> None:
-    """Write the header line and then rows, whose first cell is a structure
-    id; a text cell holding a line break raises DataError before any byte
-    is written, since the reader splits lines as str.splitlines does."""
-    rows = list(rows)
-    for row in rows:
-        for cell in row:
-            if isinstance(cell, str) and _breaks_line(cell):
-                raise DataError(f"structure id {row[0]!r} holds a line break"
-                                if cell is row[0] else
-                                f"cell {cell!r} of structure {row[0]!r} holds a line break")
+def _cells(column: Sequence) -> tuple[list[str], bool]:
+    """The text csv.writer gives each value of column, and whether that text
+    may need quoting.  A float64 array pays one repr per distinct bit
+    pattern (keyed on the bits, so -0.0 keeps its sign) and an integer
+    array one str per distinct value; neither needs quoting."""
+    if isinstance(column, np.ndarray) and (column.dtype == np.float64
+                                           or column.dtype.kind in "iu"):
+        floats = column.dtype == np.float64
+        keys, inverse = np.unique(column.view(np.int64) if floats else column,
+                                  return_inverse=True)
+        text = np.array(list(map(str, (keys.view(np.float64) if floats else keys).tolist())),
+                        dtype=object)
+        return text[inverse].tolist(), False
+    cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    kinds = set(map(type, cells))
+    if type(None) in kinds:
+        cells = ["" if cell is None else str(cell) for cell in cells]
+    elif not kinds <= {str}:
+        cells = list(map(str, cells))
+    return cells, True
+
+
+def _write_columns(path: str | Path, header: str, columns: Sequence[Sequence]) -> None:
+    """Write the header line, then one row per index of columns, the first
+    of which holds structure ids, as csv.writer writes them.
+
+    A text cell holding a line break raises DataError before any byte is
+    written, since the reader splits lines as str.splitlines does.  Rows
+    are joined with "," and "\n" unless a text cell holds "," or '"'; then
+    csv.writer quotes them.
+    """
+    texts, quote = [], False
+    for column in columns:
+        cells, textual = _cells(column)
+        if textual:
+            joined = "".join(cells)
+            if _breaks_line(joined):
+                i = next(i for i, cell in enumerate(cells) if _breaks_line(cell))
+                where = f"cell {cells[i]!r} of " if texts else ""
+                raise DataError(f"{where}structure id {(texts or [cells])[0][i]!r} "
+                                "holds a line break")
+            quote = quote or "," in joined or '"' in joined
+        texts.append(cells)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        if quote:
+            csv.writer(fh, lineterminator="\n").writerows(zip(*texts))
+        elif texts and texts[0]:
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
-def _read_rows(path: str | Path, header: str, what: str) -> list[tuple[int, list[str]]]:
-    """The line number and cells of each non-blank row after the header; a
-    quoted cell spanning lines is rejected at its row's first line."""
+class _Rows:
+    """The non-blank rows after a file's header line, in order.  Iterating
+    gives each row's line number and cells; columns gives the cells column
+    by column.  Text holding no '"' is kept as its lines, whose cells are
+    their comma-separated parts (what csv.reader makes of them), so no list
+    is built per row."""
+
+    def __init__(self, lines: list[str], parsed: list[tuple[int, list[str]]] | None):
+        self._lines, self._parsed = lines, parsed
+
+    def __iter__(self) -> Iterator[tuple[int, list[str]]]:
+        if self._parsed is not None:
+            return iter(self._parsed)
+        return ((lineno, line.split(",")) for lineno, line in enumerate(self._lines, start=2)
+                if line)
+
+    def columns(self, width: int) -> list[Sequence[str]] | None:
+        """The cells of each of width columns; None if a row has another width."""
+        if self._parsed is not None:
+            rows = [row for _, row in self._parsed]
+            if set(map(len, rows)) - {width}:
+                return None
+            return list(zip(*rows)) if rows else [()] * width
+        lines = [line for line in self._lines if line]
+        if set(map(str.count, lines, repeat(","))) - {width - 1}:
+            return None
+        cells = ",".join(lines).split(",") if lines else []
+        return [cells[k::width] for k in range(width)]
+
+
+def _read_rows(path: str | Path, header: str, what: str) -> _Rows:
+    """The rows after the exact header line; a quoted cell spanning lines
+    is rejected at its row's first line.  The csv module parses only text
+    holding a '"', or a line past its field size limit (where it raises)."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -46,18 +126,20 @@ def _read_rows(path: str | Path, header: str, what: str) -> list[tuple[int, list
     lines = text.splitlines()
     if not lines or lines[0] != header:
         raise DataError(f"{path}: bad or missing {what} header")
-    rows, lineno = [], 2
+    if '"' not in text and max(map(len, lines)) <= csv.field_size_limit():
+        return _Rows(lines[1:], None)
+    parsed, lineno = [], 2
     reader = csv.reader(lines[1:])
     for row in reader:
         if reader.line_num + 1 != lineno:
             raise DataError(f"{path}:{lineno}: a quoted cell spans more than one line")
         if row:
-            rows.append((lineno, row))
+            parsed.append((lineno, row))
         lineno += 1
-    return rows
+    return _Rows(lines[1:], parsed)
 
 
-def _parse_rows(path: str | Path, rows: list[tuple[int, list[str]]], width: int,
+def _parse_rows(path: str | Path, rows: Iterable[tuple[int, list[str]]], width: int,
                 parse: Callable[[list[str]], object], label: str = "") -> list:
     """parse of each row in order; the first row of the wrong width, or that
     parse rejects, raises DataError at its path:line (label, then why)."""
@@ -70,6 +152,14 @@ def _parse_rows(path: str | Path, rows: list[tuple[int, list[str]]], width: int,
         except (ValueError, JJShadowError) as exc:
             raise DataError(f"{path}:{lineno}: {label}{exc}") from exc
     return out
+
+
+def _parse_distinct(cells: Sequence[str], parse: Callable[[str], object],
+                    dtype) -> np.ndarray:
+    """parse of each cell, as an array of dtype; each distinct cell is
+    parsed once."""
+    values = {cell: parse(cell) for cell in set(cells)}
+    return np.fromiter(map(values.__getitem__, cells), dtype, len(cells))
 
 
 def _int64(text: str) -> int:

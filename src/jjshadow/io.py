@@ -3,21 +3,36 @@ manifests, extraction tables and heatmaps.
 
 Every file is read and written by csvfile's helpers, so files round-trip
 bit exactly, except the heatmap, whose all-number rows are joined by hand.
-Layout and measurement files are read a column at a time, each column
-checked as an array; only when a check fails are the rows parsed one by
-one, so the first bad row is named with its path:line.  Layout,
-measurement, truth and manifest files reject a repeated structure id.
+The writers pass whole columns: a numeric column costs one repr or str
+per distinct value, and rows are joined by hand unless an id holds a
+comma or a quote, which csv.writer quotes.  An id holding a line break
+is rejected before any byte is written.  Layout and measurement files are
+read a column at a time, quote-free text split on commas, each distinct
+cell of a numeric column parsed once and each column checked as an
+array; only when a check fails are the rows parsed one by one, so the
+first bad row is named with its path:line.  Layout, measurement, truth
+and manifest files reject a repeated structure id.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .analysis import HeatmapGrid
-from .csvfile import _finite, _flag, _int64, _parse_rows, _read_rows, _write_rows
+from .csvfile import (
+    _finite,
+    _Rows,
+    _flag,
+    _int64,
+    _parse_distinct,
+    _parse_rows,
+    _read_rows,
+    _write_columns,
+)
 from .errors import DataError, JJShadowError
 from .geometry import VARIANT_CODES, VARIANTS, JunctionDesign, Variant, WaferPoint
 from .imaging import GrayImage, write_pgm
@@ -40,11 +55,11 @@ EXTRACTION_HEADER = "structure_id,d_mm,w_top_nm,w_bottom_nm,a_overlap_um2"
 MANIFEST_HEADER = "structure_id,x_mm,y_mm,w_b_px,w_t_px"
 
 
-def _common_cells(table: StructureTable | MeasurementTable) -> list[list]:
+def _common_cells(table: StructureTable | MeasurementTable) -> list[Sequence]:
     """The first ten CSV columns, shared by layout and measurement rows."""
-    names = [v.value for v in VARIANTS]
-    return [[names[c] for c in table.variant.tolist()] if name == "variant"
-            else getattr(table, name).tolist() for name in STRUCTURE_COLUMNS]
+    names = np.array([v.value for v in VARIANTS], dtype=object)
+    return [names[table.variant] if name == "variant" else getattr(table, name)
+            for name in STRUCTURE_COLUMNS]
 
 
 def _structure_values(row: Sequence[str]) -> tuple:
@@ -76,27 +91,26 @@ def _measurement_row(row: list[str]) -> tuple | None:
     return (*values, g, None)
 
 
-def _structure_columns(rows: list[list[str]], width: int, skip_excluded: bool,
-                       ) -> tuple[dict[str, np.ndarray], list[tuple]] | None:
-    """The STRUCTURE_COLUMNS of rows, each column parsed as a whole, and the
-    rows' cells column by column; None if a row has the wrong width, an
-    excluded flag is not true/false or a cell does not parse.  Rows flagged
-    excluded are dropped first if skip_excluded."""
-    if any(len(row) != width for row in rows):
+def _structure_columns(cells: list[Sequence[str]] | None, skip_excluded: bool,
+                       ) -> tuple[dict[str, np.ndarray], list[Sequence[str]]] | None:
+    """The STRUCTURE_COLUMNS of a file's cells, given column by column, each
+    column parsed as a whole, and the cells; None if a row had the wrong
+    width (cells is None), an excluded flag is not true/false or a cell does
+    not parse.  Rows flagged excluded are dropped first if skip_excluded."""
+    if cells is None:
         return None
-    flags = {row[10] for row in rows}
+    flags = set(cells[10])
     if not flags <= {"true", "false"}:
         return None
     if skip_excluded and "true" in flags:
-        rows = [row for row in rows if row[10] == "false"]
-    cells = list(zip(*rows)) if rows else [()] * width
+        keep = [flag == "false" for flag in cells[10]]
+        cells = [list(compress(column, keep)) for column in cells]
     try:
-        die_x, die_y, count = (np.array(list(map(int, cells[k])), dtype=np.int64)
-                               for k in (1, 2, 9))
-        x, y, w_b, w_t, area = (np.array(list(map(float, cells[k])), dtype=float)
+        die_x, die_y, count = (_parse_distinct(cells[k], int, np.int64) for k in (1, 2, 9))
+        x, y, w_b, w_t, area = (_parse_distinct(cells[k], float, float)
                                 for k in (3, 4, 6, 7, 8))
-        codes = {name: VARIANT_CODES[Variant(name)] for name in set(cells[5])}
-        variant = np.array([codes[c] for c in cells[5]], dtype=np.int8)
+        variant = _parse_distinct(cells[5], lambda name: VARIANT_CODES[Variant(name)],
+                                  np.int8)
     except (ValueError, OverflowError):
         return None
     return dict(structure_id=cells[0], die_x=die_x, die_y=die_y, x_mm=x, y_mm=y,
@@ -112,7 +126,7 @@ def _check_unique(path: str | Path, ids: Sequence[str]) -> None:
 def write_layout_csv(layout: WaferLayout, path: str | Path) -> None:
     table = layout.structures
     excluded = [("false", "true")[e] for e in table.excluded.tolist()]
-    _write_rows(path, LAYOUT_HEADER, zip(*_common_cells(table), excluded))
+    _write_columns(path, LAYOUT_HEADER, [*_common_cells(table), excluded])
 
 
 def _layout_table(columns: Mapping[str, Sequence]) -> StructureTable:
@@ -125,10 +139,10 @@ def _layout_table(columns: Mapping[str, Sequence]) -> StructureTable:
                            "exclusion_reason": [""] * n})
 
 
-def _layout_columns(rows: list[list[str]]) -> StructureTable | None:
+def _layout_columns(rows: _Rows) -> StructureTable | None:
     """The structures of layout rows, parsed and checked a column at a time;
     None if a row has the wrong width or a bad value."""
-    parsed = _structure_columns(rows, 11, skip_excluded=False)
+    parsed = _structure_columns(rows.columns(11), skip_excluded=False)
     if parsed is None:
         return None
     columns, cells = parsed
@@ -141,7 +155,7 @@ def _layout_columns(rows: list[list[str]]) -> StructureTable | None:
 def read_layout_csv(path: str | Path) -> WaferLayout:
     """Read a layout CSV; bounds are not revalidated for user-edited files."""
     rows = _read_rows(path, LAYOUT_HEADER, "layout")
-    table = _layout_columns([row for _, row in rows])
+    table = _layout_columns(rows)
     if table is None:   # a check failed: row by row, the first bad row raises
         table = _layout_table(_transpose(_parse_rows(path, rows, 11, _layout_row),
                                          [*STRUCTURE_COLUMNS, "excluded"]))
@@ -152,14 +166,14 @@ def read_layout_csv(path: str | Path) -> WaferLayout:
 def write_measurements_csv(records: Sequence[MeasurementRecord],
                            path: str | Path) -> None:
     table = MeasurementTable.from_records(records)
-    _write_rows(path, MEASUREMENT_HEADER,
-                zip(*_common_cells(table), ["false"] * len(table), table.g_uS.tolist()))
+    _write_columns(path, MEASUREMENT_HEADER,
+                   [*_common_cells(table), ["false"] * len(table), table.g_uS.tolist()])
 
 
-def _measurement_columns(rows: list[list[str]]) -> MeasurementTable | None:
+def _measurement_columns(rows: _Rows) -> MeasurementTable | None:
     """The measurements of rows, parsed and checked a column at a time;
     None if a row has the wrong width or a bad value."""
-    parsed = _structure_columns(rows, 12, skip_excluded=True)
+    parsed = _structure_columns(rows.columns(12), skip_excluded=True)
     if parsed is None:
         return None
     columns, cells = parsed
@@ -173,7 +187,7 @@ def _measurement_columns(rows: list[list[str]]) -> MeasurementTable | None:
 def read_measurements_csv(path: str | Path) -> MeasurementTable:
     """Read measurements; rows flagged excluded are skipped, truth is None."""
     rows = _read_rows(path, MEASUREMENT_HEADER, "measurements")
-    table = _measurement_columns([row for _, row in rows])
+    table = _measurement_columns(rows)
     if table is None:   # a check failed: row by row, the first bad row raises
         values = _parse_rows(path, rows, 12, _measurement_row)
         table = MeasurementTable(_transpose([v for v in values if v is not None], COLUMNS))
@@ -189,8 +203,7 @@ def write_truth_csv(records: Sequence[MeasurementRecord], path: str | Path) -> N
         sid = table.structure_id[flags.index(None)]
         raise DataError(f"record {sid} has no truth flags")
     text = {f: ";".join(sorted(f)) for f in set(flags)}
-    _write_rows(path, TRUTH_HEADER,
-                zip(table.structure_id.tolist(), [text[f] for f in flags]))
+    _write_columns(path, TRUTH_HEADER, [table.structure_id, [text[f] for f in flags]])
 
 
 def _truth(row: list[str]) -> tuple[str, frozenset[str]]:
@@ -237,13 +250,14 @@ def write_heatmap_pgm(grid: HeatmapGrid, path: str | Path) -> None:
 def write_extraction_csv(rows: Iterable[Mapping[str, object]], path: str | Path) -> None:
     """Batch extraction results; rows need the EXTRACTION_HEADER keys."""
     keys = EXTRACTION_HEADER.split(",")
-    _write_rows(path, EXTRACTION_HEADER, ([row[k] for k in keys] for row in rows))
+    _write_columns(path, EXTRACTION_HEADER,
+                   list(zip(*([row[k] for k in keys] for row in rows))))
 
 
 def write_manifest_csv(rows: Iterable[Sequence], path: str | Path) -> None:
     """Render manifest: rows of MANIFEST_HEADER cells, each image's id, wafer
     position and true bottom and top band widths in pixels."""
-    _write_rows(path, MANIFEST_HEADER, rows)
+    _write_columns(path, MANIFEST_HEADER, list(zip(*rows, strict=True)))
 
 
 def read_manifest_csv(path: str | Path) -> dict[str, WaferPoint]:
