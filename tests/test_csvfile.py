@@ -1,12 +1,25 @@
-"""The CSV reader and writer: line breaks in cells, and line numbers."""
+"""The CSV reader and writer: line breaks in cells, line numbers, and
+write∘read identity against the csv module on sampled tables."""
 
+import csv
+import io
 import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jjshadow.csvfile import _read_rows
 from jjshadow.errors import DataError
-from jjshadow.geometry import JunctionDesign, Variant, WaferPoint
+from jjshadow.geometry import VARIANTS, JunctionDesign, Variant, WaferPoint
 from jjshadow.io import (
+    LAYOUT_HEADER,
+    MEASUREMENT_HEADER,
+    TRUTH_HEADER,
     read_layout_csv,
     read_measurements_csv,
     read_truth_csv,
@@ -16,9 +29,9 @@ from jjshadow.io import (
     write_measurements_csv,
     write_truth_csv,
 )
-from jjshadow import layout as jlayout
-from jjshadow.layout import LayoutKind, WaferLayout
-from jjshadow.synth import MeasurementRecord
+from jjshadow.layout import STRUCTURE_COLUMNS, LayoutKind, StructureTable, WaferLayout
+from jjshadow.layout import TestStructureSpec as Spec      # not a test class
+from jjshadow.synth import DEFECT_CLASSES, MeasurementRecord, MeasurementTable
 
 # Every character str.splitlines breaks a line on, and its two-character break.
 LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
@@ -34,9 +47,9 @@ def records(ids):
 
 def layout(recs):
     return WaferLayout(LayoutKind.CUSTOM, [
-        jlayout.TestStructureSpec(r.structure_id, r.die_index, 0, (0, 0), r.position, r.design,
-                                  r.a_overlap_designed_um2, "uniform", excluded=False,
-                                  junction_count=r.junction_count) for r in recs])
+        Spec(r.structure_id, r.die_index, 0, (0, 0), r.position, r.design,
+             r.a_overlap_designed_um2, "uniform", junction_count=r.junction_count)
+        for r in recs])
 
 
 WRITERS = {
@@ -87,3 +100,154 @@ class TestLineBreaks:
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}:6: expected {width} "
                                             f"columns, got {width + 1}$"):
             READERS[kind](path)
+
+    def test_truth_flag_with_a_line_break_rejected(self, tmp_path):
+        recs = records(["a", "b"])
+        recs[1] = replace(recs[1], truth_flags=frozenset({"x\ny"}))
+        path = tmp_path / "truth.csv"
+        with pytest.raises(DataError, match=re.escape(
+                "cell 'x\\ny' of structure id 'b' holds a line break")):
+            write_truth_csv(recs, path)
+        assert not path.exists()
+
+
+# Write∘read over sampled tables: ids with commas, quotes, spaces, NUL and
+# non-ASCII text (or none of them, so that the quote-free path runs too),
+# and float columns at the edges, mostly repeated or all distinct.
+ID_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                blacklist_characters="".join(LINE_BREAKS)), max_size=6)
+ID_PLAIN = st.text(st.sampled_from("ab01_ -.\x00éΩ"), max_size=4)
+EDGE_FLOATS = [5e-324, -5e-324, -0.0, 0.0, 1e300, -1e300, 0.1, -49.999999999999]
+EDGE_WIDTHS = [0.0, -0.0, 5e-324, 2000.0, 1999.9999999999998, 200.0]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def float_columns(draw, n, edges, values):
+    """A column of n floats: all drawn afresh, or mostly repeated from a few."""
+    value = st.one_of(st.sampled_from(edges), values)
+    if draw(st.booleans()):
+        return draw(st.lists(value, min_size=n, max_size=n))
+    pool = draw(st.lists(value, min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@st.composite
+def tables(draw):
+    """The columns of a measurement table, with an excluded flag per row."""
+    ids = draw(st.lists(st.one_of(ID_TEXT, ID_PLAIN), unique=True, max_size=12))
+    n = len(ids)
+    ints = st.one_of(st.sampled_from([0, -1, 7]), st.integers(-2**63, 2**63 - 1))
+    positions = float_columns(n, EDGE_FLOATS, FINITE)
+    widths = float_columns(n, EDGE_WIDTHS, st.floats(0.0, 2000.0))
+    conductance = float_columns(n, EDGE_FLOATS[:5], st.floats(0.0, 1e300))
+    return {
+        "structure_id": ids,
+        "die_x": draw(st.lists(ints, min_size=n, max_size=n)),
+        "die_y": draw(st.lists(ints, min_size=n, max_size=n)),
+        "x_mm": draw(positions), "y_mm": draw(positions),
+        "variant": draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)),
+        "w_bottom_nm": draw(widths), "w_top_nm": draw(widths),
+        "a_overlap_designed_um2": draw(positions),
+        "junction_count": draw(st.lists(st.sampled_from([1, 2]), min_size=n, max_size=n)),
+        "g_uS": [abs(g) for g in draw(conductance)],
+        "truth_flags": draw(st.lists(st.frozensets(st.sampled_from(DEFECT_CLASSES)),
+                                     min_size=n, max_size=n)),
+        "excluded": draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+    }
+
+
+def csv_module_text(header, rows):
+    out = io.StringIO()
+    out.write(header + "\n")
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def csv_module_rows(text):
+    """What csv.reader makes of the rows after the header line."""
+    return [(n, row) for n, row in enumerate(csv.reader(text.splitlines()[1:]), start=2)
+            if row]
+
+
+def assert_same_columns(table, columns, names):
+    for name in names:
+        got = getattr(table, name)
+        want = np.array(columns[name], dtype=got.dtype)
+        if got.dtype == np.float64:         # bit for bit: -0.0 is not 0.0
+            got, want = got.view(np.int64), want.view(np.int64)
+        assert got.tolist() == want.tolist(), name
+
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+class TestWriteReadProperty:
+    @PROPERTY
+    @given(tables())
+    def test_measurements(self, columns):
+        table = MeasurementTable({k: v for k, v in columns.items() if k != "excluded"})
+        names = [VARIANTS[c].value for c in columns["variant"]]
+        rows = zip(*[columns[k] if k != "variant" else names for k in STRUCTURE_COLUMNS],
+                   ["false"] * len(table), columns["g_uS"])
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "m.csv"
+            write_measurements_csv(table, path)
+            text = path.read_text()
+            assert text == csv_module_text(MEASUREMENT_HEADER, rows)
+            assert_same_columns(read_measurements_csv(path), columns, [*STRUCTURE_COLUMNS,
+                                                                       "g_uS"])
+            assert list(_read_rows(path, MEASUREMENT_HEADER, "")) == csv_module_rows(text)
+
+    @PROPERTY
+    @given(tables())
+    def test_layout(self, columns):
+        n = len(columns["structure_id"])
+        structures = StructureTable({
+            **{k: columns[k] for k in (*STRUCTURE_COLUMNS, "excluded")},
+            "subarray_index": [0] * n, "cell_row": [0] * n, "cell_col": [0] * n,
+            "group": ["uniform"] * n, "exclusion_reason": [""] * n})
+        names = [VARIANTS[c].value for c in columns["variant"]]
+        rows = zip(*[columns[k] if k != "variant" else names for k in STRUCTURE_COLUMNS],
+                   [("false", "true")[e] for e in columns["excluded"]])
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "l.csv"
+            write_layout_csv(WaferLayout(LayoutKind.CUSTOM, structures), path)
+            text = path.read_text()
+            assert text == csv_module_text(LAYOUT_HEADER, rows)
+            assert_same_columns(read_layout_csv(path).structures, columns,
+                                [*STRUCTURE_COLUMNS, "excluded"])
+            assert list(_read_rows(path, LAYOUT_HEADER, "")) == csv_module_rows(text)
+
+    @PROPERTY
+    @given(tables())
+    def test_truth(self, columns):
+        table = MeasurementTable({k: v for k, v in columns.items() if k != "excluded"})
+        flags = [";".join(sorted(f)) for f in columns["truth_flags"]]
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "t.csv"
+            write_truth_csv(table, path)
+            text = path.read_text()
+            assert text == csv_module_text(TRUTH_HEADER, zip(columns["structure_id"], flags))
+            assert read_truth_csv(path) == dict(zip(columns["structure_id"],
+                                                    columns["truth_flags"]))
+            assert list(_read_rows(path, TRUTH_HEADER, "")) == csv_module_rows(text)
+
+    @PROPERTY
+    @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",),
+                                          blacklist_characters='"'), max_size=12),
+                    max_size=8),
+           st.integers(1, 4))
+    def test_quote_free_text_reads_as_the_csv_module_reads_it(self, lines, width):
+        text = "\n".join(["h", *lines])
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "q.csv"
+            path.write_text(text, newline="")
+            rows = _read_rows(path, "h", "")
+            want = csv_module_rows(path.read_text())
+            assert list(rows) == want
+            cells = [row for _, row in want]
+            columns = None
+            if all(len(row) == width for row in cells):
+                columns = [list(col) for col in zip(*cells)] if cells else [[]] * width
+            assert rows.columns(width) == columns
