@@ -194,6 +194,16 @@ def _find_band(occupancy: np.ndarray, line_length: int) -> tuple[int, int] | Non
     return int(above[0]), int(above[-1])
 
 
+def bands_below_mean(img: GrayImage) -> list[str]:
+    """The electrode bands ("bottom", "top") rendered at a level below the
+    image mean.  extract_widths sweeps its thresholds up from the mean, so
+    it cannot find such a band in a noise-free image; bands that cover much
+    of the canvas lift the mean that far."""
+    mean = float(img.pixels.mean())
+    return [band for band, level in (("bottom", LEVEL_BOTTOM), ("top", LEVEL_TOP))
+            if level < mean]
+
+
 def extract_widths(img: GrayImage,
                    threshold_count: int = DEFAULT_THRESHOLD_COUNT) -> ExtractionResult:
     """Recover electrode widths by sweeping mean-proportional thresholds.

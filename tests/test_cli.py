@@ -218,6 +218,20 @@ class TestRenderExtract:
         assert lines[0] == "structure_id,d_mm,w_top_nm,w_bottom_nm,a_overlap_um2"
         assert len(lines) == 10
 
+    def test_render_warns_about_bands_extract_cannot_find(self, tmp_path, capsys):
+        # 90-112 px bands on a 256 px canvas lift the image mean above the
+        # bottom band's level, the lowest extraction threshold.
+        assert run("render", "--grid", 3, "--canvas", 256, "--out-dir", tmp_path / "a") == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"jjshadow: warning: g{i:02d}_{j:02d}: on the 256 px canvas the image "
+                       "mean exceeds the level of the bottom band, which extract cannot find"
+                       for i in range(3) for j in range(3)]
+        assert run("extract", "--images", tmp_path / "a" / "g00_00.pgm",
+                   "--out", tmp_path / "e.csv") == 3
+        assert "no electrode edges found" in capsys.readouterr().err
+        assert run("render", "--grid", 3, "--out-dir", tmp_path / "b") == 0
+        assert capsys.readouterr().err == ""
+
     def test_extract_matches_manifest_truth(self, tmp_path):
         out_dir = tmp_path / "imgs"
         run("render", "--grid", "2", "--out-dir", out_dir, "--seed", 9)
