@@ -90,19 +90,26 @@ class _Rows:
     gives each row's line number and cells; columns gives the cells column
     by column.  Text holding no '"' is kept as its lines, whose cells are
     their comma-separated parts (what csv.reader makes of them), so no list
-    is built per row."""
+    is built per row.  A row with a quoted cell spanning lines ends the
+    rows: iterating raises stop there, and columns gives None."""
 
-    def __init__(self, lines: list[str], parsed: list[tuple[int, list[str]]] | None):
-        self._lines, self._parsed = lines, parsed
+    def __init__(self, lines: list[str], parsed: list[tuple[int, list[str]]] | None = None,
+                 stop: str | None = None):
+        self._lines, self._parsed, self._stop = lines, parsed, stop
 
     def __iter__(self) -> Iterator[tuple[int, list[str]]]:
-        if self._parsed is not None:
-            return iter(self._parsed)
-        return ((lineno, line.split(",")) for lineno, line in enumerate(self._lines, start=2)
-                if line)
+        if self._parsed is None:
+            yield from ((lineno, line.split(","))
+                        for lineno, line in enumerate(self._lines, start=2) if line)
+            return
+        yield from self._parsed
+        if self._stop is not None:
+            raise DataError(self._stop)
 
     def columns(self, width: int) -> list[Sequence[str]] | None:
         """The cells of each of width columns; None if a row has another width."""
+        if self._stop is not None:
+            return None
         if self._parsed is not None:
             rows = [row for _, row in self._parsed]
             if set(map(len, rows)) - {width}:
@@ -117,8 +124,9 @@ class _Rows:
 
 def _read_rows(path: str | Path, header: str, what: str) -> _Rows:
     """The rows after the exact header line; a quoted cell spanning lines
-    is rejected at its row's first line.  The csv module parses only text
-    holding a '"', or a line past its field size limit (where it raises)."""
+    is rejected at its row's first line, once the rows before it have been
+    read.  The csv module parses only text holding a '"', or a line past
+    its field size limit (where it raises)."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -127,12 +135,13 @@ def _read_rows(path: str | Path, header: str, what: str) -> _Rows:
     if not lines or lines[0] != header:
         raise DataError(f"{path}: bad or missing {what} header")
     if '"' not in text and max(map(len, lines)) <= csv.field_size_limit():
-        return _Rows(lines[1:], None)
+        return _Rows(lines[1:])
     parsed, lineno = [], 2
     reader = csv.reader(lines[1:])
     for row in reader:
         if reader.line_num + 1 != lineno:
-            raise DataError(f"{path}:{lineno}: a quoted cell spans more than one line")
+            return _Rows(lines[1:], parsed,
+                         f"{path}:{lineno}: a quoted cell spans more than one line")
         if row:
             parsed.append((lineno, row))
         lineno += 1

@@ -88,6 +88,10 @@ class TestLineBreaks:
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}:4: "
                                             "a quoted cell spans more than one line$"):
             READERS[kind](path)
+        lines[2] += ",extra"                # but an earlier bad row is
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: expected"):
+            READERS[kind](path)
 
     @pytest.mark.parametrize("kind", list(READERS))
     def test_line_numbers_after_a_quoted_row(self, tmp_path, kind):
