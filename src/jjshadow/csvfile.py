@@ -72,9 +72,9 @@ def _write_columns(path: str | Path, header: str, columns: Sequence[Sequence]) -
             joined = "".join(cells)
             if _breaks_line(joined):
                 i = next(i for i, cell in enumerate(cells) if _breaks_line(cell))
+                sid = (texts[0] if texts else cells)[i]
                 where = f"cell {cells[i]!r} of " if texts else ""
-                raise DataError(f"{where}structure id {(texts or [cells])[0][i]!r} "
-                                "holds a line break")
+                raise DataError(f"{where}structure id {sid!r} holds a line break")
             quote = quote or "," in joined or '"' in joined
         texts.append(cells)
     with open(path, "w", newline="") as fh:

@@ -120,7 +120,9 @@ class TestLineBreaks:
 # and float columns at the edges, mostly repeated or all distinct.
 ID_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
                                 blacklist_characters="".join(LINE_BREAKS)), max_size=6)
-ID_PLAIN = st.text(st.sampled_from("ab01_ -.\x00éΩ"), max_size=4)
+# Per table, ids from one of these alphabets: quote-free, with commas only,
+# with quotes only, or with both.
+ID_ALPHABETS = ["ab01_ -.\x00éΩ", "ab ,é", 'ab "é', 'a,"é ']
 EDGE_FLOATS = [5e-324, -5e-324, -0.0, 0.0, 1e300, -1e300, 0.1, -49.999999999999]
 EDGE_WIDTHS = [0.0, -0.0, 5e-324, 2000.0, 1999.9999999999998, 200.0]
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -139,7 +141,9 @@ def float_columns(draw, n, edges, values):
 @st.composite
 def tables(draw):
     """The columns of a measurement table, with an excluded flag per row."""
-    ids = draw(st.lists(st.one_of(ID_TEXT, ID_PLAIN), unique=True, max_size=12))
+    alphabet = st.sampled_from(draw(st.sampled_from(ID_ALPHABETS)))
+    ids = draw(st.lists(st.one_of(ID_TEXT, st.text(alphabet, max_size=4)), unique=True,
+                        max_size=12))
     n = len(ids)
     ints = st.one_of(st.sampled_from([0, -1, 7]), st.integers(-2**63, 2**63 - 1))
     positions = float_columns(n, EDGE_FLOATS, FINITE)
