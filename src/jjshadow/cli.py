@@ -266,8 +266,8 @@ def cmd_render(args: argparse.Namespace) -> int:
         lost = bands_below_mean(img)
         if lost:
             bands = " and ".join(lost) + (" bands" if len(lost) > 1 else " band")
-            print(f"jjshadow: warning: {sid}: on the {args.canvas} px canvas the image mean "
-                  f"exceeds the level of the {bands}, which extract cannot find",
+            print(f"jjshadow: warning: {sid}: on the {args.canvas} px canvas the image mean, "
+                  f"extract's lowest threshold, exceeds the level of the {bands}",
                   file=sys.stderr)
         wb_px = band_pixel_count(
             actual_width_vertical(geom, design.w_bottom_nm, pos.x_mm),
