@@ -6,14 +6,15 @@ quoted by the csv module's rules; floats are written as their repr.  No
 cell may hold a line break: the writer rejects one before writing, and
 the reader rejects a quoted cell that spans lines.
 
-Both pay per distinct value, not per cell, wherever the csv module's
-rules allow.  The writer formats a numeric column with one repr or str
-per distinct value and joins rows by hand unless a text cell holds "," or
-'"', the only characters csv.writer would quote here.  The reader splits
-text holding no '"' on commas, and _parse_distinct parses each distinct
-cell of a column once.  Other text goes through csv.writer and
-csv.reader, so every byte written and every cell read is the csv
-module's.
+Both pay per distinct value, not per cell.  The writer formats a numeric
+column with one repr or str per distinct value and joins rows by hand; a
+cell holding "," or '"', the only characters csv.writer quotes once line
+breaks are rejected, is quoted as csv.writer quotes it.  The reader splits
+text holding no '"' on commas, which is what csv.reader makes of it (NUL
+included, from Python 3.11 on), and _parse_distinct parses each distinct
+cell of a column once.  Text holding a '"' goes through csv.reader, whose
+errors, such as a cell past csv.field_size_limit(), are data errors at
+the row's path:line.
 """
 
 from __future__ import annotations
@@ -34,54 +35,61 @@ def _breaks_line(text: str) -> bool:
     return text.splitlines() not in ([], [text])
 
 
-def _cells(column: Sequence) -> tuple[list[str], bool]:
-    """The text csv.writer gives each value of column, and whether that text
-    may need quoting.  A float64 array pays one repr per distinct bit
-    pattern (keyed on the bits, so -0.0 keeps its sign) and an integer
-    array one str per distinct value; neither needs quoting."""
-    if isinstance(column, np.ndarray) and (column.dtype == np.float64
-                                           or column.dtype.kind in "iu"):
-        floats = column.dtype == np.float64
-        keys, inverse = np.unique(column.view(np.int64) if floats else column,
-                                  return_inverse=True)
-        text = np.array(list(map(str, (keys.view(np.float64) if floats else keys).tolist())),
-                        dtype=object)
-        return text[inverse].tolist(), False
-    cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
-    kinds = set(map(type, cells))
-    if type(None) in kinds:
-        cells = ["" if cell is None else str(cell) for cell in cells]
-    elif not kinds <= {str}:
-        cells = list(map(str, cells))
-    return cells, True
+def _number_cells(column: Sequence) -> list[str] | None:
+    """The text csv.writer gives each value of a float64 or integer array,
+    which never needs quoting: one repr per distinct bit pattern (keyed on
+    the bits, so -0.0 keeps its sign) or one str per distinct value.  None
+    for any other column."""
+    if not (isinstance(column, np.ndarray) and (column.dtype == np.float64
+                                                or column.dtype.kind in "iu")):
+        return None
+    floats = column.dtype == np.float64
+    keys, inverse = np.unique(column.view(np.int64) if floats else column,
+                              return_inverse=True)
+    text = np.array(list(map(str, (keys.view(np.float64) if floats else keys).tolist())),
+                    dtype=object)
+    return text[inverse].tolist()
+
+
+def _quoted(cell: str) -> str:
+    """cell as csv.writer writes it once line breaks are rejected: in
+    quotes, with each inner '"' doubled, if it holds "," or '"'."""
+    if "," in cell or '"' in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def _write_columns(path: str | Path, header: str, columns: Sequence[Sequence]) -> None:
     """Write the header line, then one row per index of columns, the first
     of which holds structure ids, as csv.writer writes them.
 
-    A text cell holding a line break raises DataError before any byte is
-    written, since the reader splits lines as str.splitlines does.  Rows
-    are joined with "," and "\n" unless a text cell holds "," or '"'; then
-    csv.writer quotes them.
+    A cell holding a line break raises DataError before any byte is
+    written, since the reader splits lines as str.splitlines does.  A
+    cell holding "," or '"' is quoted as _quoted quotes it.
     """
-    texts, quote = [], False
+    texts: list[list[str]] = []
+    ids: list[str] = []
     for column in columns:
-        cells, textual = _cells(column)
-        if textual:
-            joined = "".join(cells)
+        cells = _number_cells(column)
+        if cells is None:
+            cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
+            try:
+                joined = "".join(cells)
+            except TypeError:       # not all str: each cell as its str
+                cells = list(map(str, cells))
+                joined = "".join(cells)
+            if not texts:
+                ids = cells
             if _breaks_line(joined):
                 i = next(i for i, cell in enumerate(cells) if _breaks_line(cell))
-                sid = (texts[0] if texts else cells)[i]
                 where = f"cell {cells[i]!r} of " if texts else ""
-                raise DataError(f"{where}structure id {sid!r} holds a line break")
-            quote = quote or "," in joined or '"' in joined
+                raise DataError(f"{where}structure id {ids[i]!r} holds a line break")
+            if "," in joined or '"' in joined:
+                cells = list(map(_quoted, cells))
         texts.append(cells)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        if quote:
-            csv.writer(fh, lineterminator="\n").writerows(zip(*texts))
-        elif texts and texts[0]:
+        if texts and texts[0]:
             fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
@@ -123,10 +131,9 @@ class _Rows:
 
 
 def _read_rows(path: str | Path, header: str, what: str) -> _Rows:
-    """The rows after the exact header line; a quoted cell spanning lines
-    is rejected at its row's first line, once the rows before it have been
-    read.  The csv module parses only text holding a '"', or a line past
-    its field size limit (where it raises)."""
+    """The rows after the exact header line.  The csv module parses only
+    text holding a '"'; a row it rejects, or whose quoted cell spans lines,
+    is rejected at its first line, once the rows before it have been read."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -134,17 +141,20 @@ def _read_rows(path: str | Path, header: str, what: str) -> _Rows:
     lines = text.splitlines()
     if not lines or lines[0] != header:
         raise DataError(f"{path}: bad or missing {what} header")
-    if '"' not in text and max(map(len, lines)) <= csv.field_size_limit():
+    if '"' not in text:
         return _Rows(lines[1:])
     parsed, lineno = [], 2
     reader = csv.reader(lines[1:])
-    for row in reader:
-        if reader.line_num + 1 != lineno:
-            return _Rows(lines[1:], parsed,
-                         f"{path}:{lineno}: a quoted cell spans more than one line")
-        if row:
-            parsed.append((lineno, row))
-        lineno += 1
+    try:
+        for row in reader:
+            if reader.line_num + 1 != lineno:
+                return _Rows(lines[1:], parsed,
+                             f"{path}:{lineno}: a quoted cell spans more than one line")
+            if row:
+                parsed.append((lineno, row))
+            lineno += 1
+    except csv.Error as exc:
+        return _Rows(lines[1:], parsed, f"{path}:{lineno}: {exc}")
     return _Rows(lines[1:], parsed)
 
 

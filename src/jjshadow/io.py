@@ -4,8 +4,8 @@ manifests, extraction tables and heatmaps.
 Every file is read and written by csvfile's helpers, so files round-trip
 bit exactly, except the heatmap, whose all-number rows are joined by hand.
 The writers pass whole columns: a numeric column costs one repr or str
-per distinct value, and rows are joined by hand unless an id holds a
-comma or a quote, which csv.writer quotes.  An id holding a line break
+per distinct value, and rows are joined by hand, an id holding a comma
+or a quote quoted as csv.writer quotes it.  An id holding a line break
 is rejected before any byte is written.  Layout and measurement files are
 read a column at a time, quote-free text split on commas, each distinct
 cell of a numeric column parsed once and each column checked as an

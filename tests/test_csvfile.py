@@ -105,6 +105,14 @@ class TestLineBreaks:
                                             f"columns, got {width + 1}$"):
             READERS[kind](path)
 
+    @pytest.mark.parametrize("kind", list(READERS))
+    def test_quoted_cell_past_the_field_size_limit_rejected_at_its_line(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.csv"
+        long_id = "x" * (csv.field_size_limit() + 1) + ","
+        WRITERS[kind](records(["a", long_id, "c"]), path)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: field larger than"):
+            READERS[kind](path)
+
     def test_truth_flag_with_a_line_break_rejected(self, tmp_path):
         recs = records(["a", "b"])
         recs[1] = replace(recs[1], truth_flags=frozenset({"x\ny"}))
