@@ -46,7 +46,7 @@ from .geometry import (
 from .imaging import (
     DEFAULT_THRESHOLD_COUNT,
     band_pixel_count,
-    bands_below_mean,
+    bands_below_lowest_threshold,
     extract_overlap_area,
     extract_widths,
     read_pgm,
@@ -263,11 +263,11 @@ def cmd_render(args: argparse.Namespace) -> int:
                               canvas_px=canvas, noise_sigma=args.noise,
                               seed=args.seed)
         write_pgm(img, out_dir / f"{sid}.pgm")
-        lost = bands_below_mean(img)
+        lost = bands_below_lowest_threshold(img)
         if lost:
             bands = " and ".join(lost) + (" bands" if len(lost) > 1 else " band")
-            print(f"jjshadow: warning: {sid}: on the {args.canvas} px canvas the image mean, "
-                  f"extract's lowest threshold, exceeds the level of the {bands}",
+            print(f"jjshadow: warning: {sid}: on the {args.canvas} px canvas extract's "
+                  f"lowest threshold exceeds the level of the {bands}",
                   file=sys.stderr)
         wb_px = band_pixel_count(
             actual_width_vertical(geom, design.w_bottom_nm, pos.x_mm),

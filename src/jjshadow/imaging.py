@@ -33,6 +33,9 @@ LEVEL_TOP = 180
 LEVEL_OVERLAP = 240
 
 DEFAULT_THRESHOLD_COUNT = 11
+# extract_widths sweeps its thresholds over this range of multiples of the
+# image mean.
+THRESHOLD_RANGE = (1.0, 2.0)
 
 # A band is accepted only if its peak row/column occupancy spans at least
 # this fraction of the scan line; pixel noise stays far below it.
@@ -194,21 +197,21 @@ def _find_band(occupancy: np.ndarray, line_length: int) -> tuple[int, int] | Non
     return int(above[0]), int(above[-1])
 
 
-def bands_below_mean(img: GrayImage) -> list[str]:
-    """The electrode bands ("bottom", "top") rendered at a level below the
-    image mean.  extract_widths sweeps its thresholds up from the mean, so
-    it cannot find such a band in a noise-free image; bands that cover much
-    of the canvas lift the mean that far."""
-    mean = float(img.pixels.mean())
+def bands_below_lowest_threshold(img: GrayImage) -> list[str]:
+    """The electrode bands ("bottom", "top") rendered at a level below
+    extract_widths' lowest threshold, so that it cannot find them in a
+    noise-free image; bands that cover much of the canvas lift the image
+    mean, and with it every threshold, that far."""
+    lowest = THRESHOLD_RANGE[0] * float(img.pixels.mean())
     return [band for band, level in (("bottom", LEVEL_BOTTOM), ("top", LEVEL_TOP))
-            if level < mean]
+            if level < lowest]
 
 
 def extract_widths(img: GrayImage,
                    threshold_count: int = DEFAULT_THRESHOLD_COUNT) -> ExtractionResult:
     """Recover electrode widths by sweeping mean-proportional thresholds.
 
-    For each threshold between 1.0 and 2.0 times the mean pixel value the
+    For each threshold in THRESHOLD_RANGE times the mean pixel value the
     image is binarized; the horizontal top band is located from row
     occupancy, then the vertical bottom band from column occupancy with
     the top-band rows blanked out.  Reported widths are the mean of the
@@ -220,7 +223,7 @@ def extract_widths(img: GrayImage,
         raise DataError("threshold_count must be >= 1")
     pixels = img.pixels
     mean = float(pixels.mean())
-    multipliers = tuple(float(m) for m in np.linspace(1.0, 2.0, threshold_count))
+    multipliers = tuple(float(m) for m in np.linspace(*THRESHOLD_RANGE, threshold_count))
 
     per_widths: dict[float, tuple[int, int]] = {}
     tops_px, bottoms_px, areas_px2 = [], [], []

@@ -223,8 +223,8 @@ class TestRenderExtract:
         # bottom band's level, the lowest extraction threshold.
         assert run("render", "--grid", 3, "--canvas", 256, "--out-dir", tmp_path / "a") == 0
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"jjshadow: warning: g{i:02d}_{j:02d}: on the 256 px canvas the image "
-                       "mean, extract's lowest threshold, exceeds the level of the bottom band"
+        assert err == [f"jjshadow: warning: g{i:02d}_{j:02d}: on the 256 px canvas extract's "
+                       "lowest threshold exceeds the level of the bottom band"
                        for i in range(3) for j in range(3)]
         assert run("extract", "--images", tmp_path / "a" / "g00_00.pgm",
                    "--out", tmp_path / "e.csv") == 3
