@@ -9,8 +9,11 @@ full-fidelity top-width branch can introduce).
 
 The bisection runs in lockstep over an array of lanes, one per structure:
 every lane starts from the same bracket, 1 nm to the width limit, and
-halves it at its own midpoint, evaluated for all lanes at once by the
-array kernel geometry.overlap_areas, until it is at most 1e-7 nm wide.
+halves it at its own midpoint, evaluated for all lanes at once, until it
+is at most 1e-7 nm wide.  The lanes' points are prepared once, as one
+geometry.Sites, so a bisection step evaluates only the width-dependent
+part of the model (Sites.areas); the position-only terms, |r - C|**3
+among them, are computed once per solve.
 Each lane does exactly the arithmetic of a one-structure bisection, so a
 width does not depend on how many structures are solved together;
 precompensate and precompensate_fixed_top are one-lane solves.
@@ -28,11 +31,11 @@ from .geometry import (
     EvaporatorGeometry,
     Fidelity,
     JunctionDesign,
+    Sites,
     Variant,
     WaferPoint,
     actual_overlap_area,
     designed_areas,
-    overlap_areas,
 )
 from .layout import LAYOUT_COLUMNS, StructureTable, WaferLayout, _radii
 
@@ -97,9 +100,9 @@ def _solve_designs(geom: EvaporatorGeometry, target_um2: float, x_mm: np.ndarray
             return np.broadcast_arrays(aspect * w, w)
         return np.broadcast_arrays(w, w_top_nm)
 
-    w, reasons = _solve_widths(
-        lambda w: overlap_areas(geom, variant, *widths(w), x_mm, y_mm, fidelity),
-        target_um2, w_max_nm, len(x_mm))
+    sites = Sites(geom, x_mm, y_mm)
+    w, reasons = _solve_widths(lambda w: sites.areas(variant, *widths(w), fidelity),
+                               target_um2, w_max_nm, len(x_mm))
     w_b, w_t = widths(w)
     return (w_b, w_t, [why and f"({x:g}, {y:g}) mm: {why}"
                        for x, y, why in zip(x_mm.tolist(), y_mm.tolist(), reasons)])

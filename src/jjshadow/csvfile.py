@@ -14,7 +14,8 @@ text holding no '"' on commas, which is what csv.reader makes of it (NUL
 included, from Python 3.11 on), and _parse_distinct parses each distinct
 cell of a column once.  Text holding a '"' goes through csv.reader, whose
 errors, such as a cell past csv.field_size_limit(), are data errors at
-the row's path:line.
+the row's path:line; so the writer refuses, before writing, a file that
+would hold a '"' and such a cell.
 """
 
 from __future__ import annotations
@@ -59,16 +60,27 @@ def _quoted(cell: str) -> str:
     return cell
 
 
+def _shown(cell: str) -> str:
+    """repr of cell for a message, its first 20 characters if it is long."""
+    if len(cell) <= 40:
+        return repr(cell)
+    return f"{cell[:20]!r}... ({len(cell)} characters)"
+
+
 def _write_columns(path: str | Path, header: str, columns: Sequence[Sequence]) -> None:
     """Write the header line, then one row per index of columns, the first
     of which holds structure ids, as csv.writer writes them.
 
     A cell holding a line break raises DataError before any byte is
     written, since the reader splits lines as str.splitlines does.  A
-    cell holding "," or '"' is quoted as _quoted quotes it.
+    cell holding "," or '"' is quoted as _quoted quotes it; a file that
+    holds a quote is read by csv.reader, so there a cell longer than
+    csv.field_size_limit() raises DataError before any byte is written.
     """
     texts: list[list[str]] = []
     ids: list[str] = []
+    raw: list[list[str]] = []           # the text columns, before quoting
+    quoted = False
     for column in columns:
         cells = _number_cells(column)
         if cells is None:
@@ -84,9 +96,18 @@ def _write_columns(path: str | Path, header: str, columns: Sequence[Sequence]) -
                 i = next(i for i, cell in enumerate(cells) if _breaks_line(cell))
                 where = f"cell {cells[i]!r} of " if texts else ""
                 raise DataError(f"{where}structure id {ids[i]!r} holds a line break")
+            raw.append(cells)
             if "," in joined or '"' in joined:
+                quoted = True
                 cells = list(map(_quoted, cells))
         texts.append(cells)
+    limit = csv.field_size_limit()
+    if quoted and any(max(map(len, cells), default=0) > limit for cells in raw):
+        i, k = min((i, k) for k, cells in enumerate(raw)
+                   for i, cell in enumerate(cells) if len(cell) > limit)
+        where = f"cell {_shown(raw[k][i])} of " if k else ""
+        raise DataError(f"{where}structure id {_shown(ids[i])} is longer than "
+                        f"csv.field_size_limit(), {limit} characters")
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         if texts and texts[0]:

@@ -16,13 +16,26 @@ Internally every length is a nanometre stored as a float64 (50 mm is
 exactly 5e7 nm); millimetres appear only in signatures, for wafer-scale
 coordinates and evaporator distances.  All functions are pure.
 
-The model has one implementation, the array kernels overlap_areas and
-field_values: many points at once, with an ok mask that is False where an
-electrode pinches off.  The one-point functions (actual_overlap_area,
-evaluate_field, actual_top_width, ...) are one-element calls of those
-kernels that return a Python float and raise ShadowedError instead of
-returning a False mask; actual_width_vertical, a single expression, is
-evaluated directly.  Exactness rule: every step is an IEEE + - * / sqrt abs
+The model has one implementation, Sites: wafer points prepared under one
+geometry, which evaluates the overlap area (Sites.areas) and every
+field-map quantity (Sites.field) at many points at once, with an ok mask
+that is False where an electrode pinches off.  A Sites computes each term
+that depends only on position and geometry (|r - C|**3, the thickness, the
+lip, the resist and narrowing shades) once, on first use, so a caller that
+evaluates many widths at the same points, such as the bisection of design
+pre-compensation, pays for the width-dependent part alone.  A Sites lives
+as long as its caller's call; nothing is cached across calls.  The array
+kernels overlap_areas and field_values are one call of a fresh Sites, and
+the one-point functions (actual_overlap_area, evaluate_field,
+actual_top_width, ...) are one-element calls of those kernels that return
+a Python float and raise ShadowedError instead of returning a False mask;
+actual_width_vertical, a single expression, is evaluated directly.
+
+Exactness rule: a prepared term is the same expression, evaluated in the
+same order, as the model expression it stands for (a narrowed width is
+_printed of the shade _narrowed subtracts, a lip shade _shade_of_lip of
+the terms _lip_shade computes), so every value is the one the one-point
+expressions give, bit for bit.  Every step is an IEEE + - * / sqrt abs
 max, and |r - C|**3 is taken with Python's float ** (libm pow) element by
 element, because numpy's power differs from it in the last bit for some
 arguments.  Every quantity is even in x, bit for bit: x enters only as
@@ -35,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -210,10 +224,14 @@ def _printed(geom: EvaporatorGeometry, w_designed_nm, shade_nm):
     return w_designed_nm + geom.dw_offset_nm - shade_nm
 
 
+def _edge_shade(geom: EvaporatorGeometry, coord_mm, d_nm):
+    """|coord| * H / D: the resist edge's shadow on a line at offset coord."""
+    return abs(coord_mm) * NM_PER_MM * geom.h_resist_nm / d_nm
+
+
 def _narrowed(geom: EvaporatorGeometry, w_designed_nm, coord_mm, d_nm):
     """W + dW_offset - |coord| * H / D."""
-    return (w_designed_nm + geom.dw_offset_nm
-            - abs(coord_mm) * NM_PER_MM * geom.h_resist_nm / d_nm)
+    return _printed(geom, w_designed_nm, _edge_shade(geom, coord_mm, d_nm))
 
 
 def _thickness(geom: EvaporatorGeometry, r3):
@@ -233,9 +251,14 @@ def _lip(geom: EvaporatorGeometry, y_mm, r3):
     return -geom.t_bottom_nm * dr * dr * _south_of_source(geom, y_mm) / r3
 
 
+def _over_south(geom: EvaporatorGeometry, w_top_nm, south_nm):
+    """D * W_t / south, with south = D'*sin(alpha) - y."""
+    return geom.source_distance_nm() * w_top_nm / south_nm
+
+
 def _lip_h(geom: EvaporatorGeometry, w_top_nm, y_mm):
     """H_lip = D * W_t / (D'*sin(alpha) - y)."""
-    return geom.source_distance_nm() * w_top_nm / _south_of_source(geom, y_mm)
+    return _over_south(geom, w_top_nm, _south_of_source(geom, y_mm))
 
 
 def _slope(geom: EvaporatorGeometry, y_mm):
@@ -247,9 +270,14 @@ def _resist_shade(geom: EvaporatorGeometry, y_mm, dh):
     return (geom.h_resist_nm + dh) * _slope(geom, y_mm)
 
 
+def _shade_of_lip(w_lip, h_lip, dh, slope):
+    """W_lip + (H_lip + dH) * |y| / D, with slope = |y| / D."""
+    return w_lip + (h_lip + dh) * slope
+
+
 def _lip_shade(geom: EvaporatorGeometry, w_top_nm, y_mm, dh, w_lip):
     """W_lip + (H_lip + dH) * |y| / D: the lip's shadow south of centre."""
-    return w_lip + (_lip_h(geom, w_top_nm, y_mm) + dh) * _slope(geom, y_mm)
+    return _shade_of_lip(w_lip, _lip_h(geom, w_top_nm, y_mm), dh, _slope(geom, y_mm))
 
 
 def _with_sidewalls(w_b_nm, t_b_nm):
@@ -269,9 +297,7 @@ def _not_south(y_mm: float) -> GeometryError:
 
 
 # ---------------------------------------------------------------------------
-# Array kernels: many points (and widths) at once.  Inputs broadcast against
-# each other; a pinched-off element comes back with ok False instead of
-# raising, and its value is meaningless.
+# Array kernels: many points (and widths) at once, through Sites.
 
 def _cubed(r: np.ndarray) -> np.ndarray:
     """r**3 per element with Python float ** (libm pow), not numpy's power."""
@@ -284,64 +310,164 @@ def _r_cubed(geom: EvaporatorGeometry, x_mm: np.ndarray, y_mm: np.ndarray) -> np
     return _cubed(np.sqrt(_dist_sq_nm2(geom, x_mm, y_mm)))
 
 
-def _top_widths(geom: EvaporatorGeometry, w_top_nm, y_mm: np.ndarray,
-                r3: np.ndarray) -> np.ndarray:
-    """Top-electrode width with first-evaporation lip shading, unchecked.
-
-    The shading term is piecewise in y: north of centre (y >= 0) the lip
-    width plus the raised-resist shadow apply together; south of centre
-    the larger of the raised-resist shadow and the lip shadow wins.
-    """
-    dh = _thickness(geom, r3)           # resist-height increase dH(r)
-    w_lip = _lip(geom, y_mm, r3)
-    resist = _resist_shade(geom, y_mm, dh)
-    # The lip shadow counts only where y < 0.  Elsewhere its denominator
-    # D'*sin(alpha) - y can be zero or negative; those values are discarded.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        south = np.maximum(resist, _lip_shade(geom, w_top_nm, y_mm, dh, w_lip))
-    return _printed(geom, w_top_nm, np.where(y_mm >= 0.0, w_lip + resist, south))
-
-
 def _points(*values) -> tuple[np.ndarray, ...]:
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
 
 
+class Sites:
+    """Wafer points prepared for the model under one geometry.
+
+    x_mm and y_mm broadcast against each other.  The terms that depend only
+    on position and geometry (|r - C|**3, the bottom thickness, which is
+    also dH, the lip width, the resist shade, the |y|/D slope and the
+    narrowing shades) are computed on first use and then kept, so areas and
+    field can be evaluated for many widths at the cost of the
+    width-dependent part alone.  Designed widths broadcast against the
+    points; an element whose electrode pinches off comes back with ok False
+    instead of raising, and its value is meaningless.
+    """
+
+    def __init__(self, geom: EvaporatorGeometry, x_mm, y_mm):
+        self.geom = geom
+        self.x, self.y = _points(x_mm, y_mm)
+
+    @cached_property
+    def _r3(self) -> np.ndarray:
+        return _r_cubed(self.geom, self.x, self.y)
+
+    @cached_property
+    def _thickness(self) -> np.ndarray:         # also the resist-height increase dH
+        return _thickness(self.geom, self._r3)
+
+    @cached_property
+    def _lip(self) -> np.ndarray:
+        return _lip(self.geom, self.y, self._r3)
+
+    @cached_property
+    def _resist_shade(self) -> np.ndarray:
+        return _resist_shade(self.geom, self.y, self._thickness)
+
+    @cached_property
+    def _north_shade(self) -> np.ndarray:
+        """The top electrode's shade north of centre: lip plus raised resist."""
+        return self._lip + self._resist_shade
+
+    @cached_property
+    def _north(self) -> np.ndarray:
+        return self.y >= 0.0
+
+    @cached_property
+    def _south_of_source(self) -> np.ndarray:
+        return _south_of_source(self.geom, self.y)
+
+    @cached_property
+    def _slope(self) -> np.ndarray:
+        return _slope(self.geom, self.y)
+
+    @cached_property
+    def _shade_x(self) -> np.ndarray:
+        return _edge_shade(self.geom, self.x, self.geom.source_distance_nm())
+
+    @cached_property
+    def _shade_y(self) -> np.ndarray:
+        return _edge_shade(self.geom, self.y, self.geom.source_distance_nm())
+
+    @cached_property
+    def _shade_x_bridge(self) -> np.ndarray:
+        return _edge_shade(self.geom, self.x, self.geom.bridge_distance_nm())
+
+    def _top_widths(self, w_top_nm) -> np.ndarray:
+        """Top-electrode width with first-evaporation lip shading, unchecked.
+
+        The shading term is piecewise in y: north of centre (y >= 0) the lip
+        width plus the raised-resist shadow apply together; south of centre
+        the larger of the raised-resist shadow and the lip shadow wins.
+        """
+        # The lip shadow counts only where y < 0.  Elsewhere its denominator
+        # D'*sin(alpha) - y can be zero or negative; those values are discarded.
+        # With the source overhead (alpha = 0) and y < 0 tiny, H_lip overflows
+        # to inf, so the electrode pinches off; where |y|/D is 0 too, the lip
+        # shadow is inf * 0, which fmax, like max of two floats, ignores.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lip = _shade_of_lip(self._lip, _over_south(self.geom, w_top_nm,
+                                                       self._south_of_source),
+                                self._thickness, self._slope)
+            south = np.fmax(self._resist_shade, lip)
+        return _printed(self.geom, w_top_nm, np.where(self._north, self._north_shade, south))
+
+    def areas(self, variant: Variant, w_b_nm, w_t_nm,
+              fidelity: Fidelity) -> tuple[np.ndarray, np.ndarray]:
+        """Actual junction overlap area in um^2 per element: (area, ok).
+
+        Bridge-style junctions (both electrodes vertical) are evaporated at
+        the bridge tilt alpha_dolan and supported at BASIC fidelity only:
+        the narrower top electrode width W'_t(x) times a fixed designed
+        overlap length.  Crossed junctions use W'_b(x) * W'_t(y) at BASIC,
+        add the 2*T'_b sidewall term at SIDEWALL, and additionally replace
+        W'_t with the lip-shaded width at FULL.  Designed widths are checked
+        as JunctionDesign checks them; ok is False where an electrode
+        pinches off.
+        """
+        w_b, w_t, _ = _points(w_b_nm, w_t_nm, self.x)   # the shape of widths and points
+        if not (np.isfinite(w_b).all() and np.isfinite(w_t).all()):
+            raise GeometryError(_WIDTHS_NOT_FINITE)
+        if (w_b < 0.0).any() or (w_t < 0.0).any():
+            raise GeometryError(_WIDTHS_NEGATIVE)
+        geom = self.geom
+        if variant is Variant.DOLAN:
+            if fidelity is not Fidelity.BASIC:
+                raise GeometryError(_DOLAN_BASIC_ONLY)
+            w = _printed(geom, w_t, self._shade_x_bridge)
+            return _bridge_area(w), w > 0.0
+
+        w_b = _printed(geom, w_b, self._shade_x)
+        ok = w_b > 0.0
+        if fidelity is Fidelity.BASIC:
+            w_t = _printed(geom, w_t, self._shade_y)
+        else:
+            w_b = _with_sidewalls(w_b, self._thickness)
+            if fidelity is Fidelity.SIDEWALL:
+                w_t = _printed(geom, w_t, self._shade_y)
+            else:
+                w_t = self._top_widths(w_t)
+        return _crossed_area(w_b, w_t), ok & (w_t > 0.0)
+
+    def field(self, quantity: str, design: JunctionDesign,
+              fidelity: Fidelity = Fidelity.FULL) -> tuple[np.ndarray, np.ndarray]:
+        """One model quantity at each point, for field-map export: (value, ok).
+
+        Widths and thicknesses are in nm, areas in um^2.  ok is False where
+        an electrode pinches off (a blank field-map cell).  'hlip' raises
+        GeometryError, naming the first point north of the source projection.
+        """
+        everywhere = np.ones(self.x.shape, bool)
+        if quantity == "wb":
+            value = _printed(self.geom, design.w_bottom_nm, self._shade_x)
+        elif quantity == "wt":
+            value = _printed(self.geom, design.w_top_nm, self._shade_y)
+        elif quantity == "tb":
+            return self._thickness, everywhere
+        elif quantity == "wlip":
+            return self._lip, everywhere
+        elif quantity == "hlip":
+            north = self._south_of_source <= 0.0
+            if north.any():
+                raise _not_south(float(self.y.flat[np.argmax(north)]))
+            return _over_south(self.geom, design.w_top_nm, self._south_of_source), everywhere
+        elif quantity == "wt_full":
+            value = self._top_widths(design.w_top_nm)
+        elif quantity == "area":
+            return self.areas(design.variant, design.w_bottom_nm, design.w_top_nm, fidelity)
+        else:
+            raise ValueError(f"unknown field quantity {quantity!r}")
+        return value, value > 0.0
+
+
 def overlap_areas(geom: EvaporatorGeometry, variant: Variant, w_b_nm, w_t_nm,
                   x_mm, y_mm, fidelity: Fidelity) -> tuple[np.ndarray, np.ndarray]:
-    """Actual junction overlap area in um^2 per element: (area, ok).
-
-    Bridge-style junctions (both electrodes vertical) are evaporated at the
-    bridge tilt alpha_dolan and supported at BASIC fidelity only: the
-    narrower top electrode width W'_t(x) times a fixed designed overlap
-    length.  Crossed junctions use W'_b(x) * W'_t(y) at BASIC, add the
-    2*T'_b sidewall term at SIDEWALL, and additionally replace W'_t with
-    the lip-shaded width at FULL.  Designed widths are checked as
-    JunctionDesign checks them; ok is False where an electrode pinches off.
-    """
-    w_b, w_t, x, y = _points(w_b_nm, w_t_nm, x_mm, y_mm)
-    if not (np.isfinite(w_b).all() and np.isfinite(w_t).all()):
-        raise GeometryError(_WIDTHS_NOT_FINITE)
-    if (w_b < 0.0).any() or (w_t < 0.0).any():
-        raise GeometryError(_WIDTHS_NEGATIVE)
-    if variant is Variant.DOLAN:
-        if fidelity is not Fidelity.BASIC:
-            raise GeometryError(_DOLAN_BASIC_ONLY)
-        w = _narrowed(geom, w_t, x, geom.bridge_distance_nm())
-        return _bridge_area(w), w > 0.0
-
-    d = geom.source_distance_nm()
-    w_b = _narrowed(geom, w_b, x, d)
-    ok = w_b > 0.0
-    if fidelity is Fidelity.BASIC:
-        w_t = _narrowed(geom, w_t, y, d)
-    else:
-        r3 = _r_cubed(geom, x, y)
-        w_b = _with_sidewalls(w_b, _thickness(geom, r3))
-        if fidelity is Fidelity.SIDEWALL:
-            w_t = _narrowed(geom, w_t, y, d)
-        else:
-            w_t = _top_widths(geom, w_t, y, r3)
-    return _crossed_area(w_b, w_t), ok & (w_t > 0.0)
+    """Actual junction overlap area in um^2 per element: (area, ok); see
+    Sites.areas.  Widths and points broadcast against each other."""
+    return Sites(geom, x_mm, y_mm).areas(variant, w_b_nm, w_t_nm, fidelity)
 
 
 def variant_areas(geom: EvaporatorGeometry, variant: np.ndarray, w_b_nm: np.ndarray,
@@ -373,36 +499,9 @@ FIELD_QUANTITIES = ("wb", "wt", "tb", "wlip", "hlip", "wt_full", "area")
 def field_values(geom: EvaporatorGeometry, quantity: str, x_mm, y_mm,
                  design: JunctionDesign,
                  fidelity: Fidelity = Fidelity.FULL) -> tuple[np.ndarray, np.ndarray]:
-    """One model quantity at each point, for field-map export: (value, ok).
-
-    Widths and thicknesses are in nm, areas in um^2.  ok is False where an
-    electrode pinches off (a blank field-map cell).  'hlip' raises
-    GeometryError, naming the first point north of the source projection.
-    """
-    x, y = _points(x_mm, y_mm)
-    d = geom.source_distance_nm()
-    everywhere = np.ones(x.shape, bool)
-    if quantity == "wb":
-        value = _narrowed(geom, design.w_bottom_nm, x, d)
-    elif quantity == "wt":
-        value = _narrowed(geom, design.w_top_nm, y, d)
-    elif quantity == "tb":
-        return _thickness(geom, _r_cubed(geom, x, y)), everywhere
-    elif quantity == "wlip":
-        return _lip(geom, y, _r_cubed(geom, x, y)), everywhere
-    elif quantity == "hlip":
-        north = _south_of_source(geom, y) <= 0.0
-        if north.any():
-            raise _not_south(float(y.flat[np.argmax(north)]))
-        return _lip_h(geom, design.w_top_nm, y), everywhere
-    elif quantity == "wt_full":
-        value = _top_widths(geom, design.w_top_nm, y, _r_cubed(geom, x, y))
-    elif quantity == "area":
-        return overlap_areas(geom, design.variant, design.w_bottom_nm, design.w_top_nm,
-                             x, y, fidelity)
-    else:
-        raise ValueError(f"unknown field quantity {quantity!r}")
-    return value, value > 0.0
+    """One model quantity at each point, for field-map export: (value, ok);
+    see Sites.field."""
+    return Sites(geom, x_mm, y_mm).field(quantity, design, fidelity)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +561,7 @@ def lip_height(geom: EvaporatorGeometry, w_top_nm: float, p: WaferPoint) -> floa
 def actual_top_width(geom: EvaporatorGeometry, w_top_nm: float, p: WaferPoint) -> float:
     """Top-electrode width including first-evaporation lip shading, in nm.
 
-    At FULL fidelity the shading is piecewise in y (see _top_widths), so
+    At FULL fidelity the shading is piecewise in y (see Sites._top_widths), so
     the width jumps at y = 0: for a 200 nm line at the default geometry it
     is ~225.0 nm just south of the equator and ~245.9 nm at y = 0.
     """

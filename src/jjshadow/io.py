@@ -206,13 +206,17 @@ def write_truth_csv(records: Sequence[MeasurementRecord], path: str | Path) -> N
     _write_columns(path, TRUTH_HEADER, [table.structure_id, [text[f] for f in flags]])
 
 
-def _truth(row: list[str]) -> tuple[str, frozenset[str]]:
-    return row[0], frozenset(f for f in row[1].split(";") if f)
-
-
 def read_truth_csv(path: str | Path) -> dict[str, frozenset[str]]:
-    """Defect flags by structure id."""
-    truth = _parse_rows(path, _read_rows(path, TRUTH_HEADER, "truth"), 2, _truth)
+    """Defect flags by structure id; each distinct flags cell is parsed once."""
+    flags: dict[str, frozenset[str]] = {}
+
+    def row_truth(row: list[str]) -> tuple[str, frozenset[str]]:
+        cell = row[1]
+        if cell not in flags:
+            flags[cell] = frozenset(f for f in cell.split(";") if f)
+        return row[0], flags[cell]
+
+    truth = _parse_rows(path, _read_rows(path, TRUTH_HEADER, "truth"), 2, row_truth)
     _check_unique(path, [sid for sid, _ in truth])
     return dict(truth)
 

@@ -107,11 +107,51 @@ class TestLineBreaks:
 
     @pytest.mark.parametrize("kind", list(READERS))
     def test_quoted_cell_past_the_field_size_limit_rejected_at_its_line(self, tmp_path, kind):
+        # The writers refuse such a cell, so the file is written by hand.
         path = tmp_path / f"{kind}.csv"
+        WRITERS[kind](records(["a", "b", "c"]), path)
+        lines = path.read_text().splitlines()
         long_id = "x" * (csv.field_size_limit() + 1) + ","
-        WRITERS[kind](records(["a", long_id, "c"]), path)
+        lines[2] = '"' + long_id + '"' + lines[2][lines[2].index(","):]
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: field larger than"):
             READERS[kind](path)
+
+    @pytest.mark.parametrize("kind", list(WRITERS))
+    @pytest.mark.parametrize("long_id", [False, True], ids=["long-flag-or-later-id", "long-id"])
+    def test_cell_past_the_field_size_limit_rejected_before_writing(self, tmp_path, kind,
+                                                                    long_id):
+        # A file holding a quote is read by csv.reader, which refuses a cell
+        # longer than csv.field_size_limit(); the writer refuses it first.
+        limit = csv.field_size_limit()
+        recs = records(["a", "b,", "c" * (limit + 1) if not long_id else "x" * limit + ","])
+        if long_id:
+            want = (f"structure id {'x' * 20!r}... ({limit + 1} characters) is longer than "
+                    f"csv.field_size_limit(), {limit} characters")
+        elif kind == "truth":
+            recs[1] = replace(recs[1], truth_flags=frozenset({"f" * (limit + 1)}))
+            want = (f"cell {'f' * 20!r}... ({limit + 1} characters) of structure id 'b,' "
+                    f"is longer than csv.field_size_limit(), {limit} characters")
+        else:
+            want = (f"structure id {'c' * 20!r}... ({limit + 1} characters) is longer than "
+                    f"csv.field_size_limit(), {limit} characters")
+        path = tmp_path / f"{kind}.csv"
+        with pytest.raises(DataError, match=f"^{re.escape(want)}$"):
+            WRITERS[kind](recs, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind", list(READERS))
+    def test_cells_up_to_the_field_size_limit_round_trip(self, tmp_path, kind):
+        # At the limit with a quote, and past it in a quote-free file.
+        limit = csv.field_size_limit()
+        for ids in (["a", "x" * (limit - 1) + ",", "c"], ["a", "x" * (limit + 1), "c"]):
+            path = tmp_path / f"{kind}.csv"
+            WRITERS[kind](records(ids), path)
+            read = READERS[kind](path)
+            got = (list(read) if kind == "truth" else
+                   read.structures.structure_id.tolist() if kind == "layout" else
+                   read.structure_id.tolist())
+            assert got == ids
 
     def test_truth_flag_with_a_line_break_rejected(self, tmp_path):
         recs = records(["a", "b"])
@@ -267,3 +307,12 @@ class TestWriteReadProperty:
             if all(len(row) == width for row in cells):
                 columns = [list(col) for col in zip(*cells)] if cells else [[]] * width
             assert rows.columns(width) == columns
+
+
+def test_truth_flags_parsed_once_per_distinct_cell(tmp_path):
+    # Rows with the same flags cell share one parsed frozenset.
+    path = tmp_path / "truth.csv"
+    write_truth_csv(records([f"s{k}" for k in range(6)]), path)
+    truth = read_truth_csv(path)
+    assert truth == {f"s{k}": frozenset({"short"} if k % 2 else set()) for k in range(6)}
+    assert len({id(flags) for flags in truth.values()}) == 2
