@@ -91,12 +91,14 @@ def _fidelity_arg(value: str) -> Fidelity:
             f"fidelity must be basic/sidewall/full, got {value!r}")
 
 
-def _check_widths(args: argparse.Namespace, *options: str) -> None:
-    """Reject a width option that is not a finite number >= 0 nm."""
+def _check_at_least(args: argparse.Namespace, least: int, *options: str,
+                    unit: str = "") -> None:
+    """Reject an option below least or, if it is a float, not finite."""
     for option in options:
         value = getattr(args, option.lstrip("-").replace("-", "_"))
-        if not (math.isfinite(value) and value >= 0.0):
-            raise DataError(f"{option} must be finite and >= 0 nm, got {value}")
+        if not (math.isfinite(value) and value >= least):
+            finite = "finite and " if isinstance(value, float) else ""
+            raise DataError(f"{option} must be {finite}>= {least}{unit}, got {value}")
 
 
 def cmd_layout(args: argparse.Namespace) -> int:
@@ -117,11 +119,12 @@ def cmd_layout(args: argparse.Namespace) -> int:
         layout = build_tsv_17q(variant, vias, sweep=sweep, sites=sites)
     else:                               # planar35x35-<pad>
         pad = kind.rsplit("-", 1)[1]
-        omitted: tuple[int, ...] = ()
+        omitted = (33, 34) if pad == "al" else ()      # the rows skipped in acquisition
         if args.omit_rows is not None:
-            omitted = tuple(int(t) for t in args.omit_rows.split(",") if t)
-        elif pad == "al":
-            omitted = (33, 34)          # the two rows skipped in acquisition
+            try:
+                omitted = tuple(int(t) for t in args.omit_rows.split(",") if t)
+            except ValueError as exc:
+                raise DataError(f"--omit-rows takes row numbers: {exc}") from None
         layout = build_35x35(pad, omitted_rows=omitted)
     jio.write_layout_csv(layout, args.out)
     excluded = layout.structures.excluded
@@ -212,7 +215,7 @@ def _field_map_text(geom: EvaporatorGeometry, quantity: str, design: JunctionDes
 
 
 def cmd_fieldmap(args: argparse.Namespace) -> int:
-    _check_widths(args, "--wb", "--wt")
+    _check_at_least(args, 0, "--wb", "--wt", unit=" nm")
     cfg = load_config(args.config)
     design = JunctionDesign(Variant.MANHATTAN, args.wb, args.wt)
     step = args.step
@@ -251,7 +254,9 @@ def _render_targets(args: argparse.Namespace):
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    _check_widths(args, "--wb", "--wt")
+    _check_at_least(args, 0, "--wb", "--wt", unit=" nm")
+    _check_at_least(args, 0, "--noise", "--seed")
+    _check_at_least(args, 1, "--stride", *(["--grid"] if args.grid is not None else []))
     cfg = load_config(args.config)
     geom = cfg.geometry()
     out_dir = Path(args.out_dir)
@@ -306,7 +311,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_compensate(args: argparse.Namespace) -> int:
-    _check_widths(args, "--max-width-nm", "--fixed-top-nm")
+    _check_at_least(args, 0, "--max-width-nm", "--fixed-top-nm", unit=" nm")
     cfg = load_config(args.config)
     layout = jio.read_layout_csv(args.layout)
     fidelity = args.fidelity if args.fidelity else cfg.fidelity()

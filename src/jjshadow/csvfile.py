@@ -1,34 +1,35 @@
 """The one CSV reader and writer of the package's tabular files.
 
 A reader requires the exact header line, skips blank rows and names the
-first row of the wrong width or with a bad cell as path:line.  Cells are
-quoted by the csv module's rules; floats are written as their repr.  No
-cell may hold a line break: the writer rejects one before writing, and
-the reader rejects a quoted cell that spans lines.
+first bad row as path:line: of the rows before the first row of the wrong
+width, the first with a bad cell, else that row.  Cells are quoted by the
+csv module's rules; floats are written as their repr.  No cell may hold a
+line break: the writer rejects one before writing, and the reader rejects
+a quoted cell that spans lines.
 
 Both pay per distinct value, not per cell.  The writer formats a numeric
 column with one repr or str per distinct value and joins rows by hand; a
 cell holding "," or '"', the only characters csv.writer quotes once line
 breaks are rejected, is quoted as csv.writer quotes it.  The reader splits
 text holding no '"' on commas, which is what csv.reader makes of it (NUL
-included, from Python 3.11 on), and _parse_distinct parses each distinct
-cell of a column once.  Text holding a '"' goes through csv.reader, whose
-errors, such as a cell past csv.field_size_limit(), are data errors at
-the row's path:line; so the writer refuses, before writing, a file that
-would hold a '"' and such a cell.
+included, from Python 3.11 on), and _parse_column parses each distinct
+cell of a column once (each cell, for readings).  Text holding a '"'
+goes through csv.reader, whose errors, such as a cell past
+csv.field_size_limit(), are data errors at the row's path:line; so the
+writer refuses, before writing, a file that would hold a '"' and such a
+cell.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, JJShadowError
+from .errors import Check, DataError, JJShadowError
 
 
 def _breaks_line(text: str) -> bool:
@@ -115,40 +116,39 @@ def _write_columns(path: str | Path, header: str, columns: Sequence[Sequence]) -
 
 
 class _Rows:
-    """The non-blank rows after a file's header line, in order.  Iterating
-    gives each row's line number and cells; columns gives the cells column
-    by column.  Text holding no '"' is kept as its lines, whose cells are
-    their comma-separated parts (what csv.reader makes of them), so no list
-    is built per row.  A row with a quoted cell spanning lines ends the
-    rows: iterating raises stop there, and columns gives None."""
+    """The non-blank rows after a file's header line and their line
+    numbers.  Iterating gives each row's line number and cells; columns
+    gives the cells column by column.  Text holding no '"' is kept as its
+    lines, split on commas as csv.reader splits them, so no list is built
+    per row.  A row with a quoted cell spanning lines, or that csv.reader
+    rejects, ends the rows with its error, stop."""
 
-    def __init__(self, lines: list[str], parsed: list[tuple[int, list[str]]] | None = None,
+    def __init__(self, path: str | Path, numbers: Sequence[int], rows: list,
                  stop: str | None = None):
-        self._lines, self._parsed, self._stop = lines, parsed, stop
+        self._path, self._numbers, self._rows, self._stop = path, numbers, rows, stop
 
     def __iter__(self) -> Iterator[tuple[int, list[str]]]:
-        if self._parsed is None:
-            yield from ((lineno, line.split(","))
-                        for lineno, line in enumerate(self._lines, start=2) if line)
-            return
-        yield from self._parsed
+        for lineno, row in zip(self._numbers, self._rows):
+            yield lineno, row.split(",") if isinstance(row, str) else row
         if self._stop is not None:
             raise DataError(self._stop)
 
-    def columns(self, width: int) -> list[Sequence[str]] | None:
-        """The cells of each of width columns; None if a row has another width."""
-        if self._stop is not None:
-            return None
-        if self._parsed is not None:
-            rows = [row for _, row in self._parsed]
-            if set(map(len, rows)) - {width}:
-                return None
-            return list(zip(*rows)) if rows else [()] * width
-        lines = [line for line in self._lines if line]
-        if set(map(str.count, lines, repeat(","))) - {width - 1}:
-            return None
-        cells = ",".join(lines).split(",") if lines else []
-        return [cells[k::width] for k in range(width)]
+    def columns(self, width: int) -> tuple[list[Sequence[str]], Sequence[int], str | None]:
+        """The cells of each of width columns of the rows before the first
+        row that has another width or ends the rows, the line number of each
+        of those rows, and that first row's error (None if there is none)."""
+        numbers, rows, error = self._numbers, self._rows, self._stop
+        lines = bool(rows) and isinstance(rows[0], str)
+        commas = (list(map(str.count, rows, repeat(","))) if lines
+                  else [len(row) - 1 for row in rows])
+        if set(commas) - {width - 1}:
+            end = next(k for k, count in enumerate(commas) if count != width - 1)
+            error = (f"{self._path}:{numbers[end]}: expected {width} columns, "
+                     f"got {commas[end] + 1}")
+            numbers, rows = numbers[:end], rows[:end]
+        cells = (",".join(rows).split(",") if lines and rows
+                 else [cell for row in rows for cell in row])
+        return [cells[k::width] for k in range(width)], numbers, error
 
 
 def _read_rows(path: str | Path, header: str, what: str) -> _Rows:
@@ -162,44 +162,72 @@ def _read_rows(path: str | Path, header: str, what: str) -> _Rows:
     lines = text.splitlines()
     if not lines or lines[0] != header:
         raise DataError(f"{path}: bad or missing {what} header")
+    body = lines[1:]
     if '"' not in text:
-        return _Rows(lines[1:])
-    parsed, lineno = [], 2
-    reader = csv.reader(lines[1:])
+        numbers = range(2, len(body) + 2)
+        if "" in body:
+            numbers = [lineno for lineno, line in zip(numbers, body) if line]
+            body = list(filter(None, body))
+        return _Rows(path, numbers, body)
+    numbers, rows, stop, lineno = [], [], None, 2
+    reader = csv.reader(body)
     try:
         for row in reader:
             if reader.line_num + 1 != lineno:
-                return _Rows(lines[1:], parsed,
-                             f"{path}:{lineno}: a quoted cell spans more than one line")
+                stop = f"{path}:{lineno}: a quoted cell spans more than one line"
+                break
             if row:
-                parsed.append((lineno, row))
+                numbers.append(lineno)
+                rows.append(row)
             lineno += 1
     except csv.Error as exc:
-        return _Rows(lines[1:], parsed, f"{path}:{lineno}: {exc}")
-    return _Rows(lines[1:], parsed)
+        stop = f"{path}:{lineno}: {exc}"
+    return _Rows(path, numbers, rows, stop)
 
 
-def _parse_rows(path: str | Path, rows: Iterable[tuple[int, list[str]]], width: int,
-                parse: Callable[[list[str]], object], label: str = "") -> list:
-    """parse of each row in order; the first row of the wrong width, or that
-    parse rejects, raises DataError at its path:line (label, then why)."""
+def _parse_rows(rows: _Rows, width: int, parse: Callable[[Sequence[str]], object],
+                label: str = "") -> list:
+    """parse of each row's cells in order; the first row that parse
+    rejects, that has the wrong width or that ends the rows raises
+    DataError at its path:line (label, then why, for a row parse rejects)."""
+    cells, lines, error = rows.columns(width)
     out = []
-    for lineno, row in rows:
-        if len(row) != width:
-            raise DataError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+    for lineno, row in zip(lines, zip(*cells)):
         try:
             out.append(parse(row))
         except (ValueError, JJShadowError) as exc:
-            raise DataError(f"{path}:{lineno}: {label}{exc}") from exc
+            raise DataError(f"{rows._path}:{lineno}: {label}{exc}") from exc
+    if error is not None:
+        raise DataError(error)
     return out
 
 
-def _parse_distinct(cells: Sequence[str], parse: Callable[[str], object],
-                    dtype) -> np.ndarray:
-    """parse of each cell, as an array of dtype; each distinct cell is
-    parsed once."""
-    values = {cell: parse(cell) for cell in set(cells)}
-    return np.fromiter(map(values.__getitem__, cells), dtype, len(cells))
+def _parse_column(cells: Sequence[str], parse: Callable[[str], object], dtype,
+                  distinct: bool = True) -> tuple[np.ndarray, Check]:
+    """parse of each cell, as an array of dtype, and the check that flags
+    the cells parse rejects (they hold 0) and raises the error of one by
+    parsing it again.  Each distinct cell is parsed once (each cell if not
+    distinct, for readings that seldom repeat), and once more only in a
+    column holding a rejected cell, to find each one."""
+    n, rejected = len(cells), set()
+    try:
+        value = parse
+        if distinct:
+            keys = set(cells)
+            value = dict(zip(keys, map(parse, keys))).__getitem__
+        column = np.fromiter(map(value, cells), dtype, n)
+    except (ValueError, JJShadowError):
+        values = {}
+        for cell in set(cells):
+            try:
+                values[cell] = parse(cell)
+            except (ValueError, JJShadowError):
+                values[cell] = 0
+                rejected.add(cell)
+        column = np.fromiter(map(values.__getitem__, cells), dtype, n)
+    bad = (np.fromiter(map(rejected.__contains__, cells), bool, n) if rejected
+           else np.zeros(n, dtype=bool))
+    return column, (bad, lambda i: parse(cells[i]))
 
 
 def _int64(text: str) -> int:
@@ -213,10 +241,3 @@ def _flag(text: str) -> bool:
     if text not in ("true", "false"):
         raise DataError(f"expected true/false, got {text!r}")
     return text == "true"
-
-
-def _finite(text: str, column: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise DataError(f"{column} must be finite, got {text!r}")
-    return value

@@ -1,8 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one rule that
+picks which error a table with several bad rows raises.
 
 The CLI maps these onto exit codes: usage errors exit 1, data/config errors
 exit 2, numerical failures exit 3.
 """
+
+from typing import Callable, NoReturn, Sequence
+
+import numpy as np
 
 
 class JJShadowError(Exception):
@@ -35,3 +40,28 @@ class ExtractionError(JJShadowError):
 
 class TargetError(JJShadowError):
     """Pre-compensation target area is unattainable at this position."""
+
+
+def data_error(message: str) -> NoReturn:
+    """Raise DataError(message), from an expression."""
+    raise DataError(message)
+
+
+# A check of rows: the mask of the bad rows, and a call raising row i's error.
+Check = tuple[np.ndarray, Callable[[int], object]]
+
+
+def raise_first_bad(checks: Sequence[Check],
+                    where: Callable[[int], str] | None = None) -> None:
+    """Raise the error of the lowest row any check flags, made by the first
+    check in order that flags it, as a row-by-row loop would; with where, as
+    a DataError that reads where(row), then the error."""
+    firsts = [int(bad.argmax()) for bad, _ in checks if bad.any()]
+    if firsts:
+        i = min(firsts)
+        try:
+            next(raise_row for bad, raise_row in checks if bad[i])(i)
+        except (ValueError, JJShadowError) as exc:
+            if where is None:
+                raise
+            raise DataError(f"{where(i)}{exc}") from exc

@@ -7,11 +7,13 @@ The writers pass whole columns: a numeric column costs one repr or str
 per distinct value, and rows are joined by hand, an id holding a comma
 or a quote quoted as csv.writer quotes it.  An id holding a line break
 is rejected before any byte is written.  Layout and measurement files are
-read a column at a time, quote-free text split on commas, each distinct
-cell of a numeric column parsed once and each column checked as an
-array; only when a check fails are the rows parsed one by one, so the
-first bad row is named with its path:line.  Layout, measurement, truth
-and manifest files reject a repeated structure id.
+read a column at a time, quote-free text split on commas and each
+distinct cell parsed once (each conductance cell, as readings seldom
+repeat).  Each cell's parse and each of the table's checks flags its bad
+rows, and the lowest bad row raises, at its path:line, the error of the
+first check a row-by-row read makes in it; no file is parsed twice.
+Layout, measurement, truth and manifest files reject a repeated
+structure id.
 """
 
 from __future__ import annotations
@@ -24,27 +26,24 @@ import numpy as np
 
 from .analysis import HeatmapGrid
 from .csvfile import (
-    _finite,
-    _Rows,
     _flag,
     _int64,
-    _parse_distinct,
+    _parse_column,
     _parse_rows,
     _read_rows,
     _write_columns,
 )
-from .errors import DataError, JJShadowError
-from .geometry import VARIANT_CODES, VARIANTS, JunctionDesign, Variant, WaferPoint
+from .errors import DataError, data_error, raise_first_bad
+from .geometry import VARIANT_CODES, VARIANTS, Variant, WaferPoint
 from .imaging import GrayImage, write_pgm
 from .layout import (
     STRUCTURE_COLUMNS,
+    ColumnTable,
     LayoutKind,
     StructureTable,
     WaferLayout,
-    _transpose,
-    check_junction_count,
 )
-from .synth import COLUMNS, MeasurementRecord, MeasurementTable, check_conductance
+from .synth import MeasurementRecord, MeasurementTable
 
 MEASUREMENT_HEADER = ("structure_id,die_x,die_y,x_mm,y_mm,variant,w_b_nm,w_t_nm,"
                       "a_overlap_um2,junction_count,excluded,g_uS")
@@ -62,60 +61,51 @@ def _common_cells(table: StructureTable | MeasurementTable) -> list[Sequence]:
             for name in STRUCTURE_COLUMNS]
 
 
-def _structure_values(row: Sequence[str]) -> tuple:
-    """The STRUCTURE_COLUMNS values of a row's first ten cells, parsed and
-    checked in CSV order."""
-    die = (_int64(row[1]), _int64(row[2]))
-    p = WaferPoint(float(row[3]), float(row[4]))
-    d = JunctionDesign(Variant(row[5]), float(row[6]), float(row[7]))
-    return (row[0], *die, p.x_mm, p.y_mm, VARIANT_CODES[d.variant], d.w_bottom_nm,
-            d.w_top_nm, _finite(row[8], "a_overlap_um2"), _int64(row[9]))
+# How each cell of a layout or measurement row after its structure id is
+# parsed, in CSV order: the STRUCTURE_COLUMNS, the excluded flag and, in a
+# measurement row, the conductance, a reading parsed cell by cell.
+_CELL_PARSERS = {
+    "die_x": (_int64, np.int64), "die_y": (_int64, np.int64), "x_mm": (float, float),
+    "y_mm": (float, float), "variant": (lambda name: VARIANT_CODES[Variant(name)], np.int8),
+    "w_bottom_nm": (float, float), "w_top_nm": (float, float),
+    "a_overlap_designed_um2": (float, float), "junction_count": (_int64, np.int64),
+    "excluded": (_flag, bool), "g_uS": (float, float, False),
+}
+# The checks of a row, in the order a row is read: a cell's parse check is
+# named for its column and a value check as the table names it, except that
+# a file's designed area is first checked finite under its CSV name.
+_LAYOUT_ORDER = ("die_x", "die_y", "x_mm", "y_mm", "position", "variant", "variant code",
+                 "w_bottom_nm", "w_top_nm", "widths", "a_overlap_designed_um2",
+                 "a_overlap_um2", "designed area", "junction_count", "excluded",
+                 "junction count")
+_MEASUREMENT_ORDER = ("excluded", *(name for name in _LAYOUT_ORDER if name != "excluded"),
+                      "g_uS", "conductance")
 
 
-def _layout_row(row: list[str]) -> tuple:
-    """The STRUCTURE_COLUMNS values of a row, then its excluded flag."""
-    values = _structure_values(row)
-    excluded = _flag(row[10])
-    check_junction_count(row[0], values[-1])
-    return (*values, excluded)
-
-
-def _measurement_row(row: list[str]) -> tuple | None:
-    """The measurement COLUMNS values of a row, or None for a row flagged excluded."""
-    if _flag(row[10]):
-        return None
-    values = _structure_values(row)
-    check_junction_count(row[0], values[-1])        # as the table does
-    g = float(row[11])
-    check_conductance(row[0], g)
-    return (*values, g, None)
-
-
-def _structure_columns(cells: list[Sequence[str]] | None, skip_excluded: bool,
-                       ) -> tuple[dict[str, np.ndarray], list[Sequence[str]]] | None:
-    """The STRUCTURE_COLUMNS of a file's cells, given column by column, each
-    column parsed as a whole, and the cells; None if a row had the wrong
-    width (cells is None), an excluded flag is not true/false or a cell does
-    not parse.  Rows flagged excluded are dropped first if skip_excluded."""
-    if cells is None:
-        return None
-    flags = set(cells[10])
-    if not flags <= {"true", "false"}:
-        return None
-    if skip_excluded and "true" in flags:
-        keep = [flag == "false" for flag in cells[10]]
+def _read_columns(path: str | Path, header: str, what: str, table: type[ColumnTable],
+                  order: Sequence[str]) -> dict[str, Sequence]:
+    """The columns of a layout or measurement file, each parsed once, after
+    the parse checks and the table's checks in order: the lowest bad row,
+    then a row of the wrong width or that ends the rows, then a repeated id
+    raises DataError.  If the excluded flag is checked first, rows flagged
+    true are dropped unread."""
+    cells, lines, stop = _read_rows(path, header, what).columns(header.count(",") + 1)
+    if order[0] == "excluded" and "true" in cells[10]:
+        keep = [flag != "true" for flag in cells[10]]
         cells = [list(compress(column, keep)) for column in cells]
-    try:
-        die_x, die_y, count = (_parse_distinct(cells[k], int, np.int64) for k in (1, 2, 9))
-        x, y, w_b, w_t, area = (_parse_distinct(cells[k], float, float)
-                                for k in (3, 4, 6, 7, 8))
-        variant = _parse_distinct(cells[5], lambda name: VARIANT_CODES[Variant(name)],
-                                  np.int8)
-    except (ValueError, OverflowError):
-        return None
-    return dict(structure_id=cells[0], die_x=die_x, die_y=die_y, x_mm=x, y_mm=y,
-                variant=variant, w_bottom_nm=w_b, w_top_nm=w_t,
-                a_overlap_designed_um2=area, junction_count=count), cells
+        lines = list(compress(lines, keep))
+    parsed = {name: _parse_column(column, *_CELL_PARSERS[name])
+              for name, column in zip(_CELL_PARSERS, cells[1:])}
+    columns = {"structure_id": cells[0], **{name: v for name, (v, _) in parsed.items()}}
+    area = columns["a_overlap_designed_um2"]
+    checks = {**{name: check for name, (_, check) in parsed.items()}, **table.checks(columns),
+              "a_overlap_um2": (~np.isfinite(area), lambda i: data_error(
+                  f"a_overlap_um2 must be finite, got {cells[8][i]!r}"))}
+    raise_first_bad([checks[name] for name in order], lambda i: f"{path}:{lines[i]}: ")
+    if stop is not None:
+        raise DataError(stop)
+    _check_unique(path, cells[0])
+    return columns
 
 
 def _check_unique(path: str | Path, ids: Sequence[str]) -> None:
@@ -129,38 +119,15 @@ def write_layout_csv(layout: WaferLayout, path: str | Path) -> None:
     _write_columns(path, LAYOUT_HEADER, [*_common_cells(table), excluded])
 
 
-def _layout_table(columns: Mapping[str, Sequence]) -> StructureTable:
-    """The structures of a layout file's STRUCTURE_COLUMNS and excluded
-    flags; the file carries no sub-array, cell, group or exclusion reason."""
+def read_layout_csv(path: str | Path) -> WaferLayout:
+    """Read a layout CSV; bounds are not revalidated for user-edited files.
+    The file carries no sub-array, cell, group or exclusion reason."""
+    columns = _read_columns(path, LAYOUT_HEADER, "layout", StructureTable, _LAYOUT_ORDER)
     n = len(columns["excluded"])
     zeros = np.zeros(n, dtype=np.int64)
-    return StructureTable({**columns, "subarray_index": zeros, "cell_row": zeros,
-                           "cell_col": zeros, "group": ["uniform"] * n,
-                           "exclusion_reason": [""] * n})
-
-
-def _layout_columns(rows: _Rows) -> StructureTable | None:
-    """The structures of layout rows, parsed and checked a column at a time;
-    None if a row has the wrong width or a bad value."""
-    parsed = _structure_columns(rows.columns(11), skip_excluded=False)
-    if parsed is None:
-        return None
-    columns, cells = parsed
-    try:            # the table checks every value of every column
-        return _layout_table({**columns, "excluded": [flag == "true" for flag in cells[10]]})
-    except JJShadowError:
-        return None
-
-
-def read_layout_csv(path: str | Path) -> WaferLayout:
-    """Read a layout CSV; bounds are not revalidated for user-edited files."""
-    rows = _read_rows(path, LAYOUT_HEADER, "layout")
-    table = _layout_columns(rows)
-    if table is None:   # a check failed: row by row, the first bad row raises
-        table = _layout_table(_transpose(_parse_rows(path, rows, 11, _layout_row),
-                                         [*STRUCTURE_COLUMNS, "excluded"]))
-    _check_unique(path, table.structure_id)
-    return WaferLayout(LayoutKind.CUSTOM, table)
+    return WaferLayout(LayoutKind.CUSTOM, StructureTable({
+        **columns, "subarray_index": zeros, "cell_row": zeros, "cell_col": zeros,
+        "group": ["uniform"] * n, "exclusion_reason": [""] * n}))
 
 
 def write_measurements_csv(records: Sequence[MeasurementRecord],
@@ -170,29 +137,12 @@ def write_measurements_csv(records: Sequence[MeasurementRecord],
                    [*_common_cells(table), ["false"] * len(table), table.g_uS.tolist()])
 
 
-def _measurement_columns(rows: _Rows) -> MeasurementTable | None:
-    """The measurements of rows, parsed and checked a column at a time;
-    None if a row has the wrong width or a bad value."""
-    parsed = _structure_columns(rows.columns(12), skip_excluded=True)
-    if parsed is None:
-        return None
-    columns, cells = parsed
-    try:            # the table checks every value of every column
-        return MeasurementTable({**columns, "g_uS": list(map(float, cells[11])),
-                                 "truth_flags": [None] * len(cells[11])})
-    except (ValueError, JJShadowError):
-        return None
-
-
 def read_measurements_csv(path: str | Path) -> MeasurementTable:
     """Read measurements; rows flagged excluded are skipped, truth is None."""
-    rows = _read_rows(path, MEASUREMENT_HEADER, "measurements")
-    table = _measurement_columns(rows)
-    if table is None:   # a check failed: row by row, the first bad row raises
-        values = _parse_rows(path, rows, 12, _measurement_row)
-        table = MeasurementTable(_transpose([v for v in values if v is not None], COLUMNS))
-    _check_unique(path, table.structure_id)
-    return table
+    columns = _read_columns(path, MEASUREMENT_HEADER, "measurements", MeasurementTable,
+                            _MEASUREMENT_ORDER)
+    del columns["excluded"]
+    return MeasurementTable({**columns, "truth_flags": [None] * len(columns["g_uS"])})
 
 
 def write_truth_csv(records: Sequence[MeasurementRecord], path: str | Path) -> None:
@@ -210,13 +160,13 @@ def read_truth_csv(path: str | Path) -> dict[str, frozenset[str]]:
     """Defect flags by structure id; each distinct flags cell is parsed once."""
     flags: dict[str, frozenset[str]] = {}
 
-    def row_truth(row: list[str]) -> tuple[str, frozenset[str]]:
+    def row_truth(row: Sequence[str]) -> tuple[str, frozenset[str]]:
         cell = row[1]
         if cell not in flags:
             flags[cell] = frozenset(f for f in cell.split(";") if f)
         return row[0], flags[cell]
 
-    truth = _parse_rows(path, _read_rows(path, TRUTH_HEADER, "truth"), 2, row_truth)
+    truth = _parse_rows(_read_rows(path, TRUTH_HEADER, "truth"), 2, row_truth)
     _check_unique(path, [sid for sid, _ in truth])
     return dict(truth)
 
@@ -269,10 +219,10 @@ def read_manifest_csv(path: str | Path) -> dict[str, WaferPoint]:
     rejected at its path:line."""
     manifest: dict[str, WaferPoint] = {}
 
-    def entry(row: list[str]) -> None:
+    def entry(row: Sequence[str]) -> None:
         if row[0] in manifest:
             raise DataError(f"repeated structure id {row[0]!r}")
         manifest[row[0]] = WaferPoint(float(row[1]), float(row[2]))
 
-    _parse_rows(path, _read_rows(path, MANIFEST_HEADER, "manifest"), 5, entry)
+    _parse_rows(_read_rows(path, MANIFEST_HEADER, "manifest"), 5, entry)
     return manifest

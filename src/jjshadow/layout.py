@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -22,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .csvfile import _parse_rows, _read_rows
-from .errors import DataError
+from .errors import Check, DataError, data_error, raise_first_bad
 from .geometry import (
     SQUARE_HALF_MM,
     VARIANT_CODES,
@@ -135,48 +134,38 @@ def _radii(x_mm: np.ndarray, y_mm: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.hypot, x_mm.tolist(), y_mm.tolist()), float, len(x_mm))
 
 
-def _raise_first(bad: np.ndarray, check, *columns: np.ndarray) -> None:
-    """Call check on the first row flagged in bad, so that it raises its error."""
-    hit = np.flatnonzero(bad)
-    if hit.size:
-        i = int(hit[0])
-        check(*(col[i:i + 1].tolist()[0] for col in columns))
-
-
-def _check_variant_code(structure_id: str, code: int) -> None:
-    if not 0 <= code < len(VARIANTS):
-        raise DataError(f"undefined variant code {code} on {structure_id}")
-
-
-def _check_designed_area(structure_id: str, area_um2: float) -> None:
-    if not math.isfinite(area_um2):
-        raise DataError(f"non-finite designed area on {structure_id}")
-
-
-def check_structure_columns(table) -> None:
-    """Check each STRUCTURE_COLUMNS value of a table as a structure or a
-    measurement checks it; the first bad row raises that check's error."""
-    x, y, w_b, w_t = table.x_mm, table.y_mm, table.w_bottom_nm, table.w_top_nm
-    sid, variant = table.structure_id, table.variant
-    _raise_first(~(np.isfinite(x) & np.isfinite(y)), WaferPoint, x, y)
-    _raise_first((variant < 0) | (variant >= len(VARIANTS)), _check_variant_code, sid, variant)
-    _raise_first(~(np.isfinite(w_b) & np.isfinite(w_t)) | (w_b < 0.0) | (w_t < 0.0),
-                 lambda v, b, t: JunctionDesign(VARIANTS[v], b, t), variant, w_b, w_t)
-    _raise_first(~np.isfinite(table.a_overlap_designed_um2), _check_designed_area,
-                 sid, table.a_overlap_designed_um2)
-    _raise_first(~np.isin(table.junction_count, JUNCTION_COUNTS), check_junction_count,
-                 sid, table.junction_count)
+def structure_checks(columns: Mapping[str, Sequence]) -> dict[str, Check]:
+    """The checks a structure or a measurement makes of its STRUCTURE_COLUMNS
+    values, in that order, each raising that check's error: a finite
+    position (WaferPoint's), a VARIANTS code, finite widths >= 0
+    (JunctionDesign's), a finite designed area and the junction count."""
+    sid, _, _, x, y, variant, w_b, w_t, area, count = map(columns.get, STRUCTURE_COLUMNS)
+    return {
+        "position": (~(np.isfinite(x) & np.isfinite(y)),
+                     lambda i: WaferPoint(x[i].item(), y[i].item())),
+        "variant code": ((variant < 0) | (variant >= len(VARIANTS)), lambda i: data_error(
+            f"undefined variant code {variant[i]} on {sid[i]}")),
+        "widths": (~(np.isfinite(w_b) & np.isfinite(w_t)) | (w_b < 0.0) | (w_t < 0.0),
+                   lambda i: JunctionDesign(VARIANTS[variant[i]], w_b[i].item(),
+                                            w_t[i].item())),
+        "designed area": (~np.isfinite(area),
+                          lambda i: data_error(f"non-finite designed area on {sid[i]}")),
+        "junction count": (~np.isin(count, JUNCTION_COUNTS),
+                           lambda i: check_junction_count(sid[i], count[i].item())),
+    }
 
 
 class ColumnTable(Sequence):
     """Rows stored as columns, in row order.
 
     A subclass names its columns and their dtypes in COLUMNS, builds one
-    row object from one value per column with row, and checks its values
-    with check.  Each column is a read-only array attribute.  Indexing and
-    iteration build row objects on demand; a slice, or take, is a table of
-    the same class, and == compares column by column (or row by row with a
-    tuple or list).  The constructor copies the columns and checks them.
+    row object from one value per column with row, and gives the checks of
+    its values, by name and in a row's order, with checks(columns).  Each
+    column is a read-only array attribute.  Indexing and iteration build
+    row objects on demand; a slice, or take, is a table of the same class,
+    and == compares column by column (or row by row with a tuple or list).
+    The constructor copies the columns and checks them: the lowest bad row
+    raises the error of the first check that fails in it.
     """
 
     COLUMNS: dict[str, object]
@@ -191,7 +180,8 @@ class ColumnTable(Sequence):
             setattr(self, name, _column(columns[name], dtype))
         if len({len(getattr(self, name)) for name in self.COLUMNS}) > 1:
             raise DataError(f"{type(self).__name__} columns differ in length")
-        self.check()
+        raise_first_bad(list(self.checks({name: getattr(self, name)
+                                          for name in self.COLUMNS}).values()))
 
     def take(self, index):
         """The rows at index (an index array, a mask or a slice), as a table."""
@@ -240,14 +230,15 @@ class StructureTable(ColumnTable):
     The LAYOUT_COLUMNS: the STRUCTURE_COLUMNS a measurement shares, then
     sub-array index, cell row and column, group, excluded flag and
     exclusion reason.  Rows are TestStructureSpec objects, built on
-    demand.  The constructor checks each value a structure or a
-    measurement checks, raising its error for the first bad row.
+    demand.  The constructor makes the checks a structure or a measurement
+    makes of its values; the first bad row raises the error of the first
+    check, in a structure's order, that fails in it.
     """
 
     COLUMNS = LAYOUT_COLUMNS
     __slots__ = tuple(LAYOUT_COLUMNS)
     row = staticmethod(_spec)
-    check = check_structure_columns
+    checks = staticmethod(structure_checks)
 
     @classmethod
     def from_specs(cls, specs: Iterable[TestStructureSpec]) -> StructureTable:
@@ -295,7 +286,7 @@ def _data_path(name: str):
     return resources.files("jjshadow.data").joinpath(name)
 
 
-def _site(row: list[str]) -> SubarraySite:
+def _site(row: Sequence[str]) -> SubarraySite:
     offset = WaferPoint(float(row[1]), float(row[2]))          # must be finite
     return SubarraySite(int(row[0]), offset.x_mm, offset.y_mm, row[3].strip())
 
@@ -303,14 +294,14 @@ def _site(row: list[str]) -> SubarraySite:
 def load_subarray_sites(path: str | Path | None = None) -> tuple[SubarraySite, ...]:
     """Read sub-array placements (sub_index,x_mm,y_mm,group) for one die."""
     src = path if path is not None else _data_path("surface17_subarrays.csv")
-    sites = _parse_rows(src, _read_rows(src, SUBARRAY_HEADER, "sub-array file"), 4, _site,
+    sites = _parse_rows(_read_rows(src, SUBARRAY_HEADER, "sub-array file"), 4, _site,
                         "malformed sub-array row: ")
     if len(sites) != 17 or sorted(s.index for s in sites) != list(range(17)):
         raise DataError(f"sub-array file must define indices 0..16, got {len(sites)} rows")
     return tuple(sorted(sites, key=lambda s: s.index))
 
 
-def _via(row: list[str]) -> tuple[WaferPoint, float]:
+def _via(row: Sequence[str]) -> tuple[WaferPoint, float]:
     diameter = float(row[2])
     if not (math.isfinite(diameter) and diameter > 0.0):
         raise DataError(f"diameter_um must be finite and > 0, got {row[2]!r}")
@@ -320,11 +311,11 @@ def _via(row: list[str]) -> tuple[WaferPoint, float]:
 def load_tsv_file(path: str | Path | None = None) -> tuple[tuple[WaferPoint, float], ...]:
     """Read via positions (x_mm,y_mm,diameter_um) in wafer coordinates."""
     src = path if path is not None else _data_path("tsv_vias.csv")
-    return tuple(_parse_rows(src, _read_rows(src, VIA_HEADER, "via file"), 3, _via,
+    return tuple(_parse_rows(_read_rows(src, VIA_HEADER, "via file"), 3, _via,
                              "malformed via row: "))
 
 
-def _sweep_width(row: list[str]) -> tuple[str, float]:
+def _sweep_width(row: Sequence[str]) -> tuple[str, float]:
     width = float(row[1])
     if not (math.isfinite(width) and width >= 0.0):
         raise DataError(f"w_nm must be finite and >= 0, got {row[1]!r}")
@@ -334,7 +325,7 @@ def _sweep_width(row: list[str]) -> tuple[str, float]:
 def load_sweep_file(path: str | Path) -> dict[str, tuple[float, ...]]:
     """Read width sweeps (group,w_nm), ordered within each group."""
     sweeps: dict[str, list[float]] = {}
-    for group, width in _parse_rows(path, _read_rows(path, SWEEP_HEADER, "sweep file"), 2,
+    for group, width in _parse_rows(_read_rows(path, SWEEP_HEADER, "sweep file"), 2,
                                     _sweep_width, "malformed sweep row: "):
         sweeps.setdefault(group, []).append(width)
     if not sweeps:
@@ -412,16 +403,12 @@ def _subarray_columns(blocks: Sequence[tuple[Variant, tuple[int, int], SubarrayS
     dolan = np.repeat([variant is Variant.DOLAN for variant, _, _ in blocks], m)
     w_b = np.where(dolan, 3.0 * w, w)
     w_t = np.where(dolan, w, MANHATTAN_FIXED_TOP_NM)
-    bad = _failing_cells(shape, x, y, w_b, w_t)
-    failed = bad.reshape(-1, m).any(axis=1) | [bool(why[site.group]) for _, _, site in blocks]
-    if failed.any():
-        b = int(np.argmax(failed))
-        variant, _, site = blocks[b]
-        if why[site.group]:
-            raise DataError(why[site.group])
-        i = b * m + int(np.argmax(bad[b * m:(b + 1) * m]))
-        _check_cell(shape, variant, x[i].item(), y[i].item(), w_b[i].item(), w_t[i].item())
-
+    raise_first_bad([
+        (np.repeat([bool(why[site.group]) for _, _, site in blocks], m),
+         lambda i: data_error(why[blocks[i // m][2].group])),
+        (_failing_cells(shape, x, y, w_b, w_t),
+         lambda i: _check_cell(shape, blocks[i // m][0], x[i].item(), y[i].item(),
+                               w_b[i].item(), w_t[i].item()))])
     codes = np.array([VARIANT_CODES[variant] for variant, _, _ in blocks], dtype=np.int8)
     variant = np.repeat(codes, m)
     cells = [f"c{cell:02d}" for cell in range(m)]
@@ -542,9 +529,10 @@ def build_35x35(pad_kind: str, omitted_rows: Sequence[int] = ()) -> WaferLayout:
     half = (_GRID_35 - 1) / 2.0
     x, y = (col - half) * _PITCH_35_MM, (row - half) * _PITCH_35_MM
     width = np.full(x.size, UNIFORM_WIDTH_NM)
-    _raise_first(_failing_cells(WaferShape.ROUND_100MM, x, y, width, width),
-                 partial(_check_cell, WaferShape.ROUND_100MM, Variant.MANHATTAN),
-                 x, y, width, width)
+    raise_first_bad([(_failing_cells(WaferShape.ROUND_100MM, x, y, width, width),
+                      lambda i: _check_cell(WaferShape.ROUND_100MM, Variant.MANHATTAN,
+                                            x[i].item(), y[i].item(), UNIFORM_WIDTH_NM,
+                                            UNIFORM_WIDTH_NM))])
     excluded = np.isin(row, list(omitted))
     variant = np.full(x.size, VARIANT_CODES[Variant.MANHATTAN], dtype=np.int8)
     zeros = np.zeros(x.size, dtype=np.int64)

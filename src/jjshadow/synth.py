@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import Check, DataError
 from .geometry import (
     VARIANT_CODES,
     VARIANTS,
@@ -45,9 +45,8 @@ from .layout import (
     ColumnTable,
     WaferLayout,
     _radii,
-    _raise_first,
     _transpose,
-    check_structure_columns,
+    structure_checks,
 )
 
 SHORT_PAIR_G_US = 2000.0
@@ -81,6 +80,8 @@ class ProcessModel:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise DataError(f"{name} must be in [0, 1]")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -168,18 +169,22 @@ class MeasurementTable(ColumnTable):
     (geometry.VARIANTS codes), bottom and top designed widths, designed
     area, junction count, g_uS and truth flags (a frozenset per row, None
     for readings loaded from a file).  Rows are MeasurementRecord objects,
-    built on demand.  The constructor checks each value a record checks,
-    raising its error for the first bad row.
+    built on demand.  The constructor makes the checks a record makes of
+    its values; the first bad row raises the error of the first check, in a
+    record's order, that fails in it.
     """
 
     COLUMNS = COLUMNS
     __slots__ = tuple(COLUMNS)
     row = staticmethod(_record)
 
-    def check(self) -> None:
-        check_structure_columns(self)
-        _raise_first(~np.isfinite(self.g_uS) | (self.g_uS < 0.0), check_conductance,
-                     self.structure_id, self.g_uS)
+    @staticmethod
+    def checks(columns: Mapping[str, Sequence]) -> dict[str, Check]:
+        """structure_checks, then a finite conductance >= 0."""
+        sid, g = columns["structure_id"], columns["g_uS"]
+        return {**structure_checks(columns),
+                "conductance": (~np.isfinite(g) | (g < 0.0),
+                                lambda i: check_conductance(sid[i], g[i].item()))}
 
     @classmethod
     def from_records(cls, records: Iterable[MeasurementRecord]) -> MeasurementTable:

@@ -395,6 +395,56 @@ class TestExitCodes:
         assert (tmp_path / "d.cfg").read_text().startswith("# jjshadow run config")
 
 
+class TestRejectedOptions:
+    """Out-of-range options and config values exit 2 naming the option and
+    the value, before any output is written."""
+
+    @pytest.fixture
+    def layout(self, tmp_path):
+        path = tmp_path / "layout.csv"
+        assert run("layout", "--kind", "planar35x35-al", "--out", path) == 0
+        return path
+
+    def test_negative_simulate_seed(self, tmp_path, capsys, layout):
+        out = tmp_path / "m.csv"
+        assert run("simulate", "--layout", layout, "--seed", -1, "--out", out) == 2
+        assert "data error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_config_seed(self, tmp_path, capsys, layout):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "m.csv"
+        cfg.write_text("process.seed = -1\n")
+        assert run("simulate", "--layout", layout, "--config", cfg, "--out", out) == 2
+        assert "data error: process: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("token", ["a", "1.5"])
+    def test_omit_rows_not_a_row_number(self, tmp_path, capsys, token):
+        out = tmp_path / "layout.csv"
+        assert run("layout", "--kind", "planar35x35-al", "--omit-rows", f"33,{token}",
+                   "--out", out) == 2
+        assert (f"--omit-rows takes row numbers: invalid literal for int() with base 10: "
+                f"{token!r}" in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--grid", 1, "--noise", 0.05, "--seed", -1], "--seed must be >= 0, got -1"),
+        (["--grid", 0], "--grid must be >= 1, got 0"),
+        (["--grid", -2], "--grid must be >= 1, got -2"),
+        (["--grid", 1, "--noise", "nan"], "--noise must be finite and >= 0, got nan"),
+        (["--grid", 1, "--noise", -0.5], "--noise must be finite and >= 0, got -0.5"),
+        (["--grid", 1, "--noise", "inf"], "--noise must be finite and >= 0, got inf"),
+        (["--layout", None, "--stride", 0], "--stride must be >= 1, got 0"),
+        (["--layout", None, "--stride", -5], "--stride must be >= 1, got -5"),
+    ])
+    def test_render(self, tmp_path, capsys, layout, argv, message):
+        out_dir = tmp_path / "imgs"
+        argv = [layout if a is None else a for a in argv]
+        assert run("render", *argv, "--out-dir", out_dir) == 2
+        assert f"data error: {message}\n" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 def assert_exit(argv, code):
     with pytest.raises(SystemExit) as info:
         main(argv)

@@ -302,11 +302,17 @@ class TestWriteReadProperty:
             rows = _read_rows(path, "h", "")
             want = csv_module_rows(path.read_text())
             assert list(rows) == want
-            cells = [row for _, row in want]
-            columns = None
-            if all(len(row) == width for row in cells):
-                columns = [list(col) for col in zip(*cells)] if cells else [[]] * width
-            assert rows.columns(width) == columns
+            # The rows before the first of another width, and that row's error.
+            end = next((k for k, (_, row) in enumerate(want) if len(row) != width), len(want))
+            error = None
+            if end < len(want):
+                error = (f"{path}:{want[end][0]}: expected {width} columns, "
+                         f"got {len(want[end][1])}")
+            cells = [row for _, row in want[:end]]
+            columns = [list(col) for col in zip(*cells)] if cells else [[]] * width
+            got, lines, got_error = rows.columns(width)
+            assert (got, list(lines), got_error) == (
+                columns, [lineno for lineno, _ in want[:end]], error)
 
 
 def test_truth_flags_parsed_once_per_distinct_cell(tmp_path):

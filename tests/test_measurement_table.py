@@ -148,6 +148,24 @@ class TestFromRecords:
         with pytest.raises(error, match=f"^{re.escape(want)}$"):
             MeasurementTable(columns)
 
+    @pytest.mark.parametrize("kind", ["structures", "measurements"])
+    def test_lowest_bad_row_raises(self, planar, table, kind):
+        # Rows 1, 2 and 9 hold different defects; row 1's is the last check
+        # in order, and it still raises.
+        source = planar.structures if kind == "structures" else table
+        columns = {name: getattr(source, name).copy() for name in source.COLUMNS}
+        sid = source.structure_id[1]
+        if kind == "structures":
+            columns["junction_count"][1] = 3
+            want = f"junction_count must be 1 or 2, got 3 on {sid}"
+        else:
+            columns["g_uS"][1] = -1.0
+            want = f"negative conductance on {sid}"
+        columns["x_mm"][2] = math.nan
+        columns["w_bottom_nm"][9] = -5.0
+        with pytest.raises(DataError, match=f"^{re.escape(want)}$"):
+            type(source)(columns)
+
 
 # Extreme but valid values: subnormal and huge floats, negative zero, and
 # widths at the 2000 nm design limit.
@@ -257,6 +275,11 @@ class TestReaderLocations:
         ("layout", 5, "bridge", "'bridge' is not a valid Variant"),
         ("layout", 10, "no", "expected true/false, got 'no'"),
         ("layout", 2, "9" * 20, f"'{'9' * 20}' is outside the 64-bit integer range"),
+        # Two bad cells in a row: the check a row-by-row read makes first.
+        ("layout", (3, 4), ("nan", "abc"), "could not convert string to float: 'abc'"),
+        ("measurements", (10, 3), ("no", "junk"), "expected true/false, got 'no'"),
+        ("layout", (3, 10), ("junk", "no"), "could not convert string to float: 'junk'"),
+        ("layout", (6, 9), ("-5", "3"), "designed widths must be >= 0"),
     ]
 
     @pytest.mark.parametrize("kind, column, value, message", CASES)
@@ -274,7 +297,8 @@ class TestReaderLocations:
         lines = path.read_text().splitlines()
         for k in (3, 9):                    # the second bad row must not be named
             row = lines[k].split(",")
-            row[column] = value
+            for c, v in zip(column, value) if isinstance(column, tuple) else [(column, value)]:
+                row[c] = v
             lines[k] = ",".join(row)
         reader = read_layout_csv if kind == "layout" else read_measurements_csv
         for wide in (False, True):

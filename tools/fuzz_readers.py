@@ -1,0 +1,169 @@
+"""Read seeded damaged layout and measurement files and print what each
+read gives, so that two checkouts' readers compare with one ``diff``.
+
+Makes, in a temporary directory, ``--count`` damaged layout files and as
+many damaged measurement files.  Each holds 1 to 30 rows drawn from the
+rows the checkout writes for the tsv17q-manhattan, planar17q and
+planar35x35-al layouts and for measurements synthesized from them, and
+then up to six damages, drawn from a seeded stream (DAMAGE):
+
+* a cell, or two or three cells of one row, replaced by junk, ``nan``,
+  ``inf``, a negative or zero value, an integer outside 64 bits, a bad
+  variant or flag, or an empty cell,
+* a row with one cell too many or too few,
+* blank lines,
+* quoted cells: a cell quoted as it is, quoted ids holding a comma or a
+  quote, an unclosed quote and a quoted cell that spans lines,
+* a row flagged excluded that holds junk,
+* a repeated structure id.
+
+Each file prints as one line, ``<name>  error  <message>`` with the
+temporary directory stripped, ``<name>  read  <sha256>`` of the table's
+columns as their reprs, or ``<name>  crash  <type>: <message>`` for an
+exception that is not a package error.  Counts of files rejected and read
+go to standard error.  ``--src`` imports jjshadow from another checkout's
+``src/``, also one that predates this script:
+
+    python tools/fuzz_readers.py > new.txt
+    python tools/fuzz_readers.py --src /path/to/other/checkout/src > old.txt
+    diff old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import random
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+JUNK = ["", "junk", "nan", "NaN", "inf", "-inf", "1e400", "-5.0", "-0.0", "0", "1", "2",
+        "3", "-1", "1e3", "1.5", " 2", "1_0", "9" * 20, "-" + "9" * 20, str(2**63),
+        str(-2**63), str(2**63 - 1), "bridge", "Dolan", "dolan", "manhattan", "no",
+        "True", "true", "false", "a\x00b"]
+ROWS_PER_FILE = 30
+
+
+def _pools() -> dict[str, tuple[str, list[str]]]:
+    """The header and body lines the checkout writes, per file kind."""
+    from jjshadow.geometry import EvaporatorGeometry, Variant
+    from jjshadow.io import write_layout_csv, write_measurements_csv
+    from jjshadow.layout import build_35x35, build_planar_17q, build_tsv_17q
+    from jjshadow.synth import ParasiticsModel, ProcessModel, synthesize_wafer
+
+    process = ProcessModel(lognormal_sigma=0.05, p_open=0.05, p_short=0.02, seed=1)
+    layouts = [build_tsv_17q(Variant.MANHATTAN), build_planar_17q(), build_35x35("al")]
+    pools: dict[str, tuple[str, list[str]]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, layout in enumerate(layouts):
+            write_layout_csv(layout, Path(tmp) / f"layout-{k}.csv")
+            write_measurements_csv(synthesize_wafer(layout, EvaporatorGeometry(), process,
+                                                    ParasiticsModel()),
+                                   Path(tmp) / f"measurements-{k}.csv")
+        for kind in ("layout", "measurements"):
+            texts = [Path(tmp, f"{kind}-{k}.csv").read_text().splitlines()
+                     for k in range(len(layouts))]
+            pools[kind] = (texts[0][0], [line for text in texts for line in text[1:]])
+    return pools
+
+
+# Kinds of damage, and how often each is drawn.
+DAMAGE = {"junk cell": 6, "junk cells": 3, "wrong width": 1, "blank line": 1, "quoted cell": 1,
+          "quoted id": 1, "spanning cell": 1, "excluded junk": 2, "repeated id": 1}
+
+
+def _damage(rng: random.Random, rows: list[list[str]]) -> list[str]:
+    """The lines of rows after up to six seeded damages."""
+    blanks = []
+    for what in rng.choices(list(DAMAGE), list(DAMAGE.values()), k=rng.randrange(7)):
+        row = rng.choice(rows)
+        if what == "junk cell":
+            row[rng.randrange(len(row))] = rng.choice(JUNK)
+        elif what == "junk cells":         # the order of checks within a row
+            for k in rng.sample(range(1, len(row)), rng.randint(2, 3)):
+                row[k] = rng.choice(JUNK)
+        elif what == "wrong width":
+            if rng.random() < 0.5:
+                row.append(rng.choice(JUNK))
+            else:
+                row.pop()
+        elif what == "blank line":
+            blanks.append(rng.randrange(len(rows) + 1))
+        elif what == "quoted cell":
+            k = rng.randrange(len(row))
+            row[k] = '"' + row[k].replace('"', '""') + '"'
+        elif what == "quoted id":
+            row[0] = rng.choice(['"a,b"', '"q""1"', '"unclosed', 'x"y', '"ab"c'])
+        elif what == "spanning cell":
+            row[rng.randrange(len(row))] = '"a\nb"'
+        elif what == "excluded junk":
+            if len(row) > 10:
+                row[10] = "true"
+            row[rng.randrange(1, len(row))] = rng.choice(JUNK)
+        else:
+            row[0] = rng.choice(rows)[0]
+    lines = [",".join(row) for row in rows]
+    for at in sorted(blanks, reverse=True):
+        lines.insert(at, "")
+    return lines
+
+
+def _digest(table, names) -> str:
+    text = "\n".join(repr(getattr(table, name).tolist()) for name in names)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def fuzz(count: int, seed: int) -> tuple[list[str], Counter]:
+    """One line per damaged file, and the count of each outcome per kind."""
+    from jjshadow.errors import JJShadowError
+    from jjshadow.io import read_layout_csv, read_measurements_csv
+    from jjshadow.layout import LAYOUT_COLUMNS
+    from jjshadow.synth import COLUMNS
+
+    readers = {
+        "layout": lambda path: _digest(read_layout_csv(path).structures, LAYOUT_COLUMNS),
+        "measurements": lambda path: _digest(read_measurements_csv(path), COLUMNS),
+    }
+    out, counts = [], Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, (header, pool) in _pools().items():
+            rng = random.Random(f"{seed}-{kind}")
+            for k in range(count):
+                name = f"{kind}-{k:05d}.csv"
+                path = Path(tmp) / name
+                rows = [line.split(",") for line in
+                        rng.sample(pool, rng.randint(1, ROWS_PER_FILE))]
+                path.write_text("\n".join([header, *_damage(rng, rows)]) + "\n")
+                try:
+                    outcome, text = "read", readers[kind](path)
+                except JJShadowError as exc:
+                    outcome, text = "error", str(exc).replace(f"{tmp}/", "")
+                except Exception as exc:            # a traceback in the CLI
+                    outcome, text = "crash", f"{type(exc).__name__}: {exc}"
+                counts[kind, outcome] += 1
+                out.append(f"{name}  {outcome}  {text!r}")
+    return out, counts
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--count", type=int, default=3000,
+                        help="damaged files per kind (default 3000)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="the src/ directory to import jjshadow from")
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    lines, counts = fuzz(args.count, args.seed)
+    print("\n".join(lines))
+    for kind, outcome in sorted(counts):
+        print(f"{kind}: {counts[kind, outcome]} {outcome}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
