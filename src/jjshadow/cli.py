@@ -92,13 +92,16 @@ def _fidelity_arg(value: str) -> Fidelity:
 
 
 def _check_at_least(args: argparse.Namespace, least: int, *options: str,
-                    unit: str = "") -> None:
-    """Reject an option below least or, if it is a float, not finite."""
+                    unit: str = "", strict: bool = False) -> None:
+    """Reject an option given that is below least (or equal to it, if
+    strict) or, if it is a float, not finite."""
     for option in options:
         value = getattr(args, option.lstrip("-").replace("-", "_"))
-        if not (math.isfinite(value) and value >= least):
+        if value is not None and not (math.isfinite(value) and (
+                value > least if strict else value >= least)):
             finite = "finite and " if isinstance(value, float) else ""
-            raise DataError(f"{option} must be {finite}>= {least}{unit}, got {value}")
+            raise DataError(f"{option} must be {finite}{'>' if strict else '>='} "
+                            f"{least}{unit}, got {value}")
 
 
 def cmd_layout(args: argparse.Namespace) -> int:
@@ -218,9 +221,8 @@ def cmd_fieldmap(args: argparse.Namespace) -> int:
     _check_at_least(args, 0, "--wb", "--wt", unit=" nm")
     cfg = load_config(args.config)
     design = JunctionDesign(Variant.MANHATTAN, args.wb, args.wt)
+    _check_at_least(args, 0, "--step", strict=True)
     step = args.step
-    if not (step > 0 and math.isfinite(step)):
-        raise DataError(f"grid step must be finite and > 0, got {step}")
     n = WAFER_RADIUS_MM / step
     if not (math.isfinite(n) and (2 * math.floor(n) + 1) ** 2 <= FIELDMAP_MAX_CELLS):
         raise DataError(f"--step {step} mm asks for more than {FIELDMAP_MAX_CELLS:,} cells")
@@ -256,7 +258,8 @@ def _render_targets(args: argparse.Namespace):
 def cmd_render(args: argparse.Namespace) -> int:
     _check_at_least(args, 0, "--wb", "--wt", unit=" nm")
     _check_at_least(args, 0, "--noise", "--seed")
-    _check_at_least(args, 1, "--stride", *(["--grid"] if args.grid is not None else []))
+    _check_at_least(args, 1, "--stride", "--grid")
+    _check_at_least(args, 0, "--scale", strict=True)
     cfg = load_config(args.config)
     geom = cfg.geometry()
     out_dir = Path(args.out_dir)
@@ -288,6 +291,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    _check_at_least(args, 0, "--scale", strict=True)
     ids: dict[str, str] = {}            # image id (file stem) -> path
     for image_path in args.images:
         sid = Path(image_path).stem

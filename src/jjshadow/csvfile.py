@@ -2,10 +2,11 @@
 
 A reader requires the exact header line, skips blank rows and names the
 first bad row as path:line: of the rows before the first row of the wrong
-width, the first with a bad cell, else that row.  Cells are quoted by the
-csv module's rules; floats are written as their repr.  No cell may hold a
-line break: the writer rejects one before writing, and the reader rejects
-a quoted cell that spans lines.
+width, the first with a bad cell, else that row.  _read_rows turns text
+into the cells of each of the header's columns in one pass.  Cells are
+quoted by the csv module's rules; floats are written as their repr.  No
+cell may hold a line break: the writer rejects one before writing, and
+the reader rejects a quoted cell that spans lines.
 
 Both pay per distinct value, not per cell.  The writer formats a numeric
 column with one repr or str per distinct value and joins rows by hand; a
@@ -25,7 +26,7 @@ from __future__ import annotations
 import csv
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -115,46 +116,14 @@ def _write_columns(path: str | Path, header: str, columns: Sequence[Sequence]) -
             fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
-class _Rows:
-    """The non-blank rows after a file's header line and their line
-    numbers.  Iterating gives each row's line number and cells; columns
-    gives the cells column by column.  Text holding no '"' is kept as its
-    lines, split on commas as csv.reader splits them, so no list is built
-    per row.  A row with a quoted cell spanning lines, or that csv.reader
-    rejects, ends the rows with its error, stop."""
-
-    def __init__(self, path: str | Path, numbers: Sequence[int], rows: list,
-                 stop: str | None = None):
-        self._path, self._numbers, self._rows, self._stop = path, numbers, rows, stop
-
-    def __iter__(self) -> Iterator[tuple[int, list[str]]]:
-        for lineno, row in zip(self._numbers, self._rows):
-            yield lineno, row.split(",") if isinstance(row, str) else row
-        if self._stop is not None:
-            raise DataError(self._stop)
-
-    def columns(self, width: int) -> tuple[list[Sequence[str]], Sequence[int], str | None]:
-        """The cells of each of width columns of the rows before the first
-        row that has another width or ends the rows, the line number of each
-        of those rows, and that first row's error (None if there is none)."""
-        numbers, rows, error = self._numbers, self._rows, self._stop
-        lines = bool(rows) and isinstance(rows[0], str)
-        commas = (list(map(str.count, rows, repeat(","))) if lines
-                  else [len(row) - 1 for row in rows])
-        if set(commas) - {width - 1}:
-            end = next(k for k, count in enumerate(commas) if count != width - 1)
-            error = (f"{self._path}:{numbers[end]}: expected {width} columns, "
-                     f"got {commas[end] + 1}")
-            numbers, rows = numbers[:end], rows[:end]
-        cells = (",".join(rows).split(",") if lines and rows
-                 else [cell for row in rows for cell in row])
-        return [cells[k::width] for k in range(width)], numbers, error
-
-
-def _read_rows(path: str | Path, header: str, what: str) -> _Rows:
-    """The rows after the exact header line.  The csv module parses only
-    text holding a '"'; a row it rejects, or whose quoted cell spans lines,
-    is rejected at its first line, once the rows before it have been read."""
+def _read_rows(path: str | Path, header: str,
+               what: str) -> tuple[list[Sequence[str]], Sequence[int], str | None]:
+    """The cells of each of the header's columns in the non-blank rows after
+    the exact header line, each row's line number, and the error of the row
+    that ends the rows (None if none does): the first of another width than
+    the header's, that csv.reader rejects or whose quoted cell spans lines.
+    The caller raises it only if no earlier row is bad.  Text holding no '"'
+    is split on commas as csv.reader splits it, with no list per row."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -162,41 +131,50 @@ def _read_rows(path: str | Path, header: str, what: str) -> _Rows:
     lines = text.splitlines()
     if not lines or lines[0] != header:
         raise DataError(f"{path}: bad or missing {what} header")
-    body = lines[1:]
-    if '"' not in text:
-        numbers = range(2, len(body) + 2)
-        if "" in body:
-            numbers = [lineno for lineno, line in zip(numbers, body) if line]
-            body = list(filter(None, body))
-        return _Rows(path, numbers, body)
-    numbers, rows, stop, lineno = [], [], None, 2
-    reader = csv.reader(body)
-    try:
-        for row in reader:
-            if reader.line_num + 1 != lineno:
-                stop = f"{path}:{lineno}: a quoted cell spans more than one line"
-                break
-            if row:
-                numbers.append(lineno)
-                rows.append(row)
-            lineno += 1
-    except csv.Error as exc:
-        stop = f"{path}:{lineno}: {exc}"
-    return _Rows(path, numbers, rows, stop)
+    width, rows, error = header.count(",") + 1, lines[1:], None
+    numbers: Sequence[int] = range(2, len(rows) + 2)
+    quote_free = '"' not in text
+    if quote_free:
+        if "" in rows:
+            numbers = [lineno for lineno, line in zip(numbers, rows) if line]
+            rows = list(filter(None, rows))
+        commas = list(map(str.count, rows, repeat(",")))
+    else:
+        reader, numbers, rows, lineno = csv.reader(lines[1:]), [], [], 2
+        try:
+            for row in reader:
+                if reader.line_num + 1 != lineno:
+                    error = f"{path}:{lineno}: a quoted cell spans more than one line"
+                    break
+                if row:
+                    numbers.append(lineno)
+                    rows.append(row)
+                lineno += 1
+        except csv.Error as exc:
+            error = f"{path}:{lineno}: {exc}"
+        commas = [len(row) - 1 for row in rows]
+    if set(commas) - {width - 1}:
+        end = next(k for k, count in enumerate(commas) if count != width - 1)
+        error = f"{path}:{numbers[end]}: expected {width} columns, got {commas[end] + 1}"
+        numbers, rows = numbers[:end], rows[:end]
+    cells = (",".join(rows).split(",") if quote_free and rows
+             else [cell for row in rows for cell in row])
+    return [cells[k::width] for k in range(width)], numbers, error
 
 
-def _parse_rows(rows: _Rows, width: int, parse: Callable[[Sequence[str]], object],
-                label: str = "") -> list:
-    """parse of each row's cells in order; the first row that parse
-    rejects, that has the wrong width or that ends the rows raises
-    DataError at its path:line (label, then why, for a row parse rejects)."""
-    cells, lines, error = rows.columns(width)
+def _parse_rows(path: str | Path, header: str, what: str,
+                parse: Callable[[Sequence[str]], object], label: str = "") -> list:
+    """parse of the cells of each row of the file in order; the first row
+    that parse rejects, that has the wrong width or that ends the rows
+    raises DataError at its path:line (label, then why, for a row parse
+    rejects)."""
+    cells, lines, error = _read_rows(path, header, what)
     out = []
     for lineno, row in zip(lines, zip(*cells)):
         try:
             out.append(parse(row))
         except (ValueError, JJShadowError) as exc:
-            raise DataError(f"{rows._path}:{lineno}: {label}{exc}") from exc
+            raise DataError(f"{path}:{lineno}: {label}{exc}") from exc
     if error is not None:
         raise DataError(error)
     return out

@@ -54,8 +54,8 @@ class GrayImage:
             raise DataError("image must be a non-empty 2-D array")
         if self.pixels.dtype != np.uint8:
             raise DataError("image must be 8-bit")
-        if self.scale_nm_per_px <= 0.0:
-            raise DataError("scale must be > 0")
+        if not (math.isfinite(self.scale_nm_per_px) and self.scale_nm_per_px > 0.0):
+            raise DataError(f"scale must be finite and > 0, got {self.scale_nm_per_px}")
 
     @property
     def width_px(self) -> int:
@@ -94,7 +94,7 @@ def read_pgm(path: str | Path, scale_nm_per_px: float | None = None) -> GrayImag
             end = data.find(b"\n", pos)
             comment = data[pos + 1:end].split()
             if len(comment) == 2 and comment[0] == b"scale_nm_per_px":
-                comment_scale = float(comment[1])
+                comment_scale = comment[1]
             pos = end + 1
             continue
         end = pos
@@ -115,7 +115,10 @@ def read_pgm(path: str | Path, scale_nm_per_px: float | None = None) -> GrayImag
     if scale is None:
         raise DataError(f"{path}: no scale given and none recorded in the file")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    return GrayImage(scale_nm_per_px=scale, pixels=pixels.copy())
+    try:
+        return GrayImage(scale_nm_per_px=float(scale), pixels=pixels.copy())
+    except (ValueError, DataError) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _band_slice(width_nm: float, scale_nm_per_px: float, canvas_px: int) -> slice:

@@ -11,7 +11,9 @@ read a column at a time, quote-free text split on commas and each
 distinct cell parsed once (each conductance cell, as readings seldom
 repeat).  Each cell's parse and each of the table's checks flags its bad
 rows, and the lowest bad row raises, at its path:line, the error of the
-first check a row-by-row read makes in it; no file is parsed twice.
+first check a row-by-row read makes in it.  The table is then built from
+those columns with ColumnTable.from_checked: no file is parsed twice and
+no column is checked twice.
 Layout, measurement, truth and manifest files reject a repeated
 structure id.
 """
@@ -82,14 +84,15 @@ _MEASUREMENT_ORDER = ("excluded", *(name for name in _LAYOUT_ORDER if name != "e
                       "g_uS", "conductance")
 
 
-def _read_columns(path: str | Path, header: str, what: str, table: type[ColumnTable],
-                  order: Sequence[str]) -> dict[str, Sequence]:
-    """The columns of a layout or measurement file, each parsed once, after
-    the parse checks and the table's checks in order: the lowest bad row,
-    then a row of the wrong width or that ends the rows, then a repeated id
-    raises DataError.  If the excluded flag is checked first, rows flagged
-    true are dropped unread."""
-    cells, lines, stop = _read_rows(path, header, what).columns(header.count(",") + 1)
+def _read_table(path: str | Path, header: str, what: str, table: type[ColumnTable],
+                order: Sequence[str], rest: Mapping[str, object]) -> ColumnTable:
+    """The table of a layout or measurement file, each column parsed once
+    and checked once: after the parse checks and the table's checks in
+    order, the lowest bad row, then a row of the wrong width or that ends
+    the rows, then a repeated id raises DataError.  If the excluded flag is
+    checked first, rows flagged true are dropped unread.  Each column the
+    file does not hold is filled with its value in rest."""
+    cells, lines, stop = _read_rows(path, header, what)
     if order[0] == "excluded" and "true" in cells[10]:
         keep = [flag != "true" for flag in cells[10]]
         cells = [list(compress(column, keep)) for column in cells]
@@ -105,7 +108,9 @@ def _read_columns(path: str | Path, header: str, what: str, table: type[ColumnTa
     if stop is not None:
         raise DataError(stop)
     _check_unique(path, cells[0])
-    return columns
+    n = len(cells[0])
+    return table.from_checked({**columns, **{
+        name: np.full(n, value, table.COLUMNS[name]) for name, value in rest.items()}})
 
 
 def _check_unique(path: str | Path, ids: Sequence[str]) -> None:
@@ -122,12 +127,10 @@ def write_layout_csv(layout: WaferLayout, path: str | Path) -> None:
 def read_layout_csv(path: str | Path) -> WaferLayout:
     """Read a layout CSV; bounds are not revalidated for user-edited files.
     The file carries no sub-array, cell, group or exclusion reason."""
-    columns = _read_columns(path, LAYOUT_HEADER, "layout", StructureTable, _LAYOUT_ORDER)
-    n = len(columns["excluded"])
-    zeros = np.zeros(n, dtype=np.int64)
-    return WaferLayout(LayoutKind.CUSTOM, StructureTable({
-        **columns, "subarray_index": zeros, "cell_row": zeros, "cell_col": zeros,
-        "group": ["uniform"] * n, "exclusion_reason": [""] * n}))
+    return WaferLayout(LayoutKind.CUSTOM, _read_table(
+        path, LAYOUT_HEADER, "layout", StructureTable, _LAYOUT_ORDER, {
+            "subarray_index": 0, "cell_row": 0, "cell_col": 0, "group": "uniform",
+            "exclusion_reason": ""}))
 
 
 def write_measurements_csv(records: Sequence[MeasurementRecord],
@@ -139,10 +142,8 @@ def write_measurements_csv(records: Sequence[MeasurementRecord],
 
 def read_measurements_csv(path: str | Path) -> MeasurementTable:
     """Read measurements; rows flagged excluded are skipped, truth is None."""
-    columns = _read_columns(path, MEASUREMENT_HEADER, "measurements", MeasurementTable,
-                            _MEASUREMENT_ORDER)
-    del columns["excluded"]
-    return MeasurementTable({**columns, "truth_flags": [None] * len(columns["g_uS"])})
+    return _read_table(path, MEASUREMENT_HEADER, "measurements", MeasurementTable,
+                       _MEASUREMENT_ORDER, {"truth_flags": None})
 
 
 def write_truth_csv(records: Sequence[MeasurementRecord], path: str | Path) -> None:
@@ -166,7 +167,7 @@ def read_truth_csv(path: str | Path) -> dict[str, frozenset[str]]:
             flags[cell] = frozenset(f for f in cell.split(";") if f)
         return row[0], flags[cell]
 
-    truth = _parse_rows(_read_rows(path, TRUTH_HEADER, "truth"), 2, row_truth)
+    truth = _parse_rows(path, TRUTH_HEADER, "truth", row_truth)
     _check_unique(path, [sid for sid, _ in truth])
     return dict(truth)
 
@@ -224,5 +225,5 @@ def read_manifest_csv(path: str | Path) -> dict[str, WaferPoint]:
             raise DataError(f"repeated structure id {row[0]!r}")
         manifest[row[0]] = WaferPoint(float(row[1]), float(row[2]))
 
-    _parse_rows(_read_rows(path, MANIFEST_HEADER, "manifest"), 5, entry)
+    _parse_rows(path, MANIFEST_HEADER, "manifest", entry)
     return manifest

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .csvfile import _parse_rows, _read_rows
+from .csvfile import _parse_rows
 from .errors import Check, DataError, data_error, raise_first_bad
 from .geometry import (
     SQUARE_HALF_MM,
@@ -113,12 +113,13 @@ LAYOUT_COLUMNS = {
 
 
 def _column(values: Sequence, dtype) -> np.ndarray:
-    """A read-only copy of values as a 1-D array."""
-    if dtype is object:
+    """values as a read-only 1-D array of dtype: an array of dtype is held
+    as it is (its holder gives it up), anything else is copied."""
+    if dtype is object and not isinstance(values, np.ndarray):
         col = np.empty(len(values), dtype=object)
         col[:] = values
     else:
-        col = np.array(values, dtype=dtype)
+        col = np.asarray(values, dtype=dtype)
     col.flags.writeable = False
     return col
 
@@ -165,7 +166,8 @@ class ColumnTable(Sequence):
     row objects on demand; a slice, or take, is a table of the same class,
     and == compares column by column (or row by row with a tuple or list).
     The constructor copies the columns and checks them: the lowest bad row
-    raises the error of the first check that fails in it.
+    raises the error of the first check that fails in it; from_checked
+    takes columns checked where they entered, as _column makes them.
     """
 
     COLUMNS: dict[str, object]
@@ -176,21 +178,27 @@ class ColumnTable(Sequence):
         if set(columns) != set(self.COLUMNS):
             raise TypeError(f"a {type(self).__name__} has the columns "
                             f"{', '.join(self.COLUMNS)}")
+        self._fill({name: col.copy() if isinstance(col, np.ndarray) else col
+                    for name, col in columns.items()})
+        raise_first_bad(list(self.checks({name: getattr(self, name)
+                                          for name in self.COLUMNS}).values()))
+
+    def _fill(self, columns: Mapping[str, Sequence]):
+        """self, holding each of the COLUMNS as _column makes it."""
         for name, dtype in self.COLUMNS.items():
             setattr(self, name, _column(columns[name], dtype))
         if len({len(getattr(self, name)) for name in self.COLUMNS}) > 1:
             raise DataError(f"{type(self).__name__} columns differ in length")
-        raise_first_bad(list(self.checks({name: getattr(self, name)
-                                          for name in self.COLUMNS}).values()))
+        return self
+
+    @classmethod
+    def from_checked(cls, columns: Mapping[str, Sequence]):
+        """A table of columns whose values the caller has checked."""
+        return object.__new__(cls)._fill(columns)
 
     def take(self, index):
         """The rows at index (an index array, a mask or a slice), as a table."""
-        table = object.__new__(type(self))
-        for name in self.COLUMNS:
-            col = getattr(self, name)[index]
-            col.flags.writeable = False
-            setattr(table, name, col)
-        return table
+        return self.from_checked({name: getattr(self, name)[index] for name in self.COLUMNS})
 
     def __len__(self) -> int:
         return len(self.structure_id)
@@ -294,7 +302,7 @@ def _site(row: Sequence[str]) -> SubarraySite:
 def load_subarray_sites(path: str | Path | None = None) -> tuple[SubarraySite, ...]:
     """Read sub-array placements (sub_index,x_mm,y_mm,group) for one die."""
     src = path if path is not None else _data_path("surface17_subarrays.csv")
-    sites = _parse_rows(_read_rows(src, SUBARRAY_HEADER, "sub-array file"), 4, _site,
+    sites = _parse_rows(src, SUBARRAY_HEADER, "sub-array file", _site,
                         "malformed sub-array row: ")
     if len(sites) != 17 or sorted(s.index for s in sites) != list(range(17)):
         raise DataError(f"sub-array file must define indices 0..16, got {len(sites)} rows")
@@ -311,7 +319,7 @@ def _via(row: Sequence[str]) -> tuple[WaferPoint, float]:
 def load_tsv_file(path: str | Path | None = None) -> tuple[tuple[WaferPoint, float], ...]:
     """Read via positions (x_mm,y_mm,diameter_um) in wafer coordinates."""
     src = path if path is not None else _data_path("tsv_vias.csv")
-    return tuple(_parse_rows(_read_rows(src, VIA_HEADER, "via file"), 3, _via,
+    return tuple(_parse_rows(src, VIA_HEADER, "via file", _via,
                              "malformed via row: "))
 
 
@@ -325,8 +333,8 @@ def _sweep_width(row: Sequence[str]) -> tuple[str, float]:
 def load_sweep_file(path: str | Path) -> dict[str, tuple[float, ...]]:
     """Read width sweeps (group,w_nm), ordered within each group."""
     sweeps: dict[str, list[float]] = {}
-    for group, width in _parse_rows(_read_rows(path, SWEEP_HEADER, "sweep file"), 2,
-                                    _sweep_width, "malformed sweep row: "):
+    for group, width in _parse_rows(path, SWEEP_HEADER, "sweep file", _sweep_width,
+                                    "malformed sweep row: "):
         sweeps.setdefault(group, []).append(width)
     if not sweeps:
         raise DataError(f"sweep file {path} is empty")
@@ -529,10 +537,6 @@ def build_35x35(pad_kind: str, omitted_rows: Sequence[int] = ()) -> WaferLayout:
     half = (_GRID_35 - 1) / 2.0
     x, y = (col - half) * _PITCH_35_MM, (row - half) * _PITCH_35_MM
     width = np.full(x.size, UNIFORM_WIDTH_NM)
-    raise_first_bad([(_failing_cells(WaferShape.ROUND_100MM, x, y, width, width),
-                      lambda i: _check_cell(WaferShape.ROUND_100MM, Variant.MANHATTAN,
-                                            x[i].item(), y[i].item(), UNIFORM_WIDTH_NM,
-                                            UNIFORM_WIDTH_NM))])
     excluded = np.isin(row, list(omitted))
     variant = np.full(x.size, VARIANT_CODES[Variant.MANHATTAN], dtype=np.int8)
     zeros = np.zeros(x.size, dtype=np.int64)

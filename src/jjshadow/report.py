@@ -39,7 +39,7 @@ from .analysis import (
 )
 from .errors import DataError, FitError
 from .geometry import VARIANTS, EvaporatorGeometry, Fidelity
-from .synth import MeasurementRecord, MeasurementTable, ParasiticsModel
+from .synth import US_OHM, MeasurementRecord, MeasurementTable, ParasiticsModel
 
 
 def deembed_records(records: Sequence[MeasurementRecord],
@@ -53,13 +53,13 @@ def deembed_records(records: Sequence[MeasurementRecord],
     table = MeasurementTable.from_records(records)
     g = table.g_uS - parasitics.substrate_uS
     on = g > 0.0
-    inv = 1.0e6 / g[on] - parasitics.series_ohm(table.radius_mm()[on])
+    inv = US_OHM / g[on] - parasitics.series_ohm(table.radius_mm()[on])
     bad = np.flatnonzero(inv <= 0.0)
     if bad.size:
         sid = table.structure_id[np.flatnonzero(on)[bad[0]]]
         raise DataError(f"{sid}: reading exceeds the assumed series limit")
     out = np.zeros(len(table))
-    out[on] = 1.0e6 / inv
+    out[on] = US_OHM / inv
     return table.with_conductance(out)
 
 

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import Check, DataError
+from .errors import Check, DataError, raise_first_bad
 from .geometry import (
     VARIANT_CODES,
     VARIANTS,
@@ -50,6 +50,7 @@ from .layout import (
 )
 
 SHORT_PAIR_G_US = 2000.0
+US_OHM = 1.0e6     # uS * ohm: a reading of g uS is a resistance of US_OHM / g ohm
 
 DEFECT_CLASSES = ("open_half", "open_full", "short")
 
@@ -129,6 +130,11 @@ def check_conductance(structure_id: str, g_uS: float) -> None:
         raise DataError(f"negative conductance on {structure_id}")
 
 
+def _conductance_check(sid: Sequence[str], g: np.ndarray) -> Check:
+    """The check of a column of readings: finite and >= 0."""
+    return ~np.isfinite(g) | (g < 0.0), lambda i: check_conductance(sid[i], g[i].item())
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One conductance reading with its provenance.
@@ -181,10 +187,8 @@ class MeasurementTable(ColumnTable):
     @staticmethod
     def checks(columns: Mapping[str, Sequence]) -> dict[str, Check]:
         """structure_checks, then a finite conductance >= 0."""
-        sid, g = columns["structure_id"], columns["g_uS"]
         return {**structure_checks(columns),
-                "conductance": (~np.isfinite(g) | (g < 0.0),
-                                lambda i: check_conductance(sid[i], g[i].item()))}
+                "conductance": _conductance_check(columns["structure_id"], columns["g_uS"])}
 
     @classmethod
     def from_records(cls, records: Iterable[MeasurementRecord]) -> MeasurementTable:
@@ -198,9 +202,13 @@ class MeasurementTable(ColumnTable):
             for r in records], COLUMNS))
 
     def with_conductance(self, g_uS: Sequence[float]) -> MeasurementTable:
-        """The same measurements with new readings."""
-        return MeasurementTable({**{name: getattr(self, name) for name in COLUMNS},
-                                 "g_uS": g_uS})
+        """The same measurements with new readings, the one column checked."""
+        return self.from_checked({**{name: getattr(self, name) for name in COLUMNS},
+                                  "g_uS": np.array(g_uS, dtype=float)})._readings_checked()
+
+    def _readings_checked(self) -> MeasurementTable:
+        raise_first_bad([_conductance_check(self.structure_id, self.g_uS)])
+        return self
 
     def radius_mm(self) -> np.ndarray:
         return _radii(self.x_mm, self.y_mm)
@@ -254,8 +262,9 @@ def synthesize_wafer(layout: WaferLayout, geom: EvaporatorGeometry,
     series = parasitics.series_ohm(_radii(columns["x_mm"], columns["y_mm"]))
     g = np.full(n, parasitics.substrate_uS, dtype=float)
     on = g_pair > 0.0
-    g[on] = 1.0e6 / (1.0e6 / g_pair[on] + series[on]) + parasitics.substrate_uS
-    return MeasurementTable({**columns, "g_uS": g, "truth_flags": flags})
+    g[on] = US_OHM / (US_OHM / g_pair[on] + series[on]) + parasitics.substrate_uS
+    return MeasurementTable.from_checked({**columns, "g_uS": g,
+                                          "truth_flags": flags})._readings_checked()
 
 
 def truth_table(records: Iterable[MeasurementRecord]) -> Mapping[str, set[str]]:

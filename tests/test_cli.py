@@ -436,6 +436,10 @@ class TestRejectedOptions:
         (["--grid", 1, "--noise", "inf"], "--noise must be finite and >= 0, got inf"),
         (["--layout", None, "--stride", 0], "--stride must be >= 1, got 0"),
         (["--layout", None, "--stride", -5], "--stride must be >= 1, got -5"),
+        (["--grid", 1, "--scale", 0], "--scale must be finite and > 0, got 0.0"),
+        (["--grid", 1, "--scale", -2], "--scale must be finite and > 0, got -2.0"),
+        (["--grid", 1, "--scale", "nan"], "--scale must be finite and > 0, got nan"),
+        (["--grid", 1, "--scale", "inf"], "--scale must be finite and > 0, got inf"),
     ])
     def test_render(self, tmp_path, capsys, layout, argv, message):
         out_dir = tmp_path / "imgs"
@@ -443,6 +447,38 @@ class TestRejectedOptions:
         assert run("render", *argv, "--out-dir", out_dir) == 2
         assert f"data error: {message}\n" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.fixture
+    def image(self, tmp_path):
+        assert run("render", "--grid", 1, "--out-dir", tmp_path / "imgs") == 0
+        return tmp_path / "imgs" / "g00_00.pgm"
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_extract_scale(self, tmp_path, capsys, image, scale):
+        out = tmp_path / "e.csv"
+        assert run("extract", "--images", image, "--scale", scale, "--out", out) == 2
+        assert (f"data error: --scale must be finite and > 0, got {float(scale)}\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale, message", [
+        (b"nan", "scale must be finite and > 0, got nan"),
+        (b"inf", "scale must be finite and > 0, got inf"),
+        (b"junk", "could not convert string to float: b'junk'"),
+    ])
+    def test_image_scale_comment(self, tmp_path, capsys, image, scale, message):
+        bad, out = tmp_path / "bad.pgm", tmp_path / "e.csv"
+        bad.write_bytes(image.read_bytes().replace(b"scale_nm_per_px 2.0",
+                                                   b"scale_nm_per_px " + scale))
+        assert run("extract", "--images", bad, "--out", out) == 2
+        assert f"data error: {bad}: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fieldmap_step(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert run("fieldmap", "--quantity", "area", "--step", 0, "--out", out) == 2
+        assert "data error: --step must be finite and > 0, got 0.0\n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def assert_exit(argv, code):

@@ -226,6 +226,27 @@ def csv_module_rows(text):
             if row]
 
 
+def csv_module_read(path, header):
+    """What _read_rows gives for path, from what csv.reader makes of it: the
+    cells of each of the header's columns in the rows before the first row
+    of another width, those rows' line numbers, and that row's error."""
+    width = len(header.split(","))
+    want = csv_module_rows(path.read_text())
+    end = next((k for k, (_, row) in enumerate(want) if len(row) != width), len(want))
+    error = None
+    if end < len(want):
+        error = f"{path}:{want[end][0]}: expected {width} columns, got {len(want[end][1])}"
+    cells = [row for _, row in want[:end]]
+    columns = [list(col) for col in zip(*cells)] if cells else [[]] * width
+    return columns, [lineno for lineno, _ in want[:end]], error
+
+
+def read_rows(path, header):
+    """_read_rows of path, with its line numbers as a list."""
+    columns, lines, error = _read_rows(path, header, "")
+    return columns, list(lines), error
+
+
 def assert_same_columns(table, columns, names):
     for name in names:
         got = getattr(table, name)
@@ -253,7 +274,7 @@ class TestWriteReadProperty:
             assert text == csv_module_text(MEASUREMENT_HEADER, rows)
             assert_same_columns(read_measurements_csv(path), columns, [*STRUCTURE_COLUMNS,
                                                                        "g_uS"])
-            assert list(_read_rows(path, MEASUREMENT_HEADER, "")) == csv_module_rows(text)
+            assert read_rows(path, MEASUREMENT_HEADER) == csv_module_read(path, MEASUREMENT_HEADER)
 
     @PROPERTY
     @given(tables())
@@ -273,7 +294,7 @@ class TestWriteReadProperty:
             assert text == csv_module_text(LAYOUT_HEADER, rows)
             assert_same_columns(read_layout_csv(path).structures, columns,
                                 [*STRUCTURE_COLUMNS, "excluded"])
-            assert list(_read_rows(path, LAYOUT_HEADER, "")) == csv_module_rows(text)
+            assert read_rows(path, LAYOUT_HEADER) == csv_module_read(path, LAYOUT_HEADER)
 
     @PROPERTY
     @given(tables())
@@ -287,32 +308,19 @@ class TestWriteReadProperty:
             assert text == csv_module_text(TRUTH_HEADER, zip(columns["structure_id"], flags))
             assert read_truth_csv(path) == dict(zip(columns["structure_id"],
                                                     columns["truth_flags"]))
-            assert list(_read_rows(path, TRUTH_HEADER, "")) == csv_module_rows(text)
+            assert read_rows(path, TRUTH_HEADER) == csv_module_read(path, TRUTH_HEADER)
 
     @PROPERTY
     @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",),
                                           blacklist_characters='"'), max_size=12),
                     max_size=8),
-           st.integers(1, 4))
-    def test_quote_free_text_reads_as_the_csv_module_reads_it(self, lines, width):
-        text = "\n".join(["h", *lines])
+           st.integers(1, 4).map(lambda width: ",".join(["h"] * width)))
+    def test_quote_free_text_reads_as_the_csv_module_reads_it(self, lines, header):
+        text = "\n".join([header, *lines])
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "q.csv"
             path.write_text(text, newline="")
-            rows = _read_rows(path, "h", "")
-            want = csv_module_rows(path.read_text())
-            assert list(rows) == want
-            # The rows before the first of another width, and that row's error.
-            end = next((k for k, (_, row) in enumerate(want) if len(row) != width), len(want))
-            error = None
-            if end < len(want):
-                error = (f"{path}:{want[end][0]}: expected {width} columns, "
-                         f"got {len(want[end][1])}")
-            cells = [row for _, row in want[:end]]
-            columns = [list(col) for col in zip(*cells)] if cells else [[]] * width
-            got, lines, got_error = rows.columns(width)
-            assert (got, list(lines), got_error) == (
-                columns, [lineno for lineno, _ in want[:end]], error)
+            assert read_rows(path, header) == csv_module_read(path, header)
 
 
 def test_truth_flags_parsed_once_per_distinct_cell(tmp_path):

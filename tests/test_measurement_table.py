@@ -178,6 +178,44 @@ EDGE_ROWS = [
 ]
 
 
+class TestChecksRunOnce:
+    """A read checks each column once, where it enters; synthesis checks only
+    its readings, as its structure columns come from a checked table."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from jjshadow import synth as jsynth
+
+        original, calls = jlayout.structure_checks, []
+
+        def counting(columns):
+            calls.append(len(columns["structure_id"]))
+            return original(columns)
+
+        monkeypatch.setattr(jlayout, "structure_checks", counting)
+        monkeypatch.setattr(jsynth, "structure_checks", counting)
+        monkeypatch.setattr(jlayout.StructureTable, "checks", staticmethod(counting))
+        return calls
+
+    def test_layout_read(self, tmp_path, planar, calls):
+        path = tmp_path / "layout.csv"
+        write_layout_csv(planar, path)
+        calls.clear()
+        read_layout_csv(path)
+        assert calls == [4352]
+
+    def test_measurements_read(self, tmp_path, table, calls):
+        path = tmp_path / "measurements.csv"
+        write_measurements_csv(table, path)
+        calls.clear()
+        read_measurements_csv(path)
+        assert calls == [4352]
+
+    def test_synthesis(self, planar, geom_module, calls):
+        synthesize_wafer(planar, geom_module, PROCESS, ParasiticsModel())
+        assert calls == []
+
+
 def edge_records():
     flags = [frozenset(), frozenset({"short"}), frozenset({"open_half"}),
              frozenset({"open_full"})]

@@ -1,11 +1,15 @@
-"""Read seeded damaged layout and measurement files and print what each
-read gives, so that two checkouts' readers compare with one ``diff``.
+"""Read seeded damaged input files and print what each read gives, so
+that two checkouts' readers compare with one ``diff``.
 
-Makes, in a temporary directory, ``--count`` damaged layout files and as
-many damaged measurement files.  Each holds 1 to 30 rows drawn from the
-rows the checkout writes for the tsv17q-manhattan, planar17q and
-planar35x35-al layouts and for measurements synthesized from them, and
-then up to six damages, drawn from a seeded stream (DAMAGE):
+Makes, in a temporary directory, ``--count`` damaged files of each kind
+the package reads as a table: layout, measurement, truth, render
+manifest, sub-array, via and sweep files.  Each holds 1 to 30 rows (a
+sub-array file all 17, in a drawn order) drawn from the rows of its kind
+that the checkout writes or bundles: the tsv17q-manhattan, planar17q and
+planar35x35-al layouts, measurements and truth synthesized from them, a
+manifest of the tsv17q-manhattan structures, the bundled sub-array and
+via files and the planar width sweeps.  Then come up to six damages,
+drawn from a seeded stream (DAMAGE):
 
 * a cell, or two or three cells of one row, replaced by junk, ``nan``,
   ``inf``, a negative or zero value, an integer outside 64 bits, a bad
@@ -18,11 +22,12 @@ then up to six damages, drawn from a seeded stream (DAMAGE):
 * a repeated structure id.
 
 Each file prints as one line, ``<name>  error  <message>`` with the
-temporary directory stripped, ``<name>  read  <sha256>`` of the table's
-columns as their reprs, or ``<name>  crash  <type>: <message>`` for an
-exception that is not a package error.  Counts of files rejected and read
-go to standard error.  ``--src`` imports jjshadow from another checkout's
-``src/``, also one that predates this script:
+temporary directory stripped, ``<name>  read  <sha256>`` of what the read
+gives (a table's columns, or the repr of the values read), or ``<name>
+crash  <type>: <message>`` for an exception that is not a package error.
+Counts of files rejected and read go to standard error.  ``--src`` imports
+jjshadow from another checkout's ``src/``, also one that predates this
+script:
 
     python tools/fuzz_readers.py > new.txt
     python tools/fuzz_readers.py --src /path/to/other/checkout/src > old.txt
@@ -49,26 +54,50 @@ ROWS_PER_FILE = 30
 
 
 def _pools() -> dict[str, tuple[str, list[str]]]:
-    """The header and body lines the checkout writes, per file kind."""
+    """The header and body lines the checkout writes or bundles, per file kind."""
+    from importlib import resources
+
     from jjshadow.geometry import EvaporatorGeometry, Variant
-    from jjshadow.io import write_layout_csv, write_measurements_csv
-    from jjshadow.layout import build_35x35, build_planar_17q, build_tsv_17q
+    from jjshadow.io import (
+        write_layout_csv,
+        write_manifest_csv,
+        write_measurements_csv,
+        write_truth_csv,
+    )
+    from jjshadow.layout import (
+        PLANAR_SWEEPS,
+        SWEEP_HEADER,
+        build_35x35,
+        build_planar_17q,
+        build_tsv_17q,
+    )
     from jjshadow.synth import ParasiticsModel, ProcessModel, synthesize_wafer
 
     process = ProcessModel(lognormal_sigma=0.05, p_open=0.05, p_short=0.02, seed=1)
     layouts = [build_tsv_17q(Variant.MANHATTAN), build_planar_17q(), build_35x35("al")]
-    pools: dict[str, tuple[str, list[str]]] = {}
+    texts: dict[str, list[list[str]]] = {"layout": [], "measurements": [], "truth": []}
     with tempfile.TemporaryDirectory() as tmp:
-        for k, layout in enumerate(layouts):
-            write_layout_csv(layout, Path(tmp) / f"layout-{k}.csv")
-            write_measurements_csv(synthesize_wafer(layout, EvaporatorGeometry(), process,
-                                                    ParasiticsModel()),
-                                   Path(tmp) / f"measurements-{k}.csv")
-        for kind in ("layout", "measurements"):
-            texts = [Path(tmp, f"{kind}-{k}.csv").read_text().splitlines()
-                     for k in range(len(layouts))]
-            pools[kind] = (texts[0][0], [line for text in texts for line in text[1:]])
-    return pools
+        def lines(write, value) -> list[str]:
+            write(value, Path(tmp) / "file.csv")
+            return Path(tmp, "file.csv").read_text().splitlines()
+
+        for layout in layouts:
+            measurements = synthesize_wafer(layout, EvaporatorGeometry(), process,
+                                            ParasiticsModel())
+            texts["layout"].append(lines(write_layout_csv, layout))
+            texts["measurements"].append(lines(write_measurements_csv, measurements))
+            texts["truth"].append(lines(write_truth_csv, measurements))
+        s = layouts[0].structures
+        texts["manifest"] = [lines(write_manifest_csv, zip(
+            s.structure_id.tolist(), s.x_mm.tolist(), s.y_mm.tolist(),
+            (s.w_bottom_nm // 2).astype(int).tolist(), (s.w_top_nm // 2).astype(int).tolist()))]
+    data = resources.files("jjshadow.data")
+    texts["subarrays"] = [data.joinpath("surface17_subarrays.csv").read_text().splitlines()]
+    texts["vias"] = [data.joinpath("tsv_vias.csv").read_text().splitlines()]
+    texts["sweeps"] = [[SWEEP_HEADER, *(f"{group},{width!r}" for group, sweep
+                                        in PLANAR_SWEEPS.items() for width in sweep)]]
+    return {kind: (files[0][0], [line for text in files for line in text[1:]])
+            for kind, files in texts.items()}
 
 
 # Kinds of damage, and how often each is drawn.
@@ -81,10 +110,12 @@ def _damage(rng: random.Random, rows: list[list[str]]) -> list[str]:
     blanks = []
     for what in rng.choices(list(DAMAGE), list(DAMAGE.values()), k=rng.randrange(7)):
         row = rng.choice(rows)
+        if len(row) < 2:                # a short row's cells are already lost
+            continue
         if what == "junk cell":
             row[rng.randrange(len(row))] = rng.choice(JUNK)
         elif what == "junk cells":         # the order of checks within a row
-            for k in rng.sample(range(1, len(row)), rng.randint(2, 3)):
+            for k in rng.sample(range(1, len(row)), min(len(row) - 1, rng.randint(2, 3))):
                 row[k] = rng.choice(JUNK)
         elif what == "wrong width":
             if rng.random() < 0.5:
@@ -112,21 +143,41 @@ def _damage(rng: random.Random, rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def _digest(table, names) -> str:
-    text = "\n".join(repr(getattr(table, name).tolist()) for name in names)
+def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _columns(table, names) -> str:
+    return _digest("\n".join(repr(getattr(table, name).tolist()) for name in names))
 
 
 def fuzz(count: int, seed: int) -> tuple[list[str], Counter]:
     """One line per damaged file, and the count of each outcome per kind."""
     from jjshadow.errors import JJShadowError
-    from jjshadow.io import read_layout_csv, read_measurements_csv
-    from jjshadow.layout import LAYOUT_COLUMNS
+    from jjshadow.io import (
+        read_layout_csv,
+        read_manifest_csv,
+        read_measurements_csv,
+        read_truth_csv,
+    )
+    from jjshadow.layout import (
+        LAYOUT_COLUMNS,
+        load_subarray_sites,
+        load_sweep_file,
+        load_tsv_file,
+    )
     from jjshadow.synth import COLUMNS
 
     readers = {
-        "layout": lambda path: _digest(read_layout_csv(path).structures, LAYOUT_COLUMNS),
-        "measurements": lambda path: _digest(read_measurements_csv(path), COLUMNS),
+        "layout": lambda path: _columns(read_layout_csv(path).structures, LAYOUT_COLUMNS),
+        "measurements": lambda path: _columns(read_measurements_csv(path), COLUMNS),
+        # flags sorted: a frozenset's order varies with the string hash seed
+        "truth": lambda path: _digest(repr([(sid, sorted(flags)) for sid, flags
+                                            in read_truth_csv(path).items()])),
+        "manifest": lambda path: _digest(repr(list(read_manifest_csv(path).items()))),
+        "subarrays": lambda path: _digest(repr(load_subarray_sites(path))),
+        "vias": lambda path: _digest(repr(load_tsv_file(path))),
+        "sweeps": lambda path: _digest(repr(load_sweep_file(path))),
     }
     out, counts = [], Counter()
     with tempfile.TemporaryDirectory() as tmp:
@@ -135,8 +186,9 @@ def fuzz(count: int, seed: int) -> tuple[list[str], Counter]:
             for k in range(count):
                 name = f"{kind}-{k:05d}.csv"
                 path = Path(tmp) / name
-                rows = [line.split(",") for line in
-                        rng.sample(pool, rng.randint(1, ROWS_PER_FILE))]
+                size = (rng.randint(1, ROWS_PER_FILE) if len(pool) > ROWS_PER_FILE
+                        else len(pool))         # every row of a sub-array file
+                rows = [line.split(",") for line in rng.sample(pool, size)]
                 path.write_text("\n".join([header, *_damage(rng, rows)]) + "\n")
                 try:
                     outcome, text = "read", readers[kind](path)
