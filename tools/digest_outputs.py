@@ -10,6 +10,11 @@ Runs, in one process and against the checkout's own src/:
   --layout`` of each of those measurement files; again with ``--seed 7``
   when the configuration's process model draws random numbers (disorder,
   opens or shorts), since otherwise no output depends on the seed,
+* with the default configuration only, ``simulate`` and ``analyze`` of every
+  layout at both seeds under ``dual-rsd.cfg`` (outputs under ``dual-rsd/``):
+  the default filter with ``analysis.dual_rsd`` on and the benchmark's
+  random process, so the unfiltered RSD of a sweep layout is digested
+  under the default filter too,
 * ``compensate`` of every layout in both modes at all three fidelities,
   plus a tight width limit that leaves structures unattainable,
 * ``fieldmap`` for every quantity at every fidelity on a 2 mm grid, and on
@@ -60,6 +65,9 @@ DATA_DIR = ROOT / "tests" / "data"
 BUNDLED = ROOT / "src" / "jjshadow" / "data"
 # Reference set name -> config file in DATA_DIR (None: the default config).
 REFERENCE_SETS = {"default": None, "non-default": "non-default.cfg"}
+# The default filter with dual RSD on and the wafer-mc benchmark's process.
+DUAL_RSD_CONFIG = DATA_DIR / "dual-rsd.cfg"
+DUAL_RSD_DIR = "dual-rsd"
 
 FIELDMAP_STEP_MM = "2"
 FINE_STEP_MM = "0.3"            # ~87k disc cells, near the benchmark's 0.25 mm map
@@ -83,6 +91,25 @@ def _seeds(config: str | None) -> tuple[str, ...]:
     return SEEDS if random_process else SEEDS[:1]
 
 
+def _simulate_analyze(out: Path, kinds: list[str], config: list[str],
+                      seeds: tuple[str, ...],
+                      prefix: str = "") -> list[tuple[list[str], list[str]]]:
+    """simulate then analyze of each layout at each seed, outputs named
+    under prefix."""
+    runs = []
+    for kind in kinds:
+        layout = ["--layout", str(out / f"layout-{kind}.csv")]
+        for seed in seeds:
+            sim = f"{prefix}simulate-{kind}-{seed}.csv"
+            truth = f"{prefix}truth-{kind}-{seed}.csv"
+            runs.append((["simulate", *layout, "--seed", seed, "--out", str(out / sim),
+                          "--truth-out", str(out / truth), *config], [sim, truth]))
+            report = f"{prefix}analyze-{kind}-{seed}"
+            runs.append((["analyze", "--measurements", str(out / sim), *layout,
+                          "--out-dir", str(out / report), *config], [report]))
+    return runs
+
+
 def _commands(out: Path, config: list[str],
               seeds: tuple[str, ...]) -> list[tuple[list[str], list[str]]]:
     """(argv, names of its outputs) for every run, in a fixed order."""
@@ -98,15 +125,7 @@ def _commands(out: Path, config: list[str],
         name = f"layout-{kind}-files.csv"
         runs.append((["layout", "--kind", kind, *sites, *extra, "--out", str(out / name)],
                      [name]))
-    for kind in kinds:
-        layout = ["--layout", str(out / f"layout-{kind}.csv")]
-        for seed in seeds:
-            sim, truth = f"simulate-{kind}-{seed}.csv", f"truth-{kind}-{seed}.csv"
-            runs.append((["simulate", *layout, "--seed", seed, "--out", str(out / sim),
-                          "--truth-out", str(out / truth), *config], [sim, truth]))
-            report = f"analyze-{kind}-{seed}"
-            runs.append((["analyze", "--measurements", str(out / sim), *layout,
-                          "--out-dir", str(out / report), *config], [report]))
+    runs += _simulate_analyze(out, kinds, config, seeds)
     for kind in kinds:
         layout = ["--layout", str(out / f"layout-{kind}.csv")]
         for fid in Fidelity:
@@ -137,6 +156,9 @@ def _commands(out: Path, config: list[str],
                   "--out", str(out / "extract.csv")], ["extract.csv"]))
     runs.append((["write-config", "--out", str(out / "write-config.cfg")],
                  ["write-config.cfg"]))
+    if not config:
+        runs += _simulate_analyze(out, kinds, ["--config", str(DUAL_RSD_CONFIG)], SEEDS,
+                                  f"{DUAL_RSD_DIR}/")
     return runs
 
 
@@ -147,6 +169,7 @@ def digest_outputs(out: Path, config: str | None) -> list[str]:
     extra = ["--config", config] if config else []
     _write_sweeps(out / "sweeps-planar.csv", PLANAR_SWEEPS)
     _write_sweeps(out / "sweeps-tsv.csv", {"all": TSV_SWEEP})
+    (out / DUAL_RSD_DIR).mkdir()
     for argv, names in _commands(out, extra, _seeds(config)):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
