@@ -12,6 +12,14 @@ function takes any sequence of records and converts it once.  The columns
 go through the arithmetic a record-by-record loop would do: the same numpy
 reductions (mean, std, polyfit) on the same values in the same order, and
 Python sum where such a loop sums in Python, so results agree to the bit.
+_moments makes numpy's mean and std sums itself (np.add.reduce, not the
+Python-level _var), with the same bits.
+
+The public functions are thin wrappers over private helpers on tables,
+which report.build_report calls directly to compute each result once:
+_regression (a die's two passes, and its pass-1 line), _design_groups
+(each design group's rows, mean and std, for the CV and the heatmap
+means), _heatmap, _conductivity and _quadratic.
 """
 
 from __future__ import annotations
@@ -133,26 +141,32 @@ def _distinct(values: np.ndarray) -> int:
     return len(set(values.tolist()))
 
 
-def _polyfit(xs: np.ndarray, ys: np.ndarray, deg: int, message: str) -> list[float]:
+def _polyfit(xs: np.ndarray, ys: np.ndarray, deg: int, message: str,
+             distinct: int | None = None) -> list[float]:
     """np.polyfit's coefficients, highest power first, as Python floats;
-    FitError(message) when fewer than deg + 1 distinct xs determine them."""
-    if _distinct(xs) < deg + 1:
+    FitError(message) when fewer than deg + 1 distinct xs determine them.
+    distinct is the count of distinct xs, when the caller has made it."""
+    if (_distinct(xs) if distinct is None else distinct) < deg + 1:
         raise FitError(message)
     return np.polyfit(xs, ys, deg).tolist()
 
 
 def _regression(xs: np.ndarray, gs: np.ndarray, die: tuple[int, int], cfg: FilterConfig,
-                ) -> tuple[float, float, np.ndarray]:
-    """The two-pass filter on one die's columns: pass-2 slope, intercept and kept mask."""
-    if _distinct(xs) < 3:
+                ) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """The two-pass filter on one die's columns: pass-2 slope, intercept and
+    kept mask, and the pass-1 line at xs (the die's unfiltered fit)."""
+    distinct = _distinct(xs)
+    if distinct < 3:
         raise FitError(f"die {die}: fewer than 3 distinct regressor values")
-    slope1, icept1 = _polyfit(xs, gs, 1, f"die {die} pass 1: regression is underdetermined")
-    keep = ~(gs < cfg.rel_threshold * (slope1 * xs + icept1))
+    slope1, icept1 = _polyfit(xs, gs, 1, f"die {die} pass 1: regression is underdetermined",
+                              distinct)
+    line1 = slope1 * xs + icept1
+    keep = ~(gs < cfg.rel_threshold * line1)
     if keep.sum() < 2:
         raise FitError(f"die {die}: regression filter rejected nearly all records")
     slope2, icept2 = _polyfit(xs[keep], gs[keep], 1,
                               f"die {die} pass 2: regression is underdetermined")
-    return slope2, icept2, keep
+    return slope2, icept2, keep, line1
 
 
 def regression_filter_die(records: Sequence[MeasurementRecord], cfg: FilterConfig,
@@ -172,7 +186,7 @@ def regression_filter_die(records: Sequence[MeasurementRecord], cfg: FilterConfi
         other = (int(table.die_x[mixed[0]]), int(table.die_y[mixed[0]]))
         raise DataError(f"records of dies {die} and {other} mixed in one fit")
     xs, gs, ids = _regressor(table, cfg), table.g_uS, table.structure_id
-    slope, intercept, keep = _regression(xs, gs, die, cfg)
+    slope, intercept, keep, _ = _regression(xs, gs, die, cfg)
     residuals = gs[keep] - (slope * xs[keep] + intercept)
     return RegressionFit(die, slope, intercept,
                          tuple(zip(ids[keep].tolist(), residuals.tolist())),
@@ -234,12 +248,48 @@ def _design_runs(table: MeasurementTable, by_die: bool = False) -> list[np.ndarr
     return _runs(keys + (table.die_y, table.die_x) if by_die else keys)
 
 
+def _moments(values: np.ndarray, ddof: int = 0) -> tuple[float, float]:
+    """values.mean() and values.std(ddof=ddof), to the bit.
+
+    numpy computes both with the same two pairwise sums, np.add.reduce of
+    the values and of their squared deviations from that mean, each divided
+    by a count; this makes those sums without numpy's Python-level _var.
+    """
+    n = len(values)
+    mean = np.add.reduce(values) / n
+    dev = values - mean
+    return float(mean), float(np.sqrt(np.add.reduce(dev * dev) / max(n - ddof, 0)))
+
+
 def _group_stats(values: np.ndarray) -> tuple[float, float]:
     """Mean and population std of a design group's conductances; a constant
     group's are its value and 0.0, bit-exactly."""
     if np.all(values == values[0]):
         return float(values[0]), 0.0
-    return float(values.mean()), float(values.std(ddof=0))
+    return _moments(values)
+
+
+DesignGroup = tuple[tuple, np.ndarray, float, float]    # key, rows, mean, std
+
+
+def _design_groups(table: MeasurementTable, by_die: bool = False) -> list[DesignGroup]:
+    """Each identical-design group of table, in key order: its conductance_cv
+    key, its rows and the mean and population std of their conductances."""
+    groups = []
+    for idx in _design_runs(table, by_die):
+        i = idx[0]
+        key: tuple = (VARIANTS[table.variant[i]].value, float(table.a_overlap_designed_um2[i]))
+        if by_die:
+            key = ((int(table.die_x[i]), int(table.die_y[i])),) + key
+        groups.append((key, idx, *_group_stats(table.g_uS[idx])))
+    return groups
+
+
+def _cv(groups: list[DesignGroup]) -> dict[tuple, CvStats]:
+    """The CvStats of each group, by its key."""
+    return {key: CvStats(n=len(idx), mean_uS=mean, std_uS=std,
+                         cv=std / mean if len(idx) > 1 else None)
+            for key, idx, mean, std in groups}
 
 
 def conductance_cv(records: Iterable[MeasurementRecord], scope: str = "wafer",
@@ -251,18 +301,7 @@ def conductance_cv(records: Iterable[MeasurementRecord], scope: str = "wafer",
     """
     if scope not in ("wafer", "die"):
         raise ValueError(f"scope must be 'wafer' or 'die', got {scope!r}")
-    table = MeasurementTable.from_records(records)
-    out = {}
-    for idx in _design_runs(table, by_die=scope == "die"):
-        i = idx[0]
-        key: tuple = (VARIANTS[table.variant[i]].value, float(table.a_overlap_designed_um2[i]))
-        if scope == "die":
-            key = ((int(table.die_x[i]), int(table.die_y[i])),) + key
-        vals = table.g_uS[idx]
-        mean, std = _group_stats(vals)
-        out[key] = CvStats(n=len(vals), mean_uS=mean, std_uS=std,
-                           cv=std / mean if len(vals) > 1 else None)
-    return out
+    return _cv(_design_groups(MeasurementTable.from_records(records), scope == "die"))
 
 
 def _rsd(g_uS: np.ndarray, g_fit, model: FrequencyModel) -> float:
@@ -270,7 +309,7 @@ def _rsd(g_uS: np.ndarray, g_fit, model: FrequencyModel) -> float:
     if len(g_uS) < 2:
         return 0.0
     residuals = _frequencies(g_uS, model) - _frequencies(np.maximum(g_fit, 0.0), model)
-    return float(np.std(residuals, ddof=1))
+    return _moments(residuals, ddof=1)[1]
 
 
 def frequency_rsd(records: Sequence[MeasurementRecord],
@@ -323,6 +362,31 @@ def _axis(coords: list[float], extra: Iterable[float], descending: bool,
     return axis, [where[rounded[c]] for c in coords]
 
 
+def _normalized(table: MeasurementTable, groups: list[DesignGroup]) -> np.ndarray:
+    """Each row's G over the mean G of its group, of groups covering table."""
+    ratio = np.empty(len(table))
+    for _, idx, mean, _ in groups:
+        if mean == 0.0:
+            raise DataError(f"zero mean conductance in the design group of "
+                            f"{table.structure_id[idx[0]]}")
+        ratio[idx] = table.g_uS[idx] / mean
+    return ratio
+
+
+def _heatmap(x_mm: np.ndarray, y_mm: np.ndarray, ratio: np.ndarray,
+             grid: Sequence[WaferPoint]) -> HeatmapGrid:
+    """The grid of ratio at the positions (x_mm, y_mm) and the cells of grid."""
+    xs, col = _axis(x_mm.tolist(), (p.x_mm for p in grid), descending=False)
+    ys, row = _axis(y_mm.tolist(), (p.y_mm for p in grid), descending=True)
+    cell = np.array(row, dtype=np.intp) * len(xs) + np.array(col, dtype=np.intp)
+    last = len(cell) - 1 - np.unique(cell[::-1], return_index=True)[1]  # later records win
+    values = np.zeros((len(ys), len(xs)))
+    valid = np.zeros((len(ys), len(xs)), dtype=bool)
+    values.flat[cell[last]] = ratio[last]
+    valid.flat[cell[last]] = True
+    return HeatmapGrid(xs=xs, ys=ys, values=values, valid=valid)
+
+
 def normalized_heatmap(records: Sequence[MeasurementRecord],
                        grid_positions: Iterable[WaferPoint] = (),
                        ) -> HeatmapGrid:
@@ -333,39 +397,15 @@ def normalized_heatmap(records: Sequence[MeasurementRecord],
     """
     table = MeasurementTable.from_records(records)
     grid = list(grid_positions)
-    ratio = np.empty(len(table))
-    for idx in _design_runs(table):
-        mean = _group_stats(table.g_uS[idx])[0]
-        if mean == 0.0:
-            raise DataError(f"zero mean conductance in the design group of "
-                            f"{table.structure_id[idx[0]]}")
-        ratio[idx] = table.g_uS[idx] / mean
-    xs, col = _axis(table.x_mm.tolist(), (p.x_mm for p in grid), descending=False)
-    ys, row = _axis(table.y_mm.tolist(), (p.y_mm for p in grid), descending=True)
-    cell = np.array(row, dtype=np.intp) * len(xs) + np.array(col, dtype=np.intp)
-    last = len(cell) - 1 - np.unique(cell[::-1], return_index=True)[1]  # later records win
-    values = np.zeros((len(ys), len(xs)))
-    valid = np.zeros((len(ys), len(xs)), dtype=bool)
-    values.flat[cell[last]] = ratio[last]
-    valid.flat[cell[last]] = True
-    return HeatmapGrid(xs=xs, ys=ys, values=values, valid=valid)
+    return _heatmap(table.x_mm, table.y_mm, _normalized(table, _design_groups(table)), grid)
 
 
-def effective_conductivity(records: Sequence[MeasurementRecord],
-                           areas: str = "designed",
-                           geom: EvaporatorGeometry | None = None,
-                           fidelity: Fidelity = Fidelity.FULL,
-                           area_table: Mapping[str, float] | None = None,
-                           ) -> list[tuple[float, float]]:
-    """Per-structure G over total junction area, paired with radius d.
-
-    areas='designed' divides by the drawn areas; 'actual' by the shadow
-    model's areas (requires geom) or, if area_table maps structure ids to
-    per-junction um^2 (e.g. from image extraction), by those.
-    """
-    if areas not in ("designed", "actual"):
-        raise ValueError(f"areas must be 'designed' or 'actual', got {areas!r}")
-    table = MeasurementTable.from_records(records)
+def _conductivity(table: MeasurementTable, areas: str,
+                  geom: EvaporatorGeometry | None = None,
+                  fidelity: Fidelity = Fidelity.FULL,
+                  area_table: Mapping[str, float] | None = None) -> np.ndarray:
+    """Each row's G over its total junction area, as effective_conductivity
+    takes the areas."""
     if areas == "designed":
         per_junction = table.a_overlap_designed_um2
     elif area_table is not None:
@@ -383,13 +423,39 @@ def effective_conductivity(records: Sequence[MeasurementRecord],
     bad = np.flatnonzero(total <= 0.0)
     if bad.size:
         raise DataError(f"zero junction area for {table.structure_id[bad[0]]}")
-    return list(zip(table.radius_mm().tolist(), (table.g_uS / total).tolist()))
+    return table.g_uS / total
+
+
+def effective_conductivity(records: Sequence[MeasurementRecord],
+                           areas: str = "designed",
+                           geom: EvaporatorGeometry | None = None,
+                           fidelity: Fidelity = Fidelity.FULL,
+                           area_table: Mapping[str, float] | None = None,
+                           ) -> list[tuple[float, float]]:
+    """Per-structure G over total junction area, paired with radius d.
+
+    areas='designed' divides by the drawn areas; 'actual' by the shadow
+    model's areas (requires geom) or, if area_table maps structure ids to
+    per-junction um^2 (e.g. from image extraction), by those.
+    """
+    if areas not in ("designed", "actual"):
+        raise ValueError(f"areas must be 'designed' or 'actual', got {areas!r}")
+    table = MeasurementTable.from_records(records)
+    values = _conductivity(table, areas, geom, fidelity, area_table)
+    return list(zip(table.radius_mm().tolist(), values.tolist()))
+
+
+def _quadratic(radii: np.ndarray, values: np.ndarray, distinct: int,
+               ) -> tuple[float, float, float]:
+    """quadratic_radial_fit of the points (radii, values), of which distinct
+    radii are distinct."""
+    c, b, a = _polyfit(radii, values, 2, "quadratic fit needs at least 3 distinct radii",
+                       distinct)
+    return a, b, c
 
 
 def quadratic_radial_fit(points: Sequence[tuple[float, float]],
                          ) -> tuple[float, float, float]:
     """Least-squares a + b*d + c*d^2 through (d, value) points."""
-    c, b, a = _polyfit(np.asarray([d for d, _ in points], float),
-                       np.asarray([v for _, v in points], float), 2,
-                       "quadratic fit needs at least 3 distinct radii")
-    return a, b, c
+    radii = np.asarray([d for d, _ in points], float)
+    return _quadratic(radii, np.asarray([v for _, v in points], float), _distinct(radii))

@@ -92,6 +92,8 @@ def read_pgm(path: str | Path, scale_nm_per_px: float | None = None) -> GrayImag
             continue
         if data[pos:pos + 1] == b"#":
             end = data.find(b"\n", pos)
+            if end < 0:
+                raise DataError(f"{path}: truncated PGM header")
             comment = data[pos + 1:end].split()
             if len(comment) == 2 and comment[0] == b"scale_nm_per_px":
                 comment_scale = comment[1]
@@ -104,6 +106,9 @@ def read_pgm(path: str | Path, scale_nm_per_px: float | None = None) -> GrayImag
         pos = end
     if fields[0] != b"P5":
         raise DataError(f"{path}: not a binary PGM (P5) file")
+    if not all(f.isdigit() and len(f) < 20 for f in fields[1:]):
+        raise DataError(f"{path}: PGM width, height and maxval must be decimal integers, "
+                        f"got {b' '.join(fields[1:]).decode(errors='replace')!r}")
     width, height, maxval = (int(f) for f in fields[1:])
     if maxval != 255:
         raise DataError(f"{path}: only 8-bit PGM supported, maxval={maxval}")

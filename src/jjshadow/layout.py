@@ -304,8 +304,15 @@ def load_subarray_sites(path: str | Path | None = None) -> tuple[SubarraySite, .
     src = path if path is not None else _data_path("surface17_subarrays.csv")
     sites = _parse_rows(src, SUBARRAY_HEADER, "sub-array file", _site,
                         "malformed sub-array row: ")
-    if len(sites) != 17 or sorted(s.index for s in sites) != list(range(17)):
+    if len(sites) != 17:
         raise DataError(f"sub-array file must define indices 0..16, got {len(sites)} rows")
+    seen: set[int] = set()
+    for site in sites:
+        if not 0 <= site.index <= 16:
+            raise DataError(f"{src}: sub-array index {site.index} is outside 0..16")
+        if site.index in seen:
+            raise DataError(f"{src}: sub-array index {site.index} is defined twice")
+        seen.add(site.index)
     return tuple(sorted(sites, key=lambda s: s.index))
 
 

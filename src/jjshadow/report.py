@@ -8,8 +8,12 @@ fits into one UniformityReport with a deterministic text rendering.
 
 The report runs on the columns of a MeasurementTable: it sorts one index
 array by (variant, die) and loops over those groups, never over records.
-CV, heatmaps and conductivity fits are the analysis functions, called
-with sub-tables.
+It computes each group's result once, with the analysis helpers that the
+public functions wrap, and shares it where the public functions would
+compute it again from the same values in the same order, so the bits are
+the same: a sweep die's pass-1 line is its unfiltered fit, the wafer CV's
+group means normalize the heatmaps, and a variant's two conductivity fits
+share its radii and their distinct count.
 """
 
 from __future__ import annotations
@@ -24,18 +28,21 @@ from .analysis import (
     FilterConfig,
     FrequencyModel,
     HeatmapGrid,
+    _conductivity,
+    _cv,
+    _design_groups,
+    _distinct,
     _exact_mean,
+    _heatmap,
     _in_window,
     _mean_keep,
+    _normalized,
     _polyfit,
+    _quadratic,
     _regression,
     _regressor,
     _rsd,
     _runs,
-    conductance_cv,
-    effective_conductivity,
-    normalized_heatmap,
-    quadratic_radial_fit,
 )
 from .errors import DataError, FitError
 from .geometry import VARIANTS, EvaporatorGeometry, Fidelity
@@ -116,8 +123,10 @@ def build_report(records: Sequence[MeasurementRecord], cfg: FilterConfig,
     uniform = _is_uniform(table)
 
     def by_variant(idx: np.ndarray) -> list[tuple[str, np.ndarray]]:
+        """(variant, positions in idx of its rows) per variant, in code order."""
         codes = table.variant[idx]
-        return [(VARIANTS[c].value, idx[codes == c]) for c in np.unique(codes).tolist()]
+        return [(VARIANTS[c].value, np.flatnonzero(codes == c))
+                for c in np.unique(codes).tolist()]
 
     def refit(idx: np.ndarray, who: str):
         """The pipeline's model (mean or line) fitted once to all of idx,
@@ -138,6 +147,7 @@ def build_report(records: Sequence[MeasurementRecord], cfg: FilterConfig,
 
     keep = np.zeros(len(table), dtype=bool)             # kept by the relative filter
     fitted = {}     # (variant, die) -> kept rows, and the die's mean or pass-2 line there
+    unfitted = {}   # (variant, die) -> a sweep die's pass-1 line at all its rows
     if uniform:
         keep[abs_kept] = _mean_keep(g[abs_kept], cfg)
         for key, idx in by_die:
@@ -148,50 +158,59 @@ def build_report(records: Sequence[MeasurementRecord], cfg: FilterConfig,
         kept = abs_kept[keep[abs_kept]]
     else:
         for key, idx in by_die:
-            slope, intercept, die_keep = _regression(x[idx], g[idx], key[1], cfg)
+            slope, intercept, die_keep, unfitted[key] = _regression(x[idx], g[idx], key[1], cfg)
             rows = idx[die_keep]
             keep[rows] = True
             fitted[key] = rows, slope * x[rows] + intercept
         kept = np.concatenate([rows for rows, _ in fitted.values()])
 
     rsd_die = {key: _rsd(g[rows], fit, fmodel) for key, (rows, fit) in fitted.items()}
-    rsd_wafer = {variant: _rsd(g[idx], refit(idx, f"{variant} wafer"), fmodel)
-                 for variant, idx in by_variant(kept)}
+    kept_by_variant = by_variant(kept)
+    rsd_wafer = {variant: _rsd(g[kept[pos]], refit(kept[pos], f"{variant} wafer"), fmodel)
+                 for variant, pos in kept_by_variant}
 
     rsd_die_nf = rsd_wafer_nf = None
     if dual_rsd:
-        rsd_die_nf = {
-            key: _rsd(g[idx], refit(idx, f"{key[0]} die {key[1]} unfiltered"), fmodel)
-            for key, idx in by_die}
+        # A sweep die's pass-1 line is its unfiltered fit: one fit to the same rows.
+        rsd_die_nf = {key: _rsd(g[idx], _exact_mean(g[idx]) if uniform else unfitted[key],
+                                fmodel) for key, idx in by_die}
         rsd_wafer_nf = {
-            variant: _rsd(g[idx], refit(idx, f"{variant} wafer unfiltered"), fmodel)
-            for variant, idx in by_variant(abs_kept)}
+            variant: _rsd(g[abs_kept[pos]],
+                          refit(abs_kept[pos], f"{variant} wafer unfiltered"), fmodel)
+            for variant, pos in by_variant(abs_kept)}
 
-    kept_by_variant = [(variant, table.take(idx)) for variant, idx in by_variant(kept)]
-    heatmaps = {variant: normalized_heatmap(sub, (grid_positions or {}).get(variant, ()))
-                for variant, sub in kept_by_variant}
+    # The wafer CV's groups are the heatmaps' design groups: the same kept
+    # rows in the same order, so their means normalize the heatmaps.
+    kept_table = table.take(kept)
+    groups = _design_groups(kept_table)
+    ratio = _normalized(kept_table, groups)
+    heatmaps = {variant: _heatmap(kept_table.x_mm[pos], kept_table.y_mm[pos], ratio[pos],
+                                  list((grid_positions or {}).get(variant, ())))
+                for variant, pos in kept_by_variant}
 
     fit_designed, fit_actual = {}, {}
-    for variant, sub in kept_by_variant:
+    for variant, pos in kept_by_variant:
+        sub = kept_table.take(pos)
+        radii = sub.radius_mm()
+        distinct = _distinct(radii)
         try:
-            fit_designed[variant] = quadratic_radial_fit(effective_conductivity(sub))
+            fit_designed[variant] = _quadratic(radii, _conductivity(sub, "designed"), distinct)
         except FitError:
             pass                        # degenerate radii (e.g. single position)
         if geom is not None:
             try:
-                fit_actual[variant] = quadratic_radial_fit(
-                    effective_conductivity(sub, "actual", geom, fidelity))
+                fit_actual[variant] = _quadratic(
+                    radii, _conductivity(sub, "actual", geom, fidelity), distinct)
             except FitError:
                 pass
 
-    kept_table = table.take(kept)
     return UniformityReport(
         pipeline="uniform" if uniform else "sweep",
         total=len(table),
         abs_rejected_ids=frozenset(ids[~in_window]),
         rel_rejected_ids=frozenset(ids[in_window & ~keep]),
         kept=kept_table,
-        cv_by_area=conductance_cv(kept_table, "wafer"),
+        cv_by_area=_cv(groups),
         rsd_die_mhz=rsd_die,
         rsd_wafer_mhz=rsd_wafer,
         rsd_die_nf_mhz=rsd_die_nf,

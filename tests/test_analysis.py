@@ -1,14 +1,18 @@
 """Filtering, frequency prediction, CV/RSD, heatmaps, conductivity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jjshadow.analysis import (
     FilterConfig,
     FrequencyModel,
     Regressor,
+    _moments,
     absolute_filter,
     conductance_cv,
     effective_conductivity,
@@ -187,6 +191,35 @@ class TestConductanceCv:
             die_cvs = [s.cv for (d, v, a), s in die.items()
                        if v == variant and a == area and s.cv is not None]
             assert stats.cv > max(die_cvs)
+
+
+@st.composite
+def moment_groups(draw) -> np.ndarray:
+    """Groups of 1-300 values: conductance-like, constant, or of wide and
+    mixed magnitudes (squares that overflow included)."""
+    n = draw(st.one_of(st.integers(1, 2), st.integers(3, 300)))
+    kind = draw(st.sampled_from(["conductance", "constant", "wide"]))
+    if kind == "constant":
+        return np.full(n, draw(st.floats(allow_nan=False, allow_infinity=False)))
+    if kind == "conductance":
+        values = st.floats(20.0, 500.0)
+    else:
+        values = st.floats(allow_nan=False, allow_infinity=False)
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(moment_groups())
+def test_moments_equal_numpy_to_the_bit(values):
+    with warnings.catch_warnings():         # ddof=1 of one value is nan in both
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = (*_moments(values), _moments(values, ddof=1)[1])
+        want = (values.mean(), values.std(), np.std(values, ddof=1))
+    assert list(map(_bits, got)) == list(map(_bits, want))
 
 
 class TestFrequencyRsd:

@@ -474,6 +474,20 @@ class TestRejectedOptions:
         assert f"data error: {bad}: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("header, message", [
+        (b"P5\nx 2\n255\n" + bytes(8),
+         "PGM width, height and maxval must be decimal integers, got 'x 2 255'"),
+        (b"P5\n-2 -2\n255\n" + bytes(4),
+         "PGM width, height and maxval must be decimal integers, got '-2 -2 255'"),
+        (b"P5\n# scale_nm_per_px 2.0", "truncated PGM header"),
+    ])
+    def test_image_header(self, tmp_path, capsys, header, message):
+        bad, out = tmp_path / "bad.pgm", tmp_path / "e.csv"
+        bad.write_bytes(header)
+        assert run("extract", "--images", bad, "--out", out) == 2
+        assert f"data error: {bad}: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fieldmap_step(self, tmp_path, capsys):
         out = tmp_path / "f.csv"
         assert run("fieldmap", "--quantity", "area", "--step", 0, "--out", out) == 2

@@ -1,6 +1,7 @@
 """Renderer and threshold-sweep extractor, including round trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,20 @@ class TestPgmIO:
         with pytest.raises(DataError):
             read_pgm(path)
         assert read_pgm(path, scale_nm_per_px=1.0).width_px == 4
+
+    @pytest.mark.parametrize("data, message", [
+        (b"P5\nx 2\n255\n" + bytes(8), "decimal integers, got 'x 2 255'"),
+        (b"P5\n4 2\n2.5e2\n" + bytes(8), "decimal integers, got '4 2 2.5e2'"),
+        (b"P5\n-2 -2\n255\n" + bytes(4), "decimal integers, got '-2 -2 255'"),
+        (b"P5\n4 " + b"9" * 5000 + b"\n255\n", "decimal integers, got '4 999"),
+        (b"P5\n# scale_nm_per_px 2.0", "truncated PGM header"),
+        (b"P5\n4 2\n255\n" + bytes(7), "raster size mismatch"),
+    ])
+    def test_malformed_header_names_the_file(self, tmp_path, data, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            read_pgm(path, scale_nm_per_px=1.0)
 
     def test_rejects_non_p5(self, tmp_path):
         path = tmp_path / "ascii.pgm"

@@ -340,6 +340,29 @@ def test_non_finite_subarray_offset_rejected(tmp_path):
         load_subarray_sites(path)
 
 
+@pytest.mark.parametrize("row, index, message", [
+    (9, 3, "sub-array index 3 is defined twice"),
+    (16, 17, "sub-array index 17 is outside 0..16"),
+    (1, -1, "sub-array index -1 is outside 0..16"),
+])
+def test_bad_subarray_index_names_file_and_index(tmp_path, row, index, message):
+    path = tmp_path / "sites.csv"
+    rows = ["sub_index,x_mm,y_mm,group"] + [f"{k},{k * 0.5},0.0,m" for k in range(17)]
+    rows[row] = f"{index},1.0,0.0,m"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_subarray_sites(path)
+
+
+def test_subarray_row_count_checked_first(tmp_path):
+    path = tmp_path / "sites.csv"
+    path.write_text("sub_index,x_mm,y_mm,group\n" + "".join(f"{k},0.0,0.0,m\n"
+                                                           for k in (0, 0, 20)))
+    with pytest.raises(DataError, match="^sub-array file must define indices 0..16, "
+                                        "got 3 rows$"):
+        load_subarray_sites(path)
+
+
 def test_design_path_builds_no_spec_objects(monkeypatch, tmp_path):
     # Build, pre-compensate, write, read back and synthesize the via wafer
     # on columns: no TestStructureSpec is constructed on the way.

@@ -6,17 +6,26 @@ import pytest
 from jjshadow.analysis import (
     FilterConfig,
     FrequencyModel,
+    RegressionFit,
+    Regressor,
+    _exact_mean,
+    _regressor,
     absolute_filter,
+    conductance_cv,
+    effective_conductivity,
     frequency_rsd,
     mean_filter,
+    normalized_heatmap,
+    quadratic_radial_fit,
     regression_filter_die,
 )
-from jjshadow.errors import DataError
-from jjshadow.geometry import Fidelity, Variant
+from jjshadow.errors import DataError, FitError
+from jjshadow.geometry import VARIANT_CODES, Fidelity, Variant
 from jjshadow.layout import build_35x35, build_planar_17q
 from jjshadow.report import build_report, deembed_records, render_report_text
 from jjshadow.synth import (
     NO_PARASITICS,
+    MeasurementTable,
     ParasiticsModel,
     ProcessModel,
     synthesize_wafer,
@@ -113,6 +122,116 @@ class TestAgreesWithPublicApi:
         rejected = mean_filter(absolute_filter(records, CFG)[0], CFG)[1]
         assert rejected
         assert report.rel_rejected_ids == {rec.structure_id for rec in rejected}
+
+
+def _model_fit(rows: MeasurementTable, cfg: FilterConfig, uniform: bool) -> RegressionFit:
+    """The pipeline's model fitted once to all of rows: the mean for uniform
+    layouts, else np.polyfit's line against the regressor."""
+    if uniform:
+        slope, intercept = 0.0, _exact_mean(rows.g_uS)
+    else:
+        slope, intercept = np.polyfit(_regressor(rows, cfg), rows.g_uS, 1).tolist()
+    return RegressionFit((0, 0), slope, intercept, (), frozenset(), frozenset())
+
+
+def _radial_fit(rows: MeasurementTable, *args):
+    try:
+        return quadratic_radial_fit(effective_conductivity(rows, *args))
+    except FitError:
+        return None
+
+
+@pytest.fixture(scope="module")
+def mc_wafers():
+    """The wafer-mc wafers, each with its grid positions per variant."""
+    wafers = {}
+    for name, layout in (("planar17q", build_planar_17q()),
+                         ("planar35x35-al", build_35x35("al", omitted_rows=(33, 34)))):
+        grid: dict = {}
+        for s in layout.structures:
+            grid.setdefault(s.design.variant.value, []).append(s.position)
+        wafers[name] = layout, grid
+    return wafers
+
+
+class TestSharedResults:
+    """build_report computes each die fit, design-group mean and radius
+    array once and shares it; every result equals what the public analysis
+    functions give on the same sub-tables, to the bit."""
+
+    @pytest.mark.parametrize("regressor", list(Regressor))
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("wafer", ["planar17q", "planar35x35-al"])
+    def test_equals_public_functions(self, mc_wafers, geom_module, wafer, seed, regressor):
+        layout, grid = mc_wafers[wafer]
+        process = ProcessModel(lognormal_sigma=0.02, p_open=0.03, p_short=0.01,
+                               fidelity=Fidelity.FULL, seed=seed)
+        records = synthesize_wafer(layout, geom_module, process, ParasiticsModel())
+        cfg = FilterConfig(regressor=regressor)
+        report = build_report(records, cfg, FREQ, dual_rsd=True, geom=geom_module,
+                              fidelity=Fidelity.FULL, grid_positions=grid)
+        uniform = report.pipeline == "uniform"
+        assert uniform is (wafer == "planar35x35-al")
+        kept = report.kept
+        unfiltered = MeasurementTable.from_records(absolute_filter(records, cfg)[0])
+
+        assert repr(report.cv_by_area) == repr(conductance_cv(kept, "wafer"))
+
+        def rows(table, variant, die=None):
+            mask = table.variant == VARIANT_CODES[Variant(variant)]
+            if die is not None:
+                mask &= (table.die_x == die[0]) & (table.die_y == die[1])
+            return table.take(mask)
+
+        dies = sorted({(rec.design.variant.value, rec.die_index) for rec in unfiltered})
+        assert sorted(report.rsd_die_mhz) == sorted(report.rsd_die_nf_mhz) == dies
+        for key in dies:
+            die_rows = rows(unfiltered, *key)
+            if uniform:
+                kept_rows = rows(kept, *key)
+                fit = _model_fit(kept_rows, cfg, uniform)
+            else:
+                fit = regression_filter_die(die_rows, cfg)
+                kept_rows = die_rows.take(np.isin(die_rows.structure_id, list(fit.kept_ids)))
+            assert repr(report.rsd_die_mhz[key]) == repr(
+                frequency_rsd(kept_rows, fit, cfg, FREQ))
+            assert repr(report.rsd_die_nf_mhz[key]) == repr(
+                frequency_rsd(die_rows, _model_fit(die_rows, cfg, uniform), cfg, FREQ))
+
+        variants = sorted(set(report.heatmaps))
+        assert variants == sorted(report.rsd_wafer_mhz) == sorted(report.rsd_wafer_nf_mhz)
+        for variant in variants:
+            for got, table in ((report.rsd_wafer_mhz, kept),
+                               (report.rsd_wafer_nf_mhz, unfiltered)):
+                sub = rows(table, variant)
+                assert repr(got[variant]) == repr(
+                    frequency_rsd(sub, _model_fit(sub, cfg, uniform), cfg, FREQ))
+
+            sub = rows(kept, variant)
+            heatmap, want = report.heatmaps[variant], normalized_heatmap(sub, grid[variant])
+            assert (heatmap.xs, heatmap.ys) == (want.xs, want.ys)
+            assert np.array_equal(heatmap.valid, want.valid)
+            assert heatmap.values.tobytes() == want.values.tobytes()
+
+            assert repr(report.conductivity_fit_designed.get(variant)) == repr(
+                _radial_fit(sub))
+            assert repr(report.conductivity_fit_actual.get(variant)) == repr(
+                _radial_fit(sub, "actual", geom_module, Fidelity.FULL))
+
+    def test_planar17q_polyfit_calls(self, mc_wafers, geom_module, monkeypatch):
+        # 16 dies x 2 passes, 2 filtered and 2 unfiltered wafer lines and
+        # 4 conductivity fits; each die's pass-1 line is its unfiltered fit.
+        layout, grid = mc_wafers["planar17q"]
+        process = ProcessModel(lognormal_sigma=0.02, p_open=0.0152, p_short=0.002,
+                               fidelity=Fidelity.FULL, seed=1)
+        records = synthesize_wafer(layout, geom_module, process, ParasiticsModel())
+        calls = []
+        polyfit = np.polyfit
+        monkeypatch.setattr(np, "polyfit", lambda *a, **k: calls.append(a[2]) or polyfit(*a, **k))
+        report = build_report(records, CFG, FREQ, dual_rsd=True, geom=geom_module,
+                              fidelity=Fidelity.FULL, grid_positions=grid)
+        assert len(report.rsd_die_nf_mhz) == 16 and len(report.conductivity_fit_actual) == 2
+        assert sorted(calls) == [1] * 36 + [2] * 4
 
 
 class TestUniformPipeline:
