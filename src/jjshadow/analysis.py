@@ -348,18 +348,23 @@ class HeatmapGrid:
         return float(self.values[i, j])
 
 
-def _axis(coords: list[float], extra: Iterable[float], descending: bool,
-          ) -> tuple[tuple[float, ...], list[int]]:
+def _axis(coords: np.ndarray, extra: Iterable[float], descending: bool,
+          ) -> tuple[tuple[float, ...], np.ndarray]:
     """A grid axis of coordinates rounded to 6 decimals, and the index of
-    each of coords on it.  Each distinct coordinate is rounded once; of
-    equal rounded values (0.0 and -0.0) the first seen is kept, as a set
-    built in input order keeps it."""
-    rounded = {c: round(c, 6) for c in dict.fromkeys(coords)}
-    values = set(rounded.values())
-    values.update(round(c, 6) for c in dict.fromkeys(extra))
+    each of coords on it.  Each distinct value is rounded once, a value of
+    extra only if no coordinate equals it; of equal rounded values (0.0 and
+    -0.0) the first seen is kept, coords before extra, as a set built in
+    input order keeps it."""
+    # np.unique counts 0.0 and -0.0 as one value; first is its first index.
+    _, first, inverse = np.unique(coords, return_index=True, return_inverse=True)
+    distinct = coords[first].tolist()
+    rounded = [round(c, 6) for c in distinct]
+    values = set(rounded[k] for k in np.argsort(first).tolist())     # first seen first
+    known = set(distinct)
+    values.update(round(c, 6) for c in dict.fromkeys(extra) if c not in known)
     axis = tuple(sorted(values, reverse=descending))
     where = {v: k for k, v in enumerate(axis)}
-    return axis, [where[rounded[c]] for c in coords]
+    return axis, np.array([where[r] for r in rounded], dtype=np.intp)[inverse]
 
 
 def _normalized(table: MeasurementTable, groups: list[DesignGroup]) -> np.ndarray:
@@ -376,9 +381,9 @@ def _normalized(table: MeasurementTable, groups: list[DesignGroup]) -> np.ndarra
 def _heatmap(x_mm: np.ndarray, y_mm: np.ndarray, ratio: np.ndarray,
              grid: Sequence[WaferPoint]) -> HeatmapGrid:
     """The grid of ratio at the positions (x_mm, y_mm) and the cells of grid."""
-    xs, col = _axis(x_mm.tolist(), (p.x_mm for p in grid), descending=False)
-    ys, row = _axis(y_mm.tolist(), (p.y_mm for p in grid), descending=True)
-    cell = np.array(row, dtype=np.intp) * len(xs) + np.array(col, dtype=np.intp)
+    xs, col = _axis(x_mm, (p.x_mm for p in grid), descending=False)
+    ys, row = _axis(y_mm, (p.y_mm for p in grid), descending=True)
+    cell = row * len(xs) + col
     last = len(cell) - 1 - np.unique(cell[::-1], return_index=True)[1]  # later records win
     values = np.zeros((len(ys), len(xs)))
     valid = np.zeros((len(ys), len(xs)), dtype=bool)

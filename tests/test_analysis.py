@@ -12,6 +12,7 @@ from jjshadow.analysis import (
     FilterConfig,
     FrequencyModel,
     Regressor,
+    _axis,
     _moments,
     absolute_filter,
     conductance_cv,
@@ -325,6 +326,32 @@ class TestHeatmap:
         cv_a = next(iter(conductance_cv(records).values())).cv
         cv_b = next(iter(conductance_cv(scaled).values())).cv
         assert cv_a == pytest.approx(cv_b, rel=1e-12)
+
+
+def reference_axis(coords: list[float], extra: list[float], descending: bool):
+    """The grid axis and indices as a loop over Python floats builds them."""
+    rounded = {c: round(c, 6) for c in dict.fromkeys(coords)}
+    values = set(rounded.values())
+    values.update(round(c, 6) for c in dict.fromkeys(extra))
+    axis = tuple(sorted(values, reverse=descending))
+    where = {v: k for k, v in enumerate(axis)}
+    return axis, [where[rounded[c]] for c in coords]
+
+
+# Coordinates that collide: 0.0 and -0.0, values that round to them or to
+# each other at 6 decimals, and halfway cases of that rounding.
+AXIS_COORDS = [0.0, -0.0, 1e-7, -1e-7, 4e-7, 5e-7, -5e-7, 2.0, 2.0000001, 1.9999996,
+               0.0000015, 0.0000025, -34.0, 34.0, 5e-324, -5e-324, 1.25, 12.5000005]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(AXIS_COORDS), max_size=40),
+       st.lists(st.sampled_from(AXIS_COORDS), max_size=10), st.booleans())
+def test_axis_equals_the_python_loop(coords, extra, descending):
+    axis, index = _axis(np.array(coords, dtype=float), iter(extra), descending)
+    want_axis, want_index = reference_axis(coords, extra, descending)
+    assert repr(axis) == repr(want_axis)        # repr tells -0.0 from 0.0
+    assert index.tolist() == want_index
 
 
 class TestEffectiveConductivity:
