@@ -106,6 +106,7 @@ def read_pgm(path: str | Path, scale_nm_per_px: float | None = None) -> GrayImag
         pos = end
     if fields[0] != b"P5":
         raise DataError(f"{path}: not a binary PGM (P5) file")
+    # int() refuses a field of thousands of digits; no raster has 20.
     if not all(f.isdigit() and len(f) < 20 for f in fields[1:]):
         raise DataError(f"{path}: PGM width, height and maxval must be decimal integers, "
                         f"got {b' '.join(fields[1:]).decode(errors='replace')!r}")
