@@ -285,10 +285,18 @@ def _design_groups(table: MeasurementTable, by_die: bool = False) -> list[Design
     return groups
 
 
-def _cv(groups: list[DesignGroup]) -> dict[tuple, CvStats]:
-    """The CvStats of each group, by its key."""
+def _nonzero_mean(table: MeasurementTable, idx: np.ndarray, mean: float) -> float:
+    """mean, the mean conductance of rows idx of table; DataError if zero."""
+    if mean == 0.0:
+        raise DataError(f"zero mean conductance in the design group of "
+                        f"{table.structure_id[idx[0]]}")
+    return mean
+
+
+def _cv(table: MeasurementTable, groups: list[DesignGroup]) -> dict[tuple, CvStats]:
+    """The CvStats of each group of table, by its key; a group of one has no cv."""
     return {key: CvStats(n=len(idx), mean_uS=mean, std_uS=std,
-                         cv=std / mean if len(idx) > 1 else None)
+                         cv=std / _nonzero_mean(table, idx, mean) if len(idx) > 1 else None)
             for key, idx, mean, std in groups}
 
 
@@ -301,7 +309,8 @@ def conductance_cv(records: Iterable[MeasurementRecord], scope: str = "wafer",
     """
     if scope not in ("wafer", "die"):
         raise ValueError(f"scope must be 'wafer' or 'die', got {scope!r}")
-    return _cv(_design_groups(MeasurementTable.from_records(records), scope == "die"))
+    table = MeasurementTable.from_records(records)
+    return _cv(table, _design_groups(table, scope == "die"))
 
 
 def _rsd(g_uS: np.ndarray, g_fit, model: FrequencyModel) -> float:
@@ -371,10 +380,7 @@ def _normalized(table: MeasurementTable, groups: list[DesignGroup]) -> np.ndarra
     """Each row's G over the mean G of its group, of groups covering table."""
     ratio = np.empty(len(table))
     for _, idx, mean, _ in groups:
-        if mean == 0.0:
-            raise DataError(f"zero mean conductance in the design group of "
-                            f"{table.structure_id[idx[0]]}")
-        ratio[idx] = table.g_uS[idx] / mean
+        ratio[idx] = table.g_uS[idx] / _nonzero_mean(table, idx, mean)
     return ratio
 
 

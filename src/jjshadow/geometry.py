@@ -453,7 +453,10 @@ class Sites:
             north = self._south_of_source <= 0.0
             if north.any():
                 raise _not_south(float(self.y.flat[np.argmax(north)]))
-            return _over_south(self.geom, design.w_top_nm, self._south_of_source), everywhere
+            # Just south of an overhead source H_lip overflows to inf, as in _top_widths.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                h_lip = _over_south(self.geom, design.w_top_nm, self._south_of_source)
+            return h_lip, everywhere
         elif quantity == "wt_full":
             value = self._top_widths(design.w_top_nm)
         elif quantity == "area":

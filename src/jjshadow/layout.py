@@ -348,30 +348,15 @@ def load_sweep_file(path: str | Path) -> dict[str, tuple[float, ...]]:
     return {g: tuple(v) for g, v in sweeps.items()}
 
 
-def _check_cell(shape: WaferShape, variant: Variant, x_mm: float, y_mm: float,
-                w_bottom_nm: float, w_top_nm: float) -> None:
-    """The checks of one structure as it is built: a finite position, on the
-    wafer, then its design."""
-    p = WaferPoint(x_mm, y_mm)
+def _wafer_check(shape: WaferShape, x: np.ndarray, y: np.ndarray) -> Check:
+    """The check, as structure_checks makes one, that structures at (x, y)
+    mm lie on the wafer of shape; the round wafer's distance is math.hypot's."""
     if shape is WaferShape.ROUND_100MM:
-        off, wafer = p.radius_mm() > WAFER_RADIUS_MM, "round"
+        off, wafer = ~within_radius(x, y, WAFER_RADIUS_MM), "round"
     else:
-        off, wafer = abs(p.x_mm) > SQUARE_HALF_MM or abs(p.y_mm) > SQUARE_HALF_MM, "square"
-    if off:
-        raise DataError(f"test structure at ({p.x_mm}, {p.y_mm}) mm is off the {wafer} wafer")
-    JunctionDesign(variant, w_bottom_nm, w_top_nm)
-
-
-def _failing_cells(shape: WaferShape, x_mm: np.ndarray, y_mm: np.ndarray,
-                   w_bottom_nm: np.ndarray, w_top_nm: np.ndarray) -> np.ndarray:
-    """Per structure, whether _check_cell raises; the round-wafer test is
-    math.hypot's, through within_radius."""
-    if shape is WaferShape.ROUND_100MM:
-        on = within_radius(x_mm, y_mm, WAFER_RADIUS_MM)
-    else:                               # False for a non-finite point, as within_radius
-        on = (np.abs(x_mm) <= SQUARE_HALF_MM) & (np.abs(y_mm) <= SQUARE_HALF_MM)
-    return (~on | ~(np.isfinite(w_bottom_nm) & np.isfinite(w_top_nm))
-            | (w_bottom_nm < 0.0) | (w_top_nm < 0.0))
+        off, wafer = (np.abs(x) > SQUARE_HALF_MM) | (np.abs(y) > SQUARE_HALF_MM), "square"
+    return off, lambda i: data_error(
+        f"test structure at ({x[i].item()}, {y[i].item()}) mm is off the {wafer} wafer")
 
 
 def _die_centre(ix: int, iy: int) -> tuple[float, float]:
@@ -397,11 +382,12 @@ def _subarray_columns(blocks: Sequence[tuple[Variant, tuple[int, int], SubarrayS
 
     A cell's position is (cx + dx) + (col - half) * pitch, the operation
     order of a cell-by-cell loop, and its variable width is the group's
-    sweep value row * n + col.  The first failure in that loop's order
-    raises its error: a block's sweep is checked as the block begins, then
-    each cell's position (finite, on the wafer) and design.  A Dolan cell
-    draws its bottom electrode 3x the sweep width, a Manhattan cell its top
-    electrode MANHATTAN_FIXED_TOP_NM wide.
+    sweep value row * n + col.  A Dolan cell draws its bottom electrode 3x
+    the sweep width, a Manhattan cell its top electrode
+    MANHATTAN_FIXED_TOP_NM wide.  The columns are checked in one ordered
+    pass: the lowest bad cell raises the error of the first check that
+    fails in it, of its block's sweep, then a structure's checks with the
+    on-wafer check after the position's.
     """
     m = n * n
     why = {group: _sweep_problem(group, sweeps[group], m)
@@ -418,18 +404,12 @@ def _subarray_columns(blocks: Sequence[tuple[Variant, tuple[int, int], SubarrayS
     dolan = np.repeat([variant is Variant.DOLAN for variant, _, _ in blocks], m)
     w_b = np.where(dolan, 3.0 * w, w)
     w_t = np.where(dolan, w, MANHATTAN_FIXED_TOP_NM)
-    raise_first_bad([
-        (np.repeat([bool(why[site.group]) for _, _, site in blocks], m),
-         lambda i: data_error(why[blocks[i // m][2].group])),
-        (_failing_cells(shape, x, y, w_b, w_t),
-         lambda i: _check_cell(shape, blocks[i // m][0], x[i].item(), y[i].item(),
-                               w_b[i].item(), w_t[i].item()))])
     codes = np.array([VARIANT_CODES[variant] for variant, _, _ in blocks], dtype=np.int8)
     variant = np.repeat(codes, m)
     cells = [f"c{cell:02d}" for cell in range(m)]
     subarrays = [f"{'M' if v is Variant.MANHATTAN else 'D'}{ix:+d}{iy:+d}s{site.index:02d}"
                  for v, (ix, iy), site in blocks]
-    return dict(
+    columns = dict(
         structure_id=[subarray + cell for subarray in subarrays for cell in cells],
         die_x=np.repeat([ix for _, (ix, _), _ in blocks], m),
         die_y=np.repeat([iy for _, (_, iy), _ in blocks], m),
@@ -442,6 +422,12 @@ def _subarray_columns(blocks: Sequence[tuple[Variant, tuple[int, int], SubarrayS
         excluded=np.zeros(x.size, dtype=bool),
         exclusion_reason=np.full(x.size, "", dtype=object),
     )
+    checks = structure_checks(columns)
+    raise_first_bad([
+        (np.repeat([bool(why[site.group]) for _, _, site in blocks], m),
+         lambda i: data_error(why[blocks[i // m][2].group])),
+        checks.pop("position"), _wafer_check(shape, x, y), *checks.values()])
+    return columns
 
 
 def build_planar_17q(sweeps: dict[str, Sequence[float]] | None = None,
@@ -460,7 +446,7 @@ def build_planar_17q(sweeps: dict[str, Sequence[float]] | None = None,
               for variant, die_ys in ((Variant.DOLAN, (1, 2)), (Variant.MANHATTAN, (-1, -2)))
               for iy in die_ys for ix in (-2, -1, 1, 2) for site in sites]
     columns = _subarray_columns(blocks, 4, sweeps, WaferShape.ROUND_100MM)
-    return WaferLayout(LayoutKind.PLANAR_17Q, StructureTable(columns))
+    return WaferLayout(LayoutKind.PLANAR_17Q, StructureTable.from_checked(columns))
 
 
 _VIA_MARGIN_MM = 1e-6          # far above the rounding of mm-scale coordinates
@@ -518,7 +504,7 @@ def build_tsv_17q(variant: Variant,
     columns["exclusion_reason"] = np.where(hit, "tsv_overlap", "").astype(object)
     kind = (LayoutKind.TSV_17Q_MANHATTAN if variant is Variant.MANHATTAN
             else LayoutKind.TSV_17Q_DOLAN)
-    return WaferLayout(kind, StructureTable(columns))
+    return WaferLayout(kind, StructureTable.from_checked(columns))
 
 
 _PAD_CODE = {"nbtin": "N", "tin": "T", "al": "A"}
@@ -559,4 +545,4 @@ def build_35x35(pad_kind: str, omitted_rows: Sequence[int] = ()) -> WaferLayout:
         exclusion_reason=np.where(excluded, "omitted_row", "").astype(object),
     )
     kind = LayoutKind(f"planar35x35-{pad_kind}")
-    return WaferLayout(kind, StructureTable(columns))
+    return WaferLayout(kind, StructureTable.from_checked(columns))

@@ -210,7 +210,7 @@ def build_report(records: Sequence[MeasurementRecord], cfg: FilterConfig,
         abs_rejected_ids=frozenset(ids[~in_window]),
         rel_rejected_ids=frozenset(ids[in_window & ~keep]),
         kept=kept_table,
-        cv_by_area=_cv(groups),
+        cv_by_area=_cv(kept_table, groups),
         rsd_die_mhz=rsd_die,
         rsd_wafer_mhz=rsd_wafer,
         rsd_die_nf_mhz=rsd_die_nf,

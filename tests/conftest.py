@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from jjshadow.geometry import EvaporatorGeometry, JunctionDesign, Variant, WaferPoint
+
+# A failing property prints its @reproduce_failure line, so the failing
+# example can be replayed from the log.  Example counts and randomness stay
+# as each test sets them.
+settings.register_profile("jjshadow", print_blob=True)
+settings.load_profile("jjshadow")
 
 
 @pytest.fixture

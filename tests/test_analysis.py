@@ -55,7 +55,8 @@ def mk(sid, w_bottom, g, die=(1, 1), pos=(0.0, 0.0), w_top=160.0):
 
 
 class TestAbsoluteFilter:
-    @pytest.mark.parametrize("g,kept", [(10.0, False), (100.0, True), (600.0, False)])
+    @pytest.mark.parametrize("g,kept", [(10.0, False), (100.0, True), (600.0, False),
+                                        (20.0, True), (500.0, True)])
     def test_window(self, g, kept):
         records = [mk("a", 200.0, g)]
         got_kept, got_rej = absolute_filter(records, CFG)
@@ -111,6 +112,22 @@ class TestRegressionFilter:
                   for r in records]
         assert (regression_filter_die(halved, cfg_area).rejected_ids
                 == regression_filter_die(halved, CFG).rejected_ids == {"r5"})
+
+    def test_reading_on_the_threshold_line_kept(self):
+        # The pass-1 line is 100.0 at every x, and 0.6999999999999998 * 100.0
+        # is exactly 70.0: record r1 lies on the threshold and is kept.
+        records = [mk(f"r{k}", float(k + 1), g)
+                   for k, g in enumerate([115.0, 70.0, 100.0, 130.0, 85.0])]
+        fit = regression_filter_die(records, FilterConfig(rel_threshold=0.6999999999999998))
+        assert not fit.rejected_ids and "r1" in fit.kept_ids
+
+    def test_one_record_kept_rejects_the_die(self):
+        # A flat pass-1 line at 208 uS keeps only the 1000 uS record.
+        records = [mk(f"r{k}", float(k + 1), g)
+                   for k, g in enumerate([10.0, 10.0, 1000.0, 10.0, 10.0])]
+        with pytest.raises(FitError, match=r"^die \(1, 1\): regression filter rejected "
+                                           r"nearly all records$"):
+            regression_filter_die(records, CFG)
 
     def test_idempotent_on_kept_set(self):
         rng = np.random.default_rng(0)
@@ -180,6 +197,19 @@ class TestConductanceCv:
     def test_singleton_group_undefined(self):
         ((_, s),) = conductance_cv([mk("a", 200.0, 90.0)]).items()
         assert s.cv is None
+
+    def test_zero_conductance_singleton_undefined(self):
+        ((_, s),) = conductance_cv([mk("s0", 200.0, 0.0)]).items()
+        assert (s.n, s.mean_uS, s.std_uS, s.cv) == (1, 0.0, 0.0, None)
+
+    def test_zero_mean_group_rejected(self):
+        # As normalized_heatmap rejects the same group.
+        records = [mk(f"s{k}", 200.0, 0.0) for k in range(3)]
+        message = "^zero mean conductance in the design group of s0$"
+        with pytest.raises(DataError, match=message):
+            conductance_cv(records)
+        with pytest.raises(DataError, match=message):
+            normalized_heatmap(records)
 
     def test_wafer_cv_exceeds_die_cv_on_spatial_data(self, geom):
         process = ProcessModel(fidelity=Fidelity.BASIC, seed=0)

@@ -7,12 +7,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from jjshadow.errors import DataError
-from jjshadow.geometry import Variant, WaferPoint
+from jjshadow.compensation import compensated_layout
+from jjshadow.errors import DataError, JJShadowError
+from jjshadow.geometry import EvaporatorGeometry, Fidelity, Variant, WaferPoint
 from jjshadow.layout import (
+    LAYOUT_COLUMNS,
     PLANAR_SWEEPS,
     STRUCTURE_HALF_MM,
     TSV_SWEEP,
+    StructureTable,
     SubarraySite,
     build_35x35,
     build_planar_17q,
@@ -136,6 +139,22 @@ class TestPlanar17Q:
             build_planar_17q(sweeps=short, sites=moved_site(6, 9.5, 42.8))
         with pytest.raises(DataError, match="^sweep for group 'h' has 10 values, need 16$"):
             build_planar_17q(sweeps=short, sites=moved_site(14, 9.5, 42.8))
+
+    # The 'h' sweep shifted down 600 nm draws negative widths in cells 0-2
+    # of every 'h' sub-array; the first is site 13 of the first die.
+    @pytest.mark.parametrize("site, dx_mm, dy_mm, message", [
+        (6, 9.5, 42.8, "test structure at (-10.675, 49.074999999999996) mm is off the "
+                       "round wafer"),                    # site 6 comes before site 13
+        (14, 9.5, 42.8, "designed widths must be >= 0"),  # site 14 comes after it
+        (13, 0.0, 50.0, "test structure at (-20.175, 55.825) mm is off the round wafer"),
+        (13, math.nan, 0.0, "wafer coordinates must be finite, got (nan, 5.825)"),
+    ])
+    def test_lowest_row_then_first_check_named(self, site, dx_mm, dy_mm, message):
+        # The lowest bad cell is named; within a cell, its position and the
+        # on-wafer check come before its design.
+        negative = {**PLANAR_SWEEPS, "h": tuple(w - 600.0 for w in PLANAR_SWEEPS["h"])}
+        with pytest.raises(JJShadowError, match=f"^{re.escape(message)}$"):
+            build_planar_17q(sweeps=negative, sites=moved_site(site, dx_mm, dy_mm))
 
 
 def moved_site(index, dx_mm, dy_mm):
@@ -385,3 +404,27 @@ def test_design_path_builds_no_spec_objects(monkeypatch, tmp_path):
     assert len(records) == 3024
     assert built == []
     assert back.structures[5].structure_id == built[0]     # specs are built on demand
+
+
+@pytest.mark.parametrize("build", [
+    build_planar_17q,
+    lambda: build_tsv_17q(Variant.MANHATTAN),
+    lambda: build_tsv_17q(Variant.DOLAN),
+    lambda: build_35x35("al", omitted_rows=(3, 7)),
+    lambda: compensated_layout(build_35x35("nbtin"), EvaporatorGeometry(), Fidelity.FULL,
+                               w_max_nm=600.0),
+], ids=["planar17q", "tsv17q-manhattan", "tsv17q-dolan", "35x35-al", "compensated"])
+def test_built_columns_pass_the_checking_constructor(build, monkeypatch):
+    # The builders and compensated_layout make their tables from columns
+    # they checked, with from_checked; the checking constructor takes the
+    # same columns to an equal table, of the same dtypes and read-only.
+    built = []
+    from_checked = StructureTable.from_checked.__func__
+    monkeypatch.setattr(StructureTable, "from_checked", classmethod(
+        lambda cls, columns: built.append(dict(columns)) or from_checked(cls, columns)))
+    table = build().structures
+    checked = StructureTable(built[-1])
+    assert checked == table and len(table) > 0
+    for name in LAYOUT_COLUMNS:
+        for col in (getattr(checked, name), getattr(table, name)):
+            assert col.dtype == np.dtype(LAYOUT_COLUMNS[name]) and not col.flags.writeable

@@ -232,13 +232,14 @@ def test_field_values_cube_at_most_once(cubed_calls, geom, quantity, fidelity):
 @pytest.mark.parametrize("y_mm", [-1e-300, -1e-310, -5e-324])
 def test_source_overhead_near_the_equator(y_mm):
     # alpha = 0 puts the source over the centre: just south of it H_lip
-    # overflows (a blank, as the scalar model has it) or the lip shadow is
-    # inf * 0 (ignored, as max ignores it), with no warning either way.
+    # overflows to inf (its field value, and a blank top width and area, as
+    # the scalar model has them) or the lip shadow is inf * 0 (ignored, as
+    # max ignores it), with no warning either way.
     flat = EvaporatorGeometry(alpha_deg=0.0)
     design = JunctionDesign(Variant.MANHATTAN, 200.0, 200.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for quantity in ("wt_full", "area"):
+        for quantity in ("hlip", "wt_full", "area"):
             value, ok = field_values(flat, quantity, [0.0], [y_mm], design)
             want = scalar_outcome(lambda: scalar_model.evaluate_field(
                 flat, quantity, WaferPoint(0.0, y_mm), design))
