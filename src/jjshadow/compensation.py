@@ -21,8 +21,6 @@ precompensate and precompensate_fixed_top are one-lane solves.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .errors import TargetError
@@ -45,21 +43,31 @@ _MIN_WIDTH_NM = 1.0
 _BRACKET_NM = 1.0e-7
 
 
-def _solve_widths(area_of: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                  target_um2: float, w_max_nm: float, lanes: int
-                  ) -> tuple[np.ndarray, list[str]]:
-    """Bisect the designed width in every lane until area_of(w) meets the target.
+def _solve_designs(geom: EvaporatorGeometry, target_um2: float, x_mm: np.ndarray,
+                   y_mm: np.ndarray, fidelity: Fidelity, variant: Variant, w_max_nm: float,
+                   aspect: np.ndarray | float, w_top_nm: float | None,
+                   ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """(bottom, top) designed widths meeting the target at each point, and why not.
 
-    area_of maps one width per lane to (area, ok); a pinched-off lane (ok
-    False) counts as zero area.  Returns the widths and, per lane, "" or
-    why the target is unattainable there.
+    With w_top_nm None the top width is solved and the bottom held at
+    aspect times it; otherwise the bottom width is solved under that top.
+    The solved width is bisected in every lane until the area meets the
+    target; a pinched-off lane counts as zero area.  A point's reason is ""
+    where the target is met, else the TargetError message naming the point.
     """
+    sites = Sites(geom, x_mm, y_mm)
+
+    def widths(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(bottom, top) designed widths for the solved width w."""
+        if w_top_nm is None:
+            return np.broadcast_arrays(aspect * w, w)
+        return np.broadcast_arrays(w, w_top_nm)
 
     def f(w: np.ndarray) -> np.ndarray:
-        area, ok = area_of(w)
+        area, ok = sites.areas(variant, *widths(w), fidelity)
         return np.where(ok, area - target_um2, -target_um2)
 
-    lo = np.full(lanes, _MIN_WIDTH_NM)
+    lo = np.full(len(x_mm), _MIN_WIDTH_NM)
     floor = f(lo) >= 0.0
     # A lane already too wide at lo is held there: as in a one-lane solve it
     # never evaluates w_max, so a bad limit raises only for lanes that reach it.
@@ -78,34 +86,10 @@ def _solve_widths(area_of: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
                f"target {target_um2:g} um^2 needs width <= {_MIN_WIDTH_NM} nm",
                f"target {target_um2:g} um^2 exceeds the {w_max_nm:g} nm width limit",
                "no width meets the target within tolerance")
-    which = np.select([floor, limit, missed], [1, 2, 3], 0)
-    return w, [reasons[k] for k in which.tolist()]
-
-
-def _solve_designs(geom: EvaporatorGeometry, target_um2: float, x_mm: np.ndarray,
-                   y_mm: np.ndarray, fidelity: Fidelity, variant: Variant, w_max_nm: float,
-                   aspect: np.ndarray | float, w_top_nm: float | None,
-                   ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """(bottom, top) designed widths meeting the target at each point, and why not.
-
-    With w_top_nm None the top width is solved and the bottom held at
-    aspect times it; otherwise the bottom width is solved under that top.
-    A point's reason is "" where the target is met, else the TargetError
-    message naming the point.
-    """
-
-    def widths(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(bottom, top) designed widths for the solved width w."""
-        if w_top_nm is None:
-            return np.broadcast_arrays(aspect * w, w)
-        return np.broadcast_arrays(w, w_top_nm)
-
-    sites = Sites(geom, x_mm, y_mm)
-    w, reasons = _solve_widths(lambda w: sites.areas(variant, *widths(w), fidelity),
-                               target_um2, w_max_nm, len(x_mm))
+    which = np.select([floor, limit, missed], [1, 2, 3], 0).tolist()
     w_b, w_t = widths(w)
-    return (w_b, w_t, [why and f"({x:g}, {y:g}) mm: {why}"
-                       for x, y, why in zip(x_mm.tolist(), y_mm.tolist(), reasons)])
+    return (w_b, w_t, [reasons[k] and f"({x:g}, {y:g}) mm: {reasons[k]}"
+                       for x, y, k in zip(x_mm.tolist(), y_mm.tolist(), which)])
 
 
 def _solve_one(geom: EvaporatorGeometry, target_um2: float, p: WaferPoint,

@@ -31,16 +31,19 @@ actual_top_width, ...) are one-element calls of those kernels that return
 a Python float and raise ShadowedError instead of returning a False mask;
 actual_width_vertical, a single expression, is evaluated directly.
 
-Exactness rule: a prepared term is the same expression, evaluated in the
-same order, as the model expression it stands for (a narrowed width is
-_printed of the shade _narrowed subtracts, a lip shade _shade_of_lip of
-the terms _lip_shade computes), so every value is the one the one-point
-expressions give, bit for bit.  Every step is an IEEE + - * / sqrt abs
-max, and |r - C|**3 is taken with Python's float ** (libm pow) element by
-element, because numpy's power differs from it in the last bit for some
-arguments.  Every quantity is even in x, bit for bit: x enters only as
-|x| (the narrowed width) and as dx * dx (the source distance), so the
-field map evaluates x >= 0 and mirrors it.
+Exactness rule: each Sites term is the printed formula it names, written
+once, in its property or method body (T'_b in _thickness, W_lip in _lip,
+H_lip in _lip_height, ...); the few expressions several kernels share
+(_printed, _edge_shade, _crossed_area) are module functions.
+tests/scalar_model.py restates every formula with Python floats, operation
+for operation in the same order, and the tests compare the two bit for
+bit, so they check the transcription as well as the branching.  Every
+step is an IEEE + - * / sqrt abs max, and |r - C|**3 is taken with
+Python's float ** (libm pow) element by element, because numpy's power
+differs from it in the last bit for some arguments.  Every quantity is
+even in x, bit for bit: x enters only as |x| (the narrowed width) and as
+dx * dx (the source distance), so the field map evaluates x >= 0 and
+mirrors it.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ import numpy as np
 from .errors import GeometryError, ShadowedError
 
 NM_PER_MM = 1.0e6
+NM2_PER_UM2 = 1.0e6
 
 WAFER_RADIUS_MM = 50.0      # 100-mm round wafer
 SQUARE_HALF_MM = 35.0       # 70x70 mm cleaved TSV wafer
@@ -198,7 +202,7 @@ def designed_areas(variant: np.ndarray, w_b_nm, w_t_nm) -> np.ndarray:
     width of a crossed junction, the top width times DOLAN_OVERLAP_LENGTH_NM
     of a bridge junction.  variant holds VARIANTS codes."""
     dolan = variant == VARIANT_CODES[Variant.DOLAN]
-    return np.where(dolan, w_t_nm * DOLAN_OVERLAP_LENGTH_NM, w_b_nm * w_t_nm) / NM_PER_MM
+    return _crossed_area(np.where(dolan, DOLAN_OVERLAP_LENGTH_NM, w_b_nm), w_t_nm)
 
 
 def source_distance(geom: EvaporatorGeometry) -> float:
@@ -207,17 +211,9 @@ def source_distance(geom: EvaporatorGeometry) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Model expressions, each written once (the exactness rule is in the module
-# docstring).  They take Python floats or arrays; |r - C|**3 is passed in
-# as r3.
-
-def _dist_sq_nm2(geom: EvaporatorGeometry, x_mm, y_mm):
-    """|r - C|^2 with C the source position, in nm^2."""
-    dy = y_mm * NM_PER_MM - geom.crucible_y_nm()
-    dx = x_mm * NM_PER_MM
-    d = geom.source_distance_nm()
-    return dx * dx + dy * dy + d * d
-
+# Array kernels: many points (and widths) at once, through Sites.  The model
+# expressions that several of them share are written here once; the rest
+# are Sites' terms.
 
 def _printed(geom: EvaporatorGeometry, w_designed_nm, shade_nm):
     """Deposited width: designed width plus the exposure offset, less a shade."""
@@ -229,85 +225,16 @@ def _edge_shade(geom: EvaporatorGeometry, coord_mm, d_nm):
     return abs(coord_mm) * NM_PER_MM * geom.h_resist_nm / d_nm
 
 
-def _narrowed(geom: EvaporatorGeometry, w_designed_nm, coord_mm, d_nm):
-    """W + dW_offset - |coord| * H / D."""
-    return _printed(geom, w_designed_nm, _edge_shade(geom, coord_mm, d_nm))
-
-
-def _thickness(geom: EvaporatorGeometry, r3):
-    """T'_b = T_b * (D'-R)^2 * D / |r-C|^3."""
-    dr = (geom.d_prime_mm - geom.r_pivot_mm) * NM_PER_MM
-    return geom.t_bottom_nm * dr * dr * geom.source_distance_nm() / r3
-
-
-def _south_of_source(geom: EvaporatorGeometry, y_mm):
-    """D'*sin(alpha) - y in nm."""
-    return geom.crucible_y_nm() - y_mm * NM_PER_MM
-
-
-def _lip(geom: EvaporatorGeometry, y_mm, r3):
-    """W_lip = -T_b * (D'-R)^2 * (D'*sin(alpha) - y) / |r-C|^3."""
-    dr = (geom.d_prime_mm - geom.r_pivot_mm) * NM_PER_MM
-    return -geom.t_bottom_nm * dr * dr * _south_of_source(geom, y_mm) / r3
-
-
-def _over_south(geom: EvaporatorGeometry, w_top_nm, south_nm):
-    """D * W_t / south, with south = D'*sin(alpha) - y."""
-    return geom.source_distance_nm() * w_top_nm / south_nm
-
-
-def _lip_h(geom: EvaporatorGeometry, w_top_nm, y_mm):
-    """H_lip = D * W_t / (D'*sin(alpha) - y)."""
-    return _over_south(geom, w_top_nm, _south_of_source(geom, y_mm))
-
-
-def _slope(geom: EvaporatorGeometry, y_mm):
-    return abs(y_mm) * NM_PER_MM / geom.source_distance_nm()
-
-
-def _resist_shade(geom: EvaporatorGeometry, y_mm, dh):
-    """(H + dH) * |y| / D: shadow of the resist edge raised by dH."""
-    return (geom.h_resist_nm + dh) * _slope(geom, y_mm)
-
-
-def _shade_of_lip(w_lip, h_lip, dh, slope):
-    """W_lip + (H_lip + dH) * |y| / D, with slope = |y| / D."""
-    return w_lip + (h_lip + dh) * slope
-
-
-def _lip_shade(geom: EvaporatorGeometry, w_top_nm, y_mm, dh, w_lip):
-    """W_lip + (H_lip + dH) * |y| / D: the lip's shadow south of centre."""
-    return _shade_of_lip(w_lip, _lip_h(geom, w_top_nm, y_mm), dh, _slope(geom, y_mm))
-
-
-def _with_sidewalls(w_b_nm, t_b_nm):
-    return w_b_nm + 2.0 * t_b_nm
-
-
 def _crossed_area(w_b_nm, w_t_nm):
-    return w_b_nm * w_t_nm / NM_PER_MM
+    """Overlap area in um^2 of crossing lines w_b and w_t wide, in nm; a
+    bridge junction is one whose w_b is DOLAN_OVERLAP_LENGTH_NM."""
+    return w_b_nm * w_t_nm / NM2_PER_UM2
 
-
-def _bridge_area(w_t_nm):
-    return w_t_nm * DOLAN_OVERLAP_LENGTH_NM / NM_PER_MM
-
-
-def _not_south(y_mm: float) -> GeometryError:
-    return GeometryError(f"point y={y_mm} mm is not south of the source projection")
-
-
-# ---------------------------------------------------------------------------
-# Array kernels: many points (and widths) at once, through Sites.
 
 def _cubed(r: np.ndarray) -> np.ndarray:
     """r**3 per element with Python float ** (libm pow), not numpy's power."""
     return np.fromiter(map(pow, r.ravel().tolist(), repeat(3)), float,
                        r.size).reshape(r.shape)
-
-
-def _r_cubed(geom: EvaporatorGeometry, x_mm: np.ndarray, y_mm: np.ndarray) -> np.ndarray:
-    """|r - C|**3 with C the source position, in nm^3."""
-    return _cubed(np.sqrt(_dist_sq_nm2(geom, x_mm, y_mm)))
 
 
 def _points(*values) -> tuple[np.ndarray, ...]:
@@ -333,19 +260,30 @@ class Sites:
 
     @cached_property
     def _r3(self) -> np.ndarray:
-        return _r_cubed(self.geom, self.x, self.y)
+        """|r - C|**3 with C the source position, in nm^3."""
+        dy = self.y * NM_PER_MM - self.geom.crucible_y_nm()
+        dx = self.x * NM_PER_MM
+        d = self.geom.source_distance_nm()
+        return _cubed(np.sqrt(dx * dx + dy * dy + d * d))
 
     @cached_property
-    def _thickness(self) -> np.ndarray:         # also the resist-height increase dH
-        return _thickness(self.geom, self._r3)
+    def _thickness(self) -> np.ndarray:
+        """T'_b = T_b * (D'-R)^2 * D / |r-C|^3, also the resist-height increase dH."""
+        geom = self.geom
+        dr = (geom.d_prime_mm - geom.r_pivot_mm) * NM_PER_MM
+        return geom.t_bottom_nm * dr * dr * geom.source_distance_nm() / self._r3
 
     @cached_property
     def _lip(self) -> np.ndarray:
-        return _lip(self.geom, self.y, self._r3)
+        """W_lip = -T_b * (D'-R)^2 * (D'*sin(alpha) - y) / |r-C|^3."""
+        geom = self.geom
+        dr = (geom.d_prime_mm - geom.r_pivot_mm) * NM_PER_MM
+        return -geom.t_bottom_nm * dr * dr * self._south_of_source / self._r3
 
     @cached_property
     def _resist_shade(self) -> np.ndarray:
-        return _resist_shade(self.geom, self.y, self._thickness)
+        """(H + dH) * |y| / D: shadow of the resist edge raised by dH."""
+        return (self.geom.h_resist_nm + self._thickness) * self._slope
 
     @cached_property
     def _north_shade(self) -> np.ndarray:
@@ -358,11 +296,13 @@ class Sites:
 
     @cached_property
     def _south_of_source(self) -> np.ndarray:
-        return _south_of_source(self.geom, self.y)
+        """D'*sin(alpha) - y in nm."""
+        return self.geom.crucible_y_nm() - self.y * NM_PER_MM
 
     @cached_property
     def _slope(self) -> np.ndarray:
-        return _slope(self.geom, self.y)
+        """|y| / D."""
+        return abs(self.y) * NM_PER_MM / self.geom.source_distance_nm()
 
     @cached_property
     def _shade_x(self) -> np.ndarray:
@@ -375,6 +315,10 @@ class Sites:
     @cached_property
     def _shade_x_bridge(self) -> np.ndarray:
         return _edge_shade(self.geom, self.x, self.geom.bridge_distance_nm())
+
+    def _lip_height(self, w_top_nm) -> np.ndarray:
+        """H_lip = D * W_t / (D'*sin(alpha) - y), unchecked."""
+        return self.geom.source_distance_nm() * w_top_nm / self._south_of_source
 
     def _top_widths(self, w_top_nm) -> np.ndarray:
         """Top-electrode width with first-evaporation lip shading, unchecked.
@@ -389,9 +333,8 @@ class Sites:
         # to inf, so the electrode pinches off; where |y|/D is 0 too, the lip
         # shadow is inf * 0, which fmax, like max of two floats, ignores.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lip = _shade_of_lip(self._lip, _over_south(self.geom, w_top_nm,
-                                                       self._south_of_source),
-                                self._thickness, self._slope)
+            # W_lip + (H_lip + dH) * |y| / D: the lip's shadow south of centre.
+            lip = self._lip + (self._lip_height(w_top_nm) + self._thickness) * self._slope
             south = np.fmax(self._resist_shade, lip)
         return _printed(self.geom, w_top_nm, np.where(self._north, self._north_shade, south))
 
@@ -418,14 +361,14 @@ class Sites:
             if fidelity is not Fidelity.BASIC:
                 raise GeometryError(_DOLAN_BASIC_ONLY)
             w = _printed(geom, w_t, self._shade_x_bridge)
-            return _bridge_area(w), w > 0.0
+            return _crossed_area(DOLAN_OVERLAP_LENGTH_NM, w), w > 0.0
 
         w_b = _printed(geom, w_b, self._shade_x)
         ok = w_b > 0.0
         if fidelity is Fidelity.BASIC:
             w_t = _printed(geom, w_t, self._shade_y)
         else:
-            w_b = _with_sidewalls(w_b, self._thickness)
+            w_b = w_b + 2.0 * self._thickness
             if fidelity is Fidelity.SIDEWALL:
                 w_t = _printed(geom, w_t, self._shade_y)
             else:
@@ -452,10 +395,11 @@ class Sites:
         elif quantity == "hlip":
             north = self._south_of_source <= 0.0
             if north.any():
-                raise _not_south(float(self.y.flat[np.argmax(north)]))
+                y = float(self.y.flat[np.argmax(north)])
+                raise GeometryError(f"point y={y} mm is not south of the source projection")
             # Just south of an overhead source H_lip overflows to inf, as in _top_widths.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                h_lip = _over_south(self.geom, design.w_top_nm, self._south_of_source)
+                h_lip = self._lip_height(design.w_top_nm)
             return h_lip, everywhere
         elif quantity == "wt_full":
             value = self._top_widths(design.w_top_nm)
@@ -529,7 +473,7 @@ def actual_width_vertical(geom: EvaporatorGeometry, w_designed_nm: float,
     (top) electrode of a crossed junction with coord = y, since the second
     evaporation is the same geometry rotated 90 degrees in azimuth.
     """
-    w = _narrowed(geom, w_designed_nm, coord_mm, geom.source_distance_nm())
+    w = _printed(geom, w_designed_nm, _edge_shade(geom, coord_mm, geom.source_distance_nm()))
     if w <= 0.0:
         raise ShadowedError(
             f"electrode fully shadowed: W'={w:.2f} nm at |coord|={abs(coord_mm)} mm"

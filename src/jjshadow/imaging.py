@@ -22,7 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ExtractionError
-from .geometry import EvaporatorGeometry, JunctionDesign, WaferPoint, actual_width_vertical
+from .geometry import (
+    NM2_PER_UM2,
+    EvaporatorGeometry,
+    JunctionDesign,
+    WaferPoint,
+    actual_width_vertical,
+)
 
 # Render intensity levels (8-bit).  Chosen so the top electrode clears the
 # whole 1.0-2.0x-mean threshold range while the bottom electrode drops out
@@ -259,7 +265,7 @@ def extract_widths(img: GrayImage,
     return ExtractionResult(
         w_top_nm=float(np.mean(tops_px)) * scale,
         w_bottom_nm=float(np.mean(bottoms_px)) * scale,
-        a_overlap_um2=float(np.mean(areas_px2)) * scale * scale / 1.0e6,
+        a_overlap_um2=float(np.mean(areas_px2)) * scale * scale / NM2_PER_UM2,
         thresholds_used=multipliers,
         per_threshold_widths_px=per_widths,
     )

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -255,6 +256,14 @@ class TestTsv17Q:
         layout = build_tsv_17q(Variant.DOLAN)
         assert len(layout.viable()) == 3024
         assert all(s.design.variant is Variant.DOLAN for s in layout.structures)
+
+    def test_dolan_designed_areas_skip_the_crossed_product(self):
+        # Widths whose square overflows: a bridge area never forms w_b * w_t.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            layout = build_tsv_17q(Variant.DOLAN, (), sweep=[w * 1e152 for w in TSV_SWEEP])
+        table = layout.structures
+        assert np.array_equal(table.a_overlap_designed_um2, table.w_top_nm * 200 / 1e6)
 
     def test_positions_on_square_wafer(self, tsv_manhattan):
         for s in tsv_manhattan.structures:
