@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
@@ -139,8 +140,8 @@ def cmd_layout(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     layout = jio.read_layout_csv(args.layout)
-    records = synthesize_wafer(layout, cfg.geometry(), cfg.process(args.seed),
-                               cfg.parasitics())
+    process = cfg.process if args.seed is None else replace(cfg.process, seed=args.seed)
+    records = synthesize_wafer(layout, cfg.geometry, process, cfg.parasitics)
     jio.write_measurements_csv(records, args.out)
     if args.truth_out:
         jio.write_truth_csv(records, args.truth_out)
@@ -151,8 +152,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     records = jio.read_measurements_csv(args.measurements)
-    if cfg.analysis().deembed:
-        records = deembed_records(records, cfg.parasitics())
+    if cfg.analysis.deembed:
+        records = deembed_records(records, cfg.parasitics)
     grid_positions = None
     if args.layout:
         table = jio.read_layout_csv(args.layout).structures
@@ -161,9 +162,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             at = table.variant == code
             grid_positions[VARIANTS[code].value] = list(map(
                 WaferPoint, table.x_mm[at].tolist(), table.y_mm[at].tolist()))
-    report = build_report(records, cfg.filter(), cfg.frequency(),
-                          dual_rsd=cfg.analysis().dual_rsd, geom=cfg.geometry(),
-                          fidelity=cfg.fidelity(), grid_positions=grid_positions)
+    report = build_report(records, cfg.filter, cfg.frequency,
+                          dual_rsd=cfg.analysis.dual_rsd, geom=cfg.geometry,
+                          fidelity=cfg.process.fidelity, grid_positions=grid_positions)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.txt").write_text(render_report_text(report))
@@ -186,13 +187,15 @@ def _field_map_text(geom: EvaporatorGeometry, quantity: str, design: JunctionDes
 
     Every field quantity takes the same value at (x, y) and (-x, y), and so
     does the disc test; the grid is symmetric too, since (-k)*step is
-    -(k*step) exactly.  So only x >= 0 is evaluated and formatted, and each
-    row's x < 0 cells mirror its x > 0 cells.
+    -(k*step) exactly.  So values are evaluated and formatted at x >= 0
+    only, and each row's x < 0 cells mirror its x > 0 cells.  Those are
+    x = 0, step, ..., (k-1)*step: the disc test grows with |x| along a row,
+    and any step the CLI accepts (about 0.0316 mm or more) is far above
+    rounding.  An outer row holds no cell when n*step rounds past the radius.
     """
     n = int(math.floor(WAFER_RADIUS_MM / step))
     xs = np.arange(n + 1) * step
-    x_east = [repr(x) for x in xs.tolist()]
-    x_west = [repr(-x) for x in xs.tolist()]
+    x_text = [repr(x) for x in (np.arange(-n, n + 1) * step).tolist()]
     ys = np.arange(n, -n - 1, -1) * step
     rows_per_block = max(1, FIELDMAP_BLOCK_POINTS // xs.size)
     for first in range(0, ys.size, rows_per_block):
@@ -203,18 +206,12 @@ def _field_map_text(geom: EvaporatorGeometry, quantity: str, design: JunctionDes
         for k in np.flatnonzero(~ok).tolist():
             cells[k] = ""               # pinched off: blank cell
         bounds = np.searchsorted(row, np.arange(block.size + 1)).tolist()
-        col = col.tolist()
         for y, lo, hi in zip(block.tolist(), bounds, bounds[1:]):
-            if lo == hi:
-                continue
-            east = col[lo:hi]
-            west = east[::-1]
-            if west[-1] == 0:
-                west.pop()              # x = 0 has no mirror image
-            half = cells[lo:hi]
-            x_text = [x_west[k] for k in west] + [x_east[k] for k in east]
-            yield "\n".join(map(f",{y!r},".join,
-                                zip(x_text, half[::-1][:len(west)] + half))) + "\n"
+            k = hi - lo
+            if k:
+                half = cells[lo:hi]     # x = 0 has no mirror image
+                yield "\n".join(map(f",{y!r},".join, zip(x_text[n - k + 1:n + k],
+                                                          half[:0:-1] + half))) + "\n"
 
 
 def cmd_fieldmap(args: argparse.Namespace) -> int:
@@ -228,7 +225,7 @@ def cmd_fieldmap(args: argparse.Namespace) -> int:
         raise DataError(f"--step {step} mm asks for more than {FIELDMAP_MAX_CELLS:,} cells")
     with open(args.out, "w", newline="") as fh:
         fh.write("x_mm,y_mm,value\n")
-        fh.writelines(_field_map_text(cfg.geometry(), args.quantity, design,
+        fh.writelines(_field_map_text(cfg.geometry, args.quantity, design,
                                       args.fidelity, step))
     print(f"wrote {args.out}")
     return 0
@@ -261,7 +258,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     _check_at_least(args, 1, "--stride", "--grid")
     _check_at_least(args, 0, "--scale", strict=True)
     cfg = load_config(args.config)
-    geom = cfg.geometry()
+    geom = cfg.geometry
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     canvas = (args.canvas, args.canvas)
@@ -318,9 +315,9 @@ def cmd_compensate(args: argparse.Namespace) -> int:
     _check_at_least(args, 0, "--max-width-nm", "--fixed-top-nm", unit=" nm")
     cfg = load_config(args.config)
     layout = jio.read_layout_csv(args.layout)
-    fidelity = args.fidelity if args.fidelity else cfg.fidelity()
+    fidelity = args.fidelity if args.fidelity else cfg.process.fidelity
     fixed_top = args.fixed_top_nm if args.mode == "fixed-top" else None
-    result = compensated_layout(layout, cfg.geometry(), fidelity,
+    result = compensated_layout(layout, cfg.geometry, fidelity,
                                 w_max_nm=args.max_width_nm, fixed_top_nm=fixed_top)
     jio.write_layout_csv(result, args.out)
     table = result.structures

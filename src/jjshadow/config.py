@@ -1,8 +1,8 @@
 """Plain-text key=value run configuration.
 
 One dotted key per line (block.key = value); '#' starts a comment.  Each
-block is one parameter object (BLOCKS), and its keys are that class's
-fields: the defaults and range checks are the class's own, types come from
+block is one RunConfig field holding a parameter object, and its keys are
+that class's fields: the defaults and range checks are the class's own, types come from
 its annotations, and enums are given by value.  A config is validated as a
 whole when it is parsed: unknown keys, unparsable or non-finite values
 (naming the line) and out-of-range blocks (naming the block) raise
@@ -12,14 +12,14 @@ ConfigError.  write_default() emits a template listing every key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, get_type_hints
+from typing import get_type_hints
 
 from .analysis import FilterConfig, FrequencyModel
 from .errors import ConfigError, JJShadowError
-from .geometry import EvaporatorGeometry, Fidelity
+from .geometry import EvaporatorGeometry
 from .synth import ParasiticsModel, ProcessModel
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
@@ -34,46 +34,21 @@ class AnalysisOptions:
     deembed: bool = False
 
 
-# Config block name -> parameter class; the order is the template's.
-BLOCKS = {
-    "geometry": EvaporatorGeometry,
-    "process": ProcessModel,
-    "parasitics": ParasiticsModel,
-    "filter": FilterConfig,
-    "frequency": FrequencyModel,
-    "analysis": AnalysisOptions,
-}
-_KEY_TYPES = {block: get_type_hints(cls) for block, cls in BLOCKS.items()}
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """One parameter object per block, each at its class defaults."""
+    """One parameter object per block, in template order, at class defaults."""
 
-    blocks: Mapping[str, object] = field(
-        default_factory=lambda: {block: cls() for block, cls in BLOCKS.items()})
+    geometry: EvaporatorGeometry = EvaporatorGeometry()
+    process: ProcessModel = ProcessModel()
+    parasitics: ParasiticsModel = ParasiticsModel()
+    filter: FilterConfig = FilterConfig()
+    frequency: FrequencyModel = FrequencyModel()
+    analysis: AnalysisOptions = AnalysisOptions()
 
-    def geometry(self) -> EvaporatorGeometry:
-        return self.blocks["geometry"]
 
-    def process(self, seed: int | None = None) -> ProcessModel:
-        process = self.blocks["process"]
-        return process if seed is None else replace(process, seed=seed)
-
-    def fidelity(self) -> Fidelity:
-        return self.blocks["process"].fidelity
-
-    def parasitics(self) -> ParasiticsModel:
-        return self.blocks["parasitics"]
-
-    def filter(self) -> FilterConfig:
-        return self.blocks["filter"]
-
-    def frequency(self) -> FrequencyModel:
-        return self.blocks["frequency"]
-
-    def analysis(self) -> AnalysisOptions:
-        return self.blocks["analysis"]
+# Config block name -> parameter class.
+BLOCKS = get_type_hints(RunConfig)
+_KEY_TYPES = {block: get_type_hints(cls) for block, cls in BLOCKS.items()}
 
 
 def _parse_value(kind: type, text: str) -> object:
@@ -117,7 +92,7 @@ def parse_config(text: str) -> RunConfig:
             blocks[block] = cls(**overrides[block])
         except JJShadowError as exc:
             raise ConfigError(f"{block}: {exc}") from exc
-    return RunConfig(blocks)
+    return RunConfig(**blocks)
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -134,13 +109,12 @@ def load_config(path: str | Path | None) -> RunConfig:
 def write_default(path: str | Path) -> None:
     """Write a config template listing every key at its default."""
     lines = ["# jjshadow run configuration (key = value, '#' comments)"]
-    for block, params in RunConfig().blocks.items():
+    for block, cls in BLOCKS.items():
         lines.append("")
-        for f in fields(params):
-            value = getattr(params, f.name)
+        for name, value in asdict(cls()).items():
             if isinstance(value, bool):
                 value = "true" if value else "false"
             elif isinstance(value, Enum):
                 value = value.value
-            lines.append(f"{block}.{f.name} = {value}")
+            lines.append(f"{block}.{name} = {value}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -138,15 +138,18 @@ class EvaporatorGeometry:
                 " at both alpha and alpha_dolan"
             )
 
+    def _distance_nm(self, alpha_deg: float) -> float:
+        """D'*cos(alpha_deg) - R in nm: the source-plane distance at a tilt."""
+        return (self.d_prime_mm * math.cos(math.radians(alpha_deg))
+                - self.r_pivot_mm) * NM_PER_MM
+
     def source_distance_nm(self) -> float:
         """D = D'*cos(alpha) - R in nm."""
-        alpha = math.radians(self.alpha_deg)
-        return (self.d_prime_mm * math.cos(alpha) - self.r_pivot_mm) * NM_PER_MM
+        return self._distance_nm(self.alpha_deg)
 
     def bridge_distance_nm(self) -> float:
         """D at the bridge-junction tilt, D'*cos(alpha_dolan) - R, in nm."""
-        alpha = math.radians(self.alpha_dolan_deg)
-        return (self.d_prime_mm * math.cos(alpha) - self.r_pivot_mm) * NM_PER_MM
+        return self._distance_nm(self.alpha_dolan_deg)
 
     def crucible_y_nm(self) -> float:
         """In-plane y coordinate of the source, D'*sin(alpha), in nm."""

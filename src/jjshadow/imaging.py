@@ -16,6 +16,7 @@ interchange is binary PGM (P5).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,6 +81,11 @@ def write_pgm(img: GrayImage, path: str | Path) -> None:
         fh.write(img.pixels.tobytes())
 
 
+# A PGM header token: whitespace (bytes \s is exactly bytes.isspace()), a
+# comment up to its newline, or a field, which does not start with '#'.
+_PGM_TOKEN = re.compile(rb"\s+|#([^\n]*)\n|([^\s#]\S*)")
+
+
 def read_pgm(path: str | Path, scale_nm_per_px: float | None = None) -> GrayImage:
     """Read binary PGM (P5), 8-bit only.
 
@@ -91,25 +97,15 @@ def read_pgm(path: str | Path, scale_nm_per_px: float | None = None) -> GrayImag
     fields: list[bytes] = []
     comment_scale = None
     while len(fields) < 4:
-        if pos >= len(data):
+        token = _PGM_TOKEN.match(data, pos)
+        if token is None:           # the data ends, or a comment has no newline
             raise DataError(f"{path}: truncated PGM header")
-        if data[pos:pos + 1].isspace():
-            pos += 1
-            continue
-        if data[pos:pos + 1] == b"#":
-            end = data.find(b"\n", pos)
-            if end < 0:
-                raise DataError(f"{path}: truncated PGM header")
-            comment = data[pos + 1:end].split()
-            if len(comment) == 2 and comment[0] == b"scale_nm_per_px":
-                comment_scale = comment[1]
-            pos = end + 1
-            continue
-        end = pos
-        while end < len(data) and not data[end:end + 1].isspace():
-            end += 1
-        fields.append(data[pos:end])
-        pos = end
+        pos = token.end()
+        words = (token[1] or b"").split()
+        if token[2]:
+            fields.append(token[2])
+        elif len(words) == 2 and words[0] == b"scale_nm_per_px":
+            comment_scale = words[1]
     if fields[0] != b"P5":
         raise DataError(f"{path}: not a binary PGM (P5) file")
     # int() refuses a field of thousands of digits; no raster has 20.

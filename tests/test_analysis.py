@@ -156,6 +156,13 @@ class TestMeanFilter:
         kept, rejected = mean_filter(records, CFG)
         assert len(kept) == 2 and not rejected
 
+    def test_reading_on_the_line_kept(self):
+        # mean 80.0 and line 0.5 * 80.0 = 40.0 are exact: 40 is kept.
+        records = [mk(f"r{k}", 200.0, g) for k, g in
+                   enumerate([40.0, 100.0, 100.0, 80.0])]
+        kept, rejected = mean_filter(records, FilterConfig(rel_threshold=0.5))
+        assert len(kept) == 4 and not rejected
+
     def test_empty_input(self):
         with pytest.raises(DataError):
             mean_filter([], CFG)

@@ -220,7 +220,7 @@ def test_within_radius_decides_like_math_hypot():
 # quantity must be even in x, bit for bit, at any geometry.
 MIRROR_GEOMETRIES = {
     "default": EvaporatorGeometry(),
-    "non-default": load_config(Path(__file__).parent / "data" / "non-default.cfg").geometry(),
+    "non-default": load_config(Path(__file__).parent / "data" / "non-default.cfg").geometry,
 }
 
 

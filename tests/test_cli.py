@@ -1,5 +1,6 @@
 """Command-line behaviour: schemas, counts, determinism, exit codes."""
 
+import itertools
 import math
 import subprocess
 import sys
@@ -8,12 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import jjshadow
-from jjshadow.cli import main
+from jjshadow.cli import FIELDMAP_BLOCK_POINTS, FIELDMAP_MAX_CELLS, _field_map_text, main
 from jjshadow.geometry import (
+    FIELD_QUANTITIES,
     WAFER_RADIUS_MM,
     EvaporatorGeometry,
+    Fidelity,
     JunctionDesign,
     Variant,
     WaferPoint,
@@ -202,6 +207,71 @@ class TestFieldmap:
         assert "point y=50.0 mm is not south of the source projection" \
             in capsys.readouterr().err
         assert rows(out) == ["x_mm,y_mm,value"]
+
+    def test_smallest_step_rows_are_prefixes(self, tmp_path, monkeypatch):
+        # The map mirrors each row's x >= 0 cells in the disc as x = 0,
+        # step, ..., (k-1)*step; at the finest grid the CLI accepts, every
+        # row's disc test must still hold on a prefix of the x >= 0 axis.
+        n = (math.isqrt(FIELDMAP_MAX_CELLS) - 1) // 2
+        step = WAFER_RADIUS_MM / (n + 1)
+        while math.floor(WAFER_RADIUS_MM / step) > n:
+            step = math.nextafter(step, math.inf)
+        out = tmp_path / "field.csv"
+        assert run("fieldmap", "--quantity", "wb", "--step",
+                   repr(math.nextafter(step, 0.0)), "--out", out) == 2
+        monkeypatch.setattr(jjshadow.cli, "_field_map_text", lambda *args: iter(()))
+        assert run("fieldmap", "--quantity", "wb", "--step", repr(step), "--out", out) == 0
+        xs = np.arange(n + 1) * step
+        for y in (np.arange(n, -n - 1, -1) * step).tolist():
+            inside = within_radius(xs, y, WAFER_RADIUS_MM)
+            assert not (inside[1:] > inside[:-1]).any(), y
+
+
+def reference_field_map_text(geom, quantity, design, fidelity, step):
+    """The field-map lines as per-cell column lists build them."""
+    n = int(math.floor(WAFER_RADIUS_MM / step))
+    xs = np.arange(n + 1) * step
+    x_east = [repr(x) for x in xs.tolist()]
+    x_west = [repr(-x) for x in xs.tolist()]
+    ys = np.arange(n, -n - 1, -1) * step
+    rows_per_block = max(1, FIELDMAP_BLOCK_POINTS // xs.size)
+    for first in range(0, ys.size, rows_per_block):
+        block = ys[first:first + rows_per_block]
+        row, col = np.nonzero(within_radius(xs, block[:, None], WAFER_RADIUS_MM))
+        values, ok = field_values(geom, quantity, xs[col], block[row], design, fidelity)
+        cells = [repr(v) for v in values.tolist()]
+        for k in np.flatnonzero(~ok).tolist():
+            cells[k] = ""
+        bounds = np.searchsorted(row, np.arange(block.size + 1)).tolist()
+        col = col.tolist()
+        for y, lo, hi in zip(block.tolist(), bounds, bounds[1:]):
+            if lo == hi:
+                continue
+            east = col[lo:hi]
+            west = east[::-1]
+            if west[-1] == 0:
+                west.pop()
+            half = cells[lo:hi]
+            x_text = [x_west[k] for k in west] + [x_east[k] for k in east]
+            yield "\n".join(map(f",{y!r},".join,
+                                zip(x_text, half[::-1][:len(west)] + half))) + "\n"
+
+
+# Each example maps every quantity, and its quantities between them take
+# every fidelity with both a 20 nm line (pinched off into blanks away from
+# the centre) and a 200 nm line.
+FIELD_CASES = list(itertools.product(Fidelity, (20.0, 200.0)))
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.floats(0.5, 5.0), st.integers(0, len(FIELD_CASES) - 1))
+@example(1.2820512820512822, 0)     # 39*step rounds past 50 mm: the outer rows are empty
+def test_field_map_equals_reference(step, turn):
+    for k, quantity in enumerate(FIELD_QUANTITIES):
+        fidelity, width = FIELD_CASES[(k + turn) % len(FIELD_CASES)]
+        args = (EvaporatorGeometry(), quantity, JunctionDesign(Variant.MANHATTAN, width, width),
+                fidelity, step)
+        assert "".join(_field_map_text(*args)) == "".join(reference_field_map_text(*args))
 
 
 class TestRenderExtract:

@@ -248,7 +248,7 @@ class TestCompensatedLayout:
     def test_bridge_tilt_from_config(self, tsv_dolan):
         # geometry.alpha_dolan_deg reaches synthesis, the actual-area
         # conductivity and compensation through the one geometry object.
-        geom = parse_config(BRIDGE_TILT_25_CFG).geometry()
+        geom = parse_config(BRIDGE_TILT_25_CFG).geometry
         records = synthesize_wafer(tsv_dolan, geom, ProcessModel(), NO_PARASITICS)
         rec = max(records, key=lambda r: abs(r.position.x_mm))
         d25 = EvaporatorGeometry(alpha_deg=25.0).source_distance_nm()

@@ -24,7 +24,7 @@ from jjshadow.synth import NO_PARASITICS, ProcessModel, synthesize_wafer
 
 
 # Every template key at a valid non-default value, with the value its
-# block's accessor must then hold.
+# block's field must then hold.
 NON_DEFAULT = {
     "geometry.d_prime_mm": ("700", 700.0),
     "geometry.r_pivot_mm": ("60", 60.0),
@@ -60,16 +60,16 @@ NON_DEFAULT = {
 class TestConfig:
     def test_default_values(self):
         cfg = RunConfig()
-        geom = cfg.geometry()
+        geom = cfg.geometry
         assert (geom.d_prime_mm, geom.r_pivot_mm, geom.alpha_deg) == (650.0, 62.5, 35.0)
         assert (geom.h_resist_nm, geom.t_bottom_nm, geom.dw_offset_nm) == (600.0, 35.0, 25.0)
-        assert cfg.geometry().alpha_dolan_deg == 15.0
-        par = cfg.parasitics()
+        assert cfg.geometry.alpha_dolan_deg == 15.0
+        par = cfg.parasitics
         assert (par.pad_centre_ohm, par.pad_edge_ohm) == (200.0, 330.0)
         assert (par.substrate_uS, par.cabling_ohm) == (5.0, 5.0)
-        filt = cfg.filter()
+        filt = cfg.filter
         assert (filt.abs_low_uS, filt.abs_high_uS, filt.rel_threshold) == (20.0, 500.0, 0.70)
-        freq = cfg.frequency()
+        freq = cfg.frequency
         assert (freq.f_c_mhz, freq.m_ghz_per_ms) == (270.0, 134.0)
 
     def test_parse_overrides(self):
@@ -80,18 +80,18 @@ class TestConfig:
             parasitics.contact_enabled = true
             filter.regressor = overlap_area
         """)
-        assert cfg.geometry().alpha_deg == 15.0
-        assert cfg.process().lognormal_sigma == 0.02
-        assert cfg.parasitics().contact_enabled is True
-        assert cfg.filter().regressor.value == "overlap_area"
+        assert cfg.geometry.alpha_deg == 15.0
+        assert cfg.process.lognormal_sigma == 0.02
+        assert cfg.parasitics.contact_enabled is True
+        assert cfg.filter.regressor.value == "overlap_area"
 
     @pytest.mark.parametrize("key", NON_DEFAULT)
     def test_every_key_reaches_its_object(self, key):
         text, expected = NON_DEFAULT[key]
         block, name = key.split(".")
-        got = getattr(getattr(parse_config(f"{key} = {text}"), block)(), name)
+        got = getattr(getattr(parse_config(f"{key} = {text}"), block), name)
         assert got == expected and type(got) is type(expected)
-        assert getattr(getattr(RunConfig(), block)(), name) != expected
+        assert getattr(getattr(RunConfig(), block), name) != expected
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -116,7 +116,7 @@ class TestConfig:
 
     def test_bad_fidelity_name(self):
         with pytest.raises(ConfigError):
-            parse_config("process.fidelity = ultra").fidelity()
+            parse_config("process.fidelity = ultra").process.fidelity
 
     def test_template_round_trips(self, tmp_path):
         path = tmp_path / "default.cfg"
@@ -131,8 +131,7 @@ class TestConfig:
 
     def test_seed_override(self):
         cfg = parse_config("process.seed = 7")
-        assert cfg.process().seed == 7
-        assert cfg.process(seed=9).seed == 9
+        assert cfg.process.seed == 7
 
 
 class TestCsvRoundTrips:

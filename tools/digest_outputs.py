@@ -86,7 +86,7 @@ def _write_sweeps(path: Path, sweeps: dict[str, tuple[float, ...]]) -> None:
 
 def _seeds(config: str | None) -> tuple[str, ...]:
     """The simulate seeds: the first alone unless the process model is random."""
-    process = load_config(config).process()
+    process = load_config(config).process
     random_process = max(process.lognormal_sigma, process.p_open, process.p_short) > 0.0
     return SEEDS if random_process else SEEDS[:1]
 

@@ -3,9 +3,10 @@ that two checkouts' readers compare with one ``diff``.
 
 Makes, in a temporary directory, ``--count`` damaged files of each kind
 the package reads as a table: layout, measurement, truth, render
-manifest, sub-array, via and sweep files.  Each holds 1 to 30 rows (a
-sub-array file all 17, in a drawn order) drawn from the rows of its kind
-that the checkout writes or bundles: the tsv17q-manhattan, planar17q and
+manifest, sub-array, via and sweep files; then as many damaged PGM
+images (below).  Each table file holds 1 to 30 rows (a sub-array file
+all 17, in a drawn order) drawn from the rows of its kind that the
+checkout writes or bundles: the tsv17q-manhattan, planar17q and
 planar35x35-al layouts, measurements and truth synthesized from them, a
 manifest of the tsv17q-manhattan structures, the bundled sub-array and
 via files and the planar width sweeps.  Then come up to six damages,
@@ -20,6 +21,15 @@ drawn from a seeded stream (DAMAGE):
   quote, an unclosed quote and a quoted cell that spans lines,
 * a row flagged excluded that holds junk,
 * a repeated structure id.
+
+A PGM file starts as ``write_pgm`` writes one (P5 magic, scale comment,
+width, height, maxval 255, one whitespace byte, a raster of up to 4 x 4
+pixels) and takes up to six damages (PGM_DAMAGE): a header field replaced
+by another magic (P2 among them), an integer of 20 digits or junk; a gap
+between fields replaced by other whitespace (``\x0b`` and ``\x0c`` among
+it) or removed; a comment inserted, with or without its newline, or a
+scale comment that is good or bad; a raster a byte short or long; the file
+cut short.  Half the files are read with a scale given, half with none.
 
 Each file prints as one line, ``<name>  error  <message>`` with the
 temporary directory stripped, ``<name>  read  <sha256>`` of what the read
@@ -100,7 +110,7 @@ def _pools() -> dict[str, tuple[str, list[str]]]:
             for kind, files in texts.items()}
 
 
-# Kinds of damage, and how often each is drawn.
+# Kinds of damage to a table file, and how often each is drawn.
 DAMAGE = {"junk cell": 6, "junk cells": 3, "wrong width": 1, "blank line": 1, "quoted cell": 1,
           "quoted id": 1, "spanning cell": 1, "excluded junk": 2, "repeated id": 1}
 
@@ -143,6 +153,45 @@ def _damage(rng: random.Random, rows: list[list[str]]) -> list[str]:
     return lines
 
 
+PGM_FIELDS = [b"P5", b"P2", b"P6", b"p5", b"0", b"1", b"3", b"255", b"256", b"-1", b"+3",
+              b"9" * 19, b"9" * 20, b"0" * 19 + b"3", b"3x", b"x", b"1e3", b"3#", b"\xff",
+              b"\x00"]
+PGM_SPACE = [b" ", b"\n", b"\t", b"\r", b"\x0b", b"\x0c", b"\r\n", b" \x0b\x0c "]
+PGM_COMMENTS = [b"# scale_nm_per_px 2.5\n", b"#scale_nm_per_px\t0.5\r\n",
+                b"# scale_nm_per_px 1e1\n", b"# scale_nm_per_px\n",
+                b"# scale_nm_per_px 2.5 nm\n", b"# scale_nm_per_px abc\n",
+                b"# scale_nm_per_px -1\n", b"# scale_nm_per_px nan\n",
+                b"# scale_nm_per_px 0\n", b"# scale 2.5\n", b"#\n", b"# a comment\n",
+                b"# no newline", b"# scale_nm_per_px 2.5"]
+
+# Kinds of damage to a PGM file, and how often each is drawn.
+PGM_DAMAGE = {"field": 4, "space": 3, "no space": 1, "comment": 3, "raster": 1, "cut": 1}
+
+
+def _pgm(rng: random.Random) -> bytes:
+    """A PGM image as write_pgm writes one, after up to six seeded damages."""
+    width, height = rng.randint(1, 4), rng.randint(1, 4)
+    # lead, magic, gap, width, gap, height, gap, maxval, terminator, raster
+    parts = [b"", b"P5", b"\n# scale_nm_per_px 2.0\n", str(width).encode(), b" ",
+             str(height).encode(), b"\n", b"255", b"\n", rng.randbytes(width * height)]
+    cut = None
+    for what in rng.choices(list(PGM_DAMAGE), list(PGM_DAMAGE.values()), k=rng.randrange(7)):
+        if what == "field":
+            parts[rng.choice((1, 3, 5, 7))] = rng.choice(PGM_FIELDS)
+        elif what == "space":
+            parts[rng.choice((0, 2, 4, 6, 8))] = rng.choice(PGM_SPACE)
+        elif what == "no space":
+            parts[rng.choice((2, 4, 6, 8))] = b""
+        elif what == "comment":
+            at = rng.choice((0, 2, 4, 6))
+            parts[at] += rng.choice(PGM_COMMENTS) + rng.choice([b"", *PGM_SPACE])
+        elif what == "raster":
+            parts[9] = parts[9][:-1] if rng.random() < 0.5 else parts[9] + b"\x80"
+        else:
+            cut = rng.randrange(len(b"".join(parts)) + 1)
+    return b"".join(parts)[:cut]
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -151,9 +200,14 @@ def _columns(table, names) -> str:
     return _digest("\n".join(repr(getattr(table, name).tolist()) for name in names))
 
 
+def _image(img) -> str:
+    return _digest(repr((img.scale_nm_per_px, img.pixels.tolist())))
+
+
 def fuzz(count: int, seed: int) -> tuple[list[str], Counter]:
     """One line per damaged file, and the count of each outcome per kind."""
     from jjshadow.errors import JJShadowError
+    from jjshadow.imaging import read_pgm
     from jjshadow.io import (
         read_layout_csv,
         read_manifest_csv,
@@ -181,23 +235,31 @@ def fuzz(count: int, seed: int) -> tuple[list[str], Counter]:
     }
     out, counts = [], Counter()
     with tempfile.TemporaryDirectory() as tmp:
+        def record(kind: str, name: str, read) -> None:
+            try:
+                outcome, text = "read", read(Path(tmp) / name)
+            except JJShadowError as exc:
+                outcome, text = "error", str(exc).replace(f"{tmp}/", "")
+            except Exception as exc:            # a traceback in the CLI
+                outcome, text = "crash", f"{type(exc).__name__}: {exc}"
+            counts[kind, outcome] += 1
+            out.append(f"{name}  {outcome}  {text!r}")
+
         for kind, (header, pool) in _pools().items():
             rng = random.Random(f"{seed}-{kind}")
             for k in range(count):
                 name = f"{kind}-{k:05d}.csv"
-                path = Path(tmp) / name
                 size = (rng.randint(1, ROWS_PER_FILE) if len(pool) > ROWS_PER_FILE
                         else len(pool))         # every row of a sub-array file
                 rows = [line.split(",") for line in rng.sample(pool, size)]
-                path.write_text("\n".join([header, *_damage(rng, rows)]) + "\n")
-                try:
-                    outcome, text = "read", readers[kind](path)
-                except JJShadowError as exc:
-                    outcome, text = "error", str(exc).replace(f"{tmp}/", "")
-                except Exception as exc:            # a traceback in the CLI
-                    outcome, text = "crash", f"{type(exc).__name__}: {exc}"
-                counts[kind, outcome] += 1
-                out.append(f"{name}  {outcome}  {text!r}")
+                Path(tmp, name).write_text("\n".join([header, *_damage(rng, rows)]) + "\n")
+                record(kind, name, readers[kind])
+        rng = random.Random(f"{seed}-pgm")
+        for k in range(count):
+            scale = rng.choice([None, 3.0])
+            name = f"pgm-{k:05d}{'' if scale is None else '-scaled'}.pgm"
+            Path(tmp, name).write_bytes(_pgm(rng))
+            record("pgm", name, lambda path: _image(read_pgm(path, scale_nm_per_px=scale)))
     return out, counts
 
 
