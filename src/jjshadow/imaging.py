@@ -119,13 +119,19 @@ def read_pgm(path: str | Path, scale_nm_per_px: float | None = None) -> GrayImag
     raster = data[pos:pos + width * height]
     if len(raster) != width * height:
         raise DataError(f"{path}: raster size mismatch")
-    scale = scale_nm_per_px if scale_nm_per_px is not None else comment_scale
+    scale = scale_nm_per_px
     if scale is None:
-        raise DataError(f"{path}: no scale given and none recorded in the file")
+        if comment_scale is None:
+            raise DataError(f"{path}: no scale given and none recorded in the file")
+        try:
+            scale = float(comment_scale)
+        except ValueError:
+            raise DataError(f"{path}: scale comment must be a number, got "
+                            f"{comment_scale.decode(errors='replace')!r}") from None
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     try:
         return GrayImage(scale_nm_per_px=float(scale), pixels=pixels.copy())
-    except (ValueError, DataError) as exc:
+    except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -178,9 +184,10 @@ def render_junction(geom: EvaporatorGeometry, design: JunctionDesign, p: WaferPo
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal(base.shape, dtype=np.float32)
-        base += noise * np.float32(noise_sigma * 255.0)
-    pixels = np.clip(np.rint(base), 0, 255).astype(np.uint8)
-    return GrayImage(scale_nm_per_px=scale_nm_per_px, pixels=pixels)
+        noise *= np.float32(noise_sigma * 255.0)
+        base += noise
+    np.clip(np.rint(base, out=base), 0, 255, out=base)
+    return GrayImage(scale_nm_per_px=scale_nm_per_px, pixels=base.astype(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -201,7 +208,7 @@ def _find_band(occupancy: np.ndarray, line_length: int) -> tuple[int, int] | Non
     lines at or above half the peak occupancy; interior dips from a
     threshold sitting right at the band's intensity cannot shorten it.
     """
-    peak = occupancy.max(initial=0)
+    peak = int(occupancy.max(initial=0))
     if peak < _MIN_OCCUPANCY * line_length:
         return None
     above = np.flatnonzero(occupancy >= 0.5 * peak)
@@ -229,25 +236,32 @@ def extract_widths(img: GrayImage,
     non-zero extents over the threshold sweep, and the overlap area the
     mean of the top-by-bottom boxes over the thresholds that found both
     bands, converted via the image scale.
+
+    The pixels are integers, so a pixel is >= mult * mean exactly when it
+    is >= the integer ceiling of that product: the mask is the one a
+    float compare gives, without promoting the image to float64.  The
+    occupancies are counted in the narrowest unsigned type that holds the
+    longer image side, which bounds any row or column count.
     """
     if threshold_count < 1:
         raise DataError("threshold_count must be >= 1")
     pixels = img.pixels
     mean = float(pixels.mean())
     multipliers = tuple(float(m) for m in np.linspace(*THRESHOLD_RANGE, threshold_count))
+    count_dtype = np.min_scalar_type(max(pixels.shape))
 
     per_widths: dict[float, tuple[int, int]] = {}
     tops_px, bottoms_px, areas_px2 = [], [], []
     for mult in multipliers:
-        binary = pixels >= mult * mean
+        binary = pixels >= math.ceil(mult * mean)
         wt = wb = 0
-        band = _find_band(binary.sum(axis=1), img.width_px)
+        band = _find_band(binary.sum(axis=1, dtype=count_dtype), img.width_px)
         if band is not None:
             r0, r1 = band
             wt = r1 - r0 + 1
             tops_px.append(wt)
             binary[r0:r1 + 1] = False
-            cols = _find_band(binary.sum(axis=0), img.height_px)
+            cols = _find_band(binary.sum(axis=0, dtype=count_dtype), img.height_px)
             if cols is not None:
                 c0, c1 = cols
                 wb = c1 - c0 + 1

@@ -534,7 +534,7 @@ class TestRejectedOptions:
     @pytest.mark.parametrize("scale, message", [
         (b"nan", "scale must be finite and > 0, got nan"),
         (b"inf", "scale must be finite and > 0, got inf"),
-        (b"junk", "could not convert string to float: b'junk'"),
+        (b"junk", "scale comment must be a number, got 'junk'"),
     ])
     def test_image_scale_comment(self, tmp_path, capsys, image, scale, message):
         bad, out = tmp_path / "bad.pgm", tmp_path / "e.csv"

@@ -5,11 +5,28 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jjshadow.errors import DataError, ExtractionError
-from jjshadow.geometry import JunctionDesign, Variant, WaferPoint, actual_width_vertical
+from jjshadow.geometry import (
+    NM2_PER_UM2,
+    EvaporatorGeometry,
+    JunctionDesign,
+    Variant,
+    WaferPoint,
+    actual_width_vertical,
+)
 from jjshadow.imaging import (
+    LEVEL_BACKGROUND,
+    LEVEL_BOTTOM,
+    LEVEL_OVERLAP,
+    LEVEL_TOP,
+    THRESHOLD_RANGE,
+    ExtractionResult,
     GrayImage,
+    _band_slice,
     band_pixel_count,
     extract_overlap_area,
     extract_widths,
@@ -65,6 +82,14 @@ class TestPgmIO:
         path.write_bytes(data)
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             read_pgm(path, scale_nm_per_px=1.0)
+
+    def test_bad_scale_comment_is_named(self, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n# scale_nm_per_px ab\xffc\n4 2\n255\n" + bytes(8))
+        message = "scale comment must be a number, got 'ab\ufffdc'"
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_pgm(path)
+        assert read_pgm(path, scale_nm_per_px=1.0).width_px == 4
 
     def test_rejects_non_p5(self, tmp_path):
         path = tmp_path / "ascii.pgm"
@@ -181,3 +206,192 @@ class TestRoundTrip:
                     actual_width_vertical(geom, 200.0, p.y_mm), scale, canvas)
                 assert abs(result.w_bottom_nm / scale - wb_true) <= 2.0
                 assert abs(result.w_top_nm / scale - wt_true) <= 2.0
+
+
+def reference_render_junction(geom, design, p, scale_nm_per_px=2.0, canvas_px=(512, 512),
+                              noise_sigma=0.0, seed=0):
+    """render_junction as it scaled the noise and rounded into new arrays."""
+    width, height = canvas_px
+    w_b_nm = actual_width_vertical(geom, design.w_bottom_nm, p.x_mm)
+    w_t_nm = actual_width_vertical(geom, design.w_top_nm, p.y_mm)
+    if w_b_nm / scale_nm_per_px > width or w_t_nm / scale_nm_per_px > height:
+        raise DataError(
+            f"electrode ({w_b_nm:.0f} x {w_t_nm:.0f} nm) exceeds the "
+            f"{width}x{height} px canvas at {scale_nm_per_px} nm/px")
+    base = np.full((height, width), LEVEL_BACKGROUND, dtype=np.float32)
+    cols = _band_slice(w_b_nm, scale_nm_per_px, width)
+    rows = _band_slice(w_t_nm, scale_nm_per_px, height)
+    base[:, cols] = LEVEL_BOTTOM
+    base[rows, :] = LEVEL_TOP
+    base[rows, cols] = LEVEL_OVERLAP
+    if noise_sigma > 0.0:
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal(base.shape, dtype=np.float32)
+        base += noise * np.float32(noise_sigma * 255.0)
+    pixels = np.clip(np.rint(base), 0, 255).astype(np.uint8)
+    return GrayImage(scale_nm_per_px=scale_nm_per_px, pixels=pixels)
+
+
+def reference_find_band(occupancy, line_length):
+    """_find_band as it took the peak in the occupancy's own type."""
+    peak = occupancy.max(initial=0)
+    if peak < 0.25 * line_length:
+        return None
+    above = np.flatnonzero(occupancy >= 0.5 * peak)
+    return int(above[0]), int(above[-1])
+
+
+def reference_extract_widths(img, threshold_count):
+    """extract_widths as it compared the pixels to the float threshold and
+    counted occupancy in int64."""
+    pixels = img.pixels
+    mean = float(pixels.mean())
+    multipliers = tuple(float(m) for m in np.linspace(*THRESHOLD_RANGE, threshold_count))
+    per_widths = {}
+    tops_px, bottoms_px, areas_px2 = [], [], []
+    for mult in multipliers:
+        binary = pixels >= mult * mean
+        wt = wb = 0
+        band = reference_find_band(binary.sum(axis=1), img.width_px)
+        if band is not None:
+            r0, r1 = band
+            wt = r1 - r0 + 1
+            tops_px.append(wt)
+            binary[r0:r1 + 1] = False
+            cols = reference_find_band(binary.sum(axis=0), img.height_px)
+            if cols is not None:
+                c0, c1 = cols
+                wb = c1 - c0 + 1
+                bottoms_px.append(wb)
+                areas_px2.append(wt * wb)
+        per_widths[mult] = (wt, wb)
+    if not tops_px or not bottoms_px:
+        raise ExtractionError("no electrode edges found at any threshold")
+    scale = img.scale_nm_per_px
+    return ExtractionResult(
+        w_top_nm=float(np.mean(tops_px)) * scale,
+        w_bottom_nm=float(np.mean(bottoms_px)) * scale,
+        a_overlap_um2=float(np.mean(areas_px2)) * scale * scale / NM2_PER_UM2,
+        thresholds_used=multipliers,
+        per_threshold_widths_px=per_widths,
+    )
+
+
+def _outcome(extract, img, threshold_count):
+    """The repr of an extraction (every float to the bit, the per-threshold
+    widths in order), or its error."""
+    try:
+        return repr(extract(img, threshold_count))
+    except ExtractionError as exc:
+        return f"ExtractionError: {exc}"
+
+
+def assert_extraction_matches_reference(pixels, threshold_count, scale=2.0):
+    img = GrayImage(scale_nm_per_px=scale, pixels=pixels)
+    want = _outcome(reference_extract_widths, img, threshold_count)
+    assert _outcome(extract_widths, img, threshold_count) == want
+    return want
+
+
+THRESHOLD_COUNTS = st.sampled_from([1, 2, 11]) | st.integers(1, 40)
+
+
+@st.composite
+def rasters(draw):
+    """Crossed-band, random and few-level rasters of 1 to 80 px a side."""
+    h, w = draw(st.integers(1, 80)), draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(["cross", "random", "levels"]))
+    if kind == "random":
+        return draw(hnp.arrays(np.uint8, (h, w)))
+    if kind == "levels":
+        levels = np.array(draw(st.lists(st.integers(0, 255), min_size=1, max_size=4)),
+                          np.uint8)
+        return levels[draw(hnp.arrays(np.intp, (h, w),
+                                      elements=st.integers(0, levels.size - 1)))]
+    # Background, bottom, top and overlap levels in rising order, bands of
+    # up to half the image, and up to +-20 of pixel noise.
+    levels = np.array(sorted(draw(st.lists(st.integers(0, 255), min_size=4, max_size=4,
+                                           unique=True))), np.int16)
+    rows, cols = draw(st.integers(1, max(1, h // 2))), draw(st.integers(1, max(1, w // 2)))
+    r0, c0 = draw(st.integers(0, h - rows)), draw(st.integers(0, w - cols))
+    index = np.zeros((h, w), np.intp)
+    index[:, c0:c0 + cols] += 1
+    index[r0:r0 + rows, :] += 2
+    amplitude = draw(st.integers(0, 20))
+    noise = draw(hnp.arrays(np.int16, (h, w), elements=st.integers(-amplitude, amplitude)))
+    return np.clip(levels[index] + noise, 0, 255).astype(np.uint8)
+
+
+def _edge_image(top, bottom, edge):
+    """20 x 20 px on a zero background: rows 8-11 at level top, and outside
+    them columns 8-11 at level bottom and column 12 at level edge."""
+    px = np.zeros((20, 20), np.uint8)
+    px[:, 8:12] = bottom
+    px[:, 12] = edge
+    px[8:12, :] = top
+    return px
+
+
+class TestExtractionEqualsReference:
+    @settings(max_examples=300, deadline=None)
+    @given(rasters(), THRESHOLD_COUNTS)
+    def test_rasters(self, pixels, threshold_count):
+        assert_extraction_matches_reference(pixels, threshold_count)
+
+    def test_threshold_exactly_an_integer(self):
+        # The edge column lies at the threshold, so it widens the bottom band.
+        pixels = _edge_image(240, 240, 90)
+        assert float(pixels.mean()) == 90.0
+        assert assert_extraction_matches_reference(pixels, 1).endswith(
+            "per_threshold_widths_px={1.0: (4, 5)})")
+
+    def test_pixel_at_floor_of_fractional_threshold(self):
+        # The edge column lies just under the threshold: 86 < 86.44.
+        pixels = _edge_image(255, 200, 86)
+        assert float(pixels.mean()) == 86.44
+        assert assert_extraction_matches_reference(pixels, 1).endswith(
+            "per_threshold_widths_px={1.0: (4, 4)})")
+
+    def test_line_of_256_or_more_lit_pixels(self):
+        img = cross_image(height=40, width=300, top_rows=10, bottom_cols=60)
+        assert "(10, 60)" in assert_extraction_matches_reference(img.pixels, 11)
+
+    def test_lines_longer_than_uint16(self):
+        # 1 x 70,000 px: the row counts 66,000 lit pixels; one row never
+        # leaves a bottom band to find.
+        row = np.zeros((1, 70_000), np.uint8)
+        row[0, :66_000] = 200
+        assert assert_extraction_matches_reference(row, 11).startswith("ExtractionError")
+        # 70,000 x 3 px: rows 100-199 are the top band, and column 0 of the
+        # other rows a bottom band of 69,900 lit pixels.
+        column = np.zeros((70_000, 3), np.uint8)
+        column[:, 0] = 200
+        column[100:200] = 200
+        assert "(100, 1)" in assert_extraction_matches_reference(column, 11)
+
+    @pytest.mark.parametrize("value", [0, 255])
+    def test_uniform_image(self, value):
+        pixels = np.full((30, 40), value, np.uint8)
+        assert assert_extraction_matches_reference(pixels, 11).startswith("ExtractionError")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1.0, 8.0), st.integers(8, 200), st.integers(8, 200),
+       st.just(0.0) | st.floats(0.0, 0.4), st.integers(0, 2**63),
+       st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(70.0, 300.0),
+       THRESHOLD_COUNTS)
+@example(3.0, 320, 320, 8 / 255, 7, 34.0, -17.0, 200.0, 11)
+def test_render_and_extract_equal_reference(scale, width, height, noise, seed, x, y, w_nm,
+                                            threshold_count):
+    args = (EvaporatorGeometry(), JunctionDesign(Variant.MANHATTAN, w_nm, w_nm),
+            WaferPoint(x, y), scale, (width, height), noise, seed)
+    try:
+        want = reference_render_junction(*args)
+    except DataError as exc:
+        with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+            render_junction(*args)
+        return
+    got = render_junction(*args)
+    assert got.scale_nm_per_px == want.scale_nm_per_px
+    assert got.pixels.dtype == np.uint8 and np.array_equal(got.pixels, want.pixels)
+    assert_extraction_matches_reference(got.pixels, threshold_count, scale)

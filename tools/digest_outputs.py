@@ -22,6 +22,10 @@ Runs, in one process and against the checkout's own src/:
   line, which pinches off into blank cells away from the centre,
 * ``render --grid 3 --canvas 256`` of 100 nm electrodes (images and
   manifest) and ``extract --manifest`` of those images,
+* ``render --grid 2 --canvas 320 --scale 3`` of the default 200 nm
+  electrodes, the metrology benchmark's image size, with about its pixel
+  noise (``--noise 0.0314``) and without, and ``extract --thresholds 1``
+  and ``--thresholds 40`` of each set,
 * ``write-config``.
 
 Each output file prints as ``<sha256>  <name>``, and each command that
@@ -76,6 +80,11 @@ SEEDS = ("3", "7")
 RENDER_GRID = "3"
 RENDER_CANVAS_PX = "256"
 RENDER_WIDTH_NM = "100"         # bands well under half the canvas, so edges are found
+# The metrology benchmark's image size and scale, rendered noisy and clean.
+BENCH_GRID = "2"
+BENCH_RENDER = ["--canvas", "320", "--scale", "3"]
+BENCH_NOISES = {"noisy": "0.0314", "clean": "0"}
+BENCH_THRESHOLDS = ("1", "40")
 
 
 def _write_sweeps(path: Path, sweeps: dict[str, tuple[float, ...]]) -> None:
@@ -107,6 +116,22 @@ def _simulate_analyze(out: Path, kinds: list[str], config: list[str],
             report = f"{prefix}analyze-{kind}-{seed}"
             runs.append((["analyze", "--measurements", str(out / sim), *layout,
                           "--out-dir", str(out / report), *config], [report]))
+    return runs
+
+
+def _render_extract(out: Path, grid: str, render: list[str], config: list[str],
+                    extracts: list[tuple[str, list[str]]],
+                    prefix: str = "") -> list[tuple[list[str], list[str]]]:
+    """render of a grid into the directory prefix + "render", then extract
+    of its images into each named file with its extra arguments."""
+    images = out / f"{prefix}render"
+    runs = [(["render", "--grid", grid, *render, "--out-dir", str(images), *config],
+             [images.name])]
+    pgms = [str(images / f"g{i:02d}_{j:02d}.pgm")
+            for i in range(int(grid)) for j in range(int(grid))]
+    for name, extra in extracts:
+        runs.append((["extract", "--manifest", str(images / "manifest.csv"),
+                      "--images", *pgms, *extra, "--out", str(out / name)], [name]))
     return runs
 
 
@@ -146,14 +171,15 @@ def _commands(out: Path, config: list[str],
                         ("fieldmap-wb-wb20-fine.csv", ["wb", "--wb", "20"])):
         runs.append((["fieldmap", "--quantity", *extra, "--step", FINE_STEP_MM,
                       "--out", str(out / name), *config], [name]))
-    runs.append((["render", "--grid", RENDER_GRID, "--canvas", RENDER_CANVAS_PX,
-                  "--wb", RENDER_WIDTH_NM, "--wt", RENDER_WIDTH_NM,
-                  "--out-dir", str(out / "render"), *config], ["render"]))
-    runs.append((["extract", "--manifest", str(out / "render" / "manifest.csv"),
-                  "--images", *(str(out / "render" / f"g{i:02d}_{j:02d}.pgm")
-                                for i in range(int(RENDER_GRID))
-                                for j in range(int(RENDER_GRID))),
-                  "--out", str(out / "extract.csv")], ["extract.csv"]))
+    runs += _render_extract(out, RENDER_GRID,
+                            ["--canvas", RENDER_CANVAS_PX,
+                             "--wb", RENDER_WIDTH_NM, "--wt", RENDER_WIDTH_NM],
+                            config, [("extract.csv", [])])
+    for label, noise in BENCH_NOISES.items():
+        prefix = f"bench-{label}-"
+        runs += _render_extract(out, BENCH_GRID, [*BENCH_RENDER, "--noise", noise], config,
+                                [(f"{prefix}extract-t{n}.csv", ["--thresholds", n])
+                                 for n in BENCH_THRESHOLDS], prefix)
     runs.append((["write-config", "--out", str(out / "write-config.cfg")],
                  ["write-config.cfg"]))
     if not config:
