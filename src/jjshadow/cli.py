@@ -297,18 +297,25 @@ def cmd_extract(args: argparse.Namespace) -> int:
         ids[sid] = image_path
     manifest = jio.read_manifest_csv(args.manifest) if args.manifest else {}
     rows = []
+    failed = 0
     for sid, image_path in ids.items():
         img = read_pgm(image_path, scale_nm_per_px=args.scale)
-        result = extract_widths(img, threshold_count=args.thresholds)
-        area = extract_overlap_area(img, result)
         d = manifest[sid].radius_mm() if sid in manifest else float("nan")
-        rows.append({"structure_id": sid, "d_mm": d,
-                     "w_top_nm": result.w_top_nm,
-                     "w_bottom_nm": result.w_bottom_nm,
-                     "a_overlap_um2": area})
+        # An image without electrode edges keeps its row, with blank widths
+        # and area, and makes the batch exit 3.
+        row = {"structure_id": sid, "d_mm": d,
+               "w_top_nm": "", "w_bottom_nm": "", "a_overlap_um2": ""}
+        try:
+            result = extract_widths(img, threshold_count=args.thresholds)
+            row.update(w_top_nm=result.w_top_nm, w_bottom_nm=result.w_bottom_nm,
+                       a_overlap_um2=extract_overlap_area(img, result))
+        except ExtractionError as exc:
+            print(f"jjshadow: numerical failure: {image_path}: {exc}", file=sys.stderr)
+            failed += 1
+        rows.append(row)
     jio.write_extraction_csv(rows, args.out)
-    print(f"wrote {args.out}: {len(rows)} rows")
-    return 0
+    print(f"wrote {args.out}: {len(rows)} rows, {failed} without electrode edges")
+    return NUMERIC_EXIT if failed else 0
 
 
 def cmd_compensate(args: argparse.Namespace) -> int:

@@ -431,7 +431,7 @@ def variant_areas(geom: EvaporatorGeometry, variant: np.ndarray, w_b_nm: np.ndar
     electrode pinches off.
     """
     areas, ok = np.empty(len(variant)), np.ones(len(variant), dtype=bool)
-    for code in np.unique(variant).tolist():
+    for code in sorted(set(variant.tolist())):  # np.unique(x) imports numpy.ma
         idx = np.flatnonzero(variant == code)
         v = VARIANTS[code]
         areas[idx], ok[idx] = overlap_areas(geom, v, w_b_nm[idx], w_t_nm[idx],

@@ -38,6 +38,11 @@ LEVEL_BACKGROUND = 40
 LEVEL_BOTTOM = 110
 LEVEL_TOP = 180
 LEVEL_OVERLAP = 240
+# The level of each rectangle render_junction adds: rows before, inside and
+# after the top band, by columns before, inside and after the bottom band.
+_LEVELS = ((LEVEL_BACKGROUND, LEVEL_BOTTOM, LEVEL_BACKGROUND),
+           (LEVEL_TOP, LEVEL_OVERLAP, LEVEL_TOP),
+           (LEVEL_BACKGROUND, LEVEL_BOTTOM, LEVEL_BACKGROUND))
 
 DEFAULT_THRESHOLD_COUNT = 11
 # extract_widths sweeps its thresholds over this range of multiples of the
@@ -74,11 +79,15 @@ class GrayImage:
 
 
 def write_pgm(img: GrayImage, path: str | Path) -> None:
-    """Write binary PGM (P5), scale recorded as a comment."""
+    """Write binary PGM (P5), scale recorded as a comment.
+
+    The raster is written from its own buffer when that is C-contiguous,
+    and from a C-ordered copy (the bytes tobytes() gives) when it is not.
+    """
     with open(path, "wb") as fh:
-        fh.write(f"P5\n# scale_nm_per_px {img.scale_nm_per_px!r}\n".encode())
-        fh.write(f"{img.width_px} {img.height_px}\n255\n".encode())
-        fh.write(img.pixels.tobytes())
+        fh.write(f"P5\n# scale_nm_per_px {img.scale_nm_per_px!r}\n"
+                 f"{img.width_px} {img.height_px}\n255\n".encode())
+        fh.write(np.ascontiguousarray(img.pixels))
 
 
 # A PGM header token: whitespace (bytes \s is exactly bytes.isspace()), a
@@ -116,7 +125,7 @@ def read_pgm(path: str | Path, scale_nm_per_px: float | None = None) -> GrayImag
     if maxval != 255:
         raise DataError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
     pos += 1            # single whitespace after maxval
-    raster = data[pos:pos + width * height]
+    raster = memoryview(data)[pos:pos + width * height]     # a view, not a copy
     if len(raster) != width * height:
         raise DataError(f"{path}: raster size mismatch")
     scale = scale_nm_per_px
@@ -148,6 +157,14 @@ def _band_slice(width_nm: float, scale_nm_per_px: float, canvas_px: int) -> slic
     return slice(lo, hi)
 
 
+def _spans(band: slice, canvas_px: int) -> tuple[slice, slice, slice]:
+    """The lines before, inside and after a band, which together cover the
+    canvas once; an empty band leaves one empty span."""
+    lo = min(band.start, canvas_px)
+    hi = max(lo, band.stop)
+    return slice(0, lo), slice(lo, hi), slice(hi, canvas_px)
+
+
 def band_pixel_count(width_nm: float, scale_nm_per_px: float, canvas_px: int) -> int:
     """Number of pixel rows/columns a centred band of width_nm covers.
 
@@ -167,6 +184,14 @@ def render_junction(geom: EvaporatorGeometry, design: JunctionDesign, p: WaferPo
     band is W'_b(x) wide, the horizontal top band W'_t(y).  noise_sigma is
     the Gaussian pixel-noise standard deviation as a fraction of full
     scale.  Deterministic per seed.
+
+    The image is built in the noise buffer itself: the scaled noise is
+    drawn into a float32 raster (zeros without noise), each pixel's level
+    is added to it exactly once, by nine disjoint rectangles, and the
+    rounded raster is clipped straight into the 8-bit output.  float32
+    addition is commutative, so level + noise has the same bits as the
+    noise added to a raster of levels; adding a level twice would round
+    twice and could change them.
     """
     width, height = canvas_px
     w_b_nm = actual_width_vertical(geom, design.w_bottom_nm, p.x_mm)
@@ -175,19 +200,21 @@ def render_junction(geom: EvaporatorGeometry, design: JunctionDesign, p: WaferPo
         raise DataError(
             f"electrode ({w_b_nm:.0f} x {w_t_nm:.0f} nm) exceeds the "
             f"{width}x{height} px canvas at {scale_nm_per_px} nm/px")
-    base = np.full((height, width), LEVEL_BACKGROUND, dtype=np.float32)
-    cols = _band_slice(w_b_nm, scale_nm_per_px, width)
-    rows = _band_slice(w_t_nm, scale_nm_per_px, height)
-    base[:, cols] = LEVEL_BOTTOM
-    base[rows, :] = LEVEL_TOP
-    base[rows, cols] = LEVEL_OVERLAP
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
-        noise = rng.standard_normal(base.shape, dtype=np.float32)
-        noise *= np.float32(noise_sigma * 255.0)
-        base += noise
-    np.clip(np.rint(base, out=base), 0, 255, out=base)
-    return GrayImage(scale_nm_per_px=scale_nm_per_px, pixels=base.astype(np.uint8))
+        raster = rng.standard_normal((height, width), dtype=np.float32)
+        raster *= np.float32(noise_sigma * 255.0)
+    else:
+        raster = np.zeros((height, width), dtype=np.float32)
+    col_spans = _spans(_band_slice(w_b_nm, scale_nm_per_px, width), width)
+    row_spans = _spans(_band_slice(w_t_nm, scale_nm_per_px, height), height)
+    for rows, row_levels in zip(row_spans, _LEVELS):
+        for cols, level in zip(col_spans, row_levels):
+            raster[rows, cols] += level
+    np.rint(raster, out=raster)
+    pixels = np.empty((height, width), dtype=np.uint8)
+    np.clip(raster, 0, 255, out=pixels, casting="unsafe")
+    return GrayImage(scale_nm_per_px=scale_nm_per_px, pixels=pixels)
 
 
 @dataclass(frozen=True)
@@ -250,10 +277,11 @@ def extract_widths(img: GrayImage,
     multipliers = tuple(float(m) for m in np.linspace(*THRESHOLD_RANGE, threshold_count))
     count_dtype = np.min_scalar_type(max(pixels.shape))
 
+    binary = np.empty(pixels.shape, dtype=bool)     # one mask for every threshold
     per_widths: dict[float, tuple[int, int]] = {}
     tops_px, bottoms_px, areas_px2 = [], [], []
     for mult in multipliers:
-        binary = pixels >= math.ceil(mult * mean)
+        np.greater_equal(pixels, math.ceil(mult * mean), out=binary)
         wt = wb = 0
         band = _find_band(binary.sum(axis=1, dtype=count_dtype), img.width_px)
         if band is not None:

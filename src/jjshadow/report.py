@@ -126,7 +126,7 @@ def build_report(records: Sequence[MeasurementRecord], cfg: FilterConfig,
         """(variant, positions in idx of its rows) per variant, in code order."""
         codes = table.variant[idx]
         return [(VARIANTS[c].value, np.flatnonzero(codes == c))
-                for c in np.unique(codes).tolist()]
+                for c in sorted(set(codes.tolist()))]  # np.unique(x) imports numpy.ma
 
     def refit(idx: np.ndarray, who: str):
         """The pipeline's model (mean or line) fitted once to all of idx,

@@ -454,6 +454,23 @@ class TestExitCodes:
         write_pgm(GrayImage(1.0, np.full((32, 32), 40, dtype=np.uint8)), blank)
         assert run("extract", "--out", tmp_path / "e.csv", "--images", blank) == 3
 
+    def test_extract_keeps_the_good_rows_of_a_batch(self, tmp_path, capsys):
+        from jjshadow.imaging import GrayImage, write_pgm
+
+        assert run("render", "--grid", 2, "--out-dir", tmp_path, "--noise", 8 / 255) == 0
+        blank = tmp_path / "blank.pgm"
+        write_pgm(GrayImage(2.0, np.full((32, 32), 40, dtype=np.uint8)), blank)
+        good = [tmp_path / "g00_00.pgm", tmp_path / "g01_01.pgm"]
+        capsys.readouterr()
+        assert run("extract", "--out", tmp_path / "e.csv", "--images", good[0], blank,
+                   good[1]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"jjshadow: numerical failure: {blank}: "
+                       "no electrode edges found at any threshold"]
+        assert run("extract", "--out", tmp_path / "good.csv", "--images", *good) == 0
+        kept = rows(tmp_path / "good.csv")
+        assert rows(tmp_path / "e.csv") == [*kept[:2], "blank,nan,,,", kept[2]]
+
     def test_entry_point_subprocess(self, tmp_path):
         # Run from the directory holding the imported package, so the child
         # finds it also when only pytest's pythonpath setting put it on the path.

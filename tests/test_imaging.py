@@ -395,3 +395,67 @@ def test_render_and_extract_equal_reference(scale, width, height, noise, seed, x
     assert got.scale_nm_per_px == want.scale_nm_per_px
     assert got.pixels.dtype == np.uint8 and np.array_equal(got.pixels, want.pixels)
     assert_extraction_matches_reference(got.pixels, threshold_count, scale)
+
+
+# (canvas (width, height), bottom and top band widths in px, scale, noise,
+# the bottom band's columns, the top band's rows), all at the wafer centre.
+RENDER_CASES = {
+    "wider-than-tall": ((48, 30), 12, 8, 10.0, 8 / 255, (18, 30), (11, 19)),
+    "taller-than-wide": ((30, 48), 8, 12, 10.0, 8 / 255, (11, 19), (18, 30)),
+    "band-at-canvas-edge": ((8, 8), 3, 7, 10.0, 8 / 255, (2, 5), (0, 7)),
+    "empty-band": ((8, 8), 0.75, 3, 300.0, 8 / 255, (4, 4), (2, 5)),
+    "band-covers-canvas": ((16, 10), 15.7, 4, 10.0, 8 / 255, (0, 16), (3, 7)),
+    "both-bands-cover-canvas": ((6, 5), 5.7, 4.7, 10.0, 0.4, (0, 6), (0, 5)),
+    "noise-free": ((20, 20), 6, 5, 10.0, 0.0, (7, 13), (7, 12)),
+}
+
+
+@pytest.mark.parametrize("case", list(RENDER_CASES))
+@pytest.mark.parametrize("seed", [0, 5])
+def test_render_edge_cases_equal_reference(geom, origin, case, seed):
+    canvas, wb_px, wt_px, scale, noise, cols, rows = RENDER_CASES[case]
+    # The centre prints each electrode 25 nm wider than designed.
+    design = JunctionDesign(Variant.MANHATTAN, wb_px * scale - 25.0, wt_px * scale - 25.0)
+    for w_nm, n_px, want in ((design.w_bottom_nm, canvas[0], cols),
+                             (design.w_top_nm, canvas[1], rows)):
+        band = _band_slice(actual_width_vertical(geom, w_nm, 0.0), scale, n_px)
+        assert (band.start, band.stop) == want
+    args = (geom, design, origin, scale, canvas, noise, seed)
+    got, want = render_junction(*args), reference_render_junction(*args)
+    assert got.pixels.shape == (canvas[1], canvas[0])
+    assert got.pixels.dtype == np.uint8 and np.array_equal(got.pixels, want.pixels)
+    if noise == 0.0:
+        assert np.array_equal(got.pixels, cross_image(
+            canvas[1], canvas[0], rows[1] - rows[0], cols[1] - cols[0]).pixels)
+
+
+class TestPgmBuffers:
+    @pytest.mark.parametrize("view", [lambda a: a.T, lambda a: a[1::2, ::3],
+                                      lambda a: a[::-1, 5:]],
+                             ids=["transposed", "strided", "reversed"])
+    def test_write_of_a_view_writes_its_bytes(self, tmp_path, view):
+        pixels = view(np.arange(40 * 30, dtype=np.uint32).reshape(40, 30).astype(np.uint8))
+        assert not pixels.flags.c_contiguous
+        write_pgm(GrayImage(scale_nm_per_px=2.5, pixels=pixels), tmp_path / "v.pgm")
+        height, width = pixels.shape
+        assert (tmp_path / "v.pgm").read_bytes() == (
+            f"P5\n# scale_nm_per_px 2.5\n{width} {height}\n255\n".encode()
+            + pixels.tobytes())
+
+    def test_read_returns_a_writable_array_of_its_own(self, tmp_path):
+        img = cross_image(height=20, width=30)
+        write_pgm(img, tmp_path / "c.pgm")
+        back = read_pgm(tmp_path / "c.pgm")
+        assert back.pixels.flags.writeable and back.pixels.flags.owndata
+        assert back.pixels.flags.c_contiguous
+        assert np.array_equal(back.pixels, img.pixels)
+
+
+@pytest.mark.parametrize("seed", [602, 630])
+def test_each_level_added_once(geom, design_200, origin, seed):
+    # At seed 602 a top-band pixel, and at 630 a bottom-band pixel, lies so
+    # near a rounding boundary that adding its level in two parts (the
+    # background, then the rest) moves it to the other integer.
+    args = (geom, design_200, origin, 10.0, (64, 48), 8 / 255, seed)
+    assert np.array_equal(render_junction(*args).pixels,
+                          reference_render_junction(*args).pixels)

@@ -1,8 +1,13 @@
 """Full-pipeline report assembly on synthetic wafers."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import jjshadow
 from jjshadow.analysis import (
     FilterConfig,
     FrequencyModel,
@@ -287,3 +292,30 @@ class TestDeembedding:
                                substrate_uS=0.0, cabling_ohm=0.0)
         with pytest.raises(DataError):
             deembed_records(records, huge)
+
+
+SYNTHESIZE_AND_REPORT = """
+import sys
+from jjshadow.analysis import FilterConfig, FrequencyModel
+from jjshadow.geometry import EvaporatorGeometry
+from jjshadow.layout import build_planar_17q
+from jjshadow.report import build_report
+from jjshadow.synth import ProcessModel, synthesize_wafer
+records = synthesize_wafer(build_planar_17q(), EvaporatorGeometry(), ProcessModel())
+build_report(records, FilterConfig(), FrequencyModel())
+print("numpy.ma" in sys.modules)
+"""
+
+
+def _in_fresh_interpreter(code: str) -> str:
+    """The last word code prints in a new Python process."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, cwd=Path(jjshadow.__file__).parents[1])
+    return done.stdout.split()[-1]
+
+
+def test_synthesis_and_report_leave_numpy_ma_unimported():
+    # A plain np.unique(x) imports numpy.ma, some 14 ms of a cold command.
+    if _in_fresh_interpreter("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("importing numpy already loads numpy.ma")
+    assert _in_fresh_interpreter(SYNTHESIZE_AND_REPORT) == "False"

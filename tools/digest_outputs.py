@@ -26,6 +26,12 @@ Runs, in one process and against the checkout's own src/:
   electrodes, the metrology benchmark's image size, with about its pixel
   noise (``--noise 0.0314``) and without, and ``extract --thresholds 1``
   and ``--thresholds 40`` of each set,
+* ``render --grid 5`` at that size and noise, the benchmark's 25 wafer
+  positions, and ``extract`` of it at the benchmark's 11 thresholds,
+* ``render --grid 3`` at that size with ``--noise 0.4``, where the
+  threshold count changes the extracted widths (at ``--noise 0.3`` and
+  below it does not), and ``extract --thresholds 1`` and
+  ``--thresholds 11`` of it,
 * ``write-config``.
 
 Each output file prints as ``<sha256>  <name>``, and each command that
@@ -85,6 +91,15 @@ BENCH_GRID = "2"
 BENCH_RENDER = ["--canvas", "320", "--scale", "3"]
 BENCH_NOISES = {"noisy": "0.0314", "clean": "0"}
 BENCH_THRESHOLDS = ("1", "40")
+# The benchmark's 25 positions at its noise: the band edges of each position.
+POSITIONS_GRID = "5"
+POSITIONS_NOISE = BENCH_NOISES["noisy"]
+POSITIONS_THRESHOLDS = "11"
+# Noise at which the threshold count changes the extracted widths; at the
+# benchmark's noise every threshold finds the same edges.
+SWEEP_GRID = "3"
+SWEEP_NOISE = "0.4"
+SWEEP_THRESHOLDS = ("1", "11")
 
 
 def _write_sweeps(path: Path, sweeps: dict[str, tuple[float, ...]]) -> None:
@@ -180,6 +195,12 @@ def _commands(out: Path, config: list[str],
         runs += _render_extract(out, BENCH_GRID, [*BENCH_RENDER, "--noise", noise], config,
                                 [(f"{prefix}extract-t{n}.csv", ["--thresholds", n])
                                  for n in BENCH_THRESHOLDS], prefix)
+    runs += _render_extract(out, POSITIONS_GRID, [*BENCH_RENDER, "--noise", POSITIONS_NOISE],
+                            config, [(f"positions-extract-t{POSITIONS_THRESHOLDS}.csv",
+                                      ["--thresholds", POSITIONS_THRESHOLDS])], "positions-")
+    runs += _render_extract(out, SWEEP_GRID, [*BENCH_RENDER, "--noise", SWEEP_NOISE], config,
+                            [(f"sweep-extract-t{n}.csv", ["--thresholds", n])
+                             for n in SWEEP_THRESHOLDS], "sweep-")
     runs.append((["write-config", "--out", str(out / "write-config.cfg")],
                  ["write-config.cfg"]))
     if not config:
