@@ -14,19 +14,14 @@ reductions (mean, std, polyfit) on the same values in the same order, and
 Python sum where such a loop sums in Python, so results agree to the bit.
 _moments makes numpy's mean and std sums itself (np.add.reduce, not the
 Python-level _var), with the same bits.
-
-The public functions are thin wrappers over private helpers on tables,
-which report.build_report calls directly to compute each result once:
-_regression (a die's two passes, and its pass-1 line), _design_groups
-(each design group's rows, mean and std, for the CV and the heatmap
-means), _heatmap, _conductivity and _quadratic.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +35,7 @@ from .geometry import (
     WaferPoint,
     actual_overlap_area,  # noqa: F401 -- perfbench/spans.py wraps this binding in traced runs
     variant_areas,
+    variant_rows,
 )
 from .synth import MeasurementRecord, MeasurementTable
 
@@ -242,12 +238,6 @@ def _runs(keys: Sequence[np.ndarray]) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(change) + 1) if order.size else []
 
 
-def _design_runs(table: MeasurementTable, by_die: bool = False) -> list[np.ndarray]:
-    """Rows grouped by identical design: (variant, area), after die if by_die."""
-    keys = (table.a_overlap_designed_um2, table.variant)
-    return _runs(keys + (table.die_y, table.die_x) if by_die else keys)
-
-
 def _moments(values: np.ndarray, ddof: int = 0) -> tuple[float, float]:
     """values.mean() and values.std(ddof=ddof), to the bit.
 
@@ -275,8 +265,8 @@ DesignGroup = tuple[tuple, np.ndarray, float, float]    # key, rows, mean, std
 def _design_groups(table: MeasurementTable, by_die: bool = False) -> list[DesignGroup]:
     """Each identical-design group of table, in key order: its conductance_cv
     key, its rows and the mean and population std of their conductances."""
-    groups = []
-    for idx in _design_runs(table, by_die):
+    groups, keys = [], (table.a_overlap_designed_um2, table.variant)
+    for idx in _runs(keys + (table.die_y, table.die_x) if by_die else keys):
         i = idx[0]
         key: tuple = (VARIANTS[table.variant[i]].value, float(table.a_overlap_designed_um2[i]))
         if by_die:
@@ -470,3 +460,140 @@ def quadratic_radial_fit(points: Sequence[tuple[float, float]],
     """Least-squares a + b*d + c*d^2 through (d, value) points."""
     radii = np.asarray([d for d, _ in points], float)
     return _quadratic(radii, np.asarray([v for _, v in points], float), _distinct(radii))
+
+
+# ---------------------------------------------------------------------------
+# The report's stages, in the order report.build_report runs them; each shares
+# a result the public functions would compute again: a sweep die's pass-1 line
+# is its unfiltered fit, and the CV's group means normalize the heatmaps.
+
+FitKey = tuple[str, tuple[int, int]]        # (variant, die_index)
+
+
+def _mean_model(xs: np.ndarray, gs: np.ndarray, who: str) -> float:
+    """The uniform pipeline's model of conductances gs: their mean."""
+    return _exact_mean(gs)
+
+
+def _line_model(xs: np.ndarray, gs: np.ndarray, who: str) -> np.ndarray:
+    """The sweep pipeline's model of conductances gs: their line against xs, at xs."""
+    slope, intercept = _polyfit(xs, gs, 1, f"{who}: regression is underdetermined")
+    return slope * xs + intercept
+
+
+@dataclass(frozen=True)
+class DieFilter:
+    window: np.ndarray              # its rows in the absolute window
+    kept: np.ndarray                # those the relative filter kept
+    fit: float | np.ndarray         # its mean, or its pass-2 line, at kept
+    unfiltered: float | np.ndarray  # its model fitted to window, at window
+
+
+@dataclass(frozen=True)
+class Filtered:
+    """What filter_table keeps of a table; rows are indices into it."""
+
+    pipeline: str                   # "sweep" | "uniform"
+    in_window: np.ndarray           # mask of the rows in the absolute window
+    keep: np.ndarray                # mask of the rows the relative filter kept
+    kept: np.ndarray                # kept rows: in table order, or die by die for a sweep
+    dies: dict[FitKey, DieFilter]   # in key order
+    xs: np.ndarray                  # each row's regressor
+    model: Callable[[np.ndarray, np.ndarray, str], float | np.ndarray]  # of a row set
+
+
+def filter_table(table: MeasurementTable, cfg: FilterConfig) -> Filtered:
+    """The absolute window, then the mean filter if every record has one
+    design (variant and area), else each die's two-pass regression."""
+    if not len(table):
+        raise DataError("no measurement records to analyze")
+    g, xs = table.g_uS, _regressor(table, cfg)
+    in_window = _in_window(g, cfg)
+    window = np.flatnonzero(in_window)
+    if not window.size:
+        raise DataError("absolute filter rejected every record")
+    by_die = {}
+    for run in _runs((table.die_y[window], table.die_x[window], table.variant[window])):
+        i = window[run[0]]
+        key = (VARIANTS[table.variant[i]].value, (int(table.die_x[i]), int(table.die_y[i])))
+        by_die[key] = window[run]
+    keep, dies = np.zeros(len(table), dtype=bool), {}
+    if (np.all(table.variant == table.variant[0])
+            and np.all(table.a_overlap_designed_um2 == table.a_overlap_designed_um2[0])):
+        keep[window] = _mean_keep(g[window], cfg)
+        for key, idx in by_die.items():
+            rows = idx[keep[idx]]
+            if not rows.size:
+                raise FitError(f"die {key[1]}: mean filter rejected every record")
+            dies[key] = DieFilter(idx, rows, _exact_mean(g[rows]), _exact_mean(g[idx]))
+        return Filtered("uniform", in_window, keep, window[keep[window]], dies, xs, _mean_model)
+    for key, idx in by_die.items():
+        slope, intercept, die_keep, line1 = _regression(xs[idx], g[idx], key[1], cfg)
+        rows = idx[die_keep]
+        keep[rows] = True
+        dies[key] = DieFilter(idx, rows, slope * xs[rows] + intercept, line1)
+    kept = np.concatenate([die.kept for die in dies.values()])
+    return Filtered("sweep", in_window, keep, kept, dies, xs, _line_model)
+
+
+def _wafer_rsds(table: MeasurementTable, filtered: Filtered, rows: np.ndarray,
+                fmodel: FrequencyModel, who: str) -> dict[str, float]:
+    """Each variant's RSD over its rows among rows, about the model fitted to them."""
+    g, rsds = table.g_uS, {}
+    for variant, at in variant_rows(table.variant[rows]):
+        sub = rows[at]
+        fit = filtered.model(filtered.xs[sub], g[sub], f"{variant.value} {who}")
+        rsds[variant.value] = _rsd(g[sub], fit, fmodel)
+    return rsds
+
+
+def frequency_rsds(table: MeasurementTable, filtered: Filtered, fmodel: FrequencyModel,
+                   dual_rsd: bool = False,
+                   ) -> tuple[dict[FitKey, float], dict[str, float],
+                              dict[FitKey, float] | None, dict[str, float] | None]:
+    """The frequency RSD of the kept rows of each die and of each variant;
+    then, with dual_rsd, the same of the rows in the absolute window (else
+    None and None)."""
+    g, dies = table.g_uS, filtered.dies
+    die = {key: _rsd(g[d.kept], d.fit, fmodel) for key, d in dies.items()}
+    wafer = _wafer_rsds(table, filtered, filtered.kept, fmodel, "wafer")
+    if not dual_rsd:
+        return die, wafer, None, None
+    return (die, wafer, {key: _rsd(g[d.window], d.unfiltered, fmodel) for key, d in dies.items()},
+            _wafer_rsds(table, filtered, np.flatnonzero(filtered.in_window), fmodel,
+                        "wafer unfiltered"))
+
+
+def design_statistics(kept: MeasurementTable,
+                      grid_positions: Mapping[str, Sequence[WaferPoint]],
+                      ) -> tuple[dict[tuple, CvStats], dict[str, HeatmapGrid]]:
+    """conductance_cv of kept at wafer scope, and each variant's
+    normalized_heatmap pinning its grid_positions, from one set of design
+    groups."""
+    groups = _design_groups(kept)
+    ratio = _normalized(kept, groups)
+    heatmaps = {variant.value: _heatmap(kept.x_mm[at], kept.y_mm[at], ratio[at],
+                                        list(grid_positions.get(variant.value, ())))
+                for variant, at in variant_rows(kept.variant)}
+    return _cv(kept, groups), heatmaps
+
+
+def conductivity_fits(kept: MeasurementTable, geom: EvaporatorGeometry | None = None,
+                      fidelity: Fidelity = Fidelity.FULL,
+                      ) -> tuple[dict[str, tuple[float, float, float]],
+                                 dict[str, tuple[float, float, float]]]:
+    """Each variant's quadratic_radial_fit of the designed-area conductivity
+    of kept, and with geom of the actual-area one; a fit that raises
+    FitError (too few distinct radii) is left out."""
+    designed, actual = {}, {}
+    for variant, at in variant_rows(kept.variant):
+        sub = kept.take(at)
+        radii = sub.radius_mm()
+        distinct = _distinct(radii)
+        with suppress(FitError):
+            designed[variant.value] = _quadratic(radii, _conductivity(sub, "designed"), distinct)
+        if geom is not None:
+            with suppress(FitError):
+                actual[variant.value] = _quadratic(
+                    radii, _conductivity(sub, "actual", geom, fidelity), distinct)
+    return designed, actual

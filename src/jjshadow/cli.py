@@ -32,7 +32,6 @@ from .errors import (
 from .geometry import (
     FIELD_QUANTITIES,
     VARIANT_CODES,
-    VARIANTS,
     WAFER_RADIUS_MM,
     EvaporatorGeometry,
     Fidelity,
@@ -42,6 +41,7 @@ from .geometry import (
     actual_width_vertical,
     evaluate_field,  # noqa: F401 -- perfbench/spans.py wraps this binding in traced runs
     field_values,
+    variant_rows,
     within_radius,
 )
 from .imaging import (
@@ -157,11 +157,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     grid_positions = None
     if args.layout:
         table = jio.read_layout_csv(args.layout).structures
-        grid_positions = {}
-        for code in dict.fromkeys(table.variant.tolist()):
-            at = table.variant == code
-            grid_positions[VARIANTS[code].value] = list(map(
-                WaferPoint, table.x_mm[at].tolist(), table.y_mm[at].tolist()))
+        grid_positions = {
+            variant.value: list(map(WaferPoint, table.x_mm[at].tolist(), table.y_mm[at].tolist()))
+            for variant, at in variant_rows(table.variant)}
     report = build_report(records, cfg.filter, cfg.frequency,
                           dual_rsd=cfg.analysis.dual_rsd, geom=cfg.geometry,
                           fidelity=cfg.process.fidelity, grid_positions=grid_positions)

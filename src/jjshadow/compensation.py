@@ -34,6 +34,7 @@ from .geometry import (
     WaferPoint,
     actual_overlap_area,
     designed_areas,
+    variant_rows,
 )
 from .layout import LAYOUT_COLUMNS, StructureTable, WaferLayout, _radii
 
@@ -151,12 +152,11 @@ def compensated_layout(layout: WaferLayout, geom: EvaporatorGeometry,
     designed areas and exclusions are written into the layout's columns.
     """
     table = layout.structures
-    viable = ~table.excluded
-    lanes = np.flatnonzero(viable)
-    if not lanes.size:
+    viable = np.flatnonzero(~table.excluded)
+    if not viable.size:
         raise TargetError("layout has no viable structures to compensate")
-    radii = _radii(table.x_mm[lanes], table.y_mm[lanes])
-    c = min(lanes[radii == radii.min()].tolist(), key=lambda i: table.structure_id[i])
+    radii = _radii(table.x_mm[viable], table.y_mm[viable])
+    c = min(viable[radii == radii.min()].tolist(), key=lambda i: table.structure_id[i])
     centre = VARIANTS[table.variant[c]]
     target = actual_overlap_area(
         geom, JunctionDesign(centre, table.w_bottom_nm[c].item(), table.w_top_nm[c].item()),
@@ -166,9 +166,8 @@ def compensated_layout(layout: WaferLayout, geom: EvaporatorGeometry,
     w_b, w_t = table.w_bottom_nm.copy(), table.w_top_nm.copy()
     excluded, reason = table.excluded.copy(), table.exclusion_reason.copy()
     solved = np.zeros(len(table), dtype=bool)
-    for code in dict.fromkeys(table.variant[lanes].tolist()):
-        variant = VARIANTS[code]
-        lanes = np.flatnonzero(viable & (table.variant == code))
+    for variant, at in variant_rows(table.variant[viable]):
+        lanes = viable[at]
         w_top = fixed_top_nm if variant is Variant.MANHATTAN else None
         aspect = 1.0
         if w_top is None:

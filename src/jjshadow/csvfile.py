@@ -163,11 +163,12 @@ def _read_rows(path: str | Path, header: str,
 
 
 def _parse_rows(path: str | Path, header: str, what: str,
-                parse: Callable[[Sequence[str]], object], label: str = "") -> list:
+                parse: Callable[[Sequence[str]], object], label: str = "",
+                unique: bool = False) -> list:
     """parse of the cells of each row of the file in order; the first row
     that parse rejects, that has the wrong width or that ends the rows
     raises DataError at its path:line (label, then why, for a row parse
-    rejects)."""
+    rejects), and then, if unique, a repeated structure id in column 0."""
     cells, lines, error = _read_rows(path, header, what)
     out = []
     for lineno, row in zip(lines, zip(*cells)):
@@ -177,7 +178,19 @@ def _parse_rows(path: str | Path, header: str, what: str,
             raise DataError(f"{path}:{lineno}: {label}{exc}") from exc
     if error is not None:
         raise DataError(error)
+    if unique:
+        _check_unique(path, cells[0], lines)
     return out
+
+
+def _check_unique(path: str | Path, ids: Sequence[str], lines: Sequence[int]) -> None:
+    """DataError at the path:line of the first row whose id an earlier row holds."""
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for sid, lineno in zip(ids, lines):
+            if sid in seen:
+                raise DataError(f"{path}:{lineno}: repeated structure id {sid!r}")
+            seen.add(sid)
 
 
 def _parse_column(cells: Sequence[str], parse: Callable[[str], object], dtype,

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -79,6 +80,12 @@ class Variant(str, Enum):
 # variant names do.
 VARIANTS = tuple(sorted(Variant, key=lambda v: v.value))
 VARIANT_CODES = {v: code for code, v in enumerate(VARIANTS)}
+
+
+def variant_rows(codes: np.ndarray) -> Iterator[tuple[Variant, np.ndarray]]:
+    """Each variant in a column of codes, in code order, with its row indices."""
+    for code in sorted(set(codes.tolist())):  # np.unique(x) imports numpy.ma
+        yield VARIANTS[code], np.flatnonzero(codes == code)
 
 
 class Fidelity(str, Enum):
@@ -431,9 +438,7 @@ def variant_areas(geom: EvaporatorGeometry, variant: np.ndarray, w_b_nm: np.ndar
     electrode pinches off.
     """
     areas, ok = np.empty(len(variant)), np.ones(len(variant), dtype=bool)
-    for code in sorted(set(variant.tolist())):  # np.unique(x) imports numpy.ma
-        idx = np.flatnonzero(variant == code)
-        v = VARIANTS[code]
+    for v, idx in variant_rows(variant):
         areas[idx], ok[idx] = overlap_areas(geom, v, w_b_nm[idx], w_t_nm[idx],
                                             x_mm[idx], y_mm[idx], fidelity.for_variant(v))
     if not ok.all():

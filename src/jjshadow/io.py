@@ -15,7 +15,8 @@ first check a row-by-row read makes in it.  The table is then built from
 those columns with ColumnTable.from_checked: no file is parsed twice and
 no column is checked twice.
 Layout, measurement, truth and manifest files reject a repeated
-structure id.
+structure id, after every row's own checks, at the path:line of the first
+row whose id an earlier row holds.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 
 from .analysis import HeatmapGrid
 from .csvfile import (
+    _check_unique,
     _flag,
     _int64,
     _parse_column,
@@ -107,15 +109,10 @@ def _read_table(path: str | Path, header: str, what: str, table: type[ColumnTabl
     raise_first_bad([checks[name] for name in order], lambda i: f"{path}:{lines[i]}: ")
     if stop is not None:
         raise DataError(stop)
-    _check_unique(path, cells[0])
+    _check_unique(path, cells[0], lines)
     n = len(cells[0])
     return table.from_checked({**columns, **{
         name: np.full(n, value, table.COLUMNS[name]) for name, value in rest.items()}})
-
-
-def _check_unique(path: str | Path, ids: Sequence[str]) -> None:
-    if len(set(ids)) != len(ids):
-        raise DataError(f"{path}: duplicate structure ids")
 
 
 def write_layout_csv(layout: WaferLayout, path: str | Path) -> None:
@@ -167,9 +164,7 @@ def read_truth_csv(path: str | Path) -> dict[str, frozenset[str]]:
             flags[cell] = frozenset(f for f in cell.split(";") if f)
         return row[0], flags[cell]
 
-    truth = _parse_rows(path, TRUTH_HEADER, "truth", row_truth)
-    _check_unique(path, [sid for sid, _ in truth])
-    return dict(truth)
+    return dict(_parse_rows(path, TRUTH_HEADER, "truth", row_truth, unique=True))
 
 
 def write_heatmap_csv(grid: HeatmapGrid, path: str | Path) -> None:
@@ -216,14 +211,7 @@ def write_manifest_csv(rows: Iterable[Sequence], path: str | Path) -> None:
 
 
 def read_manifest_csv(path: str | Path) -> dict[str, WaferPoint]:
-    """Wafer position by image id from a render manifest; a repeated id is
-    rejected at its path:line."""
-    manifest: dict[str, WaferPoint] = {}
-
-    def entry(row: Sequence[str]) -> None:
-        if row[0] in manifest:
-            raise DataError(f"repeated structure id {row[0]!r}")
-        manifest[row[0]] = WaferPoint(float(row[1]), float(row[2]))
-
-    _parse_rows(path, MANIFEST_HEADER, "manifest", entry)
-    return manifest
+    """Wafer position by image id from a render manifest."""
+    return dict(_parse_rows(path, MANIFEST_HEADER, "manifest",
+                            lambda row: (row[0], WaferPoint(float(row[1]), float(row[2]))),
+                            unique=True))

@@ -356,6 +356,37 @@ class TestCompensateCommand:
         assert (max(gs) - min(gs)) / min(gs) <= 1e-6
 
 
+class TestOptionsThatIgnoreTheConfig:
+    """fieldmap --fidelity and render --seed keep their own defaults (full
+    and 0): process.fidelity and process.seed, which compensate and
+    simulate fall back to, do not reach them."""
+
+    def test_fieldmap_fidelity_ignores_process_fidelity(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("process.fidelity = basic\n")
+        outs = {}
+        for name, extra in (("plain", ()), ("config", ("--config", cfg)),
+                            ("basic", ("--fidelity", "basic"))):
+            outs[name] = tmp_path / f"{name}.csv"
+            assert run("fieldmap", "--quantity", "area", "--step", "10",
+                       "--out", outs[name], *extra) == 0
+        assert outs["config"].read_bytes() == outs["plain"].read_bytes()
+        assert outs["basic"].read_bytes() != outs["plain"].read_bytes()
+
+    def test_render_seed_ignores_process_seed(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("process.seed = 5\n")
+        images = {}
+        for name, extra in (("plain", ()), ("config", ("--config", cfg)),
+                            ("seed", ("--seed", 5))):
+            out_dir = tmp_path / name
+            assert run("render", "--grid", 2, "--canvas", 128, "--noise", 0.1,
+                       "--out-dir", out_dir, *extra) == 0
+            images[name] = [p.read_bytes() for p in sorted(out_dir.iterdir())]
+        assert images["config"] == images["plain"]
+        assert images["seed"] != images["plain"]
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert_exit(["layout"], 1)

@@ -228,7 +228,8 @@ class TestCsvRoundTrips:
         lines = path.read_text().splitlines()
         lines.append(lines[5])
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: duplicate structure ids$"):
+        message = f"{path}:{len(lines)}: repeated structure id {lines[5].split(',')[0]!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             reader(path)
 
     def test_heatmap_csv_blank_encoding(self, tmp_path):

@@ -347,7 +347,7 @@ class TestReaderLocations:
                 reader(path)
 
     @pytest.mark.parametrize("later, message", [
-        (None, " duplicate structure ids"),
+        (None, "10: repeated structure id 'dup'"),
         ("-5.0", "21: designed widths must be >= 0"),      # a later bad row is named first
         ("-5.0,extra", "21: expected 11 columns, got 12"),
     ])
