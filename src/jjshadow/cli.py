@@ -36,11 +36,11 @@ from .geometry import (
     EvaporatorGeometry,
     Fidelity,
     JunctionDesign,
+    Sites,
     Variant,
     WaferPoint,
     actual_width_vertical,
     evaluate_field,  # noqa: F401 -- perfbench/spans.py wraps this binding in traced runs
-    field_values,
     variant_rows,
     within_radius,
 )
@@ -174,14 +174,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-FIELDMAP_BLOCK_POINTS = 8192        # x >= 0 grid points per field_values call
+FIELDMAP_BLOCK_POINTS = 8192        # x >= 0 grid points per Sites.field call
 FIELDMAP_MAX_CELLS = 10_000_000     # bound on the (2n + 1)^2 square grid a step asks for
 
 
 def _field_map_text(geom: EvaporatorGeometry, quantity: str, design: JunctionDesign,
                     fidelity: Fidelity, step: float) -> Iterator[str]:
     """The CSV lines of each field-map row, north to south; within a row,
-    west to east.  field_values runs once per block of rows.
+    west to east.  Sites.field runs once per block of rows.
 
     Every field quantity takes the same value at (x, y) and (-x, y), and so
     does the disc test; the grid is symmetric too, since (-k)*step is
@@ -199,7 +199,7 @@ def _field_map_text(geom: EvaporatorGeometry, quantity: str, design: JunctionDes
     for first in range(0, ys.size, rows_per_block):
         block = ys[first:first + rows_per_block]
         row, col = np.nonzero(within_radius(xs, block[:, None], WAFER_RADIUS_MM))
-        values, ok = field_values(geom, quantity, xs[col], block[row], design, fidelity)
+        values, ok = Sites(geom, xs[col], block[row]).field(quantity, design, fidelity)
         cells = [repr(v) for v in values.tolist()]
         for k in np.flatnonzero(~ok).tolist():
             cells[k] = ""               # pinched off: blank cell
@@ -346,7 +346,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("layout", help="emit a wafer layout CSV")
     p.add_argument("--kind", required=True,
-                   choices=[k.value for k in LayoutKind if k is not LayoutKind.CUSTOM])
+                   choices=[k.value for k in LayoutKind])
     p.add_argument("--out", required=True)
     p.add_argument("--tsv-file", default=None, help="via positions CSV")
     p.add_argument("--subarrays", default=None, help="sub-array placement CSV")

@@ -187,6 +187,6 @@ def compensated_layout(layout: WaferLayout, geom: EvaporatorGeometry,
         reason[lanes[~met]] = [f"unattainable: {r}" for r in why if r]
     area = np.where(solved, designed_areas(table.variant, w_b, w_t),
                     table.a_overlap_designed_um2)
-    return WaferLayout(layout.kind, StructureTable.from_checked({
+    return WaferLayout(StructureTable.from_checked({
         **columns, "w_bottom_nm": w_b, "w_top_nm": w_t, "a_overlap_designed_um2": area,
         "excluded": excluded, "exclusion_reason": reason}))

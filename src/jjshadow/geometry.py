@@ -24,11 +24,11 @@ that depends only on position and geometry (|r - C|**3, the thickness, the
 lip, the resist and narrowing shades) once, on first use, so a caller that
 evaluates many widths at the same points, such as the bisection of design
 pre-compensation, pays for the width-dependent part alone.  A Sites lives
-as long as its caller's call; nothing is cached across calls.  The array
-kernels overlap_areas and field_values are one call of a fresh Sites, and
-the one-point functions (actual_overlap_area, evaluate_field,
-actual_top_width, ...) are one-element calls of those kernels that return
-a Python float and raise ShadowedError instead of returning a False mask;
+as long as its caller's call; nothing is cached across calls.  Sites is
+the one array entry point: callers construct one and call areas or field.
+The one-point functions (actual_overlap_area, evaluate_field,
+actual_top_width, ...) are one-element Sites calls that return a Python
+float and raise ShadowedError instead of returning a False mask;
 actual_width_vertical, a single expression, is evaluated directly.
 
 Exactness rule: each Sites term is the printed formula it names, written
@@ -420,49 +420,34 @@ class Sites:
         return value, value > 0.0
 
 
-def overlap_areas(geom: EvaporatorGeometry, variant: Variant, w_b_nm, w_t_nm,
-                  x_mm, y_mm, fidelity: Fidelity) -> tuple[np.ndarray, np.ndarray]:
-    """Actual junction overlap area in um^2 per element: (area, ok); see
-    Sites.areas.  Widths and points broadcast against each other."""
-    return Sites(geom, x_mm, y_mm).areas(variant, w_b_nm, w_t_nm, fidelity)
-
-
 def variant_areas(geom: EvaporatorGeometry, variant: np.ndarray, w_b_nm: np.ndarray,
                   w_t_nm: np.ndarray, x_mm: np.ndarray, y_mm: np.ndarray,
                   fidelity: Fidelity) -> np.ndarray:
     """Actual overlap area in um^2 of each structure, from columns.
 
     variant holds VARIANTS codes.  The structures of each variant go
-    through one overlap_areas call at fidelity.for_variant(variant).
+    through one Sites.areas call at fidelity.for_variant(variant).
     Raises ShadowedError for the first structure, in input order, where an
     electrode pinches off.
     """
     areas, ok = np.empty(len(variant)), np.ones(len(variant), dtype=bool)
     for v, idx in variant_rows(variant):
-        areas[idx], ok[idx] = overlap_areas(geom, v, w_b_nm[idx], w_t_nm[idx],
-                                            x_mm[idx], y_mm[idx], fidelity.for_variant(v))
+        areas[idx], ok[idx] = Sites(geom, x_mm[idx], y_mm[idx]).areas(
+            v, w_b_nm[idx], w_t_nm[idx], fidelity.for_variant(v))
     if not ok.all():
         i = int(np.argmin(ok))
         raise _shadowed(WaferPoint(float(x_mm[i]), float(y_mm[i])))
     return areas
 
 
-# Field-map quantity names accepted by field_values (and the CLI).
+# Field-map quantity names accepted by Sites.field (and the CLI).
 FIELD_QUANTITIES = ("wb", "wt", "tb", "wlip", "hlip", "wt_full", "area")
-
-
-def field_values(geom: EvaporatorGeometry, quantity: str, x_mm, y_mm,
-                 design: JunctionDesign,
-                 fidelity: Fidelity = Fidelity.FULL) -> tuple[np.ndarray, np.ndarray]:
-    """One model quantity at each point, for field-map export: (value, ok);
-    see Sites.field."""
-    return Sites(geom, x_mm, y_mm).field(quantity, design, fidelity)
 
 
 # ---------------------------------------------------------------------------
 # One-point functions: a WaferPoint in, a Python float out, ShadowedError
 # where an electrode pinches off.  All but actual_width_vertical are
-# one-element calls of the array kernels.
+# one-element calls of Sites.
 
 def _shadowed(p: WaferPoint) -> ShadowedError:
     return ShadowedError(f"electrode fully shadowed at ({p.x_mm}, {p.y_mm}) mm")
@@ -527,7 +512,7 @@ def actual_overlap_area(geom: EvaporatorGeometry, design: JunctionDesign,
                         p: WaferPoint, fidelity: Fidelity) -> float:
     """Actual junction overlap area in um^2 at the requested fidelity.
 
-    See overlap_areas for the model at each fidelity.
+    See Sites.areas for the model at each fidelity.
     """
     return evaluate_field(geom, "area", p, design, fidelity)
 
@@ -535,8 +520,8 @@ def actual_overlap_area(geom: EvaporatorGeometry, design: JunctionDesign,
 def evaluate_field(geom: EvaporatorGeometry, quantity: str, p: WaferPoint,
                    design: JunctionDesign,
                    fidelity: Fidelity = Fidelity.FULL) -> float:
-    """One model quantity at one wafer point (see field_values)."""
-    value, ok = field_values(geom, quantity, p.x_mm, p.y_mm, design, fidelity)
+    """One model quantity at one wafer point (see Sites.field)."""
+    value, ok = Sites(geom, p.x_mm, p.y_mm).field(quantity, design, fidelity)
     if not ok:
         raise _shadowed(p)
     return float(value)

@@ -40,13 +40,7 @@ from .csvfile import (
 from .errors import DataError, data_error, raise_first_bad
 from .geometry import VARIANT_CODES, VARIANTS, Variant, WaferPoint
 from .imaging import GrayImage, write_pgm
-from .layout import (
-    STRUCTURE_COLUMNS,
-    ColumnTable,
-    LayoutKind,
-    StructureTable,
-    WaferLayout,
-)
+from .layout import STRUCTURE_COLUMNS, ColumnTable, StructureTable, WaferLayout
 from .synth import MeasurementRecord, MeasurementTable
 
 MEASUREMENT_HEADER = ("structure_id,die_x,die_y,x_mm,y_mm,variant,w_b_nm,w_t_nm,"
@@ -124,7 +118,7 @@ def write_layout_csv(layout: WaferLayout, path: str | Path) -> None:
 def read_layout_csv(path: str | Path) -> WaferLayout:
     """Read a layout CSV; bounds are not revalidated for user-edited files.
     The file carries no sub-array, cell, group or exclusion reason."""
-    return WaferLayout(LayoutKind.CUSTOM, _read_table(
+    return WaferLayout(_read_table(
         path, LAYOUT_HEADER, "layout", StructureTable, _LAYOUT_ORDER, {
             "subarray_index": 0, "cell_row": 0, "cell_col": 0, "group": "uniform",
             "exclusion_reason": ""}))

@@ -68,7 +68,6 @@ class LayoutKind(str, Enum):
     PLANAR_35X35_NBTIN = "planar35x35-nbtin"
     PLANAR_35X35_TIN = "planar35x35-tin"
     PLANAR_35X35_AL = "planar35x35-al"
-    CUSTOM = "custom"           # loaded from a user file, not builder-validated
 
 
 class WaferShape(str, Enum):
@@ -262,10 +261,9 @@ class StructureTable(ColumnTable):
 
 @dataclass(frozen=True)
 class WaferLayout:
-    """A layout kind and its structures, a StructureTable; a sequence of
+    """A layout's structures, a StructureTable; a sequence of
     TestStructureSpec given instead is converted to one."""
 
-    kind: LayoutKind
     structures: StructureTable
 
     def __post_init__(self) -> None:
@@ -446,7 +444,7 @@ def build_planar_17q(sweeps: dict[str, Sequence[float]] | None = None,
               for variant, die_ys in ((Variant.DOLAN, (1, 2)), (Variant.MANHATTAN, (-1, -2)))
               for iy in die_ys for ix in (-2, -1, 1, 2) for site in sites]
     columns = _subarray_columns(blocks, 4, sweeps, WaferShape.ROUND_100MM)
-    return WaferLayout(LayoutKind.PLANAR_17Q, StructureTable.from_checked(columns))
+    return WaferLayout(StructureTable.from_checked(columns))
 
 
 _VIA_MARGIN_MM = 1e-6          # far above the rounding of mm-scale coordinates
@@ -502,9 +500,7 @@ def build_tsv_17q(variant: Variant,
     hit = _via_hits(columns["x_mm"], columns["y_mm"], 25, via_x, via_y, via_r)
     columns["excluded"] = hit
     columns["exclusion_reason"] = np.where(hit, "tsv_overlap", "").astype(object)
-    kind = (LayoutKind.TSV_17Q_MANHATTAN if variant is Variant.MANHATTAN
-            else LayoutKind.TSV_17Q_DOLAN)
-    return WaferLayout(kind, StructureTable.from_checked(columns))
+    return WaferLayout(StructureTable.from_checked(columns))
 
 
 _PAD_CODE = {"nbtin": "N", "tin": "T", "al": "A"}
@@ -544,5 +540,4 @@ def build_35x35(pad_kind: str, omitted_rows: Sequence[int] = ()) -> WaferLayout:
         group=np.full(x.size, "uniform", dtype=object), excluded=excluded,
         exclusion_reason=np.where(excluded, "omitted_row", "").astype(object),
     )
-    kind = LayoutKind(f"planar35x35-{pad_kind}")
-    return WaferLayout(kind, StructureTable.from_checked(columns))
+    return WaferLayout(StructureTable.from_checked(columns))

@@ -3,10 +3,9 @@
 The forward model for one wafer point, written out with Python floats and
 if/else branches: every formula is restated here, operation for operation
 in the order geometry.Sites evaluates it, and nothing of the model is
-imported.  The tests compare the array kernels (overlap_areas,
-field_values) and their one-point wrappers against it bit for bit, so a
-term mistyped in either place shows, and the compensation oracle bisects
-with it.  Like the wrappers, it raises ShadowedError where an electrode
+imported.  The tests compare Sites.areas, Sites.field and their one-point
+wrappers against it bit for bit, so a term mistyped in either place
+shows, and the compensation oracle bisects with it.  Like the wrappers, it raises ShadowedError where an electrode
 pinches off.
 """
 

@@ -145,7 +145,7 @@ def test_c05_pipeline_zero(tmp_path):
     # Uniform wafer with no spatial spread (every structure at the centre),
     # zero noise, zero parasitics: the pipeline must report exact zeros.
     base = build_35x35("nbtin")
-    centred = type(base)(base.kind, tuple(
+    centred = type(base)(tuple(
         replace(s, position=ORIGIN) for s in base.structures))
     layout_csv = tmp_path / "layout.csv"
     write_layout_csv(centred, layout_csv)

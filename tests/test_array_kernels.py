@@ -1,4 +1,4 @@
-"""The array kernels and their one-point wrappers against the scalar
+"""Sites and its one-point wrappers against the scalar
 reference model (tests/scalar_model.py): exact equality, same blanks."""
 
 import math
@@ -17,16 +17,15 @@ from jjshadow.geometry import (
     EvaporatorGeometry,
     Fidelity,
     JunctionDesign,
+    Sites,
     Variant,
     WaferPoint,
     actual_overlap_area,
     actual_top_width,
     bottom_thickness,
     evaluate_field,
-    field_values,
     lip_height,
     lip_width,
-    overlap_areas,
     variant_areas,
     within_radius,
 )
@@ -82,9 +81,9 @@ def assert_wrapper_matches(wrapper, reference, points):
 @pytest.mark.parametrize("design", DESIGNS.values(), ids=DESIGNS)
 @pytest.mark.parametrize("fidelity", list(Fidelity))
 @pytest.mark.parametrize("quantity", FIELD_QUANTITIES)
-def test_field_values_equal_evaluate_field(geom, design, fidelity, quantity):
+def test_sites_field_equal_evaluate_field(geom, design, fidelity, quantity):
     xs, ys = X.ravel(), Y.ravel()
-    values, ok = field_values(geom, quantity, xs, ys, design, fidelity)
+    values, ok = Sites(geom, xs, ys).field(quantity, design, fidelity)
     scalars = [scalar_or_none(lambda: scalar_model.evaluate_field(
         geom, quantity, WaferPoint(x, y), design, fidelity))
         for x, y in zip(xs.tolist(), ys.tolist())]
@@ -111,15 +110,15 @@ def test_point_functions_equal_scalar_model(geom):
 @pytest.mark.parametrize("geom", GEOMETRIES.values(), ids=GEOMETRIES)
 def test_grid_straddles_pinch_off(geom):
     for quantity in ("wb", "wt", "wt_full", "area"):
-        _, ok = field_values(geom, quantity, X, Y, DESIGNS["narrow"])
+        _, ok = Sites(geom, X, Y).field(quantity, DESIGNS["narrow"])
         assert ok.any() and not ok.all()
-        _, ok = field_values(geom, quantity, X, Y, DESIGNS["wide"])
+        _, ok = Sites(geom, X, Y).field(quantity, DESIGNS["wide"])
         assert ok.all()
 
 
 @pytest.mark.parametrize("geom", GEOMETRIES.values(), ids=GEOMETRIES)
 @pytest.mark.parametrize("fidelity", list(Fidelity))
-def test_overlap_areas_per_element_widths(geom, fidelity):
+def test_sites_areas_per_element_widths(geom, fidelity):
     # Widths vary per element as in a lockstep solve, both variants.
     rng = np.random.default_rng(5)
     n = 400
@@ -129,7 +128,7 @@ def test_overlap_areas_per_element_widths(geom, fidelity):
         fid = fidelity.for_variant(variant)
         designs = [JunctionDesign(variant, b, t) for b, t in zip(w_b.tolist(), w_t.tolist())]
         points = [WaferPoint(px, py) for px, py in zip(x.tolist(), y.tolist())]
-        area, ok = overlap_areas(geom, variant, w_b, w_t, x, y, fid)
+        area, ok = Sites(geom, x, y).areas(variant, w_b, w_t, fid)
         scalars = [scalar_or_none(lambda: scalar_model.actual_overlap_area(geom, d, p, fid))
                    for d, p in zip(designs, points)]
         assert any(s is None for s in scalars) and any(s is not None for s in scalars)
@@ -171,14 +170,14 @@ def test_structure_areas_in_input_order(geom, fidelity):
               points[:5] + [WaferPoint(-40.0, 1.0), WaferPoint(30.0, 2.0)])
 
 
-def test_overlap_areas_checks_like_the_scalar_path(geom):
+def test_sites_areas_checks_like_the_scalar_path(geom):
     with pytest.raises(GeometryError, match="basic fidelity only"):
-        overlap_areas(geom, Variant.DOLAN, 300.0, 100.0, 0.0, 0.0, Fidelity.FULL)
+        Sites(geom, 0.0, 0.0).areas(Variant.DOLAN, 300.0, 100.0, Fidelity.FULL)
     with pytest.raises(GeometryError, match="must be finite"):
-        overlap_areas(geom, Variant.MANHATTAN, [200.0, math.nan], 200.0, 0.0, 0.0,
-                      Fidelity.BASIC)
+        Sites(geom, 0.0, 0.0).areas(Variant.MANHATTAN, [200.0, math.nan], 200.0,
+                                    Fidelity.BASIC)
     with pytest.raises(GeometryError, match=">= 0"):
-        overlap_areas(geom, Variant.MANHATTAN, 200.0, [-1.0], 0.0, 0.0, Fidelity.BASIC)
+        Sites(geom, 0.0, 0.0).areas(Variant.MANHATTAN, 200.0, [-1.0], Fidelity.BASIC)
 
 
 def test_lip_height_north_of_source_raises_like_scalar(design_200):
@@ -188,11 +187,11 @@ def test_lip_height_north_of_source_raises_like_scalar(design_200):
     with pytest.raises(GeometryError) as scalar:
         scalar_model.evaluate_field(flat, "hlip", WaferPoint(1.0, 0.0), design_200)
     with pytest.raises(GeometryError) as array:
-        field_values(flat, "hlip", [1.0, 1.0, 1.0], [-2.0, 0.0, 3.0], design_200)
+        Sites(flat, [1.0, 1.0, 1.0], [-2.0, 0.0, 3.0]).field("hlip", design_200)
     with pytest.raises(GeometryError) as point:
         evaluate_field(flat, "hlip", WaferPoint(1.0, 0.0), design_200)
     assert str(array.value) == str(point.value) == str(scalar.value)
-    values, ok = field_values(flat, "wt_full", X, Y, design_200)   # south branch only
+    values, ok = Sites(flat, X, Y).field("wt_full", design_200)   # south branch only
     scalars = [scalar_or_none(lambda: scalar_model.evaluate_field(
         flat, "wt_full", WaferPoint(x, y), design_200))
                for x, y in zip(X.ravel().tolist(), Y.ravel().tolist())]
@@ -201,7 +200,7 @@ def test_lip_height_north_of_source_raises_like_scalar(design_200):
 
 def test_unknown_quantity(geom, design_200):
     with pytest.raises(ValueError):
-        field_values(geom, "nope", [0.0], [0.0], design_200)
+        Sites(geom, [0.0], [0.0]).field("nope", design_200)
 
 
 def test_within_radius_decides_like_math_hypot():
@@ -249,7 +248,7 @@ def assert_even_in_x(kernel, x, y):
 @pytest.mark.parametrize("geom", MIRROR_GEOMETRIES.values(), ids=MIRROR_GEOMETRIES)
 @pytest.mark.parametrize("fidelity", list(Fidelity))
 @pytest.mark.parametrize("quantity", FIELD_QUANTITIES)
-def test_field_values_even_in_x(geom, fidelity, quantity):
+def test_sites_field_even_in_x(geom, fidelity, quantity):
     rng = np.random.default_rng(20231018)
     d = geom.source_distance_nm()
     for design in DESIGNS.values():
@@ -258,7 +257,7 @@ def test_field_values_even_in_x(geom, fidelity, quantity):
         offsets = mirror_samples(rng, edges)
         y = np.concatenate([offsets, -offsets])[None, :]
         ok = assert_even_in_x(
-            lambda px, py: field_values(geom, quantity, px, py, design, fidelity), x, y)
+            lambda px, py: Sites(geom, px, py).field(quantity, design, fidelity), x, y)
         if design is DESIGNS["narrow"] and quantity in ("wb", "wt", "wt_full", "area"):
             assert ok.any() and not ok.all()
 
@@ -270,6 +269,6 @@ def test_bridge_areas_even_in_x(geom):
     edges = [pinch_off_mm(geom, w, geom.bridge_distance_nm()) for w in w_t.ravel().tolist()]
     x = mirror_samples(rng, edges)[None, :, None]
     y = rng.uniform(-50.0, 50.0, 40)[None, None, :]
-    ok = assert_even_in_x(lambda px, py: overlap_areas(geom, Variant.DOLAN, 300.0, w_t,
-                                                       px, py, Fidelity.BASIC), x, y)
+    ok = assert_even_in_x(lambda px, py: Sites(geom, px, py).areas(Variant.DOLAN, 300.0, w_t,
+                                                                   Fidelity.BASIC), x, y)
     assert ok.any() and not ok.all()

@@ -20,9 +20,9 @@ from jjshadow.geometry import (
     EvaporatorGeometry,
     Fidelity,
     JunctionDesign,
+    Sites,
     Variant,
     WaferPoint,
-    field_values,
     within_radius,
 )
 from jjshadow.io import write_layout_csv
@@ -107,7 +107,7 @@ class TestSimulateAnalyze:
         # measured G is one constant, so the report's RSDs are exactly 0 and
         # heatmap cells exactly 1.
         base = build_35x35("nbtin")
-        centred = type(base)(base.kind, tuple(
+        centred = type(base)(tuple(
             replace(s, position=WaferPoint(0.0, 0.0)) for s in base.structures))
         layout = tmp_path / "layout.csv"
         write_layout_csv(centred, layout)
@@ -173,7 +173,7 @@ class TestFieldmap:
         for iy in range(n, -n - 1, -1):
             y = iy * 0.3
             on = within_radius(xs, y, WAFER_RADIUS_MM)
-            values, ok = field_values(EvaporatorGeometry(), quantity, xs[on], y, design)
+            values, ok = Sites(EvaporatorGeometry(), xs[on], y).field(quantity, design)
             want += [f"{x!r},{y!r}," + (repr(v) if good else "")
                      for x, v, good in zip(xs[on].tolist(), values.tolist(), ok.tolist())]
         assert rows(out) == want
@@ -238,7 +238,7 @@ def reference_field_map_text(geom, quantity, design, fidelity, step):
     for first in range(0, ys.size, rows_per_block):
         block = ys[first:first + rows_per_block]
         row, col = np.nonzero(within_radius(xs, block[:, None], WAFER_RADIUS_MM))
-        values, ok = field_values(geom, quantity, xs[col], block[row], design, fidelity)
+        values, ok = Sites(geom, xs[col], block[row]).field(quantity, design, fidelity)
         cells = [repr(v) for v in values.tolist()]
         for k in np.flatnonzero(~ok).tolist():
             cells[k] = ""

@@ -126,7 +126,7 @@ def zero_bottom_layout():
     """A 35x35 layout with every seventh bottom electrode drawn 0 nm wide."""
     base = build_35x35("nbtin")
     flat = JunctionDesign(Variant.MANHATTAN, 0.0, 200.0)
-    return type(base)(base.kind, tuple(
+    return type(base)(tuple(
         replace(s, design=flat) if k % 7 == 3 else s
         for k, s in enumerate(base.structures)))
 
@@ -206,7 +206,7 @@ class TestCompensatedLayout:
         from dataclasses import replace
 
         base = build_35x35("nbtin")
-        centred = type(base)(base.kind, tuple(
+        centred = type(base)(tuple(
             replace(s, position=WaferPoint(0.0, 0.0)) for s in base.structures))
         result = compensated_layout(centred, geom, Fidelity.BASIC)
         for s in result.structures:
@@ -325,7 +325,7 @@ class TestCompensatedLayout:
             assert str(lockstep.value) == str(scalar.value)
         # With every structure too large already at 1 nm, the limit is never
         # evaluated: all come back unattainable instead.
-        centred = type(layout)(layout.kind, tuple(
+        centred = type(layout)(tuple(
             replace(s, position=WaferPoint(0.0, 0.0)) for s in layout.structures))
         options = dict(w_max_nm=math.nan, fixed_top_nm=1e6)
         got = compensated_layout(centred, geom, Fidelity.BASIC, **options).structures
@@ -374,7 +374,7 @@ def sampled_layout(seed, n=240):
             f"s{k:03d}", (0, 0), 0, (0, k), WaferPoint(x[k], y[k]), design,
             design.designed_area_um2(), "sampled", excluded=bool(excluded[k]),
             exclusion_reason="omitted" if excluded[k] else ""))
-    return jlayout.WaferLayout(jlayout.LayoutKind.CUSTOM, tuple(specs))
+    return jlayout.WaferLayout(tuple(specs))
 
 
 class TestForwardInverseProperty:

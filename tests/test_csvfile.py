@@ -29,7 +29,7 @@ from jjshadow.io import (
     write_measurements_csv,
     write_truth_csv,
 )
-from jjshadow.layout import STRUCTURE_COLUMNS, LayoutKind, StructureTable, WaferLayout
+from jjshadow.layout import STRUCTURE_COLUMNS, StructureTable, WaferLayout
 from jjshadow.layout import TestStructureSpec as Spec      # not a test class
 from jjshadow.synth import DEFECT_CLASSES, MeasurementRecord, MeasurementTable
 
@@ -46,7 +46,7 @@ def records(ids):
 
 
 def layout(recs):
-    return WaferLayout(LayoutKind.CUSTOM, [
+    return WaferLayout([
         Spec(r.structure_id, r.die_index, 0, (0, 0), r.position, r.design,
              r.a_overlap_designed_um2, "uniform", junction_count=r.junction_count)
         for r in recs])
@@ -289,7 +289,7 @@ class TestWriteReadProperty:
                    [("false", "true")[e] for e in columns["excluded"]])
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "l.csv"
-            write_layout_csv(WaferLayout(LayoutKind.CUSTOM, structures), path)
+            write_layout_csv(WaferLayout(structures), path)
             text = path.read_text()
             assert text == csv_module_text(LAYOUT_HEADER, rows)
             assert_same_columns(read_layout_csv(path).structures, columns,

@@ -15,6 +15,7 @@ from jjshadow.geometry import (
     EvaporatorGeometry,
     Fidelity,
     JunctionDesign,
+    Sites,
     Variant,
     WaferPoint,
     actual_overlap_area,
@@ -22,10 +23,8 @@ from jjshadow.geometry import (
     actual_width_vertical,
     bottom_thickness,
     evaluate_field,
-    field_values,
     lip_height,
     lip_width,
-    overlap_areas,
     source_distance,
 )
 
@@ -200,7 +199,7 @@ class TestTopWidth:
         # The signed lip term (-20.86 nm at the centre) enters only the
         # y >= 0 branch, so the top width jumps across y = 0 (README, Notes).
         expect = {-1e-9: 224.99999999867, 0.0: 245.86440088863, 1e-9: 245.86440088730}
-        values, ok = field_values(geom, "wt_full", 0.0, list(expect), design_200)
+        values, ok = Sites(geom, 0.0, list(expect)).field("wt_full", design_200)
         assert ok.all()
         for (y, want), got in zip(expect.items(), values.tolist()):
             assert got == pytest.approx(want, abs=5e-12)
@@ -304,8 +303,7 @@ def test_area_strictly_increasing_in_designed_width(geom, fidelity, variant):
     if variant is Variant.MANHATTAN:
         sweeps.append((w, rng.uniform(1.0, 2000.0, (n, 1))))     # fixed top width
     for w_b, w_t in sweeps:
-        area, ok = overlap_areas(geom, variant, w_b, w_t, x, y,
-                                 fidelity.for_variant(variant))
+        area, ok = Sites(geom, x, y).areas(variant, w_b, w_t, fidelity.for_variant(variant))
         assert ok.any()
         assert (ok[:, 1:] >= ok[:, :-1]).all()
         both = ok[:, 1:] & ok[:, :-1]

@@ -19,7 +19,7 @@ from jjshadow.io import (
     write_truth_csv,
 )
 from jjshadow import layout as jlayout
-from jjshadow.layout import LayoutKind, WaferLayout, build_planar_17q
+from jjshadow.layout import WaferLayout, build_planar_17q
 from jjshadow.synth import (
     COLUMNS,
     MeasurementRecord,
@@ -245,7 +245,7 @@ class TestCsvIdentityAtTheEdges:
                 r.a_overlap_designed_um2, "uniform", excluded=k % 2 == 1,
                 junction_count=r.junction_count)
             for k, r in enumerate(edge_records()))
-        write_layout_csv(WaferLayout(LayoutKind.CUSTOM, specs), tmp_path / "l.csv")
+        write_layout_csv(WaferLayout(specs), tmp_path / "l.csv")
         back = read_layout_csv(tmp_path / "l.csv").structures
         assert as_text(back) == as_text(specs)
         assert [s.excluded for s in back] == [s.excluded for s in specs]

@@ -246,7 +246,7 @@ class TestUniformPipeline:
         from jjshadow.geometry import WaferPoint
 
         base = build_35x35("nbtin")
-        centred = type(base)(base.kind, tuple(
+        centred = type(base)(tuple(
             replace(s, position=WaferPoint(0.0, 0.0)) for s in base.structures))
         records = synthesize_wafer(centred, geom_module,
                                    ProcessModel(fidelity=Fidelity.FULL),
@@ -319,3 +319,16 @@ def test_synthesis_and_report_leave_numpy_ma_unimported():
     if _in_fresh_interpreter("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
         pytest.skip("importing numpy already loads numpy.ma")
     assert _in_fresh_interpreter(SYNTHESIZE_AND_REPORT) == "False"
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("jjshadow", ""),
+    ("jjshadow.geometry", "jjshadow.errors,jjshadow.geometry"),
+    ("jjshadow.imaging", "jjshadow.errors,jjshadow.geometry,jjshadow.imaging"),
+])
+def test_importing_a_module_loads_only_the_modules_it_uses(module, loaded):
+    # The package root imports nothing, so a command or test that needs one
+    # module does not pay for the other nine.
+    code = (f"import sys, {module}; print('loaded:' + ','.join(sorted("
+            f"m for m in sys.modules if m.startswith('jjshadow.'))))")
+    assert _in_fresh_interpreter(code) == f"loaded:{loaded}"

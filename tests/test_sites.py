@@ -24,8 +24,6 @@ from jjshadow.geometry import (
     Variant,
     WaferPoint,
     _edge_shade,
-    field_values,
-    overlap_areas,
 )
 from jjshadow.layout import build_tsv_17q
 
@@ -95,7 +93,7 @@ def assert_kernel_matches(kernel, outcomes):
 
 @st.composite
 def area_cases(draw):
-    """Arguments of one overlap_areas call, with per-element scalar designs
+    """Arguments of one Sites.areas call, with per-element scalar designs
     and points: arrays of both, one point against arrays of widths, or
     arrays of points against one pair of widths."""
     geom = draw(st.sampled_from(GEOMETRIES))
@@ -121,17 +119,17 @@ def area_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(area_cases())
-def test_overlap_areas_equal_scalar_model(case):
-    geom, variant, fidelity, args, elements = case
+def test_sites_areas_equal_scalar_model(case):
+    geom, variant, fidelity, (w_b, w_t, x, y), elements = case
     outcomes = [scalar_outcome(lambda: scalar_model.actual_overlap_area(
         geom, JunctionDesign(variant, wb, wt), WaferPoint(x, y), fidelity))
         for wb, wt, x, y in elements]
-    assert_kernel_matches(lambda: overlap_areas(geom, variant, *args, fidelity), outcomes)
+    assert_kernel_matches(lambda: Sites(geom, x, y).areas(variant, w_b, w_t, fidelity), outcomes)
 
 
 @st.composite
 def field_cases(draw):
-    """Arguments of one field_values call: one design, points as arrays."""
+    """Arguments of one Sites.field call: one design, points as arrays."""
     geom = draw(st.sampled_from(GEOMETRIES))
     quantity = draw(st.sampled_from(FIELD_QUANTITIES))
     fidelity = draw(st.sampled_from(list(Fidelity)))
@@ -146,18 +144,18 @@ def field_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(field_cases())
-def test_field_values_equal_scalar_model(case):
+def test_sites_field_equal_scalar_model(case):
     geom, quantity, fidelity, design, xs, ys = case
     outcomes = [scalar_outcome(lambda: scalar_model.evaluate_field(
         geom, quantity, WaferPoint(x, y), design, fidelity)) for x, y in zip(xs, ys)]
     assert_kernel_matches(
-        lambda: field_values(geom, quantity, np.array(xs), np.array(ys), design, fidelity),
+        lambda: Sites(geom, np.array(xs), np.array(ys)).field(quantity, design, fidelity),
         outcomes)
     # One point as Python floats: 0-d results.
     one = outcomes[:1]
     assert_kernel_matches(
-        lambda: tuple(np.reshape(a, 1) for a in field_values(geom, quantity, xs[0], ys[0],
-                                                             design, fidelity)), one)
+        lambda: tuple(np.reshape(a, 1) for a in Sites(geom, xs[0], ys[0]).field(
+            quantity, design, fidelity)), one)
 
 
 @settings(max_examples=100, deadline=None)
@@ -175,12 +173,12 @@ def test_one_sites_for_many_width_sets_equals_fresh_calls(data):
         w_b = np.array([data.draw(widths_at(geom, x, y)) for x, y in zip(xs, ys)])
         w_t = np.array([data.draw(widths_at(geom, x, y)) for x, y in zip(xs, ys)])
         got, ok = sites.areas(variant, w_b, w_t, fidelity)
-        want, want_ok = overlap_areas(geom, variant, w_b, w_t, xs, ys, fidelity)
+        want, want_ok = Sites(geom, xs, ys).areas(variant, w_b, w_t, fidelity)
         assert got.tobytes() == want.tobytes() and ok.tolist() == want_ok.tolist()
     design = JunctionDesign(variant, 200.0, 150.0)
     for quantity in FIELD_QUANTITIES:
         got, ok = sites.field(quantity, design, fidelity)
-        want, want_ok = field_values(geom, quantity, xs, ys, design, fidelity)
+        want, want_ok = Sites(geom, xs, ys).field(quantity, design, fidelity)
         assert got.tobytes() == want.tobytes() and ok.tolist() == want_ok.tolist()
 
 
@@ -222,10 +220,10 @@ def test_basic_compensation_cubes_nothing(cubed_calls, tsv_layouts, variant, fid
 
 @pytest.mark.parametrize("fidelity", list(Fidelity))
 @pytest.mark.parametrize("quantity", FIELD_QUANTITIES)
-def test_field_values_cube_at_most_once(cubed_calls, geom, quantity, fidelity):
+def test_sites_field_cube_at_most_once(cubed_calls, geom, quantity, fidelity):
     xs, ys = np.meshgrid(np.linspace(-40.0, 40.0, 9), np.linspace(-40.0, 40.0, 9))
-    field_values(geom, quantity, xs, ys, JunctionDesign(Variant.MANHATTAN, 200.0, 200.0),
-                 fidelity)
+    Sites(geom, xs, ys).field(quantity, JunctionDesign(Variant.MANHATTAN, 200.0, 200.0),
+                              fidelity)
     assert len(cubed_calls) <= 1
 
 
@@ -240,7 +238,7 @@ def test_source_overhead_near_the_equator(y_mm):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for quantity in ("hlip", "wt_full", "area"):
-            value, ok = field_values(flat, quantity, [0.0], [y_mm], design)
+            value, ok = Sites(flat, [0.0], [y_mm]).field(quantity, design)
             want = scalar_outcome(lambda: scalar_model.evaluate_field(
                 flat, quantity, WaferPoint(0.0, y_mm), design))
             assert (("value", bits(value[0])) if ok[0] else ("blank", None)) == want

@@ -154,7 +154,7 @@ def _commands(out: Path, config: list[str],
               seeds: tuple[str, ...]) -> list[tuple[list[str], list[str]]]:
     """(argv, names of its outputs) for every run, in a fixed order."""
     runs = []
-    kinds = [k.value for k in LayoutKind if k is not LayoutKind.CUSTOM]
+    kinds = [k.value for k in LayoutKind]
     for kind in kinds:
         name = f"layout-{kind}.csv"
         runs.append((["layout", "--kind", kind, "--out", str(out / name)], [name]))

@@ -17,6 +17,7 @@ Run from the repo root:  python tools/make_reference_data.py
 from __future__ import annotations
 
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -26,15 +27,16 @@ import numpy as np
 
 from jjshadow.geometry import Variant, WaferPoint
 from jjshadow.layout import (
+    DIE_PITCH_MM,
     SUBARRAY_CELL_PITCH_MM,
+    _die_centre,
     build_tsv_17q,
     load_subarray_sites,
 )
 
 OUT = Path(__file__).resolve().parents[1] / "src/jjshadow/data/tsv_vias.csv"
 
-DIE_CENTRES = [((ix - (0.5 if ix > 0 else -0.5)) * 13.0,
-                (iy - 0.5) * 13.0) for iy in (1, 2) for ix in (-2, -1, 1, 2)]
+DIE_CENTRES = [_die_centre(ix, iy) for iy in (1, 2) for ix in (-2, -1, 1, 2)]
 
 
 def cell_offset(site, row, col, n=5):
@@ -107,10 +109,10 @@ def main() -> None:
         if not s.excluded:
             per_die[s.die_index] = per_die.get(s.die_index, 0) + 1
     viable = sorted(per_die.values())
-    area = sum(3.14159265 * (d / 2000.0) ** 2 for _, _, d in die_local)
+    area = sum(math.pi * (d / 2000.0) ** 2 for _, _, d in die_local)
     print(f"wrote {OUT} ({len(rows)} vias)")
     print(f"viable per die: {viable}")
-    print(f"total viable: {sum(viable)}  coverage/die: {100 * area / 169.0:.2f}%")
+    print(f"total viable: {sum(viable)}  coverage/die: {100 * area / DIE_PITCH_MM ** 2:.2f}%")
     assert viable == [378] * 8, viable
 
 
