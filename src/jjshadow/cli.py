@@ -2,7 +2,7 @@
 extract, compensate, write-config.
 
 Exit codes: 0 success, 1 usage error, 2 data/config error, 3 numerical
-failure.  All randomness sits behind an explicit --seed.
+failure.  All randomness is seeded by process.seed, or --seed over it.
 """
 
 from __future__ import annotations
@@ -19,16 +19,7 @@ import numpy as np
 from . import io as jio
 from .compensation import MAX_WIDTH_NM, compensated_layout
 from .config import load_config, write_default
-from .errors import (
-    ConfigError,
-    DataError,
-    ExtractionError,
-    FitError,
-    GeometryError,
-    JJShadowError,
-    ShadowedError,
-    TargetError,
-)
+from .errors import DataError, ExtractionError, JJShadowError
 from .geometry import (
     FIELD_QUANTITIES,
     VARIANT_CODES,
@@ -55,7 +46,6 @@ from .imaging import (
     write_pgm,
 )
 from .layout import (
-    MANHATTAN_FIXED_TOP_NM,
     UNIFORM_WIDTH_NM,
     LayoutKind,
     build_35x35,
@@ -69,8 +59,6 @@ from .report import build_report, deembed_records, render_report_text
 from .synth import synthesize_wafer
 
 USAGE_EXIT = 1
-DATA_EXIT = 2
-NUMERIC_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,6 +126,7 @@ def cmd_layout(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_at_least(args, 0, "--seed")
     cfg = load_config(args.config)
     layout = jio.read_layout_csv(args.layout)
     process = cfg.process if args.seed is None else replace(cfg.process, seed=args.seed)
@@ -176,6 +165,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 FIELDMAP_BLOCK_POINTS = 8192        # x >= 0 grid points per Sites.field call
 FIELDMAP_MAX_CELLS = 10_000_000     # bound on the (2n + 1)^2 square grid a step asks for
+RENDER_MAX_CANVAS_PX = 8192         # bound on render --canvas, a side of its float32 raster
 
 
 def _field_map_text(geom: EvaporatorGeometry, quantity: str, design: JunctionDesign,
@@ -215,6 +205,7 @@ def _field_map_text(geom: EvaporatorGeometry, quantity: str, design: JunctionDes
 def cmd_fieldmap(args: argparse.Namespace) -> int:
     _check_at_least(args, 0, "--wb", "--wt", unit=" nm")
     cfg = load_config(args.config)
+    fidelity = args.fidelity if args.fidelity else cfg.process.fidelity
     design = JunctionDesign(Variant.MANHATTAN, args.wb, args.wt)
     _check_at_least(args, 0, "--step", strict=True)
     step = args.step
@@ -223,8 +214,7 @@ def cmd_fieldmap(args: argparse.Namespace) -> int:
         raise DataError(f"--step {step} mm asks for more than {FIELDMAP_MAX_CELLS:,} cells")
     with open(args.out, "w", newline="") as fh:
         fh.write("x_mm,y_mm,value\n")
-        fh.writelines(_field_map_text(cfg.geometry, args.quantity, design,
-                                      args.fidelity, step))
+        fh.writelines(_field_map_text(cfg.geometry, args.quantity, design, fidelity, step))
     print(f"wrote {args.out}")
     return 0
 
@@ -255,16 +245,18 @@ def cmd_render(args: argparse.Namespace) -> int:
     _check_at_least(args, 0, "--noise", "--seed")
     _check_at_least(args, 1, "--stride", "--grid")
     _check_at_least(args, 0, "--scale", strict=True)
+    if args.canvas > RENDER_MAX_CANVAS_PX:
+        raise DataError(f"--canvas must be <= {RENDER_MAX_CANVAS_PX} px, got {args.canvas}")
     cfg = load_config(args.config)
     geom = cfg.geometry
+    seed = cfg.process.seed if args.seed is None else args.seed
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     canvas = (args.canvas, args.canvas)
     rows = []
     for sid, pos, design in _render_targets(args):
         img = render_junction(geom, design, pos, scale_nm_per_px=args.scale,
-                              canvas_px=canvas, noise_sigma=args.noise,
-                              seed=args.seed)
+                              canvas_px=canvas, noise_sigma=args.noise, seed=seed)
         write_pgm(img, out_dir / f"{sid}.pgm")
         lost = bands_below_lowest_threshold(img)
         if lost:
@@ -286,6 +278,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    _check_at_least(args, 1, "--thresholds")
     _check_at_least(args, 0, "--scale", strict=True)
     ids: dict[str, str] = {}            # image id (file stem) -> path
     for image_path in args.images:
@@ -308,12 +301,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
             row.update(w_top_nm=result.w_top_nm, w_bottom_nm=result.w_bottom_nm,
                        a_overlap_um2=extract_overlap_area(img, result))
         except ExtractionError as exc:
-            print(f"jjshadow: numerical failure: {image_path}: {exc}", file=sys.stderr)
+            print(f"jjshadow: {exc.label}: {image_path}: {exc}", file=sys.stderr)
             failed += 1
         rows.append(row)
     jio.write_extraction_csv(rows, args.out)
     print(f"wrote {args.out}: {len(rows)} rows, {failed} without electrode edges")
-    return NUMERIC_EXIT if failed else 0
+    return ExtractionError.exit_code if failed else 0
 
 
 def cmd_compensate(args: argparse.Namespace) -> int:
@@ -321,9 +314,8 @@ def cmd_compensate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     layout = jio.read_layout_csv(args.layout)
     fidelity = args.fidelity if args.fidelity else cfg.process.fidelity
-    fixed_top = args.fixed_top_nm if args.mode == "fixed-top" else None
     result = compensated_layout(layout, cfg.geometry, fidelity,
-                                w_max_nm=args.max_width_nm, fixed_top_nm=fixed_top)
+                                w_max_nm=args.max_width_nm, fixed_top_nm=args.fixed_top_nm)
     jio.write_layout_csv(result, args.out)
     table = result.structures
     flagged = sum(1 for reason in table.exclusion_reason[table.excluded].tolist()
@@ -381,7 +373,8 @@ def make_parser() -> argparse.ArgumentParser:
                    help="designed bottom width nm")
     p.add_argument("--wt", type=float, default=UNIFORM_WIDTH_NM,
                    help="designed top width nm")
-    p.add_argument("--fidelity", type=_fidelity_arg, default=Fidelity.FULL)
+    p.add_argument("--fidelity", type=_fidelity_arg, default=None,
+                   help="override process.fidelity from the config")
     _add_config_arg(p)
     p.set_defaults(func=cmd_fieldmap)
 
@@ -402,7 +395,8 @@ def make_parser() -> argparse.ArgumentParser:
                         "the canvas so mean-relative thresholds stay sharp")
     p.add_argument("--noise", type=float, default=0.0,
                    help="Gaussian pixel noise sigma, fraction of full scale")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="override process.seed from the config")
     _add_config_arg(p)
     p.set_defaults(func=cmd_render)
 
@@ -420,8 +414,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--layout", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--fidelity", type=_fidelity_arg, default=None)
-    p.add_argument("--mode", choices=["aspect", "fixed-top"], default="aspect")
-    p.add_argument("--fixed-top-nm", type=float, default=MANHATTAN_FIXED_TOP_NM)
+    p.add_argument("--fixed-top-nm", type=float, default=None,
+                   help="solve crossed junctions at this top width nm, not the aspect")
     p.add_argument("--max-width-nm", type=float, default=MAX_WIDTH_NM)
     _add_config_arg(p)
     p.set_defaults(func=cmd_compensate)
@@ -438,19 +432,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError) as exc:
-        print(f"jjshadow: data error: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except (GeometryError, ShadowedError, FitError, ExtractionError,
-            TargetError) as exc:
-        print(f"jjshadow: numerical failure: {exc}", file=sys.stderr)
-        return NUMERIC_EXIT
     except JJShadowError as exc:
-        print(f"jjshadow: error: {exc}", file=sys.stderr)
-        return DATA_EXIT
+        print(f"jjshadow: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"jjshadow: i/o error: {exc}", file=sys.stderr)
-        return DATA_EXIT
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

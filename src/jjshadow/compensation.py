@@ -2,10 +2,11 @@
 
 Given a target actual overlap area, solve for the designed widths that
 produce it at a wafer point, so that a whole layout can be redrawn to
-yield uniform actual areas.  The forward area is continuous and strictly
-increasing in the designed width at a fixed point and aspect, so a
-sign-based bracketed bisection suffices (and tolerates the kink the
-full-fidelity top-width branch can introduce).
+yield uniform actual areas.  The forward area is strictly increasing in
+the designed width at a fixed point and aspect, so a sign-based bracketed
+bisection suffices (and tolerates the kink the full-fidelity top-width
+branch can introduce, and the jump from 0 to 2 T'_b W'_t where a SIDEWALL
+or FULL bottom electrode pinches off: no width meets a target inside it).
 
 The bisection runs in lockstep over an array of lanes, one per structure:
 every lane starts from the same bracket, 1 nm to the width limit, and

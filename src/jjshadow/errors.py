@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package, and the one rule that
 picks which error a table with several bad rows raises.
 
-The CLI maps these onto exit codes: usage errors exit 1, data/config errors
-exit 2, numerical failures exit 3.
+Each class carries the CLI's exit code and the label its message prints
+under.
 """
 
 from typing import Callable, NoReturn, Sequence
@@ -13,32 +13,46 @@ import numpy as np
 class JJShadowError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 2
+    label = "error"
 
-class GeometryError(JJShadowError):
+
+class NumericalError(JJShadowError):
+    """Base class for the numerical failures, which exit 3."""
+
+    exit_code = 3
+    label = "numerical failure"
+
+
+class GeometryError(NumericalError):
     """Evaporator geometry violates its invariants (e.g. D <= 0)."""
 
 
-class ShadowedError(JJShadowError):
+class ShadowedError(NumericalError):
     """An electrode is fully shadowed (computed width <= 0) at this point."""
 
 
 class DataError(JJShadowError):
     """Malformed or inconsistent input data (CSV, layout, truth flags)."""
 
+    label = "data error"
+
 
 class ConfigError(JJShadowError):
     """Bad run configuration: unknown key, unparsable value, bad range."""
 
+    label = "data error"
 
-class FitError(JJShadowError):
+
+class FitError(NumericalError):
     """A regression or radial fit is underdetermined or failed."""
 
 
-class ExtractionError(JJShadowError):
+class ExtractionError(NumericalError):
     """Image width/area extraction found no usable edges."""
 
 
-class TargetError(JJShadowError):
+class TargetError(NumericalError):
     """Pre-compensation target area is unattainable at this position."""
 
 

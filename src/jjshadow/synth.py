@@ -91,15 +91,14 @@ class ParasiticsModel:
 
     Pad resistance rises linearly with radial distance from the centre
     value to the edge value at 50 mm; cabling is a fixed series term; the
-    substrate adds a parallel conductance.  An optional contact-resistance
-    term (also linear in d) models the junction-to-pad interface.
+    substrate adds a parallel conductance.  A contact-resistance term (also
+    linear in d, zero by default) models the junction-to-pad interface.
     """
 
     pad_centre_ohm: float = 200.0
     pad_edge_ohm: float = 330.0
     substrate_uS: float = 5.0
     cabling_ohm: float = 5.0
-    contact_enabled: bool = False
     contact_centre_ohm: float = 0.0
     contact_edge_ohm: float = 0.0
 
@@ -113,9 +112,7 @@ class ParasiticsModel:
         frac = d_mm / WAFER_RADIUS_MM
         r = self.pad_centre_ohm + (self.pad_edge_ohm - self.pad_centre_ohm) * frac
         r += self.cabling_ohm
-        if self.contact_enabled:
-            r += (self.contact_centre_ohm
-                  + (self.contact_edge_ohm - self.contact_centre_ohm) * frac)
+        r += self.contact_centre_ohm + (self.contact_edge_ohm - self.contact_centre_ohm) * frac
         return r
 
 

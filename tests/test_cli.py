@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import jjshadow
 from jjshadow.cli import FIELDMAP_BLOCK_POINTS, FIELDMAP_MAX_CELLS, _field_map_text, main
+from jjshadow.compensation import compensated_layout
 from jjshadow.geometry import (
     FIELD_QUANTITIES,
     WAFER_RADIUS_MM,
@@ -356,41 +357,73 @@ class TestCompensateCommand:
         assert (max(gs) - min(gs)) / min(gs) <= 1e-6
 
 
-class TestOptionsThatIgnoreTheConfig:
-    """fieldmap --fidelity and render --seed keep their own defaults (full
-    and 0): process.fidelity and process.seed, which compensate and
-    simulate fall back to, do not reach them."""
+class TestEachSettingApplies:
+    """Each setting changes its output when set alone.  An option that names
+    a config key (fieldmap --fidelity, render --seed) overrides it, and
+    without the option the key applies."""
 
-    def test_fieldmap_fidelity_ignores_process_fidelity(self, tmp_path):
+    def test_fieldmap_fidelity_falls_back_to_process_fidelity(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("process.fidelity = basic\n")
         outs = {}
         for name, extra in (("plain", ()), ("config", ("--config", cfg)),
-                            ("basic", ("--fidelity", "basic"))):
+                            ("basic", ("--fidelity", "basic")),
+                            ("full", ("--config", cfg, "--fidelity", "full"))):
             outs[name] = tmp_path / f"{name}.csv"
             assert run("fieldmap", "--quantity", "area", "--step", "10",
                        "--out", outs[name], *extra) == 0
-        assert outs["config"].read_bytes() == outs["plain"].read_bytes()
+        assert outs["config"].read_bytes() == outs["basic"].read_bytes()
         assert outs["basic"].read_bytes() != outs["plain"].read_bytes()
+        assert outs["full"].read_bytes() == outs["plain"].read_bytes()
 
-    def test_render_seed_ignores_process_seed(self, tmp_path):
+    def test_render_seed_falls_back_to_process_seed(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("process.seed = 5\n")
         images = {}
         for name, extra in (("plain", ()), ("config", ("--config", cfg)),
-                            ("seed", ("--seed", 5))):
+                            ("seed", ("--seed", 5)), ("zero", ("--config", cfg, "--seed", 0))):
             out_dir = tmp_path / name
             assert run("render", "--grid", 2, "--canvas", 128, "--noise", 0.1,
                        "--out-dir", out_dir, *extra) == 0
             images[name] = [p.read_bytes() for p in sorted(out_dir.iterdir())]
-        assert images["config"] == images["plain"]
+        assert images["config"] == images["seed"]
         assert images["seed"] != images["plain"]
+        assert images["zero"] == images["plain"]
+
+    def test_fixed_top_width_selects_the_fixed_top_solve(self, tmp_path):
+        layout, aspect, fixed = (tmp_path / f"{n}.csv" for n in ("layout", "aspect", "fixed"))
+        assert run("layout", "--kind", "planar35x35-tin", "--out", layout) == 0
+        assert run("compensate", "--layout", layout, "--out", aspect) == 0
+        assert run("compensate", "--layout", layout, "--fixed-top-nm", 300,
+                   "--out", fixed) == 0
+        want = tmp_path / "want.csv"
+        write_layout_csv(compensated_layout(build_35x35("tin"), EvaporatorGeometry(),
+                                            Fidelity.FULL, fixed_top_nm=300.0), want)
+        assert fixed.read_bytes() == want.read_bytes() != aspect.read_bytes()
+
+    def test_contact_ohms_reach_simulate(self, tmp_path):
+        layout = tmp_path / "layout.csv"
+        assert run("layout", "--kind", "planar35x35-al", "--out", layout) == 0
+        cfg = tmp_path / "run.cfg"
+        outs = {}
+        for name, text in (("plain", ""), ("zero", "parasitics.contact_centre_ohm = 0\n"),
+                           ("contact", "parasitics.contact_centre_ohm = 50\n"
+                                       "parasitics.contact_edge_ohm = 80\n")):
+            cfg.write_text(text)
+            outs[name] = tmp_path / f"{name}.csv"
+            assert run("simulate", "--layout", layout, "--config", cfg,
+                       "--out", outs[name]) == 0
+        assert outs["zero"].read_bytes() == outs["plain"].read_bytes()
+        assert outs["contact"].read_bytes() != outs["plain"].read_bytes()
 
 
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert_exit(["layout"], 1)
         assert_exit(["no-such-command"], 1)
+        # compensate has no --mode: --fixed-top-nm alone selects the fixed-top solve.
+        assert_exit(["compensate", "--layout", "l.csv", "--out", "c.csv",
+                     "--mode", "fixed-top"], 1)
 
     def test_data_error_is_2(self, tmp_path, capsys):
         assert run("analyze", "--measurements", tmp_path / "absent.csv",
@@ -411,8 +444,8 @@ class TestExitCodes:
         for option in ("--max-width-nm", "--fixed-top-nm"):
             for value in ("nan", "inf", "-5"):
                 capsys.readouterr()
-                assert run("compensate", "--layout", layout, "--mode", "fixed-top",
-                           option, value, "--out", tmp_path / "c.csv") == 2
+                assert run("compensate", "--layout", layout, option, value,
+                           "--out", tmp_path / "c.csv") == 2
                 assert f"{option} must be finite and >= 0" in capsys.readouterr().err
         for option in ("--wb", "--wt"):
             for value in ("nan", "-1"):
@@ -422,6 +455,17 @@ class TestExitCodes:
                 assert run("render", "--grid", 1, option, value,
                            "--out-dir", tmp_path / "img") == 2
                 assert capsys.readouterr().err.count(f"{option} must be finite") == 2
+        # So are counts: a seed, and extract's threshold count before any image is read.
+        capsys.readouterr()
+        assert run("simulate", "--layout", layout, "--seed", -1, "--out", tmp_path / "m.csv") == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert run("extract", "--images", tmp_path / "absent.pgm", "--thresholds", 0,
+                   "--out", tmp_path / "e.csv") == 2
+        assert "--thresholds must be >= 1, got 0" in capsys.readouterr().err
+        bad_cfg.write_text("parasitics.contact_enabled = true\n")
+        assert run("simulate", "--layout", layout, "--config", bad_cfg,
+                   "--out", tmp_path / "m.csv") == 2
+        assert "unknown key 'parasitics.contact_enabled'" in capsys.readouterr().err
         # Data files are checked where they enter, naming path:line.
         for name, option, kind, text in (
                 ("vias.csv", "--tsv-file", "tsv17q-dolan", "x_mm,y_mm,diameter_um\n1,2,{}\n"),
@@ -526,7 +570,7 @@ class TestRejectedOptions:
     def test_negative_simulate_seed(self, tmp_path, capsys, layout):
         out = tmp_path / "m.csv"
         assert run("simulate", "--layout", layout, "--seed", -1, "--out", out) == 2
-        assert "data error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert "data error: --seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_config_seed(self, tmp_path, capsys, layout):
@@ -558,6 +602,8 @@ class TestRejectedOptions:
         (["--grid", 1, "--scale", -2], "--scale must be finite and > 0, got -2.0"),
         (["--grid", 1, "--scale", "nan"], "--scale must be finite and > 0, got nan"),
         (["--grid", 1, "--scale", "inf"], "--scale must be finite and > 0, got inf"),
+        (["--grid", 1, "--canvas", 8193], "--canvas must be <= 8192 px, got 8193"),
+        (["--grid", 1, "--canvas", 100000], "--canvas must be <= 8192 px, got 100000"),
     ])
     def test_render(self, tmp_path, capsys, layout, argv, message):
         out_dir = tmp_path / "imgs"

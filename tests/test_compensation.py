@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import scalar_model
 from jjshadow.analysis import effective_conductivity
@@ -22,6 +24,7 @@ from jjshadow.geometry import (
     EvaporatorGeometry,
     Fidelity,
     JunctionDesign,
+    WAFER_RADIUS_MM,
     Variant,
     WaferPoint,
     actual_overlap_area,
@@ -413,3 +416,62 @@ class TestForwardInverseProperty:
             assert any("width limit" in r for r in after.exclusion_reason[new])
         if fixed_top_nm is None:
             assert "unattainable: aspect ratio must be > 0" in after.exclusion_reason[new]
+
+
+@st.composite
+def geometries(draw):
+    """Valid evaporator geometries, each constant drawn around its default."""
+    try:
+        return EvaporatorGeometry(
+            d_prime_mm=draw(st.floats(300.0, 1500.0)), r_pivot_mm=draw(st.floats(10.0, 150.0)),
+            alpha_deg=draw(st.floats(0.0, 60.0)), alpha_dolan_deg=draw(st.floats(0.0, 60.0)),
+            h_resist_nm=draw(st.floats(200.0, 1200.0)), t_bottom_nm=draw(st.floats(10.0, 100.0)),
+            dw_offset_nm=draw(st.floats(0.0, 60.0)))
+    except GeometryError:
+        assume(False)
+
+
+def area_or_zero(geom, design, p, fidelity):
+    """The forward area of a design at p, 0 where an electrode pinches off."""
+    try:
+        return actual_overlap_area(geom, design, p, fidelity)
+    except ShadowedError:
+        return 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(geom=geometries(), r=st.floats(0.0, WAFER_RADIUS_MM),
+       theta=st.floats(0.0, 2.0 * math.pi), variant=st.sampled_from(list(Variant)),
+       fidelity=st.sampled_from(list(Fidelity)), aspect=st.floats(0.2, 5.0),
+       log_target=st.floats(-4.0, 0.5))
+def test_precompensate_meets_the_target_or_says_why(geom, r, theta, variant, fidelity,
+                                                   aspect, log_target):
+    """Forward after inverse: precompensate returns a design whose area is
+    the target, or raises TargetError, and only where no width in
+    [1 nm, w_max_nm] meets it: the area at 1 nm is already at or above the
+    target, the area at w_max_nm is below it, or the area jumps over it
+    where the bottom electrode pinches off (SIDEWALL and FULL add the
+    2 T'_b sidewall term to any bottom width above 0)."""
+    p = WaferPoint(r * math.cos(theta), r * math.sin(theta))
+    fidelity, target = fidelity.for_variant(variant), 10.0 ** log_target
+
+    def area(w):
+        return area_or_zero(geom, JunctionDesign(variant, aspect * w, w), p, fidelity)
+
+    try:
+        design = precompensate(geom, target, p, fidelity, aspect=aspect, variant=variant)
+    except TargetError:
+        if area(1.0) >= target or area(MAX_WIDTH_NM) < target:
+            return
+        lo, hi = 1.0, MAX_WIDTH_NM      # bisect the least width whose area is above 0
+        while hi - lo > 1e-9 * hi:
+            mid = 0.5 * (lo + hi)
+            if area(mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        assert area(hi) > target
+    else:
+        assert design.w_bottom_nm == aspect * design.w_top_nm
+        attained = actual_overlap_area(geom, design, p, fidelity)
+        assert abs(attained - target) <= AREA_RTOL * target

@@ -43,7 +43,6 @@ NON_DEFAULT = {
     "parasitics.pad_edge_ohm": ("300", 300.0),
     "parasitics.substrate_uS": ("4", 4.0),
     "parasitics.cabling_ohm": ("6", 6.0),
-    "parasitics.contact_enabled": ("true", True),
     "parasitics.contact_centre_ohm": ("10", 10.0),
     "parasitics.contact_edge_ohm": ("20", 20.0),
     "filter.abs_low_uS": ("25", 25.0),
@@ -77,12 +76,12 @@ class TestConfig:
             # comment
             geometry.alpha_deg = 15
             process.lognormal_sigma = 0.02   # inline comment
-            parasitics.contact_enabled = true
+            analysis.deembed = true
             filter.regressor = overlap_area
         """)
         assert cfg.geometry.alpha_deg == 15.0
         assert cfg.process.lognormal_sigma == 0.02
-        assert cfg.parasitics.contact_enabled is True
+        assert cfg.analysis.deembed is True
         assert cfg.filter.regressor.value == "overlap_area"
 
     @pytest.mark.parametrize("key", NON_DEFAULT)
@@ -98,12 +97,15 @@ class TestConfig:
             parse_config("geometry.tilt = 35")
         with pytest.raises(ConfigError, match="unknown key 'geometry_alpha_deg'"):
             parse_config("geometry_alpha_deg = 30")
+        # The contact term has no switch: its ohms alone set it.
+        with pytest.raises(ConfigError, match="unknown key 'parasitics.contact_enabled'"):
+            parse_config("parasitics.contact_enabled = true")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("geometry.alpha_deg = steep")
-        with pytest.raises(ConfigError):
-            parse_config("parasitics.contact_enabled = maybe")
+        with pytest.raises(ConfigError, match="not a boolean"):
+            parse_config("analysis.deembed = maybe")
         with pytest.raises(ConfigError):
             parse_config("just a line without equals")
         for text in ("nan", "inf", "-inf"):

@@ -87,8 +87,7 @@ class TestParasitics:
         base = by_id(synthesize_wafer(grid35, geom, CLEAN, NO_PARASITICS))
         for kwargs in ({"pad_centre_ohm": 50.0, "pad_edge_ohm": 50.0},
                        {"cabling_ohm": 9.0},
-                       {"contact_enabled": True, "contact_centre_ohm": 20.0,
-                        "contact_edge_ohm": 40.0}):
+                       {"contact_centre_ohm": 20.0, "contact_edge_ohm": 40.0}):
             merged = dict(pad_centre_ohm=0.0, pad_edge_ohm=0.0, substrate_uS=0.0,
                           cabling_ohm=0.0)
             merged.update(kwargs)

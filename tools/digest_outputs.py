@@ -15,8 +15,9 @@ Runs, in one process and against the checkout's own src/:
   the default filter with ``analysis.dual_rsd`` on and the benchmark's
   random process, so the unfiltered RSD of a sweep layout is digested
   under the default filter too,
-* ``compensate`` of every layout in both modes at all three fidelities,
-  plus a tight width limit that leaves structures unattainable,
+* ``compensate`` of every layout at all three fidelities, keeping the
+  aspect and at a fixed top width (``--fixed-top-nm 160``), plus a tight
+  width limit that leaves structures unattainable,
 * ``fieldmap`` for every quantity at every fidelity on a 2 mm grid, and on
   a 0.3 mm grid the FULL-fidelity area and the bottom width of a 20 nm
   line, which pinches off into blank cells away from the centre,
@@ -81,6 +82,7 @@ DUAL_RSD_DIR = "dual-rsd"
 
 FIELDMAP_STEP_MM = "2"
 FINE_STEP_MM = "0.3"            # ~87k disc cells, near the benchmark's 0.25 mm map
+FIXED_TOP_NM = "160"            # the crossed-junction top width of the planar layouts
 TIGHT_WIDTH_NM = "230"
 SEEDS = ("3", "7")
 RENDER_GRID = "3"
@@ -169,9 +171,9 @@ def _commands(out: Path, config: list[str],
     for kind in kinds:
         layout = ["--layout", str(out / f"layout-{kind}.csv")]
         for fid in Fidelity:
-            for mode in ("aspect", "fixed-top"):
+            for mode, extra in (("aspect", []), ("fixed-top", ["--fixed-top-nm", FIXED_TOP_NM])):
                 name = f"compensate-{kind}-{fid.value}-{mode}.csv"
-                runs.append((["compensate", *layout, "--fidelity", fid.value, "--mode", mode,
+                runs.append((["compensate", *layout, "--fidelity", fid.value, *extra,
                               "--out", str(out / name), *config], [name]))
         name = f"compensate-{kind}-full-max{TIGHT_WIDTH_NM}.csv"
         runs.append((["compensate", *layout, "--fidelity", "full", "--max-width-nm",
