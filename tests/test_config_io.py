@@ -97,9 +97,6 @@ class TestConfig:
             parse_config("geometry.tilt = 35")
         with pytest.raises(ConfigError, match="unknown key 'geometry_alpha_deg'"):
             parse_config("geometry_alpha_deg = 30")
-        # The contact term has no switch: its ohms alone set it.
-        with pytest.raises(ConfigError, match="unknown key 'parasitics.contact_enabled'"):
-            parse_config("parasitics.contact_enabled = true")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
