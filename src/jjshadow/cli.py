@@ -19,7 +19,7 @@ import numpy as np
 from . import io as jio
 from .compensation import MAX_WIDTH_NM, compensated_layout
 from .config import load_config, write_default
-from .errors import DataError, ExtractionError, JJShadowError
+from .errors import DataError, ExtractionError, JJShadowError, open_output
 from .geometry import (
     FIELD_QUANTITIES,
     VARIANT_CODES,
@@ -154,7 +154,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                           fidelity=cfg.process.fidelity, grid_positions=grid_positions)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.txt").write_text(render_report_text(report))
+    with open_output(out_dir / "report.txt") as fh:
+        fh.write(render_report_text(report))
     for variant, grid in report.heatmaps.items():
         jio.write_heatmap_csv(grid, out_dir / f"heatmap_{variant}.csv")
         jio.write_heatmap_pgm(grid, out_dir / f"heatmap_{variant}.pgm")
@@ -166,6 +167,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 FIELDMAP_BLOCK_POINTS = 8192        # x >= 0 grid points per Sites.field call
 FIELDMAP_MAX_CELLS = 10_000_000     # bound on the (2n + 1)^2 square grid a step asks for
 RENDER_MAX_CANVAS_PX = 8192         # bound on render --canvas, a side of its float32 raster
+RENDER_STRIDE = 1                   # render --stride when not given
+EXTRACT_MAX_THRESHOLDS = 1000       # bound on extract --thresholds, the sweep's length
 
 
 def _field_map_text(geom: EvaporatorGeometry, quantity: str, design: JunctionDesign,
@@ -212,7 +215,7 @@ def cmd_fieldmap(args: argparse.Namespace) -> int:
     n = WAFER_RADIUS_MM / step
     if not (math.isfinite(n) and (2 * math.floor(n) + 1) ** 2 <= FIELDMAP_MAX_CELLS):
         raise DataError(f"--step {step} mm asks for more than {FIELDMAP_MAX_CELLS:,} cells")
-    with open(args.out, "w", newline="") as fh:
+    with open_output(args.out, newline="") as fh:
         fh.write("x_mm,y_mm,value\n")
         fh.writelines(_field_map_text(cfg.geometry, args.quantity, design, fidelity, step))
     print(f"wrote {args.out}")
@@ -227,7 +230,7 @@ def _render_targets(args: argparse.Namespace):
                                  & (table.variant == VARIANT_CODES[Variant.MANHATTAN]))
         if not crossed.size:
             raise DataError("layout holds no crossed-junction structures to render")
-        at = crossed[::args.stride]
+        at = crossed[::RENDER_STRIDE if args.stride is None else args.stride]
         columns = (table.structure_id, table.x_mm, table.y_mm,
                    table.w_bottom_nm, table.w_top_nm)
         return [(sid, WaferPoint(x, y), JunctionDesign(Variant.MANHATTAN, w_b, w_t))
@@ -235,7 +238,8 @@ def _render_targets(args: argparse.Namespace):
     n = args.grid
     span = 34.0
     coords = [(-span + 2 * span * i / (n - 1)) if n > 1 else 0.0 for i in range(n)]
-    design = JunctionDesign(Variant.MANHATTAN, args.wb, args.wt)
+    w_b, w_t = (UNIFORM_WIDTH_NM if w is None else w for w in (args.wb, args.wt))
+    design = JunctionDesign(Variant.MANHATTAN, w_b, w_t)
     return [(f"g{i:02d}_{j:02d}", WaferPoint(coords[j], coords[i]), design)
             for i in range(n) for j in range(n)]
 
@@ -247,6 +251,11 @@ def cmd_render(args: argparse.Namespace) -> int:
     _check_at_least(args, 0, "--scale", strict=True)
     if args.canvas > RENDER_MAX_CANVAS_PX:
         raise DataError(f"--canvas must be <= {RENDER_MAX_CANVAS_PX} px, got {args.canvas}")
+    source, ignored = (("--grid", ("--stride",)) if args.layout is None
+                       else ("--layout", ("--wb", "--wt")))
+    for option in ignored:
+        if getattr(args, option[2:]) is not None:
+            raise DataError(f"{option} does not apply to {source}")
     cfg = load_config(args.config)
     geom = cfg.geometry
     seed = cfg.process.seed if args.seed is None else args.seed
@@ -279,6 +288,9 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     _check_at_least(args, 1, "--thresholds")
+    if args.thresholds > EXTRACT_MAX_THRESHOLDS:
+        raise DataError(f"--thresholds must be <= {EXTRACT_MAX_THRESHOLDS}, "
+                        f"got {args.thresholds}")
     _check_at_least(args, 0, "--scale", strict=True)
     ids: dict[str, str] = {}            # image id (file stem) -> path
     for image_path in args.images:
@@ -385,10 +397,13 @@ def make_parser() -> argparse.ArgumentParser:
                        help="render the crossed junctions of this layout CSV")
     group.add_argument("--grid", type=int, default=None,
                        help="render an NxN grid across the wafer instead")
-    p.add_argument("--stride", type=int, default=1,
-                   help="render every k-th layout structure")
-    p.add_argument("--wb", type=float, default=UNIFORM_WIDTH_NM)
-    p.add_argument("--wt", type=float, default=UNIFORM_WIDTH_NM)
+    p.add_argument("--stride", type=int, default=None,
+                   help=f"with --layout, render every k-th crossed structure "
+                        f"(default {RENDER_STRIDE})")
+    p.add_argument("--wb", type=float, default=None,
+                   help=f"with --grid, designed bottom width nm (default {UNIFORM_WIDTH_NM})")
+    p.add_argument("--wt", type=float, default=None,
+                   help=f"with --grid, designed top width nm (default {UNIFORM_WIDTH_NM})")
     p.add_argument("--scale", type=float, default=2.0, help="nm per pixel")
     p.add_argument("--canvas", type=int, default=512,
                    help="square canvas size px; keep bands well under half "

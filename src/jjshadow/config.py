@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .analysis import FilterConfig, FrequencyModel
-from .errors import ConfigError, JJShadowError
+from .errors import ConfigError, JJShadowError, open_output
 from .geometry import EvaporatorGeometry
 from .synth import ParasiticsModel, ProcessModel
 
@@ -117,4 +117,5 @@ def write_default(path: str | Path) -> None:
             elif isinstance(value, Enum):
                 value = value.value
             lines.append(f"{block}.{name} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open_output(path) as fh:
+        fh.write("\n".join(lines) + "\n")

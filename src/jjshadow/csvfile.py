@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import Check, DataError, JJShadowError
+from .errors import Check, DataError, JJShadowError, open_output
 
 
 def _breaks_line(text: str) -> bool:
@@ -110,7 +110,7 @@ def _write_columns(path: str | Path, header: str, columns: Sequence[Sequence]) -
         where = f"cell {_shown(raw[k][i])} of " if k else ""
         raise DataError(f"{where}structure id {_shown(ids[i])} is longer than "
                         f"csv.field_size_limit(), {limit} characters")
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         fh.write(header + "\n")
         if texts and texts[0]:
             fh.write("\n".join(map(",".join, zip(*texts))) + "\n")

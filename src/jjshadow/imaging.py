@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ExtractionError
+from .errors import DataError, ExtractionError, open_output
 from .geometry import (
     NM2_PER_UM2,
     EvaporatorGeometry,
@@ -84,7 +84,7 @@ def write_pgm(img: GrayImage, path: str | Path) -> None:
     The raster is written from its own buffer when that is C-contiguous,
     and from a C-ordered copy (the bytes tobytes() gives) when it is not.
     """
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(f"P5\n# scale_nm_per_px {img.scale_nm_per_px!r}\n"
                  f"{img.width_px} {img.height_px}\n255\n".encode())
         fh.write(np.ascontiguousarray(img.pixels))

@@ -37,7 +37,7 @@ from .csvfile import (
     _read_rows,
     _write_columns,
 )
-from .errors import DataError, data_error, raise_first_bad
+from .errors import DataError, data_error, open_output, raise_first_bad
 from .geometry import VARIANT_CODES, VARIANTS, Variant, WaferPoint
 from .imaging import GrayImage, write_pgm
 from .layout import STRUCTURE_COLUMNS, ColumnTable, StructureTable, WaferLayout
@@ -166,7 +166,7 @@ def write_heatmap_csv(grid: HeatmapGrid, path: str | Path) -> None:
     x_text = [f"{j},{x!r}," for j, x in enumerate(grid.xs)]
     cells = np.full(grid.valid.shape, "0,0", dtype=object)
     cells[grid.valid] = [f"{v!r},1" for v in grid.values[grid.valid].tolist()]
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         fh.write(HEATMAP_HEADER + "\n")
         for i, (y, row) in enumerate(zip(grid.ys, cells.tolist())):
             head, y_text = f"{i},", f"{y!r},"

@@ -13,7 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jjshadow
-from jjshadow.cli import FIELDMAP_BLOCK_POINTS, FIELDMAP_MAX_CELLS, _field_map_text, main
+from jjshadow.cli import (
+    EXTRACT_MAX_THRESHOLDS,
+    FIELDMAP_BLOCK_POINTS,
+    FIELDMAP_MAX_CELLS,
+    _field_map_text,
+    main,
+)
 from jjshadow.compensation import compensated_layout
 from jjshadow.geometry import (
     FIELD_QUANTITIES,
@@ -27,7 +33,7 @@ from jjshadow.geometry import (
     within_radius,
 )
 from jjshadow.io import write_layout_csv
-from jjshadow.layout import build_35x35
+from jjshadow.layout import UNIFORM_WIDTH_NM, build_35x35
 
 ZERO_NOISE_CFG = """
 process.sigma_j_uS_per_um2 = 1000
@@ -596,6 +602,10 @@ class TestRejectedOptions:
         (["--grid", 1, "--scale", "inf"], "--scale must be finite and > 0, got inf"),
         (["--grid", 1, "--canvas", 8193], "--canvas must be <= 8192 px, got 8193"),
         (["--grid", 1, "--canvas", 100000], "--canvas must be <= 8192 px, got 100000"),
+        (["--grid", 2, "--stride", 3], "--stride does not apply to --grid"),
+        (["--grid", 2, "--stride", 1], "--stride does not apply to --grid"),
+        (["--layout", None, "--wb", 150], "--wb does not apply to --layout"),
+        (["--layout", None, "--wt", 200], "--wt does not apply to --layout"),
     ])
     def test_render(self, tmp_path, capsys, layout, argv, message):
         out_dir = tmp_path / "imgs"
@@ -608,6 +618,23 @@ class TestRejectedOptions:
     def image(self, tmp_path):
         assert run("render", "--grid", 1, "--out-dir", tmp_path / "imgs") == 0
         return tmp_path / "imgs" / "g00_00.pgm"
+
+    def test_render_help_states_the_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            run("render", "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        assert "every k-th crossed structure (default 1)" in text
+        for side in ("bottom", "top"):
+            assert f"designed {side} width nm (default {UNIFORM_WIDTH_NM})" in text
+
+    def test_extract_thresholds_bound(self, tmp_path, capsys):
+        # Checked before any image is read: the image does not exist.
+        out = tmp_path / "e.csv"
+        assert run("extract", "--images", tmp_path / "none.pgm", "--thresholds",
+                   EXTRACT_MAX_THRESHOLDS + 1, "--out", out) == 2
+        assert ("data error: --thresholds must be <= 1000, got 1001\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("scale", ["nan", "inf"])
     def test_extract_scale(self, tmp_path, capsys, image, scale):
