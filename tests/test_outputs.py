@@ -1,9 +1,10 @@
 """How every writer of the package treats an output path that already
-exists: a regular file is replaced by a new file with the same bytes a
-fresh write gives and the old permission bits; a symlink, a hard-linked
-file or a FIFO is written through and kept; an unwritable file still
-refuses the write; a write refused before its first byte leaves the old
-file as it was."""
+exists: a regular file of the writer's own is replaced by a new file with
+the same bytes a fresh write gives, the old mode bits whatever the umask,
+and the old group; a symlink, a hard-linked file, a FIFO, another user's
+or group's file, a read-only file or a file with extended attributes is
+written through and kept; an unwritable file still refuses the write; a
+write refused before its first byte leaves the old file as it was."""
 
 import os
 import stat
@@ -141,12 +142,17 @@ def test_fifo_is_written_not_unlinked(writer):
     assert b"".join(chunks) == fresh
 
 
-def test_private_output_keeps_its_mode(writer):
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o664, 0o666])
+def test_output_keeps_its_mode_under_any_umask(writer, mode):
     write, path, fresh = writer
     path.write_bytes(OLD)
-    path.chmod(0o600)
-    write(path)
-    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    path.chmod(mode)
+    umask = os.umask(0o022)
+    try:
+        write(path)
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
     assert path.read_bytes() == fresh
 
 
@@ -158,6 +164,87 @@ def test_read_only_output_still_refuses_the_write(writer):
     with pytest.raises(PermissionError):
         write(path)
     assert path.read_bytes() == OLD
+
+
+root_only = pytest.mark.skipif(os.geteuid() != 0, reason="only root may give a file away")
+NOBODY = 65534
+
+
+def _rewrite(path) -> bool:
+    """Rewrite path through open_output; whether the old file was written
+    in place rather than replaced."""
+    with open(path, "rb") as held:
+        with open_output(path) as fh:
+            fh.write("new\n")
+        in_place = os.path.samestat(os.fstat(held.fileno()), os.stat(path))
+    assert path.read_bytes() == b"new\n"
+    return in_place
+
+
+@root_only
+@pytest.mark.parametrize("uid,gid", [(NOBODY, 0), (0, NOBODY)])
+def test_output_of_another_owner_or_group_is_written_in_place(tmp_path, uid, gid):
+    path = tmp_path / "out.txt"
+    path.write_bytes(OLD)
+    os.chown(path, uid, gid)
+    assert _rewrite(path)
+    assert (path.stat().st_uid, path.stat().st_gid) == (uid, gid)
+
+
+@root_only
+def test_read_only_output_is_written_in_place_by_root(writer):
+    write, path, fresh = writer
+    path.write_bytes(OLD)
+    path.chmod(0o444)
+    with open(path, "rb") as held:
+        write(path)
+        assert os.path.samestat(os.fstat(held.fileno()), os.stat(path))
+    assert stat.S_IMODE(path.stat().st_mode) == 0o444
+    assert path.read_bytes() == fresh
+
+
+@root_only
+def test_replaced_output_keeps_its_group_in_a_setgid_directory(tmp_path):
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    os.chown(shared, -1, NOBODY)
+    shared.chmod(0o2775)
+    path = shared / "out.txt"
+    path.write_bytes(OLD)
+    assert path.stat().st_gid == NOBODY  # a new file takes the directory's group
+    os.chown(path, -1, os.getegid())
+    path.chmod(0o664)
+    assert not _rewrite(path)
+    assert path.stat().st_gid == os.getegid()
+    assert stat.S_IMODE(path.stat().st_mode) == 0o664
+
+
+def test_output_with_an_extended_attribute_is_written_in_place(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(OLD)
+    try:
+        os.setxattr(path, "user.origin", b"kept")
+    except OSError as exc:
+        pytest.skip(f"no user xattrs here: {exc}")
+    assert _rewrite(path)
+    assert os.getxattr(path, "user.origin") == b"kept"
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may unlink in a read-only directory")
+def test_output_in_a_directory_that_refuses_the_unlink_is_written_in_place(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(OLD)
+    tmp_path.chmod(0o555)
+    try:
+        assert _rewrite(path)
+    finally:
+        tmp_path.chmod(0o755)
+
+
+def test_own_plain_output_is_replaced(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(OLD)
+    assert not _rewrite(path)
 
 
 def test_data_error_before_the_first_byte_leaves_the_old_file(tmp_path):
