@@ -241,12 +241,6 @@ def test_output_in_a_directory_that_refuses_the_unlink_is_written_in_place(tmp_p
         tmp_path.chmod(0o755)
 
 
-def test_own_plain_output_is_replaced(tmp_path):
-    path = tmp_path / "out.txt"
-    path.write_bytes(OLD)
-    assert not _rewrite(path)
-
-
 def test_data_error_before_the_first_byte_leaves_the_old_file(tmp_path):
     path = tmp_path / "out.csv"
     path.write_bytes(OLD)
