@@ -47,11 +47,13 @@ one ``diff``:
 ``compensate``, ``fieldmap`` and ``render``.  The outputs are written to a temporary
 directory and removed afterwards.
 
-``--write`` regenerates the committed reference digests in ``tests/data/``:
-one file for the default configuration and one for ``non-default.cfg``,
-which sets every configuration key to a non-default value.
-``tests/test_output_digests.py`` recomputes both and fails on any
-difference, so each regeneration is an intended output change.
+``--write`` regenerates the committed reference sets (REFERENCE_SETS) in
+``tests/data/``: the digests for the default configuration and for
+``non-default.cfg``, which sets every configuration key to a non-default
+value, and ``readers``, the lines of ``fuzz_readers.fuzz(300, 0)`` (damaged
+input files and what each read gives).  ``tests/test_output_digests.py``
+recomputes every set and fails on any difference, so each regeneration is
+an intended output change.
 """
 
 from __future__ import annotations
@@ -64,18 +66,18 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
 
+import fuzz_readers                                   # noqa: E402
 from jjshadow.cli import main as jjshadow_main       # noqa: E402
 from jjshadow.config import load_config               # noqa: E402
 from jjshadow.geometry import FIELD_QUANTITIES, Fidelity  # noqa: E402
 from jjshadow.layout import PLANAR_SWEEPS, TSV_SWEEP, LayoutKind  # noqa: E402
 
-ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = ROOT / "tests" / "data"
 BUNDLED = ROOT / "src" / "jjshadow" / "data"
-# Reference set name -> config file in DATA_DIR (None: the default config).
-REFERENCE_SETS = {"default": None, "non-default": "non-default.cfg"}
+NON_DEFAULT_CONFIG = DATA_DIR / "non-default.cfg"
 # The default filter with dual RSD on and the wafer-mc benchmark's process.
 DUAL_RSD_CONFIG = DATA_DIR / "dual-rsd.cfg"
 DUAL_RSD_DIR = "dual-rsd"
@@ -241,13 +243,14 @@ def run_digests(config: str | Path | None = None) -> list[str]:
         return digest_outputs(Path(tmp), config)
 
 
+# Reference set name -> the call that makes its lines.
+REFERENCE_SETS = {"default": lambda: run_digests(),
+                  "non-default": lambda: run_digests(NON_DEFAULT_CONFIG),
+                  "readers": lambda: fuzz_readers.fuzz(300, 0)}
+
+
 def reference_path(name: str) -> Path:
     return DATA_DIR / f"digests-{name}.txt"
-
-
-def reference_config(name: str) -> Path | None:
-    config = REFERENCE_SETS[name]
-    return DATA_DIR / config if config else None
 
 
 def main() -> int:
@@ -261,10 +264,10 @@ def main() -> int:
     if args.write:
         if args.config:
             parser.error("--write takes its configurations from tests/data/")
-        for name in REFERENCE_SETS:
-            lines = run_digests(reference_config(name))
+        for name, make_lines in REFERENCE_SETS.items():
+            lines = make_lines()
             reference_path(name).write_text("\n".join(lines) + "\n")
-            print(f"wrote {reference_path(name)}: {len(lines)} digests")
+            print(f"wrote {reference_path(name)}: {len(lines)} lines")
         return 0
     print("\n".join(run_digests(args.config)))
     return 0

@@ -1,16 +1,16 @@
-"""Read seeded damaged input files and print what each read gives, so
-that two checkouts' readers compare with one ``diff``.
+"""Read seeded damaged input files and give one line for what each read
+gives, so that two checkouts' readers compare with one ``diff``.
 
-Makes, in a temporary directory, ``--count`` damaged files of each kind
-the package reads as a table: layout, measurement, truth, render
-manifest, sub-array, via and sweep files; then as many damaged PGM
-images (below).  Each table file holds 1 to 30 rows (a sub-array file
-all 17, in a drawn order) drawn from the rows of its kind that the
-checkout writes or bundles: the tsv17q-manhattan, planar17q and
+``fuzz(count, seed)`` makes, in a temporary directory, ``count`` damaged
+files of each kind the package reads as a table: layout, measurement,
+truth, render manifest, sub-array, via and sweep files; then as many
+damaged PGM images (below).  Each table file holds 1 to 30 rows (a
+sub-array file all 17, in a drawn order) drawn from the rows of its kind
+that the checkout writes or bundles: the tsv17q-manhattan, planar17q and
 planar35x35-al layouts, measurements and truth synthesized from them, a
-manifest of the tsv17q-manhattan structures, the bundled sub-array and
-via files and the planar width sweeps.  Then come up to six damages,
-drawn from a seeded stream (DAMAGE):
+manifest of the tsv17q-manhattan structures, the bundled sub-array and via
+files and the planar width sweeps.  Then come up to six damages, drawn from
+a seeded stream (DAMAGE):
 
 * a cell, or two or three cells of one row, replaced by junk, ``nan``,
   ``inf``, a negative or zero value, an integer outside 64 bits, a bad
@@ -31,30 +31,53 @@ it) or removed; a comment inserted, with or without its newline, or a
 scale comment that is good or bad; a raster a byte short or long; the file
 cut short.  Half the files are read with a scale given, half with none.
 
-Each file prints as one line, ``<name>  error  <message>`` with the
+Each file gives one line, ``<name>  error  <message>`` with the
 temporary directory stripped, ``<name>  read  <sha256>`` of what the read
 gives (a table's columns, or the repr of the values read), or ``<name>
 crash  <type>: <message>`` for an exception that is not a package error.
-Counts of files rejected and read go to standard error.  ``--src`` imports
-jjshadow from another checkout's ``src/``, also one that predates this
-script:
 
-    python tools/fuzz_readers.py > new.txt
-    python tools/fuzz_readers.py --src /path/to/other/checkout/src > old.txt
-    diff old.txt new.txt
+``tools/digest_outputs.py`` commits ``fuzz(300, 0)`` as its ``readers``
+reference set, which tier-1 re-runs.  A deeper run is one call from the
+repository root; with another checkout's ``src/`` in place of ``src``
+(also one that predates this module), two runs compare with one ``diff``:
+
+    PYTHONPATH=src:tools python -c \
+        "from fuzz_readers import fuzz; print(*fuzz(3000, 1), sep='\\n')" > new.txt
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import random
-import sys
 import tempfile
-from collections import Counter
+from importlib import resources
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from jjshadow.errors import JJShadowError
+from jjshadow.geometry import EvaporatorGeometry, Variant
+from jjshadow.imaging import read_pgm
+from jjshadow.io import (
+    read_layout_csv,
+    read_manifest_csv,
+    read_measurements_csv,
+    read_truth_csv,
+    write_layout_csv,
+    write_manifest_csv,
+    write_measurements_csv,
+    write_truth_csv,
+)
+from jjshadow.layout import (
+    LAYOUT_COLUMNS,
+    PLANAR_SWEEPS,
+    SWEEP_HEADER,
+    build_35x35,
+    build_planar_17q,
+    build_tsv_17q,
+    load_subarray_sites,
+    load_sweep_file,
+    load_tsv_file,
+)
+from jjshadow.synth import COLUMNS, ParasiticsModel, ProcessModel, synthesize_wafer
 
 JUNK = ["", "junk", "nan", "NaN", "inf", "-inf", "1e400", "-5.0", "-0.0", "0", "1", "2",
         "3", "-1", "1e3", "1.5", " 2", "1_0", "9" * 20, "-" + "9" * 20, str(2**63),
@@ -65,24 +88,6 @@ ROWS_PER_FILE = 30
 
 def _pools() -> dict[str, tuple[str, list[str]]]:
     """The header and body lines the checkout writes or bundles, per file kind."""
-    from importlib import resources
-
-    from jjshadow.geometry import EvaporatorGeometry, Variant
-    from jjshadow.io import (
-        write_layout_csv,
-        write_manifest_csv,
-        write_measurements_csv,
-        write_truth_csv,
-    )
-    from jjshadow.layout import (
-        PLANAR_SWEEPS,
-        SWEEP_HEADER,
-        build_35x35,
-        build_planar_17q,
-        build_tsv_17q,
-    )
-    from jjshadow.synth import ParasiticsModel, ProcessModel, synthesize_wafer
-
     process = ProcessModel(lognormal_sigma=0.05, p_open=0.05, p_short=0.02, seed=1)
     layouts = [build_tsv_17q(Variant.MANHATTAN), build_planar_17q(), build_35x35("al")]
     texts: dict[str, list[list[str]]] = {"layout": [], "measurements": [], "truth": []}
@@ -204,24 +209,8 @@ def _image(img) -> str:
     return _digest(repr((img.scale_nm_per_px, img.pixels.tolist())))
 
 
-def fuzz(count: int, seed: int) -> tuple[list[str], Counter]:
-    """One line per damaged file, and the count of each outcome per kind."""
-    from jjshadow.errors import JJShadowError
-    from jjshadow.imaging import read_pgm
-    from jjshadow.io import (
-        read_layout_csv,
-        read_manifest_csv,
-        read_measurements_csv,
-        read_truth_csv,
-    )
-    from jjshadow.layout import (
-        LAYOUT_COLUMNS,
-        load_subarray_sites,
-        load_sweep_file,
-        load_tsv_file,
-    )
-    from jjshadow.synth import COLUMNS
-
+def fuzz(count: int, seed: int) -> list[str]:
+    """One line per damaged file."""
     readers = {
         "layout": lambda path: _columns(read_layout_csv(path).structures, LAYOUT_COLUMNS),
         "measurements": lambda path: _columns(read_measurements_csv(path), COLUMNS),
@@ -233,16 +222,15 @@ def fuzz(count: int, seed: int) -> tuple[list[str], Counter]:
         "vias": lambda path: _digest(repr(load_tsv_file(path))),
         "sweeps": lambda path: _digest(repr(load_sweep_file(path))),
     }
-    out, counts = [], Counter()
+    out = []
     with tempfile.TemporaryDirectory() as tmp:
-        def record(kind: str, name: str, read) -> None:
+        def record(name: str, read) -> None:
             try:
                 outcome, text = "read", read(Path(tmp) / name)
             except JJShadowError as exc:
                 outcome, text = "error", str(exc).replace(f"{tmp}/", "")
             except Exception as exc:            # a traceback in the CLI
                 outcome, text = "crash", f"{type(exc).__name__}: {exc}"
-            counts[kind, outcome] += 1
             out.append(f"{name}  {outcome}  {text!r}")
 
         for kind, (header, pool) in _pools().items():
@@ -253,31 +241,11 @@ def fuzz(count: int, seed: int) -> tuple[list[str], Counter]:
                         else len(pool))         # every row of a sub-array file
                 rows = [line.split(",") for line in rng.sample(pool, size)]
                 Path(tmp, name).write_text("\n".join([header, *_damage(rng, rows)]) + "\n")
-                record(kind, name, readers[kind])
+                record(name, readers[kind])
         rng = random.Random(f"{seed}-pgm")
         for k in range(count):
             scale = rng.choice([None, 3.0])
             name = f"pgm-{k:05d}{'' if scale is None else '-scaled'}.pgm"
             Path(tmp, name).write_bytes(_pgm(rng))
-            record("pgm", name, lambda path: _image(read_pgm(path, scale_nm_per_px=scale)))
-    return out, counts
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--count", type=int, default=3000,
-                        help="damaged files per kind (default 3000)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="the src/ directory to import jjshadow from")
-    args = parser.parse_args()
-    sys.path.insert(0, args.src)
-    lines, counts = fuzz(args.count, args.seed)
-    print("\n".join(lines))
-    for kind, outcome in sorted(counts):
-        print(f"{kind}: {counts[kind, outcome]} {outcome}", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+            record(name, lambda path: _image(read_pgm(path, scale_nm_per_px=scale)))
+    return out
