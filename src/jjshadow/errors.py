@@ -8,6 +8,7 @@ Each class carries the CLI's exit code and the label its message prints
 under.
 """
 
+import contextlib
 import os
 import stat
 from pathlib import Path
@@ -107,7 +108,9 @@ def open_output(path: str | Path, mode: str = "w", newline: str | None = None) -
     other xattrs, or one in a directory that refuses the unlink) opens as
     open() opens it, and is never unlinked.  A create that fails after the
     unlink (no free descriptor or inode) loses the old file, where a
-    truncating open() that failed would have kept it.
+    truncating open() that failed would have kept it; so does a failure to
+    give the new file the old group or mode, which removes the new file:
+    either leaves the path missing.
 
     Why: on ext4 with its default auto_da_alloc, truncating a file makes
     close() allocate and submit the new blocks in this process, where a
@@ -140,6 +143,8 @@ def open_output(path: str | Path, mode: str = "w", newline: str | None = None) -
             os.fchmod(fd, stat.S_IMODE(st.st_mode))
         except OSError:
             os.close(fd)
+            with contextlib.suppress(OSError):
+                os.unlink(name)
             raise
         return fd
 

@@ -4,7 +4,9 @@ the same bytes a fresh write gives, the old mode bits whatever the umask,
 and the old group; a symlink, a hard-linked file, a FIFO, another user's
 or group's file, a read-only file or a file with extended attributes is
 written through and kept; an unwritable file still refuses the write; a
-write refused before its first byte leaves the old file as it was."""
+write refused before its first byte leaves the old file as it was; a
+replace that cannot give the new file the old group or mode leaves the
+path missing and no descriptor open."""
 
 import os
 import stat
@@ -247,6 +249,22 @@ def test_data_error_before_the_first_byte_leaves_the_old_file(tmp_path):
     with pytest.raises(DataError, match="holds a line break"):
         _write_columns(path, "structure_id,x_mm", [["a", "b\nc"], [1.0, 2.0]])
     assert path.read_bytes() == OLD
+
+
+@pytest.mark.parametrize("call", ["fchown", "fchmod"])
+def test_failed_replace_leaves_the_path_missing(tmp_path, monkeypatch, call):
+    path = tmp_path / "out.txt"
+    path.write_bytes(OLD)
+    open_fds = len(os.listdir("/proc/self/fd"))
+
+    def refuse(fd, *args):
+        raise PermissionError(f"{call} refused")
+
+    monkeypatch.setattr(os, call, refuse)
+    with pytest.raises(PermissionError, match=f"{call} refused"):
+        open_output(path)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert not path.exists()
 
 
 def test_missing_output_is_created_with_the_default_mode(tmp_path):
