@@ -36,6 +36,8 @@ from .geometry import (
     within_radius,
 )
 from .imaging import (
+    DEFAULT_CANVAS_PX,
+    DEFAULT_SCALE_NM_PER_PX,
     DEFAULT_THRESHOLD_COUNT,
     band_pixel_count,
     bands_below_lowest_threshold,
@@ -404,8 +406,9 @@ def make_parser() -> argparse.ArgumentParser:
                    help=f"with --grid, designed bottom width nm (default {UNIFORM_WIDTH_NM})")
     p.add_argument("--wt", type=float, default=None,
                    help=f"with --grid, designed top width nm (default {UNIFORM_WIDTH_NM})")
-    p.add_argument("--scale", type=float, default=2.0, help="nm per pixel")
-    p.add_argument("--canvas", type=int, default=512,
+    p.add_argument("--scale", type=float, default=DEFAULT_SCALE_NM_PER_PX,
+                   help="nm per pixel")
+    p.add_argument("--canvas", type=int, default=DEFAULT_CANVAS_PX,
                    help="square canvas size px; keep bands well under half "
                         "the canvas so mean-relative thresholds stay sharp")
     p.add_argument("--noise", type=float, default=0.0,

@@ -45,6 +45,9 @@ _LEVELS = ((LEVEL_BACKGROUND, LEVEL_BOTTOM, LEVEL_BACKGROUND),
            (LEVEL_BACKGROUND, LEVEL_BOTTOM, LEVEL_BACKGROUND))
 
 DEFAULT_THRESHOLD_COUNT = 11
+# The pixel size and square canvas side render_junction and render use by default.
+DEFAULT_SCALE_NM_PER_PX = 2.0
+DEFAULT_CANVAS_PX = 512
 # extract_widths sweeps its thresholds over this range of multiples of the
 # image mean.
 THRESHOLD_RANGE = (1.0, 2.0)
@@ -175,8 +178,8 @@ def band_pixel_count(width_nm: float, scale_nm_per_px: float, canvas_px: int) ->
 
 
 def render_junction(geom: EvaporatorGeometry, design: JunctionDesign, p: WaferPoint,
-                    scale_nm_per_px: float = 2.0,
-                    canvas_px: tuple[int, int] = (512, 512),
+                    scale_nm_per_px: float = DEFAULT_SCALE_NM_PER_PX,
+                    canvas_px: tuple[int, int] = (DEFAULT_CANVAS_PX, DEFAULT_CANVAS_PX),
                     noise_sigma: float = 0.0, seed: int = 0) -> GrayImage:
     """Render a noisy top-view of one crossed junction at wafer point p.
 
