@@ -483,6 +483,21 @@ class TestExitCodes:
                        "--out", tmp_path / "e.csv") == 2
             assert f"{manifest}:2: " in capsys.readouterr().err
 
+    def test_output_that_is_a_directory_is_an_io_error_2(self, tmp_path, capsys):
+        assert run("layout", "--kind", "planar35x35-al", "--out", tmp_path) == 2
+        assert capsys.readouterr().err == (
+            f"jjshadow: i/o error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+    def test_out_dir_that_is_a_file_is_an_io_error_2(self, tmp_path, capsys):
+        layout, meas, taken = tmp_path / "layout.csv", tmp_path / "m.csv", tmp_path / "taken"
+        run("layout", "--kind", "planar35x35-al", "--out", layout)
+        run("simulate", "--layout", layout, "--out", meas)
+        taken.write_text("")
+        capsys.readouterr()
+        assert run("analyze", "--measurements", meas, "--out-dir", taken) == 2
+        assert capsys.readouterr().err == (
+            f"jjshadow: i/o error: [Errno 17] File exists: '{taken}'\n")
+
     @pytest.mark.parametrize("column, value", [(4, "inf"), (8, "nan")],
                              ids=["inf-y", "nan-designed-area"])
     def test_non_finite_measurement_names_its_line(self, tmp_path, capsys, column, value):
