@@ -33,6 +33,9 @@ Runs, in one process and against the checkout's own src/:
   threshold count changes the extracted widths (at ``--noise 0.3`` and
   below it does not), and ``extract --thresholds 1`` and
   ``--thresholds 11`` of it,
+* ``render --layout --stride 200 --canvas 512 --scale 3`` of the crossed
+  junctions of planar17q, tsv17q-manhattan and the FULL-fidelity
+  compensated planar17q, and ``extract --manifest`` of each set,
 * ``write-config``.
 
 Each output file prints as ``<sha256>  <name>``, and each command that
@@ -65,6 +68,7 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
@@ -104,6 +108,15 @@ POSITIONS_THRESHOLDS = "11"
 SWEEP_GRID = "3"
 SWEEP_NOISE = "0.4"
 SWEEP_THRESHOLDS = ("1", "11")
+# The paper's crossed junctions, as laid out and compensated: every 200th
+# crossed structure at 3 nm/px, where each rendered band stays under half the
+# 512 px canvas (planar17q's widest is 198 px).
+LAYOUT_RENDERS = ("layout-planar17q.csv", "layout-tsv17q-manhattan.csv",
+                  "compensate-planar17q-full-aspect.csv")
+LAYOUT_RENDER = ["--stride", "200", "--canvas", "512", "--scale", "3"]
+
+# A command's argv and the names of its outputs.
+Run = tuple[list[str], list[str]]
 
 
 def _write_sweeps(path: Path, sweeps: dict[str, tuple[float, ...]]) -> None:
@@ -120,97 +133,90 @@ def _seeds(config: str | None) -> tuple[str, ...]:
 
 
 def _simulate_analyze(out: Path, kinds: list[str], config: list[str],
-                      seeds: tuple[str, ...],
-                      prefix: str = "") -> list[tuple[list[str], list[str]]]:
+                      seeds: tuple[str, ...], prefix: str = "") -> Iterator[Run]:
     """simulate then analyze of each layout at each seed, outputs named
     under prefix."""
-    runs = []
     for kind in kinds:
         layout = ["--layout", str(out / f"layout-{kind}.csv")]
         for seed in seeds:
             sim = f"{prefix}simulate-{kind}-{seed}.csv"
             truth = f"{prefix}truth-{kind}-{seed}.csv"
-            runs.append((["simulate", *layout, "--seed", seed, "--out", str(out / sim),
-                          "--truth-out", str(out / truth), *config], [sim, truth]))
+            yield (["simulate", *layout, "--seed", seed, "--out", str(out / sim),
+                    "--truth-out", str(out / truth), *config], [sim, truth])
             report = f"{prefix}analyze-{kind}-{seed}"
-            runs.append((["analyze", "--measurements", str(out / sim), *layout,
-                          "--out-dir", str(out / report), *config], [report]))
-    return runs
+            yield (["analyze", "--measurements", str(out / sim), *layout,
+                    "--out-dir", str(out / report), *config], [report])
 
 
-def _render_extract(out: Path, grid: str, render: list[str], config: list[str],
-                    extracts: list[tuple[str, list[str]]],
-                    prefix: str = "") -> list[tuple[list[str], list[str]]]:
-    """render of a grid into the directory prefix + "render", then extract
-    of its images into each named file with its extra arguments."""
+def _render_extract(out: Path, render: list[str], config: list[str],
+                    extracts: list[tuple[str, list[str]]], prefix: str = "") -> Iterator[Run]:
+    """render into the directory prefix + "render", then extract of the
+    images it wrote into each named file with its extra arguments."""
     images = out / f"{prefix}render"
-    runs = [(["render", "--grid", grid, *render, "--out-dir", str(images), *config],
-             [images.name])]
-    pgms = [str(images / f"g{i:02d}_{j:02d}.pgm")
-            for i in range(int(grid)) for j in range(int(grid))]
+    yield ["render", *render, "--out-dir", str(images), *config], [images.name]
+    pgms = sorted(str(path) for path in images.glob("*.pgm"))
     for name, extra in extracts:
-        runs.append((["extract", "--manifest", str(images / "manifest.csv"),
-                      "--images", *pgms, *extra, "--out", str(out / name)], [name]))
-    return runs
+        yield (["extract", "--manifest", str(images / "manifest.csv"), "--images", *pgms,
+                *extra, "--out", str(out / name)], [name])
 
 
-def _commands(out: Path, config: list[str],
-              seeds: tuple[str, ...]) -> list[tuple[list[str], list[str]]]:
-    """(argv, names of its outputs) for every run, in a fixed order."""
-    runs = []
+def _commands(out: Path, config: list[str], seeds: tuple[str, ...]) -> Iterator[Run]:
+    """(argv, names of its outputs) for every run, in a fixed order; a run
+    is made after the runs before it have run, so it may list their outputs."""
     kinds = [k.value for k in LayoutKind]
     for kind in kinds:
         name = f"layout-{kind}.csv"
-        runs.append((["layout", "--kind", kind, "--out", str(out / name)], [name]))
+        yield ["layout", "--kind", kind, "--out", str(out / name)], [name]
     sites = ["--subarrays", str(BUNDLED / "surface17_subarrays.csv")]
     for kind, extra in (("planar17q", ["--sweeps", str(out / "sweeps-planar.csv")]),
                         ("tsv17q-dolan", ["--tsv-file", str(BUNDLED / "tsv_vias.csv"),
                                           "--sweeps", str(out / "sweeps-tsv.csv")])):
         name = f"layout-{kind}-files.csv"
-        runs.append((["layout", "--kind", kind, *sites, *extra, "--out", str(out / name)],
-                     [name]))
-    runs += _simulate_analyze(out, kinds, config, seeds)
+        yield ["layout", "--kind", kind, *sites, *extra, "--out", str(out / name)], [name]
+    yield from _simulate_analyze(out, kinds, config, seeds)
     for kind in kinds:
         layout = ["--layout", str(out / f"layout-{kind}.csv")]
         for fid in Fidelity:
             for mode, extra in (("aspect", []), ("fixed-top", ["--fixed-top-nm", FIXED_TOP_NM])):
                 name = f"compensate-{kind}-{fid.value}-{mode}.csv"
-                runs.append((["compensate", *layout, "--fidelity", fid.value, *extra,
-                              "--out", str(out / name), *config], [name]))
+                yield (["compensate", *layout, "--fidelity", fid.value, *extra,
+                        "--out", str(out / name), *config], [name])
         name = f"compensate-{kind}-full-max{TIGHT_WIDTH_NM}.csv"
-        runs.append((["compensate", *layout, "--fidelity", "full", "--max-width-nm",
-                      TIGHT_WIDTH_NM, "--out", str(out / name), *config], [name]))
+        yield (["compensate", *layout, "--fidelity", "full", "--max-width-nm",
+                TIGHT_WIDTH_NM, "--out", str(out / name), *config], [name])
     for quantity in FIELD_QUANTITIES:
         for fid in Fidelity:
             name = f"fieldmap-{quantity}-{fid.value}.csv"
-            runs.append((["fieldmap", "--quantity", quantity, "--step", FIELDMAP_STEP_MM,
-                          "--fidelity", fid.value, "--out", str(out / name), *config],
-                         [name]))
+            yield (["fieldmap", "--quantity", quantity, "--step", FIELDMAP_STEP_MM,
+                    "--fidelity", fid.value, "--out", str(out / name), *config], [name])
     for name, extra in (("fieldmap-area-full-fine.csv", ["area", "--fidelity", "full"]),
                         ("fieldmap-wb-wb20-fine.csv", ["wb", "--wb", "20"])):
-        runs.append((["fieldmap", "--quantity", *extra, "--step", FINE_STEP_MM,
-                      "--out", str(out / name), *config], [name]))
-    runs += _render_extract(out, RENDER_GRID,
-                            ["--canvas", RENDER_CANVAS_PX,
-                             "--wb", RENDER_WIDTH_NM, "--wt", RENDER_WIDTH_NM],
-                            config, [("extract.csv", [])])
+        yield (["fieldmap", "--quantity", *extra, "--step", FINE_STEP_MM,
+                "--out", str(out / name), *config], [name])
+    yield from _render_extract(out, ["--grid", RENDER_GRID, "--canvas", RENDER_CANVAS_PX,
+                                     "--wb", RENDER_WIDTH_NM, "--wt", RENDER_WIDTH_NM],
+                               config, [("extract.csv", [])])
     for label, noise in BENCH_NOISES.items():
         prefix = f"bench-{label}-"
-        runs += _render_extract(out, BENCH_GRID, [*BENCH_RENDER, "--noise", noise], config,
-                                [(f"{prefix}extract-t{n}.csv", ["--thresholds", n])
-                                 for n in BENCH_THRESHOLDS], prefix)
-    runs += _render_extract(out, POSITIONS_GRID, [*BENCH_RENDER, "--noise", POSITIONS_NOISE],
-                            config, [(f"positions-extract-t{POSITIONS_THRESHOLDS}.csv",
-                                      ["--thresholds", POSITIONS_THRESHOLDS])], "positions-")
-    runs += _render_extract(out, SWEEP_GRID, [*BENCH_RENDER, "--noise", SWEEP_NOISE], config,
-                            [(f"sweep-extract-t{n}.csv", ["--thresholds", n])
-                             for n in SWEEP_THRESHOLDS], "sweep-")
-    runs.append((["write-config", "--out", str(out / "write-config.cfg")],
-                 ["write-config.cfg"]))
+        yield from _render_extract(
+            out, ["--grid", BENCH_GRID, *BENCH_RENDER, "--noise", noise], config,
+            [(f"{prefix}extract-t{n}.csv", ["--thresholds", n]) for n in BENCH_THRESHOLDS],
+            prefix)
+    yield from _render_extract(
+        out, ["--grid", POSITIONS_GRID, *BENCH_RENDER, "--noise", POSITIONS_NOISE], config,
+        [(f"positions-extract-t{POSITIONS_THRESHOLDS}.csv",
+          ["--thresholds", POSITIONS_THRESHOLDS])], "positions-")
+    yield from _render_extract(
+        out, ["--grid", SWEEP_GRID, *BENCH_RENDER, "--noise", SWEEP_NOISE], config,
+        [(f"sweep-extract-t{n}.csv", ["--thresholds", n]) for n in SWEEP_THRESHOLDS], "sweep-")
+    for layout in LAYOUT_RENDERS:
+        stem = layout.removesuffix(".csv")
+        yield from _render_extract(out, ["--layout", str(out / layout), *LAYOUT_RENDER],
+                                   config, [(f"{stem}-extract.csv", [])], f"{stem}-")
+    yield ["write-config", "--out", str(out / "write-config.cfg")], ["write-config.cfg"]
     if not config:
-        runs += _simulate_analyze(out, kinds, ["--config", str(DUAL_RSD_CONFIG)], SEEDS,
-                                  f"{DUAL_RSD_DIR}/")
-    return runs
+        yield from _simulate_analyze(out, kinds, ["--config", str(DUAL_RSD_CONFIG)], SEEDS,
+                                     f"{DUAL_RSD_DIR}/")
 
 
 def digest_outputs(out: Path, config: str | None) -> list[str]:
