@@ -250,7 +250,7 @@ def run_digests(config: str | Path | None = None) -> list[str]:
 
 
 # Reference set name -> the call that makes its lines.
-REFERENCE_SETS = {"default": lambda: run_digests(),
+REFERENCE_SETS = {"default": run_digests,
                   "non-default": lambda: run_digests(NON_DEFAULT_CONFIG),
                   "readers": lambda: fuzz_readers.fuzz(300, 0)}
 
