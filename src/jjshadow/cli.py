@@ -175,8 +175,9 @@ EXTRACT_MAX_THRESHOLDS = 1000       # bound on extract --thresholds, the sweep's
 
 def _field_map_text(geom: EvaporatorGeometry, quantity: str, design: JunctionDesign,
                     fidelity: Fidelity, step: float) -> Iterator[str]:
-    """The CSV lines of each field-map row, north to south; within a row,
-    west to east.  Sites.field runs once per block of rows.
+    """The CSV lines of each block of field-map rows as one string, rows
+    north to south and, within a row, west to east.  Sites.field runs once
+    per block of rows.
 
     Every field quantity takes the same value at (x, y) and (-x, y), and so
     does the disc test; the grid is symmetric too, since (-k)*step is
@@ -198,13 +199,20 @@ def _field_map_text(geom: EvaporatorGeometry, quantity: str, design: JunctionDes
         cells = [repr(v) for v in values.tolist()]
         for k in np.flatnonzero(~ok).tolist():
             cells[k] = ""               # pinched off: blank cell
-        bounds = np.searchsorted(row, np.arange(block.size + 1)).tolist()
-        for y, lo, hi in zip(block.tolist(), bounds, bounds[1:]):
+        bounds = np.searchsorted(row, np.arange(block.size + 1))
+        # Four slots per cell of the block: x, ",y,", value and "\n".
+        text = ["\n"] * (4 * (2 * row.size - np.count_nonzero(np.diff(bounds))))
+        at = 0
+        for y, lo, hi in zip(block.tolist(), bounds.tolist(), bounds[1:].tolist()):
             k = hi - lo
             if k:
                 half = cells[lo:hi]     # x = 0 has no mirror image
-                yield "\n".join(map(f",{y!r},".join, zip(x_text[n - k + 1:n + k],
-                                                          half[:0:-1] + half))) + "\n"
+                end = at + 4 * (2 * k - 1)
+                text[at:end:4] = x_text[n - k + 1:n + k]
+                text[at + 1:end:4] = [f",{y!r},"] * (2 * k - 1)
+                text[at + 2:end:4] = half[:0:-1] + half
+                at = end
+        yield "".join(text)
 
 
 def cmd_fieldmap(args: argparse.Namespace) -> int:
@@ -251,6 +259,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     _check_at_least(args, 0, "--noise", "--seed")
     _check_at_least(args, 1, "--stride", "--grid")
     _check_at_least(args, 0, "--scale", strict=True)
+    _check_at_least(args, 1, "--canvas", unit=" px")
     if args.canvas > RENDER_MAX_CANVAS_PX:
         raise DataError(f"--canvas must be <= {RENDER_MAX_CANVAS_PX} px, got {args.canvas}")
     source, ignored = (("--grid", ("--stride",)) if args.layout is None

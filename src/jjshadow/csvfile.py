@@ -8,17 +8,16 @@ quoted by the csv module's rules; floats are written as their repr.  No
 cell may hold a line break: the writer rejects one before writing, and
 the reader rejects a quoted cell that spans lines.
 
-Both pay per distinct value, not per cell.  The writer formats a numeric
-column with one repr or str per distinct value and joins rows by hand; a
-cell holding "," or '"', the only characters csv.writer quotes once line
-breaks are rejected, is quoted as csv.writer quotes it.  The reader splits
-text holding no '"' on commas, which is what csv.reader makes of it (NUL
-included, from Python 3.11 on), and _parse_column parses each distinct
-cell of a column once (each cell, for readings).  Text holding a '"'
-goes through csv.reader, whose errors, such as a cell past
-csv.field_size_limit(), are data errors at the row's path:line; so the
-writer refuses, before writing, a file that would hold a '"' and such a
-cell.
+The writer formats a numeric column with one repr or str per distinct
+value and joins rows by hand; a cell holding "," or '"', the only
+characters csv.writer quotes once line breaks are rejected, is quoted as
+csv.writer quotes it.  The reader splits text holding no '"' on commas,
+which is what csv.reader makes of it (NUL included, from Python 3.11 on),
+and _parse_column parses each distinct cell of a column once where cells
+repeat, else each cell.  Text holding a '"' goes through csv.reader,
+whose errors, such as a cell past csv.field_size_limit(), are data
+errors at the row's path:line; so the writer refuses, before writing, a
+file that would hold a '"' and such a cell.
 """
 
 from __future__ import annotations
@@ -193,23 +192,22 @@ def _check_unique(path: str | Path, ids: Sequence[str], lines: Sequence[int]) ->
             seen.add(sid)
 
 
-def _parse_column(cells: Sequence[str], parse: Callable[[str], object], dtype,
-                  distinct: bool = True) -> tuple[np.ndarray, Check]:
+def _parse_column(cells: Sequence[str], parse: Callable[[str], object],
+                  dtype) -> tuple[np.ndarray, Check]:
     """parse of each cell, as an array of dtype, and the check that flags
     the cells parse rejects (they hold 0) and raises the error of one by
-    parsing it again.  Each distinct cell is parsed once (each cell if not
-    distinct, for readings that seldom repeat), and once more only in a
-    column holding a rejected cell, to find each one."""
-    n, rejected = len(cells), set()
+    parsing it again.  Each distinct cell is parsed once where the column
+    holds at most half as many distinct cells as cells, else each cell is,
+    and each distinct cell once more only in a column holding a rejected
+    cell, to find each one."""
+    n, rejected, keys = len(cells), set(), set(cells)
     try:
-        value = parse
-        if distinct:
-            keys = set(cells)
-            value = dict(zip(keys, map(parse, keys))).__getitem__
+        value = (dict(zip(keys, map(parse, keys))).__getitem__ if 2 * len(keys) <= n
+                 else parse)
         column = np.fromiter(map(value, cells), dtype, n)
     except (ValueError, JJShadowError):
         values = {}
-        for cell in set(cells):
+        for cell in keys:
             try:
                 values[cell] = parse(cell)
             except (ValueError, JJShadowError):

@@ -40,10 +40,11 @@ for operation in the same order, and the tests compare the two bit for
 bit, so they check the transcription as well as the branching.  Every
 step is an IEEE + - * / sqrt abs max, and |r - C|**3 is taken with
 Python's float ** (libm pow) element by element, because numpy's power
-differs from it in the last bit for some arguments.  Every quantity is
-even in x, bit for bit: x enters only as |x| (the narrowed width) and as
-dx * dx (the source distance), so the field map evaluates x >= 0 and
-mirrors it.
+differs from it in the last bit for some arguments; the exponent is the
+float 3.0, which calls the same libm pow as ** 3 without converting an
+int per element.  Every quantity is even in x, bit for bit: x enters
+only as |x| (the narrowed width) and as dx * dx (the source distance),
+so the field map evaluates x >= 0 and mirrors it.
 """
 
 from __future__ import annotations
@@ -242,8 +243,10 @@ def _crossed_area(w_b_nm, w_t_nm):
 
 
 def _cubed(r: np.ndarray) -> np.ndarray:
-    """r**3 per element with Python float ** (libm pow), not numpy's power."""
-    return np.fromiter(map(pow, r.ravel().tolist(), repeat(3)), float,
+    """r**3 per element with Python float ** (libm pow), not numpy's power.
+    The exponent is the float 3.0: float ** int converts the int and calls
+    the same pow(x, 3.0), so the bits match without a conversion per element."""
+    return np.fromiter(map(pow, r.ravel().tolist(), repeat(3.0)), float,
                        r.size).reshape(r.shape)
 
 

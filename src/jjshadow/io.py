@@ -8,10 +8,10 @@ per distinct value, and rows are joined by hand, an id holding a comma
 or a quote quoted as csv.writer quotes it.  An id holding a line break
 is rejected before any byte is written.  Layout and measurement files are
 read a column at a time, quote-free text split on commas and each
-distinct cell parsed once (each conductance cell, as readings seldom
-repeat).  Each cell's parse and each of the table's checks flags its bad
-rows, and the lowest bad row raises, at its path:line, the error of the
-first check a row-by-row read makes in it.  The table is then built from
+distinct cell parsed once where a column's cells repeat, else each cell.
+Each cell's parse and each of the table's checks flags its bad rows, and
+the lowest bad row raises, at its path:line, the error of the first check
+a row-by-row read makes in it.  The table is then built from
 those columns with ColumnTable.from_checked: no file is parsed twice and
 no column is checked twice.
 Layout, measurement, truth and manifest files reject a repeated
@@ -61,13 +61,13 @@ def _common_cells(table: StructureTable | MeasurementTable) -> list[Sequence]:
 
 # How each cell of a layout or measurement row after its structure id is
 # parsed, in CSV order: the STRUCTURE_COLUMNS, the excluded flag and, in a
-# measurement row, the conductance, a reading parsed cell by cell.
+# measurement row, the conductance.
 _CELL_PARSERS = {
     "die_x": (_int64, np.int64), "die_y": (_int64, np.int64), "x_mm": (float, float),
     "y_mm": (float, float), "variant": (lambda name: VARIANT_CODES[Variant(name)], np.int8),
     "w_bottom_nm": (float, float), "w_top_nm": (float, float),
     "a_overlap_designed_um2": (float, float), "junction_count": (_int64, np.int64),
-    "excluded": (_flag, bool), "g_uS": (float, float, False),
+    "excluded": (_flag, bool), "g_uS": (float, float),
 }
 # The checks of a row, in the order a row is read: a cell's parse check is
 # named for its column and a value check as the table names it, except that

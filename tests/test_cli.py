@@ -615,6 +615,8 @@ class TestRejectedOptions:
         (["--grid", 1, "--scale", -2], "--scale must be finite and > 0, got -2.0"),
         (["--grid", 1, "--scale", "nan"], "--scale must be finite and > 0, got nan"),
         (["--grid", 1, "--scale", "inf"], "--scale must be finite and > 0, got inf"),
+        (["--grid", 1, "--canvas", 0], "--canvas must be >= 1 px, got 0"),
+        (["--grid", 1, "--canvas", -5], "--canvas must be >= 1 px, got -5"),
         (["--grid", 1, "--canvas", 8193], "--canvas must be <= 8192 px, got 8193"),
         (["--grid", 1, "--canvas", 100000], "--canvas must be <= 8192 px, got 100000"),
         (["--grid", 2, "--stride", 3], "--stride does not apply to --grid"),

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jjshadow.csvfile import _read_rows
-from jjshadow.errors import DataError
+from jjshadow.csvfile import _parse_column, _read_rows
+from jjshadow.errors import DataError, raise_first_bad
 from jjshadow.geometry import VARIANTS, JunctionDesign, Variant, WaferPoint
 from jjshadow.io import (
     LAYOUT_HEADER,
@@ -330,3 +330,47 @@ def test_truth_flags_parsed_once_per_distinct_cell(tmp_path):
     truth = read_truth_csv(path)
     assert truth == {f"s{k}": frozenset({"short"} if k % 2 else set()) for k in range(6)}
     assert len({id(flags) for flags in truth.values()}) == 2
+
+
+# Columns of 20 float cells: all distinct, so each cell is parsed, and
+# repeating, so each distinct cell is.
+ALL_DISTINCT = [repr(k + 0.5) for k in range(20)]
+REPEATING = ["1.5", "-0.0", "2e-3"] * 6 + ["1.5", "7"]
+
+
+@pytest.mark.parametrize("cells, calls", [
+    (ALL_DISTINCT, 20), (ALL_DISTINCT[:11] + ALL_DISTINCT[:9], 20),
+    (ALL_DISTINCT[:10] * 2, 10), (REPEATING, 4)])
+def test_parse_column_parses_distinct_cells_once_only_where_cells_repeat(cells, calls):
+    parsed = []
+
+    def parse(cell):
+        parsed.append(cell)
+        return float(cell)
+
+    column, (bad, _) = _parse_column(cells, parse, float)
+    assert len(parsed) == calls
+    assert column.view(np.int64).tolist() == np.array(
+        list(map(float, cells))).view(np.int64).tolist()
+    assert not bad.any()
+
+
+@pytest.mark.parametrize("cells", [ALL_DISTINCT, REPEATING])
+@pytest.mark.parametrize("at", [0, 13, 19])
+def test_parse_column_with_a_bad_cell_gives_the_cell_by_cell_result(cells, at):
+    cells = cells[:at] + ["1.5x"] + cells[at + 1:]
+    want = []
+    for cell in cells:
+        try:
+            want.append(float(cell))
+        except ValueError:
+            want.append(0.0)
+    first = next(i for i, cell in enumerate(cells) if cell == "1.5x")
+    with pytest.raises(ValueError) as by_cell:
+        float(cells[first])
+    column, check = _parse_column(cells, float, float)
+    assert column.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    assert np.flatnonzero(check[0]).tolist() == [first]
+    with pytest.raises(DataError) as exc:
+        raise_first_bad([check], lambda i: f"row {i}: ")
+    assert str(exc.value) == f"row {first}: {by_cell.value}"

@@ -1,10 +1,23 @@
-"""build_report is total on degenerate tables: a finite report or a package error."""
+"""build_report and the analysis entry points it is built from are total on
+degenerate tables: finite numbers or a package error."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jjshadow.analysis import FilterConfig, FrequencyModel, Regressor
+from jjshadow.analysis import (
+    FilterConfig,
+    FrequencyModel,
+    Regressor,
+    absolute_filter,
+    conductance_cv,
+    effective_conductivity,
+    frequency_rsd,
+    mean_filter,
+    normalized_heatmap,
+    quadratic_radial_fit,
+    regression_filter_die,
+)
 from jjshadow.errors import JJShadowError
 from jjshadow.geometry import EvaporatorGeometry, Fidelity, JunctionDesign, Variant, WaferPoint
 from jjshadow.report import UniformityReport, build_report, render_report_text
@@ -66,3 +79,75 @@ def test_finite_report_or_package_error(records):
                 continue
             assert np.all(np.isfinite(report_numbers(report)))
             render_report_text(report)
+
+
+def finite_or_package_error(call, *args, **kwargs):
+    """call(*args, **kwargs), or None if it raises a package error."""
+    try:
+        return call(*args, **kwargs)
+    except JJShadowError:
+        return None
+
+
+def assert_finite(numbers):
+    assert np.all(np.isfinite(np.asarray(list(numbers), dtype=float)))
+
+
+ENTRY_POINTS = settings(max_examples=100, deadline=None)
+
+
+@ENTRY_POINTS
+@given(degenerate_records())
+def test_conductance_cv_and_heatmap(records):
+    for scope in ("wafer", "die"):
+        groups = finite_or_package_error(conductance_cv, records, scope)
+        for stats in (groups or {}).values():
+            assert stats.cv is not None or stats.n == 1
+            assert_finite([stats.mean_uS, stats.std_uS] + [stats.cv] * (stats.cv is not None))
+    grid = finite_or_package_error(normalized_heatmap, records)
+    if grid is not None:
+        assert_finite(grid.values[grid.valid].tolist())
+
+
+@ENTRY_POINTS
+@given(degenerate_records())
+def test_effective_conductivity_and_its_quadratic_fit(records):
+    geom = EvaporatorGeometry()
+    runs = [("designed", Fidelity.FULL)] + [("actual", fidelity) for fidelity in Fidelity]
+    for areas, fidelity in runs:
+        points = finite_or_package_error(effective_conductivity, records, areas, geom,
+                                         fidelity)
+        if points is not None:
+            assert_finite([number for point in points for number in point])
+            fit = finite_or_package_error(quadratic_radial_fit, points)
+            if fit is not None:
+                assert_finite(fit)
+
+
+@ENTRY_POINTS
+@given(degenerate_records())
+def test_filters_split_their_input(records):
+    cfg = FilterConfig()
+    kept, rejected = absolute_filter(records, cfg)
+    assert sorted(kept + rejected, key=records.index) == records
+    for given_records in (records, kept):
+        split = finite_or_package_error(mean_filter, given_records, cfg)
+        if split is not None:
+            assert sorted(split[0] + split[1], key=given_records.index) == given_records
+
+
+@ENTRY_POINTS
+@given(degenerate_records())
+def test_regression_filter_and_frequency_rsd_on_one_die(records):
+    die = [rec for rec in records if rec.die_index == records[0].die_index]
+    for regressor in Regressor:
+        cfg = FilterConfig(regressor=regressor)
+        fit = finite_or_package_error(regression_filter_die, die, cfg)
+        if fit is None:
+            continue
+        assert_finite([fit.slope, fit.intercept] + [r for _, r in fit.residuals_uS])
+        assert fit.kept_ids | fit.rejected_ids == {rec.structure_id for rec in die}
+        kept = [rec for rec in die if rec.structure_id in fit.kept_ids]
+        rsd = finite_or_package_error(frequency_rsd, kept, fit, cfg)
+        if rsd is not None:
+            assert_finite([rsd])
