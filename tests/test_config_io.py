@@ -138,11 +138,11 @@ class TestCsvRoundTrips:
     def test_layout_round_trip(self, geom, tmp_path):
         # The compensated layout's widths and areas repeat too little for
         # the reader to parse each distinct cell once: it parses each cell.
-        layout = build_35x35("al", omitted_rows=(1,))
-        compensated = compensated_layout(layout, geom, Fidelity.FULL)
+        plain = build_35x35("al", omitted_rows=(1,))
+        compensated = compensated_layout(plain, geom, Fidelity.FULL)
         widths = compensated.structures.w_bottom_nm.tolist()
         assert 2 * len(set(widths)) > len(widths)
-        for layout in (layout, compensated):
+        for layout in (plain, compensated):
             path = tmp_path / "layout.csv"
             write_layout_csv(layout, path)
             text = path.read_text().splitlines()

@@ -4,7 +4,8 @@ Runs the tier-1 suite (tests/) in this process through pytest.main, with
 a sys.settrace hook that records each line run in the package's modules,
 then prints each executable line that never ran as ``path:line``, and
 their count.  A line is executable when the co_lines() of a code object
-compiled from the module's source names it.
+compiled from the module's source names it.  The hypothesis seed is fixed
+at 0, so two runs over the same source count the same lines.
 
 The trace sees this process alone, so a line that only the tests which
 start ``python -m jjshadow`` as a subprocess run counts as unrun.  It
@@ -22,6 +23,8 @@ import threading
 from pathlib import Path
 from types import CodeType
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "jjshadow"
 
@@ -38,8 +41,6 @@ def executable_lines(path: Path) -> set[int]:
 
 
 def main() -> int:
-    import pytest
-
     files = {str(path): path for path in sorted(PACKAGE.glob("*.py"))}
     ran: dict[str, set[int]] = {name: set() for name in files}
     by_filename: dict[str, set[int] | None] = {}    # co_filename -> its set in ran
