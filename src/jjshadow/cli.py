@@ -41,7 +41,6 @@ from .imaging import (
     DEFAULT_THRESHOLD_COUNT,
     band_pixel_count,
     bands_below_lowest_threshold,
-    extract_overlap_area,
     extract_widths,
     read_pgm,
     render_junction,
@@ -74,18 +73,10 @@ def _add_config_arg(p: argparse.ArgumentParser) -> None:
                    help="key=value run configuration (defaults if omitted)")
 
 
-def _fidelity_arg(value: str) -> Fidelity:
-    try:
-        return Fidelity(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"fidelity must be basic/sidewall/full, got {value!r}")
-
-
-def _check_at_least(args: argparse.Namespace, least: int, *options: str,
-                    unit: str = "", strict: bool = False) -> None:
+def _check_at_least(args: argparse.Namespace, least: int, *options: str, unit: str = "",
+                    strict: bool = False, most: int | None = None) -> None:
     """Reject an option given that is below least (or equal to it, if
-    strict) or, if it is a float, not finite."""
+    strict), above most or, if it is a float, not finite."""
     for option in options:
         value = getattr(args, option.lstrip("-").replace("-", "_"))
         if value is not None and not (math.isfinite(value) and (
@@ -93,6 +84,8 @@ def _check_at_least(args: argparse.Namespace, least: int, *options: str,
             finite = "finite and " if isinstance(value, float) else ""
             raise DataError(f"{option} must be {finite}{'>' if strict else '>='} "
                             f"{least}{unit}, got {value}")
+        if most is not None and value is not None and value > most:
+            raise DataError(f"{option} must be <= {most}{unit}, got {value}")
 
 
 def cmd_layout(args: argparse.Namespace) -> int:
@@ -218,7 +211,7 @@ def _field_map_text(geom: EvaporatorGeometry, quantity: str, design: JunctionDes
 def cmd_fieldmap(args: argparse.Namespace) -> int:
     _check_at_least(args, 0, "--wb", "--wt", unit=" nm")
     cfg = load_config(args.config)
-    fidelity = args.fidelity if args.fidelity else cfg.process.fidelity
+    fidelity = Fidelity(args.fidelity or cfg.process.fidelity)
     design = JunctionDesign(Variant.MANHATTAN, args.wb, args.wt)
     _check_at_least(args, 0, "--step", strict=True)
     step = args.step
@@ -241,10 +234,7 @@ def _render_targets(args: argparse.Namespace):
         if not crossed.size:
             raise DataError("layout holds no crossed-junction structures to render")
         at = crossed[::RENDER_STRIDE if args.stride is None else args.stride]
-        columns = (table.structure_id, table.x_mm, table.y_mm,
-                   table.w_bottom_nm, table.w_top_nm)
-        return [(sid, WaferPoint(x, y), JunctionDesign(Variant.MANHATTAN, w_b, w_t))
-                for sid, x, y, w_b, w_t in zip(*(col[at].tolist() for col in columns))]
+        return [(s.structure_id, s.position, s.design) for s in table.take(at)]
     n = args.grid
     span = 34.0
     coords = [(-span + 2 * span * i / (n - 1)) if n > 1 else 0.0 for i in range(n)]
@@ -259,9 +249,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     _check_at_least(args, 0, "--noise", "--seed")
     _check_at_least(args, 1, "--stride", "--grid")
     _check_at_least(args, 0, "--scale", strict=True)
-    _check_at_least(args, 1, "--canvas", unit=" px")
-    if args.canvas > RENDER_MAX_CANVAS_PX:
-        raise DataError(f"--canvas must be <= {RENDER_MAX_CANVAS_PX} px, got {args.canvas}")
+    _check_at_least(args, 1, "--canvas", unit=" px", most=RENDER_MAX_CANVAS_PX)
     source, ignored = (("--grid", ("--stride",)) if args.layout is None
                        else ("--layout", ("--wb", "--wt")))
     for option in ignored:
@@ -298,10 +286,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    _check_at_least(args, 1, "--thresholds")
-    if args.thresholds > EXTRACT_MAX_THRESHOLDS:
-        raise DataError(f"--thresholds must be <= {EXTRACT_MAX_THRESHOLDS}, "
-                        f"got {args.thresholds}")
+    _check_at_least(args, 1, "--thresholds", most=EXTRACT_MAX_THRESHOLDS)
     _check_at_least(args, 0, "--scale", strict=True)
     ids: dict[str, str] = {}            # image id (file stem) -> path
     for image_path in args.images:
@@ -322,7 +307,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         try:
             result = extract_widths(img, threshold_count=args.thresholds)
             row.update(w_top_nm=result.w_top_nm, w_bottom_nm=result.w_bottom_nm,
-                       a_overlap_um2=extract_overlap_area(img, result))
+                       a_overlap_um2=result.a_overlap_um2)
         except ExtractionError as exc:
             print(f"jjshadow: {exc.label}: {image_path}: {exc}", file=sys.stderr)
             failed += 1
@@ -336,7 +321,7 @@ def cmd_compensate(args: argparse.Namespace) -> int:
     _check_at_least(args, 0, "--max-width-nm", "--fixed-top-nm", unit=" nm")
     cfg = load_config(args.config)
     layout = jio.read_layout_csv(args.layout)
-    fidelity = args.fidelity if args.fidelity else cfg.process.fidelity
+    fidelity = Fidelity(args.fidelity or cfg.process.fidelity)
     result = compensated_layout(layout, cfg.geometry, fidelity,
                                 w_max_nm=args.max_width_nm, fixed_top_nm=args.fixed_top_nm)
     jio.write_layout_csv(result, args.out)
@@ -396,7 +381,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="designed bottom width nm")
     p.add_argument("--wt", type=float, default=UNIFORM_WIDTH_NM,
                    help="designed top width nm")
-    p.add_argument("--fidelity", type=_fidelity_arg, default=None,
+    p.add_argument("--fidelity", choices=[f.value for f in Fidelity], default=None,
                    help="override process.fidelity from the config")
     _add_config_arg(p)
     p.set_defaults(func=cmd_fieldmap)
@@ -440,7 +425,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compensate", help="pre-compensate a layout's designs")
     p.add_argument("--layout", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--fidelity", type=_fidelity_arg, default=None)
+    p.add_argument("--fidelity", choices=[f.value for f in Fidelity], default=None)
     p.add_argument("--fixed-top-nm", type=float, default=None,
                    help="solve crossed junctions at this top width nm, not the aspect")
     p.add_argument("--max-width-nm", type=float, default=MAX_WIDTH_NM)

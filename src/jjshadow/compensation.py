@@ -98,7 +98,9 @@ def _solve_one(geom: EvaporatorGeometry, target_um2: float, p: WaferPoint,
                fidelity: Fidelity, variant: Variant, w_max_nm: float, aspect: float,
                w_top_nm: float | None) -> JunctionDesign:
     """The design meeting the target at p, as _solve_designs solves it;
-    TargetError if there is none."""
+    TargetError if the target is not > 0 or there is no such design."""
+    if target_um2 <= 0.0:
+        raise TargetError("target area must be > 0")
     (w_b,), (w_t,), (why,) = _solve_designs(geom, target_um2, np.array([p.x_mm]),
                                             np.array([p.y_mm]), fidelity, variant,
                                             w_max_nm, aspect, w_top_nm)
@@ -119,8 +121,6 @@ def precompensate(geom: EvaporatorGeometry, target_area_um2: float, p: WaferPoin
     """
     if aspect <= 0.0:
         raise TargetError("aspect ratio must be > 0")
-    if target_area_um2 <= 0.0:
-        raise TargetError("target area must be > 0")
     return _solve_one(geom, target_area_um2, p, fidelity, variant, w_max_nm, aspect, None)
 
 
@@ -131,8 +131,6 @@ def precompensate_fixed_top(geom: EvaporatorGeometry, target_area_um2: float,
 
     Matches sweep layouts that keep one electrode constant.
     """
-    if target_area_um2 <= 0.0:
-        raise TargetError("target area must be > 0")
     return _solve_one(geom, target_area_um2, p, fidelity, Variant.MANHATTAN, w_max_nm, 1.0,
                       w_top_nm)
 

@@ -71,11 +71,10 @@ _CELL_PARSERS = {
 }
 # The checks of a row, in the order a row is read: a cell's parse check is
 # named for its column and a value check as the table names it, except that
-# a file's designed area is first checked finite under its CSV name.
+# a file's designed area is checked finite under its CSV name instead.
 _LAYOUT_ORDER = ("die_x", "die_y", "x_mm", "y_mm", "position", "variant", "variant code",
                  "w_bottom_nm", "w_top_nm", "widths", "a_overlap_designed_um2",
-                 "a_overlap_um2", "designed area", "junction_count", "excluded",
-                 "junction count")
+                 "a_overlap_um2", "junction_count", "excluded", "junction count")
 _MEASUREMENT_ORDER = ("excluded", *(name for name in _LAYOUT_ORDER if name != "excluded"),
                       "g_uS", "conductance")
 

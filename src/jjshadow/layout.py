@@ -70,11 +70,6 @@ class LayoutKind(str, Enum):
     PLANAR_35X35_AL = "planar35x35-al"
 
 
-class WaferShape(str, Enum):
-    ROUND_100MM = "round100mm"
-    SQUARE_70MM = "square70mm"
-
-
 @dataclass(frozen=True)
 class TestStructureSpec:
     """One positioned two-junction (or single-junction) test pad."""
@@ -346,10 +341,11 @@ def load_sweep_file(path: str | Path) -> dict[str, tuple[float, ...]]:
     return {g: tuple(v) for g, v in sweeps.items()}
 
 
-def _wafer_check(shape: WaferShape, x: np.ndarray, y: np.ndarray) -> Check:
+def _wafer_check(round_wafer: bool, x: np.ndarray, y: np.ndarray) -> Check:
     """The check, as structure_checks makes one, that structures at (x, y)
-    mm lie on the wafer of shape; the round wafer's distance is math.hypot's."""
-    if shape is WaferShape.ROUND_100MM:
+    mm lie on the round 100 mm wafer, or else the square 70 mm one; the
+    round wafer's distance is math.hypot's."""
+    if round_wafer:
         off, wafer = ~within_radius(x, y, WAFER_RADIUS_MM), "round"
     else:
         off, wafer = (np.abs(x) > SQUARE_HALF_MM) | (np.abs(y) > SQUARE_HALF_MM), "square"
@@ -374,7 +370,7 @@ def _sweep_problem(group: str, sweep: Sequence[float], cells: int) -> str:
 
 def _subarray_columns(blocks: Sequence[tuple[Variant, tuple[int, int], SubarraySite]],
                       n: int, sweeps: Mapping[str, Sequence[float]],
-                      shape: WaferShape) -> dict[str, np.ndarray]:
+                      round_wafer: bool) -> dict[str, np.ndarray]:
     """The LAYOUT_COLUMNS of one n x n sub-array per (variant, die, site)
     block, in block order and row-major within a block.
 
@@ -424,7 +420,7 @@ def _subarray_columns(blocks: Sequence[tuple[Variant, tuple[int, int], SubarrayS
     raise_first_bad([
         (np.repeat([bool(why[site.group]) for _, _, site in blocks], m),
          lambda i: data_error(why[blocks[i // m][2].group])),
-        checks.pop("position"), _wafer_check(shape, x, y), *checks.values()])
+        checks.pop("position"), _wafer_check(round_wafer, x, y), *checks.values()])
     return columns
 
 
@@ -443,7 +439,7 @@ def build_planar_17q(sweeps: dict[str, Sequence[float]] | None = None,
     blocks = [(variant, (ix, iy), site)
               for variant, die_ys in ((Variant.DOLAN, (1, 2)), (Variant.MANHATTAN, (-1, -2)))
               for iy in die_ys for ix in (-2, -1, 1, 2) for site in sites]
-    columns = _subarray_columns(blocks, 4, sweeps, WaferShape.ROUND_100MM)
+    columns = _subarray_columns(blocks, 4, sweeps, round_wafer=True)
     return WaferLayout(StructureTable.from_checked(columns))
 
 
@@ -496,7 +492,7 @@ def build_tsv_17q(variant: Variant,
     blocks = [(variant, (ix, iy), site)
               for iy in (1, 2) for ix in (-2, -1, 1, 2) for site in sites]
     columns = _subarray_columns(blocks, 5, {site.group: sweep for site in sites},
-                                WaferShape.SQUARE_70MM)
+                                round_wafer=False)
     hit = _via_hits(columns["x_mm"], columns["y_mm"], 25, via_x, via_y, via_r)
     columns["excluded"] = hit
     columns["exclusion_reason"] = np.where(hit, "tsv_overlap", "").astype(object)
