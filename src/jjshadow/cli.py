@@ -73,12 +73,24 @@ def _add_config_arg(p: argparse.ArgumentParser) -> None:
                    help="key=value run configuration (defaults if omitted)")
 
 
+def _value(args: argparse.Namespace, option: str):
+    """The value of option, None if it was not given and has no default."""
+    return getattr(args, option.lstrip("-").replace("-", "_"))
+
+
+def _refuse(args: argparse.Namespace, source: str, *options: str) -> None:
+    """Reject any of options given, which the input named by source does not read."""
+    for option in options:
+        if _value(args, option) is not None:
+            raise DataError(f"{option} does not apply to {source}")
+
+
 def _check_at_least(args: argparse.Namespace, least: int, *options: str, unit: str = "",
                     strict: bool = False, most: int | None = None) -> None:
     """Reject an option given that is below least (or equal to it, if
     strict), above most or, if it is a float, not finite."""
     for option in options:
-        value = getattr(args, option.lstrip("-").replace("-", "_"))
+        value = _value(args, option)
         if value is not None and not (math.isfinite(value) and (
                 value > least if strict else value >= least)):
             finite = "finite and " if isinstance(value, float) else ""
@@ -88,9 +100,15 @@ def _check_at_least(args: argparse.Namespace, least: int, *options: str, unit: s
             raise DataError(f"{option} must be <= {most}{unit}, got {value}")
 
 
+# The options of layout that each family of --kind does not read.
+_LAYOUT_UNREAD = {"planar17q": ("--tsv-file", "--omit-rows"), "tsv17q": ("--omit-rows",),
+                  "planar35x35": ("--tsv-file", "--subarrays", "--sweeps")}
+
+
 def cmd_layout(args: argparse.Namespace) -> int:
-    sites = load_subarray_sites(args.subarrays)
     kind = args.kind
+    _refuse(args, f"--kind {kind}", *_LAYOUT_UNREAD[kind.split("-")[0]])
+    sites = None if kind.startswith("planar35x35") else load_subarray_sites(args.subarrays)
     if kind == "planar17q":
         sweeps = load_sweep_file(args.sweeps) if args.sweeps else None
         layout = build_planar_17q(sweeps=sweeps, sites=sites)
@@ -252,19 +270,17 @@ def cmd_render(args: argparse.Namespace) -> int:
     _check_at_least(args, 1, "--canvas", unit=" px", most=RENDER_MAX_CANVAS_PX)
     source, ignored = (("--grid", ("--stride",)) if args.layout is None
                        else ("--layout", ("--wb", "--wt")))
-    for option in ignored:
-        if getattr(args, option[2:]) is not None:
-            raise DataError(f"{option} does not apply to {source}")
+    _refuse(args, source, *ignored)
     cfg = load_config(args.config)
     geom = cfg.geometry
     seed = cfg.process.seed if args.seed is None else args.seed
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     canvas = (args.canvas, args.canvas)
     rows = []
     for sid, pos, design in _render_targets(args):
         img = render_junction(geom, design, pos, scale_nm_per_px=args.scale,
                               canvas_px=canvas, noise_sigma=args.noise, seed=seed)
+        out_dir.mkdir(parents=True, exist_ok=True)     # once an image has rendered
         write_pgm(img, out_dir / f"{sid}.pgm")
         lost = bands_below_lowest_threshold(img)
         if lost:

@@ -99,6 +99,10 @@ class TestRegressionFilter:
         with pytest.raises(FitError, match=r"\(1, 1\)"):
             regression_filter_die(records, CFG)
 
+    def test_empty_input(self):
+        with pytest.raises(FitError, match="^regression filter got no records$"):
+            regression_filter_die([], CFG)
+
     def test_mixed_dies_rejected(self):
         records = self._die()[:4] + [mk("other", 300.0, 160.0, die=(2, 1))]
         with pytest.raises(DataError):
@@ -217,6 +221,10 @@ class TestConductanceCv:
             conductance_cv(records)
         with pytest.raises(DataError, match=message):
             normalized_heatmap(records)
+
+    def test_unknown_scope_rejected(self):
+        with pytest.raises(ValueError, match="^scope must be 'wafer' or 'die', got 'chip'$"):
+            conductance_cv([mk("a", 200.0, 100.0)], "chip")
 
     def test_wafer_cv_exceeds_die_cv_on_spatial_data(self, geom):
         process = ProcessModel(fidelity=Fidelity.BASIC, seed=0)
@@ -428,6 +436,11 @@ class TestEffectiveConductivity:
         assert points == [(0.0, 100.0 / 0.1)]
         with pytest.raises(DataError):
             effective_conductivity(records, "actual", area_table={})
+        with pytest.raises(DataError, match="^actual areas need a geometry or an area table$"):
+            effective_conductivity(records, "actual")
+        with pytest.raises(ValueError, match="^areas must be 'designed' or 'actual', "
+                                             "got 'modelled'$"):
+            effective_conductivity(records, "modelled")
 
 
 class TestQuadraticRadialFit:

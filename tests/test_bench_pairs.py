@@ -1,14 +1,8 @@
 """The paired-run summary of tools/bench_pairs.py, on fixed run results."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-SPEC = importlib.util.spec_from_file_location("bench_pairs", TOOL)
-bench_pairs = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(bench_pairs)
+import bench_pairs
 
 END_TO_END = [{"name": "units_per_s", "better": "higher", "bound": 0.25},
               {"name": "op_p50_ms", "better": "lower", "bound": 0.25}]

@@ -535,12 +535,20 @@ class TestExitCodes:
         assert (f"{path}:4: junction_count must be 1 or 2, got {count} on {cells[0]}"
                 in capsys.readouterr().err)
 
-    def test_numerical_error_is_3(self, tmp_path):
+    def test_numerical_error_is_3(self, tmp_path, capsys):
         blank = tmp_path / "blank.pgm"
         from jjshadow.imaging import GrayImage, write_pgm
 
         write_pgm(GrayImage(1.0, np.full((32, 32), 40, dtype=np.uint8)), blank)
         assert run("extract", "--out", tmp_path / "e.csv", "--images", blank) == 3
+        layout, out = tmp_path / "layout.csv", tmp_path / "c.csv"
+        assert run("layout", "--kind", "planar35x35-al", "--omit-rows",
+                   ",".join(map(str, range(35))), "--out", layout) == 0
+        capsys.readouterr()
+        assert run("compensate", "--layout", layout, "--out", out) == 3
+        assert capsys.readouterr().err == ("jjshadow: numerical failure: layout has no "
+                                           "viable structures to compensate\n")
+        assert not out.exists()
 
     def test_extract_keeps_the_good_rows_of_a_batch(self, tmp_path, capsys):
         from jjshadow.imaging import GrayImage, write_pgm
@@ -623,13 +631,41 @@ class TestRejectedOptions:
         (["--grid", 2, "--stride", 1], "--stride does not apply to --grid"),
         (["--layout", None, "--wb", 150], "--wb does not apply to --layout"),
         (["--layout", None, "--wt", 200], "--wt does not apply to --layout"),
+        (["--grid", 1, "--canvas", 1],
+         "electrode (225 x 225 nm) exceeds the 1x1 px canvas at 2.0 nm/px"),
+        (["--layout", "dolan"], "layout holds no crossed-junction structures to render"),
     ])
     def test_render(self, tmp_path, capsys, layout, argv, message):
-        out_dir = tmp_path / "imgs"
-        argv = [layout if a is None else a for a in argv]
+        out_dir, dolan = tmp_path / "imgs", tmp_path / "dolan.csv"
+        if "dolan" in argv:
+            assert run("layout", "--kind", "tsv17q-dolan", "--out", dolan) == 0
+        argv = [{None: layout, "dolan": dolan}.get(a, a) for a in argv]
         assert run("render", *argv, "--out-dir", out_dir) == 2
         assert f"data error: {message}\n" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("kind, option", [
+        ("planar17q", "--omit-rows"), ("tsv17q-dolan", "--omit-rows"),
+        ("tsv17q-manhattan", "--omit-rows"), ("planar17q", "--tsv-file"),
+        ("planar35x35-al", "--tsv-file"), ("planar35x35-nbtin", "--tsv-file"),
+        ("planar35x35-tin", "--sweeps"), ("planar35x35-al", "--subarrays"),
+    ])
+    def test_layout_option_of_another_kind(self, tmp_path, capsys, kind, option):
+        # Refused before the file the option names is read: it does not exist.
+        out = tmp_path / "layout.csv"
+        value = "33" if option == "--omit-rows" else tmp_path / "absent.csv"
+        assert run("layout", "--kind", kind, option, value, "--out", out) == 2
+        assert (f"data error: {option} does not apply to --kind {kind}\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_tsv_layout_takes_one_sweep_group(self, tmp_path, capsys):
+        sweeps, out = tmp_path / "sweeps.csv", tmp_path / "layout.csv"
+        sweeps.write_text("group,w_nm\na,150\nb,175\n")
+        assert run("layout", "--kind", "tsv17q-dolan", "--sweeps", sweeps, "--out", out) == 2
+        assert ("data error: TSV layouts take a single-group sweep file\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.fixture
     def image(self, tmp_path):

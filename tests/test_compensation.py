@@ -167,6 +167,13 @@ class TestPrecompensate:
         with pytest.raises(TargetError):
             precompensate(geom, 0.05, origin, Fidelity.BASIC, aspect=0.0)
 
+    def test_bad_target(self, geom, origin):
+        for call in (lambda: precompensate(geom, 0.0, origin, Fidelity.BASIC),
+                     lambda: precompensate_fixed_top(geom, 0.0, origin, Fidelity.BASIC,
+                                                     w_top_nm=160.0)):
+            with pytest.raises(TargetError, match="^target area must be > 0$"):
+                call()
+
     @pytest.mark.parametrize("fidelity", list(Fidelity))
     def test_round_trip_over_grid(self, geom, fidelity):
         target = 0.0684
@@ -233,6 +240,11 @@ class TestCompensatedLayout:
         for before, after in zip(layout.structures, result.structures):
             if before.excluded:
                 assert after == before
+
+    def test_no_viable_structures(self, geom):
+        layout = build_35x35("al", omitted_rows=range(35))
+        with pytest.raises(TargetError, match="^layout has no viable structures to compensate$"):
+            compensated_layout(layout, geom, Fidelity.BASIC)
 
     def test_mixed_variant_layout(self, geom):
         layout = build_planar_17q()

@@ -113,6 +113,15 @@ class TestConfig:
             parse_config("process.p_open = 2")
         with pytest.raises(ConfigError, match="geometry: need d_prime > r_pivot"):
             parse_config("geometry.d_prime_mm = 50")
+        for text, message in [
+                ("filter.abs_low_uS = 600", "filter: need 0 < abs_low < abs_high"),
+                ("filter.rel_threshold = 1.5", "filter: rel_threshold must be in"),
+                ("frequency.f_c_mhz = 0", "frequency: frequency constants must be > 0"),
+                ("geometry.t_bottom_nm = 0",
+                 "geometry: calibrated bottom thickness must be > 0"),
+                ("process.lognormal_sigma = -0.1", "process: lognormal_sigma must be >= 0")]:
+            with pytest.raises(ConfigError, match=message):
+                parse_config(text)
 
     def test_bad_fidelity_name(self):
         with pytest.raises(ConfigError):
@@ -183,6 +192,11 @@ class TestCsvRoundTrips:
         assert len(table) == len(records)
         for rec in records:
             assert table[rec.structure_id] == rec.truth_flags
+        # A measurement file carries no truth flags to write.
+        write_measurements_csv(records, tmp_path / "m.csv")
+        with pytest.raises(DataError, match=f"^record {records[0].structure_id} "
+                                            "has no truth flags$"):
+            write_truth_csv(read_measurements_csv(tmp_path / "m.csv"), path)
 
     def test_bad_headers_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

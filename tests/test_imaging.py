@@ -156,6 +156,15 @@ class TestExtraction:
         assert area == pytest.approx(2000 * 2.0 * 2.0 / 1e6, rel=1e-12)
         assert result.a_overlap_um2 == pytest.approx(area, rel=1e-12)
 
+    def test_malformed_input_rejected(self):
+        img = cross_image()
+        for pixels, message in [(img.pixels[None], "^image must be a non-empty 2-D array$"),
+                                (img.pixels.astype(np.float32), "^image must be 8-bit$")]:
+            with pytest.raises(DataError, match=message):
+                GrayImage(scale_nm_per_px=2.0, pixels=pixels)
+        with pytest.raises(DataError, match="^threshold_count must be >= 1$"):
+            extract_widths(img, threshold_count=0)
+
     def test_blank_image_fails(self):
         blank = GrayImage(scale_nm_per_px=1.0,
                           pixels=np.full((64, 64), 40, dtype=np.uint8))

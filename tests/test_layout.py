@@ -346,6 +346,24 @@ def test_bad_sweep_width_names_its_line(tmp_path, width):
         load_sweep_file(path)
 
 
+def test_header_only_sweep_file_is_empty(tmp_path):
+    path = tmp_path / "sweeps.csv"
+    path.write_text("group,w_nm\n")
+    with pytest.raises(DataError, match=f"^sweep file {re.escape(str(path))} is empty$"):
+        load_sweep_file(path)
+
+
+def test_table_takes_every_column_at_one_length():
+    table = build_35x35("tin").structures
+    columns = {name: getattr(table, name) for name in StructureTable.COLUMNS}
+    with pytest.raises(TypeError, match="^a StructureTable has the columns structure_id, "):
+        StructureTable({name: col for name, col in columns.items() if name != "group"})
+    with pytest.raises(DataError, match="^StructureTable columns differ in length$"):
+        StructureTable({**columns, "group": columns["group"][:-1]})
+    assert (table == 5) is False
+    assert repr(table) == "StructureTable(1225 rows)"
+
+
 @pytest.mark.parametrize("loader, header", [
     (load_tsv_file, "y_mm,x_mm,diameter_um"),
     (load_tsv_file, "x_mm,y_mm,diameter_um,note"),

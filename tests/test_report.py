@@ -1,5 +1,6 @@
 """Full-pipeline report assembly on synthetic wafers."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,12 +25,15 @@ from jjshadow.analysis import (
     quadratic_radial_fit,
     regression_filter_die,
 )
+from jjshadow.cli import main
 from jjshadow.errors import DataError, FitError
-from jjshadow.geometry import VARIANT_CODES, Fidelity, Variant
+from jjshadow.geometry import VARIANT_CODES, Fidelity, JunctionDesign, Variant, WaferPoint
+from jjshadow.io import write_measurements_csv
 from jjshadow.layout import build_35x35, build_planar_17q
 from jjshadow.report import build_report, deembed_records, render_report_text
 from jjshadow.synth import (
     NO_PARASITICS,
+    MeasurementRecord,
     MeasurementTable,
     ParasiticsModel,
     ProcessModel,
@@ -271,6 +275,22 @@ class TestUniformPipeline:
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
             build_report([], CFG, FREQ)
+
+    def test_die_emptied_by_the_mean_filter(self, tmp_path, capsys):
+        # All six readings lie in the 20-500 uS window; their mean is 212.5
+        # uS, so the 148.75 uS cut rejects each reading of die (2, 1).
+        design = JunctionDesign(Variant.MANHATTAN, 200.0, 200.0)
+        records = [MeasurementRecord(f"d{x}r{k}", (x, 1), WaferPoint(13.0 * x, 6.5), design,
+                                     0.04, 2, g, frozenset())
+                   for x, g in ((1, 400.0), (2, 25.0)) for k in range(3)]
+        message = "die (2, 1): mean filter rejected every record"
+        with pytest.raises(FitError, match=f"^{re.escape(message)}$"):
+            build_report(records, CFG, FREQ)
+        meas, out_dir = tmp_path / "m.csv", tmp_path / "out"
+        write_measurements_csv(records, meas)
+        assert main(["analyze", "--measurements", str(meas), "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == f"jjshadow: numerical failure: {message}\n"
+        assert not out_dir.exists()
 
 
 class TestDeembedding:
