@@ -133,16 +133,12 @@ class RegressionFit:
         return self.slope * x + self.intercept
 
 
-def _distinct(values: np.ndarray) -> int:
-    return len(set(values.tolist()))
-
-
 def _polyfit(xs: np.ndarray, ys: np.ndarray, deg: int, message: str,
-             distinct: int | None = None) -> list[float]:
+             need: int = 0) -> list[float]:
     """np.polyfit's coefficients, highest power first, as Python floats;
-    FitError(message) when fewer than deg + 1 distinct xs determine them.
-    distinct is the count of distinct xs, when the caller has made it."""
-    if (_distinct(xs) if distinct is None else distinct) < deg + 1:
+    FitError(message) when xs hold fewer than need distinct values, or
+    fewer than the deg + 1 that determine the coefficients."""
+    if len(set(xs.tolist())) < max(need, deg + 1):
         raise FitError(message)
     return np.polyfit(xs, ys, deg).tolist()
 
@@ -151,11 +147,8 @@ def _regression(xs: np.ndarray, gs: np.ndarray, die: tuple[int, int], cfg: Filte
                 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """The two-pass filter on one die's columns: pass-2 slope, intercept and
     kept mask, and the pass-1 line at xs (the die's unfiltered fit)."""
-    distinct = _distinct(xs)
-    if distinct < 3:
-        raise FitError(f"die {die}: fewer than 3 distinct regressor values")
-    slope1, icept1 = _polyfit(xs, gs, 1, f"die {die} pass 1: regression is underdetermined",
-                              distinct)
+    slope1, icept1 = _polyfit(xs, gs, 1, f"die {die}: fewer than 3 distinct regressor values",
+                              need=3)
     line1 = slope1 * xs + icept1
     keep = ~(gs < cfg.rel_threshold * line1)
     if keep.sum() < 2:
@@ -446,12 +439,9 @@ def effective_conductivity(records: Sequence[MeasurementRecord],
     return list(zip(table.radius_mm().tolist(), values.tolist()))
 
 
-def _quadratic(radii: np.ndarray, values: np.ndarray, distinct: int,
-               ) -> tuple[float, float, float]:
-    """quadratic_radial_fit of the points (radii, values), of which distinct
-    radii are distinct."""
-    c, b, a = _polyfit(radii, values, 2, "quadratic fit needs at least 3 distinct radii",
-                       distinct)
+def _quadratic(radii: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
+    """quadratic_radial_fit of the points (radii, values)."""
+    c, b, a = _polyfit(radii, values, 2, "quadratic fit needs at least 3 distinct radii")
     return a, b, c
 
 
@@ -459,7 +449,7 @@ def quadratic_radial_fit(points: Sequence[tuple[float, float]],
                          ) -> tuple[float, float, float]:
     """Least-squares a + b*d + c*d^2 through (d, value) points."""
     radii = np.asarray([d for d, _ in points], float)
-    return _quadratic(radii, np.asarray([v for _, v in points], float), _distinct(radii))
+    return _quadratic(radii, np.asarray([v for _, v in points], float))
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +579,10 @@ def conductivity_fits(kept: MeasurementTable, geom: EvaporatorGeometry | None = 
     for variant, at in variant_rows(kept.variant):
         sub = kept.take(at)
         radii = sub.radius_mm()
-        distinct = _distinct(radii)
         with suppress(FitError):
-            designed[variant.value] = _quadratic(radii, _conductivity(sub, "designed"), distinct)
+            designed[variant.value] = _quadratic(radii, _conductivity(sub, "designed"))
         if geom is not None:
             with suppress(FitError):
                 actual[variant.value] = _quadratic(
-                    radii, _conductivity(sub, "actual", geom, fidelity), distinct)
+                    radii, _conductivity(sub, "actual", geom, fidelity))
     return designed, actual

@@ -2,8 +2,10 @@
 
 A reader requires the exact header line, skips blank rows and names the
 first bad row as path:line: of the rows before the first row of the wrong
-width, the first with a bad cell, else that row.  _read_rows turns text
-into the cells of each of the header's columns in one pass.  Cells are
+width, the first with a bad cell, else that row, else a repeated structure
+id.  _read_rows turns text into the cells of each of the header's columns
+in one pass, _parse_column parses a column (or, for _parse_rows, the rows)
+and _raise_bad_rows, the one error order of every reader, raises.  Cells are
 quoted by the csv module's rules; floats are written as their repr.  No
 cell may hold a line break: the writer rejects one before writing, and
 the reader rejects a quoted cell that spans lines.
@@ -29,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import Check, DataError, JJShadowError, open_output
+from .errors import Check, DataError, JJShadowError, open_output, raise_first_bad
 
 
 def _breaks_line(text: str) -> bool:
@@ -164,27 +166,26 @@ def _read_rows(path: str | Path, header: str,
 def _parse_rows(path: str | Path, header: str, what: str,
                 parse: Callable[[Sequence[str]], object], label: str = "",
                 unique: bool = False) -> list:
-    """parse of the cells of each row of the file in order; the first row
-    that parse rejects, that has the wrong width or that ends the rows
-    raises DataError at its path:line (label, then why, for a row parse
-    rejects), and then, if unique, a repeated structure id in column 0."""
-    cells, lines, error = _read_rows(path, header, what)
-    out = []
-    for lineno, row in zip(lines, zip(*cells)):
-        try:
-            out.append(parse(row))
-        except (ValueError, JJShadowError) as exc:
-            raise DataError(f"{path}:{lineno}: {label}{exc}") from exc
-    if error is not None:
-        raise DataError(error)
-    if unique:
-        _check_unique(path, cells[0], lines)
-    return out
+    """parse of the cells of each row of the file in order, each distinct
+    row parsed once where rows repeat; the rows' errors raise as
+    _raise_bad_rows orders them, with label before why parse rejects a row,
+    and a repeated structure id in column 0 only if unique."""
+    cells, lines, stop = _read_rows(path, header, what)
+    parsed, check = _parse_column(list(zip(*cells)), parse, object)
+    _raise_bad_rows(path, lines, [check], stop, cells[0] if unique else None, label)
+    return parsed.tolist()
 
 
-def _check_unique(path: str | Path, ids: Sequence[str], lines: Sequence[int]) -> None:
-    """DataError at the path:line of the first row whose id an earlier row holds."""
-    if len(set(ids)) < len(ids):
+def _raise_bad_rows(path: str | Path, lines: Sequence[int], checks: Sequence[Check],
+                    stop: str | None, ids: Sequence[str] | None, label: str = "") -> None:
+    """The one error order of the readers: the lowest row any of checks
+    flags raises DataError at its path:line (label, then why), else the row
+    that ends the rows (stop), else, given ids, the first row whose id an
+    earlier row holds."""
+    raise_first_bad(checks, lambda i: f"{path}:{lines[i]}: {label}")
+    if stop is not None:
+        raise DataError(stop)
+    if ids is not None and len(set(ids)) < len(ids):
         seen: set[str] = set()
         for sid, lineno in zip(ids, lines):
             if sid in seen:

@@ -378,14 +378,10 @@ class Sites:
 
         w_b = _printed(geom, w_b, self._shade_x)
         ok = w_b > 0.0
-        if fidelity is Fidelity.BASIC:
-            w_t = _printed(geom, w_t, self._shade_y)
-        else:
+        if fidelity is not Fidelity.BASIC:
             w_b = w_b + 2.0 * self._thickness
-            if fidelity is Fidelity.SIDEWALL:
-                w_t = _printed(geom, w_t, self._shade_y)
-            else:
-                w_t = self._top_widths(w_t)
+        w_t = (self._top_widths(w_t) if fidelity is Fidelity.FULL
+               else _printed(geom, w_t, self._shade_y))
         return _crossed_area(w_b, w_t), ok & (w_t > 0.0)
 
     def field(self, quantity: str, design: JunctionDesign,

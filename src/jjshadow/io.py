@@ -9,14 +9,14 @@ or a quote quoted as csv.writer quotes it.  An id holding a line break
 is rejected before any byte is written.  Layout and measurement files are
 read a column at a time, quote-free text split on commas and each
 distinct cell parsed once where a column's cells repeat, else each cell.
-Each cell's parse and each of the table's checks flags its bad rows, and
-the lowest bad row raises, at its path:line, the error of the first check
-a row-by-row read makes in it.  The table is then built from
-those columns with ColumnTable.from_checked: no file is parsed twice and
-no column is checked twice.
-Layout, measurement, truth and manifest files reject a repeated
-structure id, after every row's own checks, at the path:line of the first
-row whose id an earlier row holds.
+Each cell's parse and each of the table's checks flags its bad rows.
+Every reader raises its rows' errors through csvfile._raise_bad_rows, in
+one order: the lowest bad row, at its path:line, with the error of the
+first check a row-by-row read makes in it; then the row that ends the
+rows; then, in layout, measurement, truth and manifest files, the first
+row whose structure id an earlier row holds.  The table is then built
+from those columns with ColumnTable.from_checked: no file is parsed twice
+and no column is checked twice.
 """
 
 from __future__ import annotations
@@ -29,15 +29,15 @@ import numpy as np
 
 from .analysis import HeatmapGrid
 from .csvfile import (
-    _check_unique,
     _flag,
     _int64,
     _parse_column,
     _parse_rows,
+    _raise_bad_rows,
     _read_rows,
     _write_columns,
 )
-from .errors import DataError, data_error, open_output, raise_first_bad
+from .errors import DataError, data_error, open_output
 from .geometry import VARIANT_CODES, VARIANTS, Variant, WaferPoint
 from .imaging import GrayImage, write_pgm
 from .layout import STRUCTURE_COLUMNS, ColumnTable, StructureTable, WaferLayout
@@ -82,9 +82,8 @@ _MEASUREMENT_ORDER = ("excluded", *(name for name in _LAYOUT_ORDER if name != "e
 def _read_table(path: str | Path, header: str, what: str, table: type[ColumnTable],
                 order: Sequence[str], rest: Mapping[str, object]) -> ColumnTable:
     """The table of a layout or measurement file, each column parsed once
-    and checked once: after the parse checks and the table's checks in
-    order, the lowest bad row, then a row of the wrong width or that ends
-    the rows, then a repeated id raises DataError.  If the excluded flag is
+    and checked once: the parse checks and the table's checks in order
+    raise as _raise_bad_rows orders the rows' errors.  If the excluded flag is
     checked first, rows flagged true are dropped unread.  Each column the
     file does not hold is filled with its value in rest."""
     cells, lines, stop = _read_rows(path, header, what)
@@ -99,10 +98,7 @@ def _read_table(path: str | Path, header: str, what: str, table: type[ColumnTabl
     checks = {**{name: check for name, (_, check) in parsed.items()}, **table.checks(columns),
               "a_overlap_um2": (~np.isfinite(area), lambda i: data_error(
                   f"a_overlap_um2 must be finite, got {cells[8][i]!r}"))}
-    raise_first_bad([checks[name] for name in order], lambda i: f"{path}:{lines[i]}: ")
-    if stop is not None:
-        raise DataError(stop)
-    _check_unique(path, cells[0], lines)
+    _raise_bad_rows(path, lines, [checks[name] for name in order], stop, cells[0])
     n = len(cells[0])
     return table.from_checked({**columns, **{
         name: np.full(n, value, table.COLUMNS[name]) for name, value in rest.items()}})
@@ -148,16 +144,13 @@ def write_truth_csv(records: Sequence[MeasurementRecord], path: str | Path) -> N
 
 
 def read_truth_csv(path: str | Path) -> dict[str, frozenset[str]]:
-    """Defect flags by structure id; each distinct flags cell is parsed once."""
-    flags: dict[str, frozenset[str]] = {}
-
-    def row_truth(row: Sequence[str]) -> tuple[str, frozenset[str]]:
-        cell = row[1]
-        if cell not in flags:
-            flags[cell] = frozenset(f for f in cell.split(";") if f)
-        return row[0], flags[cell]
-
-    return dict(_parse_rows(path, TRUTH_HEADER, "truth", row_truth, unique=True))
+    """Defect flags by structure id; each distinct flags cell is parsed once
+    where flags cells repeat."""
+    (ids, cells), lines, stop = _read_rows(path, TRUTH_HEADER, "truth")
+    flags, check = _parse_column(cells, lambda cell: frozenset(filter(None, cell.split(";"))),
+                                 object)
+    _raise_bad_rows(path, lines, [check], stop, ids)
+    return dict(zip(ids, flags.tolist()))
 
 
 def write_heatmap_csv(grid: HeatmapGrid, path: str | Path) -> None:

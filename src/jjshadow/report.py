@@ -115,31 +115,20 @@ def render_report_text(report: UniformityReport) -> str:
         cv = f"{100.0 * s.cv:.4f}" if s.cv is not None else "nan"
         lines.append(f"{variant} {area:.6g} {s.n} {s.mean_uS:.6g} {s.std_uS:.6g} {cv}")
 
-    lines.append("")
-    lines.append("[rsd die]")
-    header = "variant die_x die_y rsd_mhz"
-    if report.rsd_die_nf_mhz is not None:
-        header += " rsd_nf_mhz"
-    lines.append(header)
+    # dual_rsd gives both nf dicts, so each table has an nf column or neither has.
+    die_nf, wafer_nf = report.rsd_die_nf_mhz, report.rsd_wafer_nf_mhz
+    nf = " rsd_nf_mhz" if die_nf is not None else ""
+    lines += ["", "[rsd die]", f"variant die_x die_y rsd_mhz{nf}"]
     for (variant, die), rsd in sorted(report.rsd_die_mhz.items()):
         row = f"{variant} {die[0]} {die[1]} {rsd:.6g}"
-        if report.rsd_die_nf_mhz is not None:
-            row += f" {report.rsd_die_nf_mhz[variant, die]:.6g}"
-        lines.append(row)
+        lines.append(row + (f" {die_nf[variant, die]:.6g}" if nf else ""))
 
-    lines.append("")
-    lines.append("[rsd wafer]")
-    header = "variant rsd_mhz mean_die_rsd_mhz"
-    if report.rsd_wafer_nf_mhz is not None:
-        header += " rsd_nf_mhz"
-    lines.append(header)
+    lines += ["", "[rsd wafer]", f"variant rsd_mhz mean_die_rsd_mhz{nf}"]
     for variant in sorted(report.rsd_wafer_mhz):
         die_vals = [v for (var, _), v in report.rsd_die_mhz.items() if var == variant]
         mean_die = sum(die_vals) / len(die_vals) if die_vals else 0.0
         row = f"{variant} {report.rsd_wafer_mhz[variant]:.6g} {mean_die:.6g}"
-        if report.rsd_wafer_nf_mhz is not None:
-            row += f" {report.rsd_wafer_nf_mhz[variant]:.6g}"
-        lines.append(row)
+        lines.append(row + (f" {wafer_nf[variant]:.6g}" if nf else ""))
 
     lines += ["", "[conductivity quadratic fits: value = a + b*d + c*d^2]", "variant areas a b c"]
     for areas, fits in (("designed", report.conductivity_fit_designed),
