@@ -39,6 +39,7 @@ from .imaging import (
     DEFAULT_CANVAS_PX,
     DEFAULT_SCALE_NM_PER_PX,
     DEFAULT_THRESHOLD_COUNT,
+    MAX_NOISE_SIGMA,
     band_pixel_count,
     bands_below_lowest_threshold,
     extract_widths,
@@ -86,7 +87,7 @@ def _refuse(args: argparse.Namespace, source: str, *options: str) -> None:
 
 
 def _check_at_least(args: argparse.Namespace, least: int, *options: str, unit: str = "",
-                    strict: bool = False, most: int | None = None) -> None:
+                    strict: bool = False, most: float | None = None) -> None:
     """Reject an option given that is below least (or equal to it, if
     strict), above most or, if it is a float, not finite."""
     for option in options:
@@ -97,7 +98,7 @@ def _check_at_least(args: argparse.Namespace, least: int, *options: str, unit: s
             raise DataError(f"{option} must be {finite}{'>' if strict else '>='} "
                             f"{least}{unit}, got {value}")
         if most is not None and value is not None and value > most:
-            raise DataError(f"{option} must be <= {most}{unit}, got {value}")
+            raise DataError(f"{option} must be <= {most:g}{unit}, got {value}")
 
 
 # The options of layout that each family of --kind does not read.
@@ -182,6 +183,7 @@ FIELDMAP_MAX_CELLS = 10_000_000     # bound on the (2n + 1)^2 square grid a step
 RENDER_MAX_CANVAS_PX = 8192         # bound on render --canvas, a side of its float32 raster
 RENDER_STRIDE = 1                   # render --stride when not given
 EXTRACT_MAX_THRESHOLDS = 1000       # bound on extract --thresholds, the sweep's length
+MAX_WIDTH_OPTION_NM = 1.0e6         # bound on every width option: 1 mm, far past any electrode
 
 
 def _field_map_text(geom: EvaporatorGeometry, quantity: str, design: JunctionDesign,
@@ -227,7 +229,7 @@ def _field_map_text(geom: EvaporatorGeometry, quantity: str, design: JunctionDes
 
 
 def cmd_fieldmap(args: argparse.Namespace) -> int:
-    _check_at_least(args, 0, "--wb", "--wt", unit=" nm")
+    _check_at_least(args, 0, "--wb", "--wt", unit=" nm", most=MAX_WIDTH_OPTION_NM)
     cfg = load_config(args.config)
     fidelity = Fidelity(args.fidelity or cfg.process.fidelity)
     design = JunctionDesign(Variant.MANHATTAN, args.wb, args.wt)
@@ -263,8 +265,9 @@ def _render_targets(args: argparse.Namespace):
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    _check_at_least(args, 0, "--wb", "--wt", unit=" nm")
-    _check_at_least(args, 0, "--noise", "--seed")
+    _check_at_least(args, 0, "--wb", "--wt", unit=" nm", most=MAX_WIDTH_OPTION_NM)
+    _check_at_least(args, 0, "--noise", most=MAX_NOISE_SIGMA)
+    _check_at_least(args, 0, "--seed")
     _check_at_least(args, 1, "--stride", "--grid")
     _check_at_least(args, 0, "--scale", strict=True)
     _check_at_least(args, 1, "--canvas", unit=" px", most=RENDER_MAX_CANVAS_PX)
@@ -334,7 +337,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_compensate(args: argparse.Namespace) -> int:
-    _check_at_least(args, 0, "--max-width-nm", "--fixed-top-nm", unit=" nm")
+    _check_at_least(args, 0, "--max-width-nm", "--fixed-top-nm", unit=" nm",
+                    most=MAX_WIDTH_OPTION_NM)
     cfg = load_config(args.config)
     layout = jio.read_layout_csv(args.layout)
     fidelity = Fidelity(args.fidelity or cfg.process.fidelity)

@@ -232,8 +232,10 @@ def _printed(geom: EvaporatorGeometry, w_designed_nm, shade_nm):
 
 
 def _edge_shade(geom: EvaporatorGeometry, coord_mm, d_nm):
-    """|coord| * H / D: the resist edge's shadow on a line at offset coord."""
-    return abs(coord_mm) * NM_PER_MM * geom.h_resist_nm / d_nm
+    """|coord| * H / D: the resist edge's shadow on a line at offset coord.
+    A line so far off that the shadow overflows gets an inf one, and pinches off."""
+    with np.errstate(over="ignore"):
+        return abs(coord_mm) * NM_PER_MM * geom.h_resist_nm / d_nm
 
 
 def _crossed_area(w_b_nm, w_t_nm):
@@ -242,12 +244,25 @@ def _crossed_area(w_b_nm, w_t_nm):
     return w_b_nm * w_t_nm / NM2_PER_UM2
 
 
+def _cube(x: float) -> float:
+    """x ** 3.0, inf where Python's pow raises OverflowError instead."""
+    try:
+        return x ** 3.0
+    except OverflowError:
+        return math.inf
+
+
 def _cubed(r: np.ndarray) -> np.ndarray:
-    """r**3 per element with Python float ** (libm pow), not numpy's power.
-    The exponent is the float 3.0: float ** int converts the int and calls
-    the same pow(x, 3.0), so the bits match without a conversion per element."""
-    return np.fromiter(map(pow, r.ravel().tolist(), repeat(3.0)), float,
-                       r.size).reshape(r.shape)
+    """r**3 per element with Python float ** (libm pow), not numpy's power,
+    inf where it overflows.  The exponent is the float 3.0: float ** int
+    converts the int and calls the same pow(x, 3.0), so the bits match
+    without a conversion per element."""
+    values = r.ravel().tolist()
+    try:
+        cubes = np.fromiter(map(pow, values, repeat(3.0)), float, r.size)
+    except OverflowError:       # some cube is past the float range
+        cubes = np.fromiter(map(_cube, values), float, r.size)
+    return cubes.reshape(r.shape)
 
 
 def _points(*values) -> tuple[np.ndarray, ...]:
@@ -273,11 +288,21 @@ class Sites:
 
     @cached_property
     def _r3(self) -> np.ndarray:
-        """|r - C|**3 with C the source position, in nm^3."""
-        dy = self.y * NM_PER_MM - self.geom.crucible_y_nm()
-        dx = self.x * NM_PER_MM
-        d = self.geom.source_distance_nm()
-        return _cubed(np.sqrt(dx * dx + dy * dy + d * d))
+        """|r - C|**3 with C the source position, in nm^3.  GeometryError
+        names the first point where it is not finite: a point or a source
+        so far off that a term overflows."""
+        # Overflow gives inf and inf - inf nan, both refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            dy = self.y * NM_PER_MM - self.geom.crucible_y_nm()
+            dx = self.x * NM_PER_MM
+            d = self.geom.source_distance_nm()
+            r3 = _cubed(np.sqrt(dx * dx + dy * dy + d * d))
+        far = ~np.isfinite(r3)
+        if far.any():
+            i = int(np.argmax(far))
+            raise GeometryError(f"the source distance cubed, |r - C|**3, is not finite at "
+                                f"({float(self.x.flat[i])}, {float(self.y.flat[i])}) mm")
+        return r3
 
     @cached_property
     def _thickness(self) -> np.ndarray:

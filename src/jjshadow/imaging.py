@@ -48,6 +48,11 @@ DEFAULT_THRESHOLD_COUNT = 11
 # The pixel size and square canvas side render_junction and render use by default.
 DEFAULT_SCALE_NM_PER_PX = 2.0
 DEFAULT_CANVAS_PX = 512
+# The largest noise sigma render_junction takes.  At 1e3 the noise std is
+# 255,000 levels, so about 4 pixels in 10,000 escape clipping to 0 or 255:
+# a larger sigma makes no other image, and sigma * 255 times a normal draw
+# stays ~1e32 below the float32 raster's range.
+MAX_NOISE_SIGMA = 1.0e3
 # extract_widths sweeps its thresholds over this range of multiples of the
 # image mean.
 THRESHOLD_RANGE = (1.0, 2.0)
@@ -196,6 +201,8 @@ def render_junction(geom: EvaporatorGeometry, design: JunctionDesign, p: WaferPo
     noise added to a raster of levels; adding a level twice would round
     twice and could change them.
     """
+    if noise_sigma > MAX_NOISE_SIGMA:
+        raise DataError(f"noise sigma must be <= {MAX_NOISE_SIGMA:g}, got {noise_sigma}")
     width, height = canvas_px
     w_b_nm = actual_width_vertical(geom, design.w_bottom_nm, p.x_mm)
     w_t_nm = actual_width_vertical(geom, design.w_top_nm, p.y_mm)

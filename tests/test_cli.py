@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -730,6 +732,80 @@ class TestRejectedOptions:
         assert "data error: --step must be finite and > 0, got 0.0\n" in capsys.readouterr().err
         assert not out.exists()
 
+
+
+@pytest.fixture(scope="module")
+def far_inputs(tmp_path_factory):
+    """A planar35x35-al layout, the same with its first structure (at x = -34 mm,
+    y = -34 mm) moved to x = 1e120 and 1e300 mm, and configs that put the
+    source 1e120 and 1e303 mm from the pivot, by placeholder name."""
+    root = tmp_path_factory.mktemp("far")
+    layout = root / "layout.csv"
+    assert run("layout", "--kind", "planar35x35-al", "--out", layout) == 0
+    paths = {"layout": layout}
+    header, first, *rest = rows(layout)
+    for x in ("1e120", "1e300"):
+        cells = first.split(",")
+        cells[3] = x
+        paths[f"far-{x}"] = root / f"far-{x}.csv"
+        paths[f"far-{x}"].write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    for d in ("1e120", "1e303"):
+        paths[f"source-{d}"] = root / f"source-{d}.cfg"
+        paths[f"source-{d}"].write_text(f"geometry.d_prime_mm = {d}\n")
+    return paths
+
+
+FAR_POINT = "numerical failure: the source distance cubed, |r - C|**3, is not finite at "
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["simulate", "--layout", "far-1e120"], 3, FAR_POINT + "(1e+120, -34.0) mm"),
+    (["compensate", "--layout", "far-1e120"], 3, FAR_POINT + "(1e+120, -34.0) mm"),
+    (["simulate", "--layout", "far-1e300"], 3, FAR_POINT + "(1e+300, -34.0) mm"),
+    (["compensate", "--layout", "far-1e300"], 3, FAR_POINT + "(1e+300, -34.0) mm"),
+    (["fieldmap", "--quantity", "area", "--step", 10, "--config", "source-1e120"], 3,
+     FAR_POINT + "(0.0, 50.0) mm"),
+    (["fieldmap", "--quantity", "tb", "--step", 10, "--config", "source-1e303"], 3,
+     FAR_POINT + "(0.0, 50.0) mm"),
+    (["compensate", "--layout", "layout", "--max-width-nm", 1e300], 2,
+     "data error: --max-width-nm must be <= 1e+06 nm, got 1e+300"),
+    (["compensate", "--layout", "layout", "--fixed-top-nm", 1e300], 2,
+     "data error: --fixed-top-nm must be <= 1e+06 nm, got 1e+300"),
+    (["fieldmap", "--quantity", "area", "--step", 10, "--wb", 1e200, "--wt", 1e200], 2,
+     "data error: --wb must be <= 1e+06 nm, got 1e+200"),
+    (["fieldmap", "--quantity", "area", "--step", 10, "--wb", 1e300], 2,
+     "data error: --wb must be <= 1e+06 nm, got 1e+300"),
+    (["fieldmap", "--quantity", "hlip", "--step", 10, "--wt", 1e300], 2,
+     "data error: --wt must be <= 1e+06 nm, got 1e+300"),
+    (["render", "--grid", 1, "--canvas", 256, "--noise", 1e37], 2,
+     "data error: --noise must be <= 1000, got 1e+37"),
+    (["render", "--grid", 1, "--canvas", 256, "--noise", 1e300], 2,
+     "data error: --noise must be <= 1000, got 1e+300"),
+    (["render", "--grid", 1, "--canvas", 256, "--wb", 1e300], 2,
+     "data error: --wb must be <= 1e+06 nm, got 1e+300"),
+    (["render", "--grid", 1, "--canvas", 256, "--wt", 1e300], 2,
+     "data error: --wt must be <= 1e+06 nm, got 1e+300"),
+], ids=["simulate-far-1e120", "compensate-far-1e120", "simulate-far-1e300",
+        "compensate-far-1e300", "fieldmap-area-source-1e120", "fieldmap-tb-source-1e303",
+        "max-width-nm", "fixed-top-nm", "fieldmap-widths-1e200", "fieldmap-wb", "fieldmap-wt",
+        "render-noise-1e37", "render-noise", "render-wb", "render-wt"])
+def test_input_past_the_float_range_fails_cleanly(tmp_path, capsys, far_inputs, argv, code,
+                                                  message):
+    # The exit code and message, no warning, no traceback (run raises no
+    # exception) and no nan or inf in any file written.
+    argv = [far_inputs.get(a, a) for a in argv]
+    out = ["--out-dir", tmp_path / "out"] if argv[0] == "render" else [
+        "--out", tmp_path / "out.csv"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*argv, *out) == code
+    err = capsys.readouterr().err
+    assert f"jjshadow: {message}\n" in err
+    assert "Warning" not in err and "Traceback" not in err
+    assert [str(w.message) for w in caught] == []
+    for path in tmp_path.rglob("*"):
+        if path.is_file():
+            assert not re.search(rb"nan|inf", path.read_bytes()), path
 
 def assert_exit(argv, code):
     with pytest.raises(SystemExit) as info:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from jjshadow.imaging import (
     LEVEL_BOTTOM,
     LEVEL_OVERLAP,
     LEVEL_TOP,
+    MAX_NOISE_SIGMA,
     THRESHOLD_RANGE,
     ExtractionResult,
     GrayImage,
@@ -133,6 +135,17 @@ class TestRenderer:
         with pytest.raises(DataError):
             render_junction(geom, wide, origin, scale_nm_per_px=1.0,
                             canvas_px=(128, 128))
+
+    def test_noise_bound(self, geom, design_200, origin):
+        # The largest sigma renders with no float32 overflow warning; above
+        # it nothing is rendered.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            render_junction(geom, design_200, origin, canvas_px=(128, 128),
+                            noise_sigma=MAX_NOISE_SIGMA, seed=1)
+        for sigma in (np.nextafter(MAX_NOISE_SIGMA, math.inf), 1e37):
+            with pytest.raises(DataError, match=re.escape(f"got {sigma}")):
+                render_junction(geom, design_200, origin, noise_sigma=sigma)
 
 
 class TestExtraction:

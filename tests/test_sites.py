@@ -4,6 +4,7 @@ points and widths, reusable across width sets, and computing |r - C|**3
 once per point set (counted through geometry._cubed)."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -242,3 +243,31 @@ def test_source_overhead_near_the_equator(y_mm):
             want = scalar_outcome(lambda: scalar_model.evaluate_field(
                 flat, quantity, WaferPoint(0.0, y_mm), design))
             assert (("value", bits(value[0])) if ok[0] else ("blank", None)) == want
+
+
+@pytest.mark.parametrize("x_mm", [1e120, 1e300, 1.7e308])
+def test_a_point_too_far_to_cube_names_itself(geom, x_mm):
+    # |r - C|**3 leaves the float range ~5.6e102 nm from the source: pow
+    # raises OverflowError, or the distance itself is inf.  Sites names the
+    # first such point, with no warning, wherever the model cubes it; BASIC
+    # cubes nothing, and there the far electrode pinches off.
+    x, y = [1.0, x_mm, -x_mm], [2.0, -3.0, 4.0]
+    at = re.escape(f"is not finite at ({x_mm}, -3.0) mm")
+    codes = np.full(3, geometry.VARIANT_CODES[Variant.MANHATTAN])
+    widths = np.full(3, 200.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fidelity in (Fidelity.SIDEWALL, Fidelity.FULL):
+            with pytest.raises(GeometryError, match=at):
+                Sites(geom, x, y).areas(Variant.MANHATTAN, 200.0, 200.0, fidelity)
+            with pytest.raises(GeometryError, match=at):
+                geometry.variant_areas(geom, codes, widths, widths, np.array(x), np.array(y),
+                                       fidelity)
+        for quantity in ("tb", "wlip", "wt_full"):
+            with pytest.raises(GeometryError, match=at):
+                Sites(geom, x, y).field(quantity, JunctionDesign(Variant.MANHATTAN, 0.0, 200.0))
+        _, ok = Sites(geom, x, y).areas(Variant.MANHATTAN, 200.0, 200.0, Fidelity.BASIC)
+        assert ok.tolist() == [True, False, False]
+        cubes = geometry._cubed(np.array([2.0, 1e102, 1e103, math.inf, math.nan]))
+    assert cubes[:2].tolist() == [8.0, 1e102 ** 3]
+    assert cubes[2:3].tolist() == cubes[3:4].tolist() == [math.inf] and math.isnan(cubes[4])
